@@ -30,8 +30,8 @@ test:
 # the httpapi pass pins cross-market overload isolation end to end; and
 # the serve-smoke end-to-end pass rides along so the gate also
 # exercises the live server lifecycle (boot, /v2 markets, trade, metrics,
-# saturation via share-loadgen, SIGTERM drain, snapshot restore, kill -9
-# WAL replay).
+# saturation via share-loadgen, SIGTERM drain, -snapshot-dir restore,
+# kill -9 WAL replay).
 race: vet
 	$(GO) test -race ./...
 	$(GO) test -race -run 'TestKernelEquivalence|TestRunRoundShapleyIdenticalAcrossWorkers' -count=1 ./internal/valuation ./internal/market
@@ -49,20 +49,21 @@ cover:
 	sh scripts/cover.sh
 
 # Boot share-server, run a register/quote/trade/metrics sequence over HTTP
-# plus the /v2 market lifecycle (create, batch quote, trade, delete),
-# SIGTERM it, and reboot from the persisted snapshot — both the legacy
-# single-file mode and the per-market -snapshot-dir mode.
+# plus the /v2 market lifecycle (create, batch quote, trade, delete) and
+# SIGTERM it; then boot it over a -snapshot-dir and check that every market
+# survives a graceful shutdown and, through WAL replay, a kill -9.
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
 # Go benchmarks (valuation kernel, trade rounds, solver) plus the
 # machine-readable reports, all under bench_out/: BENCH_PR3.json
-# (moment-cached Shapley kernel vs the seed-era row-streaming estimator),
-# BENCH_PR4.json (per-round solve latency of the analytic, mean-field and
-# general backends), BENCH_PR6.json (trade throughput and commit latency of
-# the durability modes: snapshot-per-trade vs the sync / group-commit /
-# async WAL) and BENCH_PR8.json (the general backend's optimized cascade vs
-# its pre-optimization baseline across loss functions).
+# (moment-cached Shapley kernel vs the seed-era row-streaming estimator,
+# and the kernel through a full trade round), BENCH_PR4.json (per-round
+# solve latency of the analytic, mean-field and general backends),
+# BENCH_PR6.json (trade throughput and commit latency of the sync /
+# group-commit / async WAL) and BENCH_PR8.json (the general backend's
+# cold and warm-chained cascade across loss functions, against the
+# committed BENCH_PR4.json numbers).
 bench:
 	$(GO) test -bench=. -benchmem ./...
 	$(GO) run ./cmd/share-bench -fig none -out bench_out -bench-pr3 -bench-pr4 -bench-pr6 -bench-pr8

@@ -19,9 +19,9 @@ import (
 )
 
 // pr3Report is the BENCH_PR3.json document: the moment-cached Shapley
-// valuation kernel measured against the seed-era row-streaming estimator,
-// both as an isolated kernel probe and end-to-end through a full trade
-// round, with headline speedup ratios.
+// valuation kernel measured against the seed-era row-streaming estimator as
+// an isolated kernel probe, with headline speedup ratios, plus the kernel
+// end-to-end through a full trade round.
 type pr3Report struct {
 	GoMaxProcs int                `json:"gomaxprocs"`
 	Workers    int                `json:"workers"`
@@ -98,8 +98,7 @@ func writeBenchPR3(outDir string, workers int, seed int64) error {
 
 	// End-to-end trade round at the acceptance point (m=100, 100
 	// permutations): the full Algorithm 1 including strategy solve, LDP
-	// perturbation and production, with only the weight-update estimator
-	// varying.
+	// perturbation and production, single-threaded and fanned out.
 	round := func(upd *market.WeightUpdate) testing.BenchmarkResult {
 		rng := stat.NewRand(seed)
 		full := dataset.SyntheticCCPP(100*60+500, rng)
@@ -136,14 +135,10 @@ func writeBenchPR3(outDir string, workers int, seed int64) error {
 			}
 		})
 	}
-	legacy := record("runround_m100_seed", 1,
-		round(&market.WeightUpdate{Retain: 0.2, Permutations: 100, Legacy: true}))
-	kernel := record("runround_m100_kernel", 1,
+	record("runround_m100_kernel", 1,
 		round(&market.WeightUpdate{Retain: 0.2, Permutations: 100, Workers: 1}))
-	parallelRound := record(fmt.Sprintf("runround_m100_kernel_w%d", workers), workers,
+	record(fmt.Sprintf("runround_m100_kernel_w%d", workers), workers,
 		round(&market.WeightUpdate{Retain: 0.2, Permutations: 100, Workers: workers}))
-	rep.Speedups["runround_m100_kernel"] = legacy.NsPerOp / kernel.NsPerOp
-	rep.Speedups[fmt.Sprintf("runround_m100_kernel_w%d", workers)] = legacy.NsPerOp / parallelRound.NsPerOp
 
 	path := filepath.Join(outDir, "BENCH_PR3.json")
 	f, err := os.Create(path)
@@ -156,8 +151,6 @@ func writeBenchPR3(outDir string, workers int, seed int64) error {
 	if err := enc.Encode(rep); err != nil {
 		return fmt.Errorf("writing %s: %w", path, err)
 	}
-	log.Printf("wrote %s (round speedup: kernel %.2fx, w%d %.2fx)",
-		path, rep.Speedups["runround_m100_kernel"], workers,
-		rep.Speedups[fmt.Sprintf("runround_m100_kernel_w%d", workers)])
+	log.Printf("wrote %s", path)
 	return nil
 }

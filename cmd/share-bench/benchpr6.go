@@ -18,16 +18,14 @@ import (
 )
 
 // pr6Report is the BENCH_PR6.json document: trade throughput and commit
-// latency of the durability modes — the legacy full snapshot after every
-// trade versus the write-ahead log in its sync, group-commit and async
-// flavours — at two market sizes, with the WAL's own counters (records,
+// latency of the write-ahead log's durability modes — sync, group commit
+// and async — at two market sizes, with the WAL's own counters (records,
 // bytes, fsyncs, largest commit batch) alongside each run.
 type pr6Report struct {
-	GoMaxProcs int                `json:"gomaxprocs"`
-	Trades     int                `json:"trades_per_scenario"`
-	Traders    int                `json:"concurrent_traders"`
-	Scenarios  []pr6Scenario      `json:"scenarios"`
-	Speedups   map[string]float64 `json:"speedup_group_vs_snapshot"`
+	GoMaxProcs int           `json:"gomaxprocs"`
+	Trades     int           `json:"trades_per_scenario"`
+	Traders    int           `json:"concurrent_traders"`
+	Scenarios  []pr6Scenario `json:"scenarios"`
 }
 
 // pr6Scenario is one (market size, durability mode) cell.
@@ -58,22 +56,18 @@ func writeBenchPR6(outDir string, seed int64) error {
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Trades:     trades,
 		Traders:    traders,
-		Speedups:   map[string]float64{},
 	}
-	modes := []pool.Durability{pool.DurSnapshot, pool.DurSync, pool.DurGroup, pool.DurAsync}
+	modes := []pool.Durability{pool.DurSync, pool.DurGroup, pool.DurAsync}
 	for _, m := range []int{20, 100} {
-		perMode := map[pool.Durability]float64{}
 		for _, mode := range modes {
 			sc, err := runPR6Scenario(m, mode, trades, traders, seed)
 			if err != nil {
 				return fmt.Errorf("bench-pr6: m=%d %s: %w", m, mode, err)
 			}
 			rep.Scenarios = append(rep.Scenarios, sc)
-			perMode[mode] = sc.TradesPerSec
 			log.Printf("bench pr6 m=%-3d %-8s %8.1f trades/s  commit p50 %6.2fms p99 %6.2fms  fsyncs %d batch<=%d",
 				m, mode, sc.TradesPerSec, sc.CommitP50Ms, sc.CommitP99Ms, sc.WALFsyncs, sc.WALBatchMax)
 		}
-		rep.Speedups[fmt.Sprintf("m%d", m)] = perMode[pool.DurGroup] / perMode[pool.DurSnapshot]
 	}
 
 	path := filepath.Join(outDir, "BENCH_PR6.json")
@@ -87,8 +81,7 @@ func writeBenchPR6(outDir string, seed int64) error {
 	if err := enc.Encode(rep); err != nil {
 		return fmt.Errorf("writing %s: %w", path, err)
 	}
-	log.Printf("wrote %s (group WAL vs snapshot-per-trade: m=20 %.1fx, m=100 %.1fx)",
-		path, rep.Speedups["m20"], rep.Speedups["m100"])
+	log.Printf("wrote %s", path)
 	return nil
 }
 

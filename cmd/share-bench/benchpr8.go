@@ -17,9 +17,9 @@ import (
 
 // Committed BENCH_PR4.json reference numbers for the general backend's
 // per-round solve (same probe shape: prototype Clone → SetBuyer → Solve,
-// quadratic loss, PriceTol 1e-4). The m=1000 baseline takes ~10 minutes per
-// solve, so the before/after at that size compares against the recorded
-// trajectory instead of re-running the pre-optimization cascade live.
+// quadratic loss, PriceTol 1e-4). The pre-optimization cascade takes ~10
+// minutes per m=1000 solve, so the before/after compares against the
+// recorded trajectory instead of re-running it live.
 const (
 	pr4GeneralM100NsPerOp  = 1_709_690_311.0
 	pr4GeneralM1000NsPerOp = 593_434_301_975.0
@@ -31,18 +31,19 @@ type pr8Probe struct {
 	benchEntry
 	Loss         string `json:"loss"`
 	M            int    `json:"m"`
-	Mode         string `json:"mode"` // "fast" | "fast_warm" | "baseline"
+	Mode         string `json:"mode"` // "fast" | "fast_warm"
 	Stage3Solves int    `json:"stage3_solves"`
 	Stage3Sweeps int    `json:"stage3_sweeps"`
 	MemoHits     int    `json:"memo_hits"`
 }
 
-// pr8Report is the BENCH_PR8.json document: before/after latency of the
-// general equilibrium backend across loss functions and market sizes.
-// "fast" probes clone a cold prototype per iteration (exactly the PR 4 probe
-// shape, so the speedups_vs_pr4 ratios are apples to apples); "fast_warm"
-// re-solves one Prepared so successive rounds chain warm starts, the shape a
-// long-lived market sees; "baseline" disables every PR 8 optimization.
+// pr8Report is the BENCH_PR8.json document: latency of the general
+// equilibrium backend across loss functions and market sizes, against the
+// committed BENCH_PR4.json numbers. "fast" probes clone a cold prototype
+// per iteration (exactly the BENCH_PR4.json probe shape, so the
+// speedups_vs_pr4 ratios are apples to apples); "fast_warm" re-solves one
+// Prepared so successive rounds chain warm starts, the shape a long-lived
+// market sees.
 type pr8Report struct {
 	GoMaxProcs             int                `json:"gomaxprocs"`
 	Workers                int                `json:"workers"`
@@ -52,11 +53,10 @@ type pr8Report struct {
 	Speedups               map[string]float64 `json:"speedups"`
 }
 
-// writeBenchPR8 runs the general-backend before/after probes and writes
-// BENCH_PR8.json into outDir. Baseline probes run at m=100 only — the
-// pre-optimization cascade needs ~10 minutes per m=1000 solve, which is the
-// point of the PR; the m=1000 speedup is reported against the committed PR 4
-// measurement instead.
+// writeBenchPR8 runs the general-backend probes and writes BENCH_PR8.json
+// into outDir. Speedups are reported against the committed BENCH_PR4.json
+// measurements; the pre-optimization cascade survives only as the
+// equivalence oracle in internal/core's tests.
 func writeBenchPR8(outDir string, workers int, seed int64) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -145,18 +145,6 @@ func writeBenchPR8(outDir string, workers int, seed int64) error {
 				}
 				rep.Speedups[fmt.Sprintf("round_general_m%d_vs_pr4", m)] = pr4 / cold.NsPerOp
 				rep.Speedups[fmt.Sprintf("round_general_m%d_warm_vs_pr4", m)] = pr4 / warm.NsPerOp
-			}
-			if m == 100 {
-				base := solve.General{LossFor: l.fn, PriceTol: 1e-4, Workers: workers, Baseline: true}
-				bproto, err := base.Precompute(g)
-				if err != nil {
-					return fmt.Errorf("bench-pr8: baseline %s m=%d: %w", l.name, m, err)
-				}
-				bl, err := record(label+"_baseline", l.name, "baseline", m, bproto, false)
-				if err != nil {
-					return err
-				}
-				rep.Speedups[fmt.Sprintf("round_general_%s_m%d_vs_baseline", l.name, m)] = bl.NsPerOp / cold.NsPerOp
 			}
 		}
 	}

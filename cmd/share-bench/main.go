@@ -25,19 +25,19 @@
 // writes BENCH.json (ns/op, allocs/op and headline speedups for the cached
 // solver, the parallel sweep engine and the Jacobi Nash sweep).
 // -bench-pr3 runs the valuation-kernel probes and writes BENCH_PR3.json
-// (moment-cached Shapley kernel vs the seed-era row-streaming estimator,
-// isolated and end-to-end through a trade round); combine with -fig none to
-// skip figure regeneration.
+// (moment-cached Shapley kernel vs the seed-era row-streaming estimator in
+// isolation, plus the kernel end-to-end through a trade round); combine
+// with -fig none to skip figure regeneration.
 // -bench-pr4 runs the solve-backend probes and writes BENCH_PR4.json
 // (per-round equilibrium latency of the analytic, mean-field and general
 // backends at m ∈ {100, 1000}).
 // -bench-pr6 runs the durability probes and writes BENCH_PR6.json (trade
-// throughput and commit latency of snapshot-per-trade vs the write-ahead
-// log in sync, group-commit and async modes, at m ∈ {20, 100}).
-// -bench-pr8 runs the general-backend before/after probes and writes
-// BENCH_PR8.json (per-round latency of the optimized numerical cascade vs
-// its pre-optimization baseline, for the quadratic, alternative and cubic
-// losses at m ∈ {100, 1000}).
+// throughput and commit latency of the write-ahead log in sync,
+// group-commit and async modes, at m ∈ {20, 100}).
+// -bench-pr8 runs the general-backend probes and writes BENCH_PR8.json
+// (per-round latency of the numerical cascade, cold and warm-chained, for
+// the quadratic, alternative and cubic losses at m ∈ {100, 1000}, against
+// the committed BENCH_PR4.json numbers).
 // -solver re-renders the sensitivity sweeps (Figs. 4–8) under a different
 // equilibrium backend (analytic | meanfield | general); the default analytic
 // backend reproduces every CSV byte-for-byte.
@@ -76,7 +76,7 @@ func main() {
 		bench3  = flag.Bool("bench-pr3", false, "run valuation-kernel probes and write BENCH_PR3.json")
 		bench4  = flag.Bool("bench-pr4", false, "run solve-backend probes and write BENCH_PR4.json")
 		bench6  = flag.Bool("bench-pr6", false, "run durability-mode probes and write BENCH_PR6.json")
-		bench8  = flag.Bool("bench-pr8", false, "run general-backend before/after probes and write BENCH_PR8.json")
+		bench8  = flag.Bool("bench-pr8", false, "run general-backend probes and write BENCH_PR8.json")
 		solver  = flag.String("solver", "", "equilibrium backend for the sensitivity sweeps: analytic | meanfield | general (empty = analytic)")
 	)
 	flag.Parse()

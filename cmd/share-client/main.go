@@ -122,7 +122,7 @@ func dispatch(ctx context.Context, c *httpapi.Client, marketID, cmd string, args
 		id := fs.String("id", "", "market id (required)")
 		solver := fs.String("solver", "", "equilibrium backend for the market (empty = server default)")
 		seed := fs.Int64("seed", 0, "pin the market's random seed")
-		durability := fs.String("durability", "", "commit mode for the market: snapshot | sync | group | async (empty = server default)")
+		durability := fs.String("durability", "", "WAL commit mode for the market: sync | group | async (empty = server default)")
 		epsBudget := fs.Float64("epsilon-budget", 0, "per-seller privacy budget ε (explicit 0 disables budgeting; unset = server default)")
 		composition := fs.String("composition", "", "ε-composition rule: basic | advanced (empty = basic)")
 		if err := fs.Parse(args); err != nil {

@@ -51,28 +51,21 @@
 //	curl -s localhost:8080/v1/trades -d '{"n":200,"v":0.8}'
 //	curl -s localhost:8080/v1/metrics
 //
-// With -snapshot PATH the server restores its default market from PATH on
-// boot (when the file exists) and persists it back — via an atomic
-// write-temp-then-rename — on graceful shutdown (SIGINT/SIGTERM) and after
-// every trade, so a crash loses at most the in-flight round. The flag is
-// deprecated in favour of -snapshot-dir and kept as a compatibility shim.
-//
-// With -snapshot-dir DIR every hosted market persists under DIR: committed
-// trades append to a write-ahead log DIR/<id>.wal (group-committed fsyncs)
-// that is periodically compacted into DIR/<id>.json, and the whole pool —
+// With -snapshot-dir DIR every hosted market persists under DIR: every
+// registration, trade, roster change and budget top-up appends to a
+// write-ahead log DIR/<id>.wal (group-committed fsyncs) that is
+// periodically compacted into DIR/<id>.json, graceful shutdown
+// (SIGINT/SIGTERM) checkpoints every market, and the whole pool —
 // snapshots plus WAL tails — is replayed on boot; a corrupt file is skipped
 // with a warning. -durability picks the default commit mode for new markets
-// (snapshot | sync | group | async; see internal/pool); individual markets
-// override it with a "durability" field on the /v2/markets create body. The
-// two snapshot flags are mutually exclusive; prefer -snapshot-dir for
-// multi-market (/v2) servers.
+// (sync | group | async; see internal/pool); individual markets override it
+// with a "durability" field on the /v2/markets create body.
 package main
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -101,8 +94,7 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address")
 		seed         = flag.Int64("seed", 1, "random seed")
 		demo         = flag.Int("demo", 0, "pre-register this many synthetic sellers")
-		snapshot     = flag.String("snapshot", "", "deprecated: restore the default market from this file on boot, persist on shutdown and after each trade (use -snapshot-dir)")
-		snapshotDir  = flag.String("snapshot-dir", "", "per-market persistence directory: restore snapshots and replay WAL tails from DIR on boot, group-commit trades to DIR/<id>.wal (mutually exclusive with -snapshot)")
+		snapshotDir  = flag.String("snapshot-dir", "", "per-market persistence directory: restore snapshots and replay WAL tails from DIR on boot, group-commit every mutation to DIR/<id>.wal")
 		maxBody      = flag.Int64("max-body", 0, "request body cap in bytes (0 = 8 MiB default)")
 		tradeTimeout = flag.Duration("trade-timeout", 0, "server-side deadline per trading round (0 = none)")
 		drain        = flag.Duration("drain", 2*time.Minute, "graceful-shutdown drain window for in-flight requests")
@@ -111,7 +103,7 @@ func main() {
 		tradeQueue   = flag.Int("trade-queue", 0, "per-market trade waiting room: trades beyond -trade-concurrency park here, the rest get 429 + Retry-After (0 = default 64, negative = no waiting room)")
 		tradeConc    = flag.Int("trade-concurrency", 0, "max trades executing per market at once (0 = default 1); /v2 market creation overrides via the spec's \"trade_concurrency\" field")
 		solver       = flag.String("solver", "", "default equilibrium backend: analytic | meanfield | general (empty = analytic); requests override per-trade via the demand's \"solver\" field")
-		durability   = flag.String("durability", "", "default market commit mode with -snapshot-dir: snapshot | sync | group | async (empty = group); /v2 market creation overrides per-market via the spec's \"durability\" field")
+		durability   = flag.String("durability", "", "default market commit mode with -snapshot-dir: sync | group | async (empty = group); /v2 market creation overrides per-market via the spec's \"durability\" field")
 		epsBudget    = flag.Float64("epsilon-budget", 0, "default per-seller privacy budget ε for new markets (0 = budgeting disabled); /v2 market creation overrides via the spec's \"epsilon_budget\" field")
 		composition  = flag.String("composition", "", "default ε-composition rule for budgeted markets: basic | advanced (empty = basic); /v2 market creation overrides via the spec's \"composition\" field")
 		simDiscount  = flag.Float64("similarity-discount", 0, "similarity-aware pricing: max fraction shaved off a fully redundant seller's payout, in (0,1] (0 = disabled)")
@@ -136,12 +128,6 @@ func main() {
 		if err := dc.Validate(); err != nil {
 			log.Fatalf("-similarity-discount: %v", err)
 		}
-	}
-	if *snapshot != "" && *snapshotDir != "" {
-		log.Fatalf("-snapshot and -snapshot-dir are mutually exclusive")
-	}
-	if msg := snapshotFlagDeprecation(*snapshot); msg != "" {
-		log.Printf("%s", msg)
 	}
 
 	if *pprofAddr != "" {
@@ -174,18 +160,7 @@ func main() {
 	handler := srv.Handler()
 
 	restored := false
-	switch {
-	case *snapshot != "":
-		switch err := srv.RestoreSnapshot(*snapshot); {
-		case err == nil:
-			log.Printf("restored market state from %s", *snapshot)
-			restored = true
-		case errors.Is(err, os.ErrNotExist):
-			log.Printf("no snapshot at %s yet; starting empty", *snapshot)
-		default:
-			log.Fatalf("restoring snapshot: %v", err)
-		}
-	case *snapshotDir != "":
+	if *snapshotDir != "" {
 		ids, err := srv.Pool().RestoreAll()
 		if err != nil {
 			log.Fatalf("restoring snapshot directory: %v", err)
@@ -211,13 +186,13 @@ func main() {
 
 	httpServer := &http.Server{
 		Addr:         *addr,
-		Handler:      withSnapshotAfterTrade(handler, srv, *snapshot),
+		Handler:      handler,
 		ReadTimeout:  30 * time.Second,
 		WriteTimeout: 5 * time.Minute, // Shapley rounds can take a while
 	}
 
 	// Signal-driven lifecycle: serve until SIGINT/SIGTERM, then drain
-	// in-flight requests and persist the market before exiting.
+	// in-flight requests and checkpoint every market before exiting.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -244,13 +219,7 @@ func main() {
 	if err := httpServer.Shutdown(drainCtx); err != nil {
 		log.Printf("drain incomplete: %v", err)
 	}
-	switch {
-	case *snapshot != "":
-		if err := srv.SaveSnapshot(*snapshot); err != nil {
-			log.Fatalf("saving snapshot: %v", err)
-		}
-		log.Printf("market state saved to %s", *snapshot)
-	case *snapshotDir != "":
+	if *snapshotDir != "" {
 		if err := srv.Pool().SaveAll(); err != nil {
 			log.Fatalf("saving snapshot directory: %v", err)
 		}
@@ -260,35 +229,6 @@ func main() {
 	// tails so an orderly exit never loses acknowledged trades.
 	srv.Pool().Close()
 	log.Printf("bye")
-}
-
-// snapshotFlagDeprecation returns the one-line warning emitted when the
-// deprecated -snapshot flag is in use, or "" when it isn't. The flag keeps
-// working so existing deployments don't break, but -snapshot-dir is the
-// supported path: it adds the write-ahead log, group commit and /v2
-// multi-market persistence.
-func snapshotFlagDeprecation(path string) string {
-	if path == "" {
-		return ""
-	}
-	return fmt.Sprintf("warning: -snapshot %s is deprecated; use -snapshot-dir DIR for WAL-backed persistence", path)
-}
-
-// withSnapshotAfterTrade persists the market after every successful trade
-// so a crash (as opposed to a graceful shutdown) loses at most the round in
-// flight. Saves are serialized by the server's own write lock.
-func withSnapshotAfterTrade(h http.Handler, srv *httpapi.Server, path string) http.Handler {
-	if path == "" {
-		return h
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		h.ServeHTTP(w, r)
-		if r.Method == http.MethodPost && r.URL.Path == "/v1/trades" {
-			if err := srv.SaveSnapshot(path); err != nil {
-				log.Printf("snapshot after trade: %v", err)
-			}
-		}
-	})
 }
 
 // registerDemoSellers seeds the market through its own HTTP surface so the

@@ -121,12 +121,6 @@ type GeneralOptions struct {
 	WarmPD float64
 	// Stats, when non-nil, receives the solve's effort counters.
 	Stats *GeneralStats
-	// Baseline disables every PR 8 fast path — incremental payoffs,
-	// warm-start chaining, tolerance scheduling, memoization and the
-	// speculative search — recovering the original O(m²)-per-sweep
-	// cascade. The before/after bench probes and the equivalence tests
-	// use it; production callers never should.
-	Baseline bool
 }
 
 // generalSweep is the allocation-free nash.SweepPayoff of the generalized
@@ -517,10 +511,6 @@ func (g *Game) SolveGeneralCtx(ctx context.Context, opt GeneralOptions) (*Profil
 	if priceTol <= 0 {
 		priceTol = 1e-6
 	}
-	if opt.Baseline {
-		return g.solveGeneralBaseline(ctx, opt, pmHi, priceTol)
-	}
-
 	nopt := opt.Nash
 	if nopt.Tol <= 0 {
 		nopt.Tol = 1e-9
@@ -613,82 +603,6 @@ func (g *Game) SolveGeneralCtx(ctx context.Context, opt GeneralOptions) (*Profil
 	// EvaluateProfile assumes; recompute them.
 	for i := range p.SellerProfits {
 		p.SellerProfits[i] = g.GeneralSellerProfit(i, pdStar, eStar.tau, opt.Loss)
-	}
-	return p, nil
-}
-
-// solveGeneralBaseline is the pre-optimization cascade — per-evaluation
-// allocation of the full χ-vector, cold closed-form starts, fixed final
-// tolerances, no memo, sequential searches — kept as the before/after
-// reference for the BENCH_PR8 probes and the fast-vs-baseline equivalence
-// tests. Error propagation matches the fast path: the searches thread the
-// real Stage-3 error out instead of masking it behind a sentinel.
-func (g *Game) solveGeneralBaseline(ctx context.Context, opt GeneralOptions, pmHi, priceTol float64) (*Profile, error) {
-	stage3 := func(pd float64) ([]float64, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ng := &nash.Game{
-			Players: g.M(),
-			Payoff: func(i int, x float64, s []float64) float64 {
-				tau := append([]float64(nil), s...)
-				tau[i] = x
-				return g.GeneralSellerProfit(i, pd, tau, opt.Loss)
-			},
-		}
-		nopt := opt.Nash
-		if nopt.Start == nil {
-			// The quadratic closed form is a serviceable warm start for any
-			// loss with comparable curvature.
-			nopt.Start = g.Stage3Tau(pd)
-		}
-		res, err := ng.SolveCtx(ctx, nopt)
-		if err != nil {
-			return nil, fmt.Errorf("core: stage 3 numeric Nash at p^D=%g: %w", pd, err)
-		}
-		return res.Strategies, nil
-	}
-
-	stage2 := func(pm float64) (float64, []float64, error) {
-		pdHi := g.Stage2PD(pm) * 4
-		if pdHi <= 0 {
-			pdHi = pm
-		}
-		pd, err := numeric.GoldenMaxErr(func(pd float64) (float64, error) {
-			tau, err := stage3(pd)
-			if err != nil {
-				return 0, err
-			}
-			return g.BrokerProfit(pm, pd, tau), nil
-		}, 0, pdHi, priceTol)
-		if err != nil {
-			return 0, nil, err
-		}
-		tau, err := stage3(pd)
-		if err != nil {
-			return 0, nil, err
-		}
-		return pd, tau, nil
-	}
-
-	pmStar, err := numeric.GoldenMaxErr(func(pm float64) (float64, error) {
-		_, tau, err := stage2(pm)
-		if err != nil {
-			return 0, err
-		}
-		return g.BuyerProfit(pm, tau), nil
-	}, 0, pmHi, priceTol)
-	if err != nil {
-		return nil, fmt.Errorf("core: general solve: %w", err)
-	}
-
-	pdStar, tauStar, err := stage2(pmStar)
-	if err != nil {
-		return nil, fmt.Errorf("core: general solve: %w", err)
-	}
-	p := g.EvaluateProfile(pmStar, pdStar, tauStar)
-	for i := range p.SellerProfits {
-		p.SellerProfits[i] = g.GeneralSellerProfit(i, pdStar, tauStar, opt.Loss)
 	}
 	return p, nil
 }

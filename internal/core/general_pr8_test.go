@@ -3,10 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
 
+	"share/internal/nash"
+	"share/internal/numeric"
 	"share/internal/stat"
 )
 
@@ -59,7 +62,11 @@ func TestSolveGeneralFastMatchesBaseline(t *testing.T) {
 			if err != nil {
 				t.Fatalf("fast solve: %v", err)
 			}
-			base, err := g.SolveGeneral(GeneralOptions{Loss: l.loss, PriceTol: priceTol, Baseline: true})
+			pm, err := g.Stage1PM()
+			if err != nil {
+				t.Fatalf("bracketing p^M: %v", err)
+			}
+			base, err := g.solveGeneralBaseline(context.Background(), GeneralOptions{Loss: l.loss, PriceTol: priceTol}, 4*pm, priceTol)
 			if err != nil {
 				t.Fatalf("baseline solve: %v", err)
 			}
@@ -87,6 +94,82 @@ func TestSolveGeneralFastMatchesBaseline(t *testing.T) {
 			}
 		})
 	}
+}
+
+// solveGeneralBaseline is the pre-optimization cascade — per-evaluation
+// allocation of the full χ-vector, cold closed-form starts, fixed final
+// tolerances, no memo, sequential searches — kept as the equivalence
+// oracle for the optimized SolveGeneralCtx. Error propagation matches the
+// fast path: the searches thread the real Stage-3 error out instead of
+// masking it behind a sentinel.
+func (g *Game) solveGeneralBaseline(ctx context.Context, opt GeneralOptions, pmHi, priceTol float64) (*Profile, error) {
+	stage3 := func(pd float64) ([]float64, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		ng := &nash.Game{
+			Players: g.M(),
+			Payoff: func(i int, x float64, s []float64) float64 {
+				tau := append([]float64(nil), s...)
+				tau[i] = x
+				return g.GeneralSellerProfit(i, pd, tau, opt.Loss)
+			},
+		}
+		nopt := opt.Nash
+		if nopt.Start == nil {
+			// The quadratic closed form is a serviceable warm start for any
+			// loss with comparable curvature.
+			nopt.Start = g.Stage3Tau(pd)
+		}
+		res, err := ng.SolveCtx(ctx, nopt)
+		if err != nil {
+			return nil, fmt.Errorf("core: stage 3 numeric Nash at p^D=%g: %w", pd, err)
+		}
+		return res.Strategies, nil
+	}
+
+	stage2 := func(pm float64) (float64, []float64, error) {
+		pdHi := g.Stage2PD(pm) * 4
+		if pdHi <= 0 {
+			pdHi = pm
+		}
+		pd, err := numeric.GoldenMaxErr(func(pd float64) (float64, error) {
+			tau, err := stage3(pd)
+			if err != nil {
+				return 0, err
+			}
+			return g.BrokerProfit(pm, pd, tau), nil
+		}, 0, pdHi, priceTol)
+		if err != nil {
+			return 0, nil, err
+		}
+		tau, err := stage3(pd)
+		if err != nil {
+			return 0, nil, err
+		}
+		return pd, tau, nil
+	}
+
+	pmStar, err := numeric.GoldenMaxErr(func(pm float64) (float64, error) {
+		_, tau, err := stage2(pm)
+		if err != nil {
+			return 0, err
+		}
+		return g.BuyerProfit(pm, tau), nil
+	}, 0, pmHi, priceTol)
+	if err != nil {
+		return nil, fmt.Errorf("core: general solve: %w", err)
+	}
+
+	pdStar, tauStar, err := stage2(pmStar)
+	if err != nil {
+		return nil, fmt.Errorf("core: general solve: %w", err)
+	}
+	p := g.EvaluateProfile(pmStar, pdStar, tauStar)
+	for i := range p.SellerProfits {
+		p.SellerProfits[i] = g.GeneralSellerProfit(i, pdStar, tauStar, opt.Loss)
+	}
+	return p, nil
 }
 
 // Warm-starting from a neighboring round's profile must not move the

@@ -127,14 +127,16 @@ type Options struct {
 	// answer 429 with a Retry-After hint. Markets may override it at
 	// creation.
 	TradeQueue int
-	// SnapshotDir enables per-market snapshot persistence under this
-	// directory ("" → disabled). See Server.RestoreMarkets / SaveMarkets.
+	// SnapshotDir enables per-market persistence under this directory
+	// ("" → disabled): each market's write-ahead log and compaction
+	// snapshots. Boot and shutdown hooks call Pool().RestoreAll and
+	// Pool().SaveAll.
 	SnapshotDir string
-	// Durability is the default persistence mode for markets: "snapshot"
-	// (legacy full snapshot per trade), "sync" (per-commit fsync), "group"
-	// (batched fsync, the default) or "async" (background flush). Markets
-	// may override it at creation. Unknown names fall back to the default
-	// (CLI entry points validate the flag before getting here).
+	// Durability is the default WAL commit mode for markets: "sync"
+	// (per-commit fsync), "group" (batched fsync, the default) or "async"
+	// (background flush). Markets may override it at creation. Unknown
+	// names fall back to the default (CLI entry points validate the flag
+	// before getting here).
 	Durability string
 	// DefaultMarket names the market the /v1 aliases operate on
 	// ("" → "default").
@@ -330,9 +332,9 @@ type MarketSpec struct {
 	// Seed pins the market's random seed (absent → derived from the
 	// server seed and the ID).
 	Seed *int64 `json:"seed,omitempty"`
-	// Durability overrides the server's default persistence mode for this
-	// market: "snapshot", "sync", "group" or "async" ("" → server
-	// default). Unknown names are a field-level error.
+	// Durability overrides the server's default WAL commit mode for this
+	// market: "sync", "group" or "async" ("" → server default). Unknown
+	// names are a field-level error.
 	Durability string `json:"durability,omitempty"`
 	// TradeConcurrency overrides the server's in-flight trade cap for this
 	// market (absent → server default; must be ≥ 1).

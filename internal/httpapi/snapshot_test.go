@@ -2,7 +2,6 @@ package httpapi
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -19,15 +18,33 @@ func mustUnmarshal(t *testing.T, raw []byte, v any) {
 	}
 }
 
-// TestSnapshotSaveRestoreRoundTrip is the crash-safety contract: a server
-// saved after trading and "killed" (discarded), then restored into a fresh
-// process-equivalent server, serves the same ledger, weights and quotes,
-// and continues the round numbering.
-func TestSnapshotSaveRestoreRoundTrip(t *testing.T) {
-	opts := Options{Seed: 42, Logf: func(string, ...any) {}}
-	path := filepath.Join(t.TempDir(), "market.json")
+// restoreServer boots a fresh server over opts.SnapshotDir, restores it,
+// and checks that exactly the default market came back.
+func restoreServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
+	t.Helper()
+	srv := NewServer(opts)
+	t.Cleanup(srv.Pool().Close)
+	ids, err := srv.Pool().RestoreAll()
+	if err != nil {
+		t.Fatalf("RestoreAll: %v", err)
+	}
+	if len(ids) != 1 || ids[0] != DefaultMarketID {
+		t.Fatalf("restored %v, want [%s]", ids, DefaultMarketID)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return srv, ts
+}
 
-	// Session 1: register, trade twice, persist, die.
+// TestSnapshotSaveRestoreRoundTrip is the crash-safety contract: a server
+// checkpointed after trading and shut down, then restored from its snapshot
+// directory into a fresh server, serves the same ledger, weights and
+// quotes, and continues the round numbering.
+func TestSnapshotSaveRestoreRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Seed: 42, Logf: func(string, ...any) {}, SnapshotDir: dir}
+
+	// First server: register, trade twice, checkpoint, shut down.
 	srvA := NewServer(opts)
 	tsA := httptest.NewServer(srvA.Handler())
 	registerSynthetic(t, tsA.URL, 3)
@@ -40,7 +57,6 @@ func TestSnapshotSaveRestoreRoundTrip(t *testing.T) {
 	var weightsA []float64
 	getJSON(t, tsA.URL+"/v1/weights", &weightsA)
 	var quoteA Quote
-	getJSON(t, tsA.URL+"/v1/health", nil)
 	{
 		resp, body := postJSON(t, tsA.URL+"/v1/quote", Demand{N: 150, V: 0.8})
 		if resp.StatusCode != http.StatusOK {
@@ -48,13 +64,14 @@ func TestSnapshotSaveRestoreRoundTrip(t *testing.T) {
 		}
 		mustUnmarshal(t, body, &quoteA)
 	}
-	if err := srvA.SaveSnapshot(path); err != nil {
-		t.Fatalf("SaveSnapshot: %v", err)
+	if err := srvA.Pool().SaveAll(); err != nil {
+		t.Fatalf("SaveAll: %v", err)
 	}
 	tsA.Close()
+	srvA.Pool().Close()
 
 	// No stray temp files: the write-temp-then-rename must clean up.
-	entries, err := os.ReadDir(filepath.Dir(path))
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +81,8 @@ func TestSnapshotSaveRestoreRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Session 2: fresh server, restore, verify.
-	srvB := NewServer(opts)
-	if err := srvB.RestoreSnapshot(path); err != nil {
-		t.Fatalf("RestoreSnapshot: %v", err)
-	}
-	tsB := httptest.NewServer(srvB.Handler())
-	t.Cleanup(tsB.Close)
+	// Second server: restore from the directory, verify.
+	_, tsB := restoreServer(t, opts)
 
 	var weightsB []float64
 	getJSON(t, tsB.URL+"/v1/weights", &weightsB)
@@ -112,23 +124,18 @@ func TestSnapshotSaveRestoreRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotRestorePreTrading(t *testing.T) {
-	// A snapshot taken before any trade restores the roster alone.
-	opts := Options{Seed: 7, Logf: func(string, ...any) {}}
-	path := filepath.Join(t.TempDir(), "market.json")
+	// A roster checkpointed before any trade restores on its own.
+	opts := Options{Seed: 7, Logf: func(string, ...any) {}, SnapshotDir: t.TempDir()}
 	srvA := NewServer(opts)
 	tsA := httptest.NewServer(srvA.Handler())
 	registerSynthetic(t, tsA.URL, 2)
-	if err := srvA.SaveSnapshot(path); err != nil {
-		t.Fatalf("SaveSnapshot: %v", err)
+	if err := srvA.Pool().SaveAll(); err != nil {
+		t.Fatalf("SaveAll: %v", err)
 	}
 	tsA.Close()
+	srvA.Pool().Close()
 
-	srvB := NewServer(opts)
-	if err := srvB.RestoreSnapshot(path); err != nil {
-		t.Fatalf("RestoreSnapshot: %v", err)
-	}
-	tsB := httptest.NewServer(srvB.Handler())
-	t.Cleanup(tsB.Close)
+	_, tsB := restoreServer(t, opts)
 	var infos []SellerInfo
 	getJSON(t, tsB.URL+"/v1/sellers", &infos)
 	if len(infos) != 2 {
@@ -141,28 +148,51 @@ func TestSnapshotRestorePreTrading(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestoreRequiresFreshServer: restoring over a default market
+// that already holds state is refused, and the live state is kept.
 func TestSnapshotRestoreRequiresFreshServer(t *testing.T) {
-	opts := Options{Seed: 7, Logf: func(string, ...any) {}}
-	path := filepath.Join(t.TempDir(), "market.json")
-	srvA := NewServer(opts)
-	tsA := httptest.NewServer(srvA.Handler())
-	t.Cleanup(tsA.Close)
-	registerSynthetic(t, tsA.URL, 2)
-	if err := srvA.SaveSnapshot(path); err != nil {
-		t.Fatalf("SaveSnapshot: %v", err)
+	opts := Options{Seed: 7, Logf: func(string, ...any) {}, SnapshotDir: t.TempDir()}
+	srv := NewServer(opts)
+	t.Cleanup(srv.Pool().Close)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	registerSynthetic(t, ts.URL, 2)
+	if err := srv.Pool().SaveAll(); err != nil {
+		t.Fatalf("SaveAll: %v", err)
 	}
-	if err := srvA.RestoreSnapshot(path); err == nil {
-		t.Error("restore into a non-fresh server succeeded")
+	resp, body := postJSON(t, ts.URL+"/v1/sellers", SellerRegistration{ID: "late", Lambda: 0.5, SyntheticRows: 10})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("registration after checkpoint: %d (%s)", resp.StatusCode, body)
+	}
+	ids, err := srv.Pool().RestoreAll()
+	if err != nil {
+		t.Fatalf("RestoreAll: %v", err)
+	}
+	if len(ids) != 0 {
+		t.Errorf("restore into a non-fresh server restored %v", ids)
+	}
+	var infos []SellerInfo
+	getJSON(t, ts.URL+"/v1/sellers", &infos)
+	if len(infos) != 3 {
+		t.Errorf("sellers after refused restore = %d, want the live 3", len(infos))
 	}
 }
 
+// TestSnapshotRestoreMissingFile: a snapshot directory that does not exist
+// yet is a first boot — nothing restores, nothing fails, and the default
+// market starts empty.
 func TestSnapshotRestoreMissingFile(t *testing.T) {
-	srv := NewServer(Options{Seed: 1, Logf: func(string, ...any) {}})
-	err := srv.RestoreSnapshot(filepath.Join(t.TempDir(), "absent.json"))
-	if err == nil {
-		t.Fatal("restore of missing file succeeded")
+	srv := NewServer(Options{Seed: 1, Logf: func(string, ...any) {}, SnapshotDir: filepath.Join(t.TempDir(), "absent")})
+	t.Cleanup(srv.Pool().Close)
+	ids, err := srv.Pool().RestoreAll()
+	if err != nil || len(ids) != 0 {
+		t.Fatalf("RestoreAll over a missing directory = %v, %v; want nothing restored and no error", ids, err)
 	}
-	if !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("missing-file error not classified as os.ErrNotExist: %v", err)
+	m, err := srv.Pool().Get(srv.DefaultMarket())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := m.Info(); info.Sellers != 0 || info.Trades != 0 {
+		t.Errorf("default market after first boot = %+v, want empty", info)
 	}
 }

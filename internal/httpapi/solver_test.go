@@ -143,31 +143,26 @@ func TestServerDefaultSolver(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripKeepsSolver: a server snapshot taken under a
+// TestSnapshotRoundTripKeepsSolver: a market checkpointed under a
 // non-default backend restores with that backend still active.
 func TestSnapshotRoundTripKeepsSolver(t *testing.T) {
 	dir := t.TempDir()
-	path := dir + "/market.json"
 
-	srv := NewServer(Options{Seed: 1, Logf: func(string, ...any) {}, Solver: "meanfield"})
+	srv := NewServer(Options{Seed: 1, Logf: func(string, ...any) {}, Solver: "meanfield", SnapshotDir: dir})
 	ts := httptest.NewServer(srv.Handler())
 	registerSynthetic(t, ts.URL, 4)
 	resp, body := postJSON(t, ts.URL+"/v1/trades", Demand{N: 200, V: 0.8})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("trade: %d %s", resp.StatusCode, body)
 	}
-	if err := srv.SaveSnapshot(path); err != nil {
-		t.Fatalf("SaveSnapshot: %v", err)
+	if err := srv.Pool().SaveAll(); err != nil {
+		t.Fatalf("SaveAll: %v", err)
 	}
 	ts.Close()
+	srv.Pool().Close()
 
 	// Restore into a server booted with the analytic default.
-	srv2 := NewServer(Options{Seed: 1, Logf: func(string, ...any) {}})
-	if err := srv2.RestoreSnapshot(path); err != nil {
-		t.Fatalf("RestoreSnapshot: %v", err)
-	}
-	ts2 := httptest.NewServer(srv2.Handler())
-	t.Cleanup(ts2.Close)
+	_, ts2 := restoreServer(t, Options{Seed: 1, Logf: func(string, ...any) {}, SnapshotDir: dir})
 
 	resp, body = postJSON(t, ts2.URL+"/v1/trades", Demand{N: 200, V: 0.8})
 	if resp.StatusCode != http.StatusCreated {

@@ -545,11 +545,14 @@ func TestMarketDurabilityField(t *testing.T) {
 		t.Fatalf("Market(synced) = %+v, %v", got, err)
 	}
 
-	// Unknown mode fails field validation with the unified envelope.
-	var se *StatusError
-	_, err = c.CreateMarket(ctx, MarketSpec{ID: "bad", Durability: "fsync-maybe"})
-	if !errors.As(err, &se) || se.Code != http.StatusBadRequest ||
-		se.APICode != CodeInvalidField || se.Field != "durability" {
-		t.Fatalf("bad durability error = %+v", err)
+	// An unknown mode — the retired "snapshot" mode included — fails field
+	// validation with the unified envelope.
+	for _, bad := range []string{"fsync-maybe", "snapshot"} {
+		var se *StatusError
+		_, err = c.CreateMarket(ctx, MarketSpec{ID: "bad", Durability: bad})
+		if !errors.As(err, &se) || se.Code != http.StatusBadRequest ||
+			se.APICode != CodeInvalidField || se.Field != "durability" {
+			t.Fatalf("durability %q error = %+v", bad, err)
+		}
 	}
 }

@@ -114,27 +114,3 @@ func TestRunRoundShapleyIdenticalAcrossWorkers(t *testing.T) {
 		}
 	}
 }
-
-// TestRunRoundLegacyEstimatorStillWorks pins the seed-era estimator behind
-// the Legacy knob: it must keep producing valid weight updates (it is the
-// baseline BenchmarkRunRound measures the kernel against).
-func TestRunRoundLegacyEstimatorStillWorks(t *testing.T) {
-	mkt, buyer := testMarket(t, 5, &WeightUpdate{Retain: 0.2, Permutations: 8, Legacy: true}, 15)
-	tx, err := mkt.RunRound(buyer)
-	if err != nil {
-		t.Fatalf("RunRound: %v", err)
-	}
-	if tx.Shapley == nil {
-		t.Fatal("legacy estimator recorded no Shapley values")
-	}
-	var sum float64
-	for _, w := range tx.Weights {
-		if w <= 0 {
-			t.Errorf("non-positive weight %v", w)
-		}
-		sum += w
-	}
-	if sum < 0.999999 || sum > 1.000001 {
-		t.Errorf("weights sum = %v", sum)
-	}
-}

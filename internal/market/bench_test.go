@@ -45,15 +45,13 @@ func benchMarket(b *testing.B, m int, upd *WeightUpdate, seed int64) (*Market, c
 // BenchmarkRunRound measures one full trade round (strategy decision, LDP
 // data transaction, production, Shapley weight update) at m=100 sellers and
 // the paper's 100 permutations — the acceptance benchmark for the
-// moment-cached kernel. "seed" is the seed-era row-streaming estimator
-// (Legacy), "kernel" the moment-cached kernel single-threaded, and
+// moment-cached kernel. "kernel" is the kernel single-threaded and
 // "kernel-w8" the same kernel fanned across 8 workers.
 func BenchmarkRunRound(b *testing.B) {
 	cases := []struct {
 		name string
 		upd  *WeightUpdate
 	}{
-		{"seed", &WeightUpdate{Retain: 0.2, Permutations: 100, Legacy: true}},
 		{"kernel", &WeightUpdate{Retain: 0.2, Permutations: 100, Workers: 1}},
 		{"kernel-w8", &WeightUpdate{Retain: 0.2, Permutations: 100, Workers: 8}},
 	}

@@ -62,13 +62,6 @@ type WeightUpdate struct {
 	// Must lie in [0, 1); 0 (the default) disables the decay and reproduces
 	// the paper's trajectories bit for bit.
 	Decay float64
-	// Legacy forces the seed-era row-streaming estimator: every
-	// permutation re-ingests each chunk row by row and re-scores against
-	// the full test set, single-threaded, drawing permutations from the
-	// market's private rng stream. It exists as the benchmark baseline for
-	// the moment-cached kernel and for A/B regression runs; production
-	// should leave it false.
-	Legacy bool
 }
 
 // Config assembles the market's fixed machinery.
@@ -650,8 +643,7 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 		// fanned across Workers); opaque builders retrain per prefix but
 		// still fan out when Workers > 1. Both seeded paths derive the
 		// permutation stream from the round index, so Shapley values are
-		// identical for every Workers setting. Legacy pins the seed-era
-		// row-streaming estimator for benchmarking and A/B runs.
+		// identical for every Workers setting.
 		var sv, red []float64
 		var err error
 		_, isOLS := builder.(product.OLS)
@@ -661,8 +653,6 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 		}
 		seed := int64(tx.Round) * 1_000_003
 		switch {
-		case m.update.Legacy:
-			sv, err = valuation.SellerShapleyForCtx(ctx, builder, chunks, m.testSet, m.update.Permutations, m.update.TruncateTol, m.rng)
 		case isOLS:
 			if m.discount != nil {
 				// Redundancy rides on the Gram statistics the kernel

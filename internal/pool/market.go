@@ -342,7 +342,7 @@ func (m *Market) registerLocked(reg Registration) (SellerState, *wal.Log, uint64
 			Lambda: reg.Lambda,
 			Weight: weight,
 		})
-		l, seq := m.persistJoinLocked(joinRecord{
+		l, seq := m.persistRecordLocked(recordJoin, joinRecord{
 			Seller: StoredSeller{ID: reg.ID, Lambda: reg.Lambda, Rows: data.X, Targets: data.Y},
 			Weight: weight,
 			Epoch:  m.rosterEpoch,
@@ -362,7 +362,7 @@ func (m *Market) registerLocked(reg Registration) (SellerState, *wal.Log, uint64
 		m.rosterEpoch--
 		return SellerState{}, nil, 0, &FieldError{Field: "lambda", Msg: err.Error()}
 	}
-	l, seq := m.persistRegisterLocked(StoredSeller{ID: reg.ID, Lambda: reg.Lambda, Rows: data.X, Targets: data.Y})
+	l, seq := m.persistRecordLocked(recordRegister, StoredSeller{ID: reg.ID, Lambda: reg.Lambda, Rows: data.X, Targets: data.Y})
 	m.emitRoster("join", reg.ID)
 	m.p.logf("pool: market %q registered seller %q (%d rows, λ=%g)", m.id, reg.ID, data.Len(), reg.Lambda)
 	return SellerState{ID: reg.ID, Lambda: reg.Lambda, Rows: data.Len()}, l, seq, nil
@@ -481,8 +481,8 @@ func (m *Market) QuoteBatch(ctx context.Context, demands []BatchDemand) ([]*core
 // the trade is made durable per the market's mode: a WAL record appended
 // under the lock and committed after it is released — so the fsync of this
 // trade overlaps the next round's solve, and concurrent commits share one
-// group-commit barrier — or, in snapshot mode, the legacy full-snapshot
-// rewrite. A failed write logs and never fails the committed trade.
+// group-commit barrier. A failed write logs and never fails the committed
+// trade.
 //
 // Admission: before touching the write path the trade passes the market's
 // gate — a bounded concurrency limit plus a bounded waiting room — so a
@@ -711,7 +711,7 @@ func (m *Market) topUpLocked(id string, add float64) (SellerState, *wal.Log, uin
 	if err := m.publishView(); err != nil {
 		m.p.logf("pool: market %q: view rebuild after top-up for %q: %v", m.id, id, err)
 	}
-	l, seq := m.persistBudgetLocked(budgetRecord{
+	l, seq := m.persistRecordLocked(recordBudget, budgetRecord{
 		Epoch:       m.rosterEpoch,
 		TopUpSeller: id,
 		TopUpAmount: add,

@@ -17,9 +17,11 @@
 // Lifecycle: Create admits a market under a validated ID; Delete unlinks it
 // (new requests stop routing immediately) and then drains in-flight rounds
 // under the caller's context. With a snapshot directory configured, every
-// market persists to <dir>/<id>.json via atomic write-temp-then-rename:
-// after each trade, on SaveAll (shutdown), and restored by RestoreAll on
-// boot — a corrupt file is skipped with a logged warning, never fatal.
+// market appends each mutation to its write-ahead log <dir>/<id>.wal and
+// compacts the log into <dir>/<id>.json (atomic write-temp-then-rename)
+// past a size threshold and on SaveAll (shutdown); RestoreAll rebuilds
+// every market from both on boot — a corrupt file is skipped with a logged
+// warning, never fatal.
 package pool
 
 import (
@@ -78,11 +80,10 @@ type Options struct {
 	// SnapshotDir enables per-market persistence under this directory
 	// ("" → disabled).
 	SnapshotDir string
-	// Durability is the default persistence mode for new markets:
-	// "snapshot" (legacy full snapshot per trade), "sync" (per-commit
-	// fsync), "group" (batched fsync, the default) or "async" (background
-	// flush). Unknown names fall back to the default with a log line,
-	// mirroring Solver.
+	// Durability is the default WAL commit mode for new markets: "sync"
+	// (per-commit fsync), "group" (batched fsync, the default) or "async"
+	// (background flush). Unknown names fall back to the default with a log
+	// line, mirroring Solver.
 	Durability string
 	// CompactRecords triggers WAL compaction — snapshot plus truncate —
 	// once a market's segment holds this many records (0 → 256).

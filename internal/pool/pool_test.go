@@ -430,36 +430,6 @@ func TestRestoreAllSkipsCorruptSnapshot(t *testing.T) {
 	}
 }
 
-// TestDeleteRemovesSnapshot: a deleted market's snapshot file must go with
-// it, so a reboot cannot resurrect it. Pinned to snapshot durability — the
-// mode that writes <id>.json per trade; the WAL modes are covered by
-// TestDeleteRemovesWALSegment.
-func TestDeleteRemovesSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	opts := quietOptions()
-	opts.SnapshotDir = dir
-	opts.Durability = string(DurSnapshot)
-	p := New(opts)
-	m, err := p.Create(Spec{ID: "gone"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	register(t, m, 3)
-	if _, err := m.Trade(context.Background(), demoBuyer(90, 0.8), nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "gone.json")
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("snapshot not written after trade: %v", err)
-	}
-	if err := p.Delete(context.Background(), "gone"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("snapshot survives delete: %v", err)
-	}
-}
-
 // TestLegacySnapshotRestores: a pre-pool single-market snapshot (no
 // id/solver/seed fields) restores into a market unchanged.
 func TestLegacySnapshotRestores(t *testing.T) {

@@ -95,7 +95,7 @@ func (m *Market) removeLocked(id string) (*wal.Log, uint64, error) {
 			m.p.logf("pool: market %q: view rebuild after removing %q: %v", m.id, id, err)
 		}
 	}
-	wl, wseq := m.persistLeaveLocked(leaveRecord{ID: id, Epoch: m.rosterEpoch})
+	wl, wseq := m.persistRecordLocked(recordLeave, leaveRecord{ID: id, Epoch: m.rosterEpoch})
 	m.emitRoster("leave", id)
 	m.p.logf("pool: market %q released seller %q (epoch %d)", m.id, id, m.rosterEpoch)
 	return wl, wseq, nil

@@ -250,15 +250,12 @@ func (m *Market) snapshotPath() string {
 }
 
 // saveLocked persists the market under the pool's snapshot directory with
-// writeMu already held (the snapshot-durability after-trade hook and the
-// WAL fallback). Failures log — a committed trade must not be reported
-// failed because the disk was.
+// writeMu already held — the fallback for a mutation the WAL cannot take.
+// Failures log — a committed mutation must not be reported failed because
+// the disk was.
 func (m *Market) saveLocked() {
-	if m.p.snapshotDir == "" {
-		return
-	}
 	if err := writeSnapshotFile(m.snapshotPath(), m.snapshotLocked()); err != nil {
-		m.p.logf("pool: snapshot after trade for market %q: %v", m.id, err)
+		m.p.logf("pool: market %q: saving snapshot: %v", m.id, err)
 	}
 }
 
@@ -303,6 +300,12 @@ func ReadSnapshotFile(path string) (*MarketSnapshot, error) {
 	var snap MarketSnapshot
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		return nil, fmt.Errorf("pool: decoding snapshot %s: %w", path, err)
+	}
+	if snap.Durability == "snapshot" {
+		// Files written before the WAL became the only persistence path
+		// may name the retired full-snapshot-per-trade mode; such a market
+		// restores under the pool default.
+		snap.Durability = ""
 	}
 	return &snap, nil
 }
@@ -397,7 +400,7 @@ func (p *Pool) RestoreAll() ([]string, error) {
 	var restored []string
 	for _, id := range ids {
 		f := byID[id]
-		if err := p.restoreOne(id, f.snap, f.wal); err != nil {
+		if err := p.restoreOne(id, f.snap); err != nil {
 			path := f.snap
 			if path == "" {
 				path = f.wal
@@ -413,7 +416,7 @@ func (p *Pool) RestoreAll() ([]string, error) {
 // restoreOne loads one market from its snapshot file and/or WAL segment,
 // creating the market if it does not exist yet. A half-created market is
 // torn down on failure.
-func (p *Pool) restoreOne(id, snapPath, walPath string) error {
+func (p *Pool) restoreOne(id, snapPath string) error {
 	var snap *MarketSnapshot
 	if snapPath != "" {
 		var err error
@@ -462,10 +465,8 @@ func (p *Pool) restoreOne(id, snapPath, walPath string) error {
 	// an empty one otherwise — so the restored market appends where the
 	// crashed process stopped. With no snapshot, the whole market rebuilds
 	// from the log, which requires a fresh target.
-	if walPath != "" || m.durability != DurSnapshot {
-		if err := m.attachLogReplay(walFloor, snap == nil); err != nil {
-			return teardown(err)
-		}
+	if err := m.attachLogReplay(walFloor, snap == nil); err != nil {
+		return teardown(err)
 	}
 	return nil
 }

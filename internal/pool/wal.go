@@ -19,11 +19,6 @@ import (
 type Durability string
 
 const (
-	// DurSnapshot is the legacy model (PR 2–5): a full market snapshot is
-	// atomically rewritten after every committed trade. O(market size)
-	// disk work per trade; kept for benchmarking and as a conservative
-	// fallback.
-	DurSnapshot Durability = "snapshot"
 	// DurSync appends one WAL record per commit and fsyncs it inline
 	// before acknowledging. Strongest latency-per-commit guarantee, no
 	// batching.
@@ -43,10 +38,10 @@ func ParseDurability(s string) (Durability, error) {
 	switch Durability(s) {
 	case "":
 		return DurGroup, nil
-	case DurSnapshot, DurSync, DurGroup, DurAsync:
+	case DurSync, DurGroup, DurAsync:
 		return Durability(s), nil
 	}
-	return "", fmt.Errorf("unknown durability %q (want snapshot, sync, group or async)", s)
+	return "", fmt.Errorf("unknown durability %q (want sync, group or async)", s)
 }
 
 // walMode maps the WAL-backed durability levels onto the log's commit
@@ -133,18 +128,15 @@ func (m *Market) walPath() string {
 }
 
 // ensureLogLocked opens the market's WAL segment on first use (writeMu
-// held). A leftover segment that still holds records belongs to no live
-// state — an orphan from a deleted same-named market whose cleanup failed —
-// and is truncated with a warning rather than ever replayed into this
-// market. If the segment cannot be opened the market downgrades to
-// snapshot-per-trade durability so committed trades stay persistent.
-// Reports whether a usable log is attached.
+// held, snapshot directory configured). A leftover segment that still holds
+// records belongs to no live state — an orphan from a deleted same-named
+// market whose cleanup failed — and is truncated with a warning rather than
+// ever replayed into this market. Reports whether a usable log is attached;
+// when it is not, the caller saves the mutation as a full snapshot and the
+// next mutation tries the log again.
 func (m *Market) ensureLogLocked() bool {
 	if m.log != nil {
 		return true
-	}
-	if m.p.snapshotDir == "" || m.durability == DurSnapshot {
-		return false
 	}
 	err := os.MkdirAll(m.p.snapshotDir, 0o755)
 	var l *wal.Log
@@ -152,16 +144,14 @@ func (m *Market) ensureLogLocked() bool {
 		l, err = wal.Open(m.walPath(), wal.Options{Mode: m.durability.walMode(), Metrics: m.p.walMet})
 	}
 	if err != nil {
-		m.p.logf("pool: market %q: opening wal: %v; falling back to snapshot-per-trade durability", m.id, err)
-		m.durability = DurSnapshot
+		m.p.logf("pool: market %q: opening wal: %v; writing full snapshot instead", m.id, err)
 		return false
 	}
 	if n := l.Records(); n > 0 {
 		m.p.logf("pool: market %q: truncating orphaned wal segment (%d stale records)", m.id, n)
 		if err := l.Reset(); err != nil {
-			m.p.logf("pool: market %q: resetting orphaned wal: %v; falling back to snapshot-per-trade durability", m.id, err)
+			m.p.logf("pool: market %q: resetting orphaned wal: %v; writing full snapshot instead", m.id, err)
 			l.Close()
-			m.durability = DurSnapshot
 			return false
 		}
 	}
@@ -196,9 +186,7 @@ func (m *Market) ensureLogLocked() bool {
 // replays every record past the snapshot watermark into the market
 // (RestoreAll's boot path). requireFresh guards the no-snapshot case: a
 // market that already holds state must not absorb a log replay on top of
-// it. For snapshot-durability markets a leftover segment (the market
-// traded under a WAL mode in a previous life) is folded into a fresh
-// snapshot and removed.
+// it.
 func (m *Market) attachLogReplay(walFloor uint64, requireFresh bool) error {
 	m.writeMu.Lock()
 	defer m.writeMu.Unlock()
@@ -208,16 +196,8 @@ func (m *Market) attachLogReplay(walFloor uint64, requireFresh bool) error {
 	if requireFresh && (len(m.sellers) > 0 || m.mkt != nil) {
 		return fmt.Errorf("pool: market %q is not fresh; refusing wal replay", m.id)
 	}
-	path := m.walPath()
-	fold := false
-	if m.durability == DurSnapshot {
-		if _, err := os.Stat(path); err != nil {
-			return nil // snapshot-mode market, no segment: nothing to do
-		}
-		fold = true
-	}
 	applied := 0
-	l, err := wal.Open(path, wal.Options{
+	l, err := wal.Open(m.walPath(), wal.Options{
 		Mode:    m.durability.walMode(),
 		MinSeq:  walFloor,
 		Metrics: m.p.walMet,
@@ -241,21 +221,6 @@ func (m *Market) attachLogReplay(walFloor uint64, requireFresh bool) error {
 			return fmt.Errorf("pool: market %q: replayed wal state rejected: %w", m.id, err)
 		}
 		m.p.logf("pool: market %q: replayed %d wal record(s) past snapshot seq %d", m.id, applied, walFloor)
-	}
-	if fold {
-		// Snapshot-durability market: persist the replayed state as a
-		// fresh snapshot and retire the segment.
-		err := writeSnapshotFile(m.snapshotPath(), m.snapshotLocked())
-		if cerr := l.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("pool: market %q: folding wal into snapshot: %w", m.id, err)
-		}
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			m.p.logf("pool: market %q: removing folded wal segment: %v", m.id, err)
-		}
-		return nil
 	}
 	m.log = l
 	return nil
@@ -394,11 +359,11 @@ func (m *Market) applyRecordLocked(rec *wal.Record) error {
 	}
 }
 
-// persistTradeLocked makes one committed trade durable (writeMu held). WAL
-// modes append a record and return its sequence number for the caller to
-// Commit outside the lock; snapshot mode (and any WAL failure) falls back
-// to the legacy full-snapshot write and returns 0. A committed trade is
-// never failed because the disk was — failures log, matching saveLocked.
+// persistTradeLocked makes one committed trade durable (writeMu held): it
+// appends a record and returns its sequence number for the caller to
+// Commit outside the lock. A trade the log cannot take is saved at once as
+// a full snapshot and 0 is returned. A committed trade is never failed
+// because the disk was — failures log, matching saveLocked.
 func (m *Market) persistTradeLocked(tx *market.Transaction, obs translog.Observation) (*wal.Log, uint64) {
 	if m.p.snapshotDir == "" {
 		return nil, 0
@@ -453,46 +418,17 @@ func (m *Market) appendTradeChargeLocked(tx *market.Transaction) (uint64, bool) 
 	return seq, true
 }
 
-// persistBudgetLocked logs one standalone ledger mutation — a top-up —
-// (writeMu held), falling back to a full snapshot on append failure.
-// Snapshot mode saves immediately, like a leave: a crash that forgot a
-// granted top-up would wrongly exclude the seller from later rounds.
-func (m *Market) persistBudgetLocked(rec budgetRecord) (*wal.Log, uint64) {
-	l, seq := m.persistRosterLocked(recordBudget, rec)
-	if l == nil && m.p.snapshotDir != "" && m.durability == DurSnapshot {
-		m.saveLocked()
+// persistRecordLocked makes one roster or ledger mutation — a
+// registration, join, leave or top-up — durable (writeMu held): it appends
+// the record and returns its sequence number for the caller to Commit
+// outside the lock. A mutation the log cannot take is saved at once as a
+// full snapshot and 0 is returned.
+func (m *Market) persistRecordLocked(kind string, payload any) (*wal.Log, uint64) {
+	if m.p.snapshotDir == "" {
+		return nil, 0
 	}
-	return l, seq
-}
-
-// persistRegisterLocked logs one seller admission (writeMu held). Snapshot
-// mode keeps the legacy behavior — registrations persist at the next
-// SaveAll — so it returns 0.
-func (m *Market) persistRegisterLocked(st StoredSeller) (*wal.Log, uint64) {
-	return m.persistRosterLocked(recordRegister, st)
-}
-
-// persistJoinLocked logs one mid-life admission (writeMu held).
-func (m *Market) persistJoinLocked(jr joinRecord) (*wal.Log, uint64) {
-	return m.persistRosterLocked(recordJoin, jr)
-}
-
-// persistLeaveLocked logs one seller release (writeMu held). Snapshot mode
-// falls back to an immediate full snapshot: unlike a registration, a leave
-// shrinks state, and waiting for the next SaveAll would let a crash
-// resurrect the departed seller.
-func (m *Market) persistLeaveLocked(lr leaveRecord) (*wal.Log, uint64) {
-	l, seq := m.persistRosterLocked(recordLeave, lr)
-	if l == nil && m.p.snapshotDir != "" && m.durability == DurSnapshot {
+	if !m.ensureLogLocked() {
 		m.saveLocked()
-	}
-	return l, seq
-}
-
-// persistRosterLocked appends one roster-mutation record (writeMu held),
-// falling back to a full snapshot on append failure.
-func (m *Market) persistRosterLocked(kind string, payload any) (*wal.Log, uint64) {
-	if m.p.snapshotDir == "" || !m.ensureLogLocked() {
 		return nil, 0
 	}
 	seq, err := m.log.Append(kind, payload)

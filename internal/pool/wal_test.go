@@ -219,7 +219,7 @@ func TestWALRecoveredMarketKeepsTrading(t *testing.T) {
 }
 
 // TestDeleteRemovesWALSegment: Delete must remove the market's WAL segment
-// with its snapshot, and a recreated market under the same name must start
+// and its snapshot, and a recreated market under the same name must start
 // empty — an orphaned log replayed into it would resurrect the deleted
 // market's trades.
 func TestDeleteRemovesWALSegment(t *testing.T) {
@@ -237,11 +237,19 @@ func TestDeleteRemovesWALSegment(t *testing.T) {
 	if fi, err := os.Stat(walPath); err != nil || fi.Size() == 0 {
 		t.Fatalf("wal segment missing or empty after trade: %v", err)
 	}
+	// The spec snapshot exists from the first registration on.
+	snapPath := filepath.Join(dir, "gone.json")
+	if _, err := os.Stat(snapPath); err != nil {
+		t.Fatalf("spec snapshot missing after trade: %v", err)
+	}
 	if err := p.Delete(context.Background(), "gone"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(walPath); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("wal segment survives delete: %v", err)
+	}
+	if _, err := os.Stat(snapPath); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("snapshot survives delete: %v", err)
 	}
 	// Same name, new life: must be empty, and a reboot must not resurrect
 	// the deleted market's history.
@@ -331,79 +339,210 @@ func TestOrphanedWALSegmentTruncatedNotReplayed(t *testing.T) {
 	p2.Close()
 }
 
-// TestLegacyDirRestoresWithoutWAL: a PR 5-era snapshot directory — .json
-// files only, no wal_seq or durability fields, no segments — must boot
-// cleanly under the WAL-era pool, and the restored market must trade and
+// TestLegacyDirRestoresWithoutWAL: snapshot directories written before
+// the WAL became the only persistence path — .json files only, no wal_seq,
+// no segments — must boot cleanly under the current pool. A file from
+// before the WAL carries no durability field; a file from a market that
+// ran the retired full-snapshot-per-trade mode says "snapshot". Both
+// restore under the pool default, and the restored market must trade and
 // log into a fresh segment.
 func TestLegacyDirRestoresWithoutWAL(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		durability any // nil: the field is absent
+	}{
+		{"pre-wal", nil},
+		{"snapshot-mode", "snapshot"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			// Checkpoint a traded market, then rewrite the WAL-era fields and
+			// delete the segment to mimic the older directory byte-for-byte.
+			p0 := New(fastWalOptions(dir))
+			m0, err := p0.Create(Spec{ID: "old"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			register(t, m0, 2)
+			if _, err := m0.Trade(context.Background(), demoBuyer(90, 0.8), nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := p0.SaveAll(); err != nil {
+				t.Fatal(err)
+			}
+			p0.Close()
+			walPath := filepath.Join(dir, "old"+walExt)
+			if err := os.Remove(walPath); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "old.json")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc map[string]any
+			if err := json.Unmarshal(raw, &doc); err != nil {
+				t.Fatal(err)
+			}
+			delete(doc, "durability")
+			delete(doc, "wal_seq")
+			if tc.durability != nil {
+				doc["durability"] = tc.durability
+			}
+			rewritten, err := json.Marshal(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, rewritten, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			p := New(fastWalOptions(dir))
+			restored, err := p.RestoreAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(restored) != 1 || restored[0] != "old" {
+				t.Fatalf("restored %v, want [old]", restored)
+			}
+			m, err := p.Get("old")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Durability() != DurGroup {
+				t.Fatalf("legacy market durability = %q, want the pool default %q", m.Durability(), DurGroup)
+			}
+			if got := len(m.View().Trades); got != 1 {
+				t.Fatalf("legacy ledger has %d trades, want 1", got)
+			}
+			if _, err := m.Trade(context.Background(), demoBuyer(100, 0.8), nil, nil); err != nil {
+				t.Fatalf("trade after legacy restore: %v", err)
+			}
+			if fi, err := os.Stat(walPath); err != nil || fi.Size() == 0 {
+				t.Fatalf("post-restore trade not logged to wal: %v", err)
+			}
+			p.Close()
+		})
+	}
+}
+
+// TestWALFailureFallsBackToSnapshot: a mutation the log cannot take — the
+// segment cannot be opened, or an append fails — is saved at once as a
+// full snapshot, whatever its kind, and the market keeps its requested
+// mode and tries the log again on the next mutation. A reboot without
+// SaveAll must bring back every acknowledged mutation.
+func TestWALFailureFallsBackToSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	// Produce a snapshot via the legacy per-trade path, then strip the
-	// WAL-era fields to mimic a PR 5 file byte-for-byte.
+	walPath := filepath.Join(dir, "fb"+walExt)
+	// A directory where the segment belongs makes wal.Open fail.
+	if err := os.Mkdir(walPath, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	opts := fastWalOptions(dir)
-	opts.Durability = string(DurSnapshot)
-	p0 := New(opts)
-	m0, err := p0.Create(Spec{ID: "old"})
+	opts.EpsilonBudget = 1e15
+	p := New(opts)
+	m, err := p.Create(Spec{ID: "fb", Durability: string(DurSync)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	register(t, m0, 2)
-	if _, err := m0.Trade(context.Background(), demoBuyer(90, 0.8), nil, nil); err != nil {
-		t.Fatal(err)
+	step := func(name string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := m.Info().Durability; got != string(DurSync) {
+			t.Fatalf("after %s: durability %q, want the requested %q", name, got, DurSync)
+		}
 	}
-	p0.Close()
-	path := filepath.Join(dir, "old.json")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	trade := func(n float64) error {
+		_, err := m.Trade(context.Background(), demoBuyer(n, 0.8), nil, nil)
+		return err
 	}
-	var doc map[string]any
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	delete(doc, "durability")
-	delete(doc, "wal_seq")
-	stripped, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, stripped, 0o644); err != nil {
-		t.Fatal(err)
+	// saved checks that the mutation just acknowledged is already on disk:
+	// the snapshot file holds the market's current state.
+	saved := func(name string) {
+		t.Helper()
+		disk, err := ReadSnapshotFile(filepath.Join(dir, "fb.json"))
+		if err != nil {
+			t.Fatalf("after %s: %v", name, err)
+		}
+		got, err := json.Marshal(disk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(m.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("after %s: snapshot file lags the acknowledged state", name)
+		}
 	}
 
-	p := New(fastWalOptions(dir))
-	restored, err := p.RestoreAll()
+	register(t, m, 3)
+	step("registrations", nil)
+	saved("registrations")
+	step("trade", trade(90))
+	saved("trade")
+	_, err = m.RegisterSeller(Registration{ID: "s04", Lambda: 0.45, SyntheticRows: 60})
+	step("join", err)
+	saved("join")
+	step("leave", m.RemoveSeller("s02"))
+	saved("leave")
+	_, err = m.TopUpBudget("s01", 2.5)
+	step("top-up", err)
+	saved("top-up")
+
+	// Clear the obstruction: the next mutation opens a fresh segment.
+	if err := os.Remove(walPath); err != nil {
+		t.Fatal(err)
+	}
+	step("trade after recovery", trade(100))
+	if fi, err := os.Stat(walPath); err != nil || fi.Size() == 0 {
+		t.Fatalf("trade after recovery not logged to a fresh wal: %v", err)
+	}
+
+	// Close the segment under the market: appends now fail.
+	if err := m.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = m.TopUpBudget("s03", 1.5)
+	step("top-up on a closed log", err)
+	saved("top-up on a closed log")
+	step("trade on a closed log", trade(110))
+	saved("trade on a closed log")
+
+	want := canonicalState(t, m)
+	p.Close() // no SaveAll
+
+	p2 := New(opts)
+	restored, err := p2.RestoreAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(restored) != 1 || restored[0] != "old" {
-		t.Fatalf("restored %v, want [old]", restored)
+	if len(restored) != 1 || restored[0] != "fb" {
+		t.Fatalf("restored %v, want [fb]", restored)
 	}
-	m, err := p.Get("old")
+	m2, err := p2.Get("fb")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A bare legacy file keeps the restoring pool's default mode.
-	if m.Durability() != DurGroup {
-		t.Fatalf("legacy market durability = %q, want %q", m.Durability(), DurGroup)
+	if got := canonicalState(t, m2); got != want {
+		t.Errorf("reboot lost acknowledged mutations\n got: %.300s\nwant: %.300s", got, want)
 	}
-	if got := len(m.View().Trades); got != 1 {
-		t.Fatalf("legacy ledger has %d trades, want 1", got)
+	if got := m2.Info().Durability; got != string(DurSync) {
+		t.Errorf("restored durability %q, want %q", got, DurSync)
 	}
-	if _, err := m.Trade(context.Background(), demoBuyer(100, 0.8), nil, nil); err != nil {
-		t.Fatalf("trade after legacy restore: %v", err)
-	}
-	if fi, err := os.Stat(filepath.Join(dir, "old"+walExt)); err != nil || fi.Size() == 0 {
-		t.Fatalf("post-restore trade not logged to wal: %v", err)
-	}
-	p.Close()
+	p2.Close()
 }
 
 // TestDurabilityModes: each mode round-trips Create → Info → reboot, and
-// an unknown mode is a field-level error.
+// an unknown mode — the retired "snapshot" mode included — is a
+// field-level error.
 func TestDurabilityModes(t *testing.T) {
 	dir := t.TempDir()
 	p := New(fastWalOptions(dir))
-	for _, d := range []Durability{DurSnapshot, DurSync, DurGroup, DurAsync} {
+	for _, d := range []Durability{DurSync, DurGroup, DurAsync} {
 		id := "m-" + string(d)
 		m, err := p.Create(Spec{ID: id, Durability: string(d)})
 		if err != nil {
@@ -417,9 +556,11 @@ func TestDurabilityModes(t *testing.T) {
 			t.Fatalf("trade under %s: %v", d, err)
 		}
 	}
-	var fe *FieldError
-	if _, err := p.Create(Spec{ID: "bad", Durability: "fsync-maybe"}); !errors.As(err, &fe) || fe.Field != "durability" {
-		t.Fatalf("unknown durability = %v, want FieldError on durability", err)
+	for _, bad := range []string{"fsync-maybe", "snapshot"} {
+		var fe *FieldError
+		if _, err := p.Create(Spec{ID: "bad", Durability: bad}); !errors.As(err, &fe) || fe.Field != "durability" {
+			t.Fatalf("durability %q = %v, want FieldError on durability", bad, err)
+		}
 	}
 	if err := p.SaveAll(); err != nil {
 		t.Fatal(err)
@@ -430,7 +571,7 @@ func TestDurabilityModes(t *testing.T) {
 	if _, err := p2.RestoreAll(); err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range []Durability{DurSnapshot, DurSync, DurGroup, DurAsync} {
+	for _, d := range []Durability{DurSync, DurGroup, DurAsync} {
 		m, err := p2.Get("m-" + string(d))
 		if err != nil {
 			t.Fatalf("Get(m-%s): %v", d, err)

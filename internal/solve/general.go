@@ -40,10 +40,6 @@ type General struct {
 	// PriceTol is the golden-section tolerance of the nested price
 	// searches; 0 selects the core default (1e-6).
 	PriceTol float64
-	// Baseline disables the PR 8 fast paths (incremental payoffs,
-	// warm-start chaining, tolerance scheduling, memoization, speculative
-	// search) — the before/after reference for bench probes.
-	Baseline bool
 }
 
 // Name implements Backend.
@@ -70,7 +66,7 @@ type generalPrepared struct {
 	warmPD  float64
 	warmTau []float64
 
-	// stats of the most recent Solve (fast path only).
+	// stats of the most recent Solve.
 	stats core.GeneralStats
 }
 
@@ -144,18 +140,15 @@ func (p *generalPrepared) Solve(ctx context.Context) (*core.Profile, error) {
 			Sweep:   nash.Jacobi,
 			Workers: p.b.Workers,
 		},
-		WarmPD:   p.warmPD,
-		WarmTau:  warmTau,
-		Stats:    &p.stats,
-		Baseline: p.b.Baseline,
+		WarmPD:  p.warmPD,
+		WarmTau: warmTau,
+		Stats:   &p.stats,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if !p.b.Baseline {
-		p.warmPD = prof.PD
-		p.warmTau = append([]float64(nil), prof.Tau...)
-	}
+	p.warmPD = prof.PD
+	p.warmTau = append([]float64(nil), prof.Tau...)
 	return prof, nil
 }
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # serve_smoke.sh — boot share-server, exercise the full service surface
-# (register, quote, trade, metrics, snapshot, the /v2 market lifecycle),
-# then SIGTERM it to verify graceful shutdown and snapshot persistence —
-# single-file mode and per-market -snapshot-dir mode. Run via
+# (register, quote, trade, metrics, the /v2 market lifecycle), then SIGTERM
+# it to verify graceful shutdown; reboot it over a -snapshot-dir to verify
+# persistence on graceful shutdown and WAL replay after kill -9. Run via
 # `make serve-smoke`.
 set -eu
 
@@ -10,7 +10,6 @@ ADDR="${SMOKE_ADDR:-127.0.0.1:18080}"
 BASE="http://$ADDR"
 WORK="$(mktemp -d)"
 BIN="$WORK/share-server"
-SNAP="$WORK/market.json"
 SNAPDIR="$WORK/markets"
 LOG="$WORK/server.log"
 
@@ -23,7 +22,7 @@ trap cleanup EXIT INT TERM
 echo "serve-smoke: building share-server"
 go build -o "$BIN" ./cmd/share-server
 
-"$BIN" -addr "$ADDR" -demo 4 -snapshot "$SNAP" >"$LOG" 2>&1 &
+"$BIN" -addr "$ADDR" -demo 4 >"$LOG" 2>&1 &
 PID=$!
 
 # Wait for the server to come up.
@@ -89,22 +88,11 @@ code=$(curl -s -o /dev/null -w '%{http_code}' -X DELETE "$BASE/v2/markets/defaul
 curl -fs "$BASE/v1/metrics" | grep -q '"POST /v1/trades"' || fail "metrics missing trade endpoint"
 curl -fs "$BASE/v1/metrics" | grep -q 'market/smoke/trade' || fail "metrics missing per-market series"
 
-# Graceful shutdown on SIGTERM persists the snapshot and exits 0.
+# Graceful shutdown on SIGTERM exits 0.
 kill -TERM "$PID"
 if ! wait "$PID"; then
     fail "server exited non-zero on SIGTERM"
 fi
-PID=""
-[ -s "$SNAP" ] || fail "no snapshot written on shutdown"
-grep -q '"ledger"' "$SNAP" || fail "snapshot missing ledger"
-
-# Reboot from the snapshot: the ledger must survive the restart.
-"$BIN" -addr "$ADDR" -snapshot "$SNAP" >"$LOG" 2>&1 &
-PID=$!
-wait_healthy
-curl -fs "$BASE/v1/trades" | grep -q '"round": *1' || fail "ledger lost across restart"
-kill -TERM "$PID"
-wait "$PID" || fail "restarted server exited non-zero on SIGTERM"
 PID=""
 
 # Per-market persistence: boot with -snapshot-dir, trade in a named market,
@@ -122,6 +110,7 @@ wait "$PID" || fail "dir-mode server exited non-zero on SIGTERM"
 PID=""
 [ -s "$SNAPDIR/beta.json" ] || fail "no per-market snapshot for beta"
 [ -s "$SNAPDIR/default.json" ] || fail "no per-market snapshot for default"
+grep -q '"ledger"' "$SNAPDIR/default.json" || fail "default snapshot missing ledger"
 
 "$BIN" -addr "$ADDR" -snapshot-dir "$SNAPDIR" >"$LOG" 2>&1 &
 PID=$!
@@ -168,4 +157,4 @@ grep -q '"within_2x": true' "$WORK/bench/BENCH_PR7.json" \
 grep -q '"server_admission"' "$WORK/bench/BENCH_PR7.json" \
     || fail "share-loadgen report missing admission counters"
 
-echo "serve-smoke: OK (quote, trade, metrics, v2 lifecycle, graceful shutdown, snapshot + snapshot-dir restore, kill -9 WAL replay, loadgen saturation)"
+echo "serve-smoke: OK (quote, trade, metrics, v2 lifecycle, graceful shutdown, snapshot-dir restore, kill -9 WAL replay, loadgen saturation)"
