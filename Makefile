@@ -1,6 +1,7 @@
 # Share — Stackelberg-Nash based Data Markets.
 
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: all build vet test race cover serve-smoke bench bench-compare figures figures-quick examples clean
 
@@ -9,24 +10,29 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# go vet, then fail if gofmt would reformat any file.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$($(GOFMT) -l .)"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
 
 # Race-detector run, vet first: the concurrency in internal/parallel and the
 # sweep harnesses must stay clean under both. The explicit equivalence pass
-# pins the moment-cached Shapley kernel to the seed-path estimator under the
-# race detector; the solver-backend pass pins cross-backend agreement, the
-# Jacobi determinism guarantee and the Stage-3 τ-boundary cases of the
-# general cascade; the pool pass pins per-market isolation, the
+# pins the moment-cached Shapley kernel to the seed-path estimator, and the
+# per-worker re-seeded permutation sources to fresh per-permutation rngs,
+# under the race detector; the solver-backend pass pins cross-backend
+# agreement, the Jacobi determinism guarantee and the Stage-3 τ-boundary
+# cases of the general cascade; the pool pass pins per-market isolation, the
 # delete-drain race, batch-quote determinism, the WAL crash-recovery
 # torture sweeps (trade-only, roster-churn and budget_charge histories),
 # concurrent group commit, the admission gate (reject / queue / cancel),
 # the terminal-close seal, the churn-vs-quote isolation of the
-# copy-on-write view swap, the churned-checkpoint round trip and the
-# budget-exhaustion-vs-quote isolation under the race detector;
+# copy-on-write view swap, the churned-checkpoint round trip, the
+# budget-exhaustion-vs-quote isolation and the immutability of published
+# views that share the committed ledger under the race detector;
 # the httpapi pass pins cross-market overload isolation end to end; and
 # the serve-smoke end-to-end pass rides along so the gate also
 # exercises the live server lifecycle (boot, /v2 markets, trade, metrics,
@@ -34,9 +40,9 @@ test:
 # kill -9 WAL replay).
 race: vet
 	$(GO) test -race ./...
-	$(GO) test -race -run 'TestKernelEquivalence|TestRunRoundShapleyIdenticalAcrossWorkers' -count=1 ./internal/valuation ./internal/market
+	$(GO) test -race -run 'TestKernelEquivalence|TestPerWorkerStreamsMatchPerPermutationRngs|TestRunRoundShapleyIdenticalAcrossWorkers' -count=1 ./internal/valuation ./internal/market
 	$(GO) test -race -run 'TestGeneralMatchesAnalytic|TestGeneralDeterministicAcrossWorkers|TestMapDeterministicAcrossWorkers|TestMeanFieldWithinTheoremBounds|TestSolveGeneralTau' -count=1 ./internal/solve ./internal/core
-	$(GO) test -race -run 'TestMarketsAreIsolated|TestDeleteDrainsInFlightRounds|TestBatchQuoteDeterminism|TestWALTortureRecovery|TestWALTortureBudgetRecovery|TestConcurrentTradesGroupCommit|TestAdmissionRejectsWhenQueueFull|TestAdmissionQueueWaitsForSlot|TestAdmissionQueuedTradeHonorsContext|TestCloseSealsPoolAgainstStragglers|TestAsyncCloseFlushesTail|TestChurnQuoteIsolation|TestChurnSurvivesCheckpoint|TestExhaustedTradesLeaveQuotesUndisturbed' -count=1 ./internal/pool
+	$(GO) test -race -run 'TestMarketsAreIsolated|TestDeleteDrainsInFlightRounds|TestBatchQuoteDeterminism|TestWALTortureRecovery|TestWALTortureBudgetRecovery|TestConcurrentTradesGroupCommit|TestAdmissionRejectsWhenQueueFull|TestAdmissionQueueWaitsForSlot|TestAdmissionQueuedTradeHonorsContext|TestCloseSealsPoolAgainstStragglers|TestAsyncCloseFlushesTail|TestChurnQuoteIsolation|TestChurnSurvivesCheckpoint|TestExhaustedTradesLeaveQuotesUndisturbed|TestPublishedViewStaysImmutable' -count=1 ./internal/pool
 	$(GO) test -race -run 'TestOverloadIsolationAcrossMarkets|TestDrainAnswers503' -count=1 ./internal/httpapi
 	$(GO) test -race -run 'TestConcurrentGroupCommit|TestTornTailTruncatedAtEveryOffset' -count=1 ./internal/wal
 	$(MAKE) serve-smoke

@@ -1,6 +1,7 @@
 package market
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -57,6 +58,56 @@ func TestLedgerReturnsDefensiveCopies(t *testing.T) {
 	}
 	if clean.Metrics.Detail["explained_variance"] == -1 {
 		t.Error("Metrics.Detail aliased the ledger")
+	}
+}
+
+// TestSharedLedgerSharesCommittedEntries: SharedLedger hands out the
+// committed transactions themselves, in a slice capped at its length so an
+// append to it can never write into the market's backing array.
+func TestSharedLedgerSharesCommittedEntries(t *testing.T) {
+	mkt, buyer := testMarket(t, 4, &WeightUpdate{Retain: 0.2, Permutations: 5}, 12)
+	var committed []*Transaction
+	for i := 0; i < 3; i++ {
+		tx, err := mkt.RunRound(buyer)
+		if err != nil {
+			t.Fatalf("RunRound: %v", err)
+		}
+		committed = append(committed, tx)
+	}
+	shared := mkt.SharedLedger()
+	if len(shared) != 3 || cap(shared) != 3 {
+		t.Fatalf("SharedLedger len %d cap %d, want 3 and 3", len(shared), cap(shared))
+	}
+	for i, tx := range shared {
+		if tx != committed[i] {
+			t.Errorf("entry %d is not the committed transaction", i)
+		}
+	}
+}
+
+// TestPermIntoMatchesRandPerm: sellData's buffered permutation draws what
+// rand.Perm draws — element for element, through a reused buffer — and
+// leaves the random source in the same state.
+func TestPermIntoMatchesRandPerm(t *testing.T) {
+	for _, n := range []int{1, 2, 300} {
+		want := rand.New(rand.NewSource(int64(n)))
+		got := rand.New(rand.NewSource(int64(n)))
+		buf := make([]int, n)
+		for i := range buf {
+			buf[i] = -1 // stale contents must not leak into the draw
+		}
+		for draw := 0; draw < 3; draw++ {
+			exp := want.Perm(n)
+			permInto(got, buf)
+			for i := range exp {
+				if buf[i] != exp[i] {
+					t.Fatalf("n=%d draw %d: element %d = %d, rand.Perm has %d", n, draw, i, buf[i], exp[i])
+				}
+			}
+		}
+		if a, b := want.Int63(), got.Int63(); a != b {
+			t.Errorf("n=%d: next Int63 %d after permInto, %d after rand.Perm", n, b, a)
+		}
 	}
 }
 

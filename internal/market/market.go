@@ -160,6 +160,9 @@ type Market struct {
 	budget    *budget.Ledger
 	discount  *DiscountConfig
 
+	// perm is sellData's reusable sampling-permutation buffer.
+	perm []int
+
 	// epoch counts roster changes (seller joins and leaves) over the
 	// market's life. Transactions and snapshots are stamped with it, and
 	// replay validates against it, so a restored market and its WAL agree
@@ -184,6 +187,13 @@ type Timings struct {
 
 // Transaction is one ledger entry: the equilibrium profile, realized
 // payments, the manufactured product's metrics, and the updated weights.
+//
+// A committed transaction is immutable: once a round appends it to the
+// ledger the market never writes to it again, and SharedLedger and
+// Snapshot hand the same pointers to readers (such as the pool's published
+// views) without copying. Code holding a committed transaction must not
+// mutate it or any slice, map or profile it references; Clone gives a
+// private copy.
 type Transaction struct {
 	// Round is the 1-based transaction index.
 	Round int
@@ -406,6 +416,17 @@ func (m *Market) Ledger() []*Transaction {
 		out[i] = tx.Clone()
 	}
 	return out
+}
+
+// SharedLedger returns the committed ledger without copying it: the
+// entries are the market's own immutable transactions (see Transaction).
+// Later rounds only write past the returned slice's end, and its capacity
+// equals its length, so an append to it copies instead of writing into the
+// market's backing array. Callers must not modify the slice's elements or
+// the transactions; Ledger is the deep-copying accessor for callers that
+// might.
+func (m *Market) SharedLedger() []*Transaction {
+	return m.ledger[:len(m.ledger):len(m.ledger)]
 }
 
 // Clone returns a deep copy of the transaction: nested slices and the
@@ -761,7 +782,11 @@ func (m *Market) sellData(mech ldp.Mechanism, s *Seller, pieces int, eps float64
 	}
 	var idx []int
 	if pieces <= s.Data.Len() {
-		perm := m.rng.Perm(s.Data.Len())
+		if cap(m.perm) < s.Data.Len() {
+			m.perm = make([]int, s.Data.Len())
+		}
+		perm := m.perm[:s.Data.Len()]
+		permInto(m.rng, perm)
 		idx = perm[:pieces]
 	} else {
 		idx = make([]int, pieces)
@@ -787,6 +812,19 @@ func (m *Market) sellData(mech ldp.Mechanism, s *Seller, pieces int, eps float64
 		}
 	}
 	return out
+}
+
+// permInto fills p with a random permutation of [0, len(p)) using the loop
+// of math/rand's Perm: the same draws in the same order, so p equals
+// rng.Perm(len(p)) and rng ends in the same state, without allocating.
+// p's previous contents are irrelevant — every slot is written before it
+// is read.
+func permInto(rng *rand.Rand, p []int) {
+	for i := range p {
+		j := rng.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
+	}
 }
 
 // mechanismAttrs reports the attribute count a bounded mechanism was

@@ -103,7 +103,10 @@ type View struct {
 	// Weights is the broker's weight vector (uniform length-1 placeholder
 	// while the roster is empty, matching the single-market server).
 	Weights []float64
-	// Trades is the committed ledger; every entry is a deep copy.
+	// Trades is the committed ledger. Its entries are the inner market's
+	// committed transactions, shared rather than copied: they are
+	// immutable, and later trades only write past the end of this slice.
+	// Readers must not mutate them.
 	Trades []*market.Transaction
 	// Trading reports whether the first round has executed (the point past
 	// which roster changes go through the churn path instead of plain
@@ -571,7 +574,7 @@ func (m *Market) buildView() (*View, error) {
 	v.Weights = weights
 
 	if m.mkt != nil {
-		v.Trades = m.mkt.Ledger()
+		v.Trades = m.mkt.SharedLedger()
 	}
 	v.Sellers = m.sellerStates(weights, v.Trades)
 

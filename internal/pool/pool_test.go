@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -372,6 +373,66 @@ func TestSnapshotDirRoundTrip(t *testing.T) {
 		if _, err := got.Trade(context.Background(), demoBuyer(120, 0.8), nil, nil); err != nil {
 			t.Fatalf("%s: trade after restore: %v", id, err)
 		}
+	}
+}
+
+// TestCompactSnapshotRestoresLikeIndented: snapshot files are written as
+// compact JSON; a directory holding the indented form older builds wrote
+// must restore to the same state, and the compact file must still carry
+// the "ledger" key serve_smoke.sh greps for.
+func TestCompactSnapshotRestoresLikeIndented(t *testing.T) {
+	compactDir, indentedDir := t.TempDir(), t.TempDir()
+	opts := fastWalOptions(compactDir)
+	opts.EpsilonBudget = 1e18
+	p := New(opts)
+	defer p.Close()
+	m, err := p.Create(Spec{ID: "fmt"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	register(t, m, 3)
+	for i := 0; i < 3; i++ {
+		if _, err := m.Trade(context.Background(), demoBuyer(90+float64(i), 0.8), nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.SaveAll(); err != nil {
+		t.Fatal(err)
+	}
+	want := canonicalState(t, m)
+	compact, err := os.ReadFile(filepath.Join(compactDir, "fmt.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(compact, []byte("\n")); n != 1 || !bytes.HasSuffix(compact, []byte("}\n")) {
+		t.Errorf("snapshot file is not one line of compact JSON (%d newlines)", n)
+	}
+	if !bytes.Contains(compact, []byte(`"ledger"`)) {
+		t.Error(`compact snapshot lacks the "ledger" key serve_smoke.sh greps for`)
+	}
+	indented, err := json.MarshalIndent(m.Snapshot(), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(indentedDir, "fmt.json"), indented, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
+	for _, dir := range []string{compactDir, indentedDir} {
+		opts2 := fastWalOptions(dir)
+		opts2.EpsilonBudget = 1e18
+		p2 := New(opts2)
+		if ids, err := p2.RestoreAll(); err != nil || len(ids) != 1 {
+			t.Fatalf("RestoreAll(%s) = %v, %v", filepath.Base(dir), ids, err)
+		}
+		m2, err := p2.Get("fmt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := canonicalState(t, m2); got != want {
+			t.Errorf("restore from %s diverges\n got: %.300s\nwant: %.300s", dir, got, want)
+		}
+		p2.Close()
 	}
 }
 

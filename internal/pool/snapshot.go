@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -260,12 +261,10 @@ func (m *Market) saveLocked() {
 }
 
 // writeSnapshotFile atomically writes one snapshot: temp file, sync,
-// rename.
+// rename. The snapshot is encoded as compact JSON in the encoder's pooled
+// buffer and written straight through to the temp file, with no separate
+// marshalled or indented copy.
 func writeSnapshotFile(path string, snap *MarketSnapshot) error {
-	raw, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return fmt.Errorf("pool: encoding snapshot: %w", err)
-	}
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".share-snapshot-*")
 	if err != nil {
@@ -274,7 +273,11 @@ func writeSnapshotFile(path string, snap *MarketSnapshot) error {
 	tmpName := tmp.Name()
 	// Any failure from here on removes the temp file; the target is only
 	// ever replaced by a complete, synced rename.
-	if _, err := tmp.Write(raw); err == nil {
+	bw := bufio.NewWriter(tmp)
+	if err = json.NewEncoder(bw).Encode(snap); err == nil {
+		err = bw.Flush()
+	}
+	if err == nil {
 		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {

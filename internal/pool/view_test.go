@@ -1,0 +1,188 @@
+package pool
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"runtime"
+	"sync"
+	"testing"
+)
+
+// TestTradeAllocsFlatInLedgerLength: a trade allocates for its own round
+// only, however long the market has traded. Publishing the post-trade view
+// once deep-copied the whole ledger, so a market's 250th trade allocated
+// about three times as much as its 20th.
+func TestTradeAllocsFlatInLedgerLength(t *testing.T) {
+	p := New(quietOptions())
+	m, err := p.Create(Spec{ID: "long"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	register(t, m, 12)
+	ctx := context.Background()
+	mallocs := make([]uint64, 250)
+	var before, after runtime.MemStats
+	for r := range mallocs {
+		runtime.ReadMemStats(&before)
+		_, err := m.Trade(ctx, demoBuyer(90, 0.8), nil, nil)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("round %d: %v", r+1, err)
+		}
+		mallocs[r] = after.Mallocs - before.Mallocs
+	}
+	mean := func(xs []uint64) float64 {
+		var sum uint64
+		for _, x := range xs {
+			sum += x
+		}
+		return float64(sum) / float64(len(xs))
+	}
+	early, late := mean(mallocs[10:60]), mean(mallocs[200:250])
+	if math.Abs(late-early) > 0.02*early {
+		t.Fatalf("mean mallocs per trade grew with the ledger: rounds 11-60 %.1f, rounds 201-250 %.1f", early, late)
+	}
+}
+
+// TestPublishedViewStaysImmutable: views share the inner market's committed
+// transactions instead of copying them, so a view handed out earlier must
+// render the same after every later kind of mutation — trades, a mid-life
+// join and leave, a budget top-up, a WAL compaction and SaveAll — while a
+// reader serves the live ledger the way GET /v2/markets/{id}/trades does.
+// (internal/httpapi imports this package, so the route is served here by a
+// stand-in that reads View().Trades like the real handler.) Run under -race
+// in make race.
+func TestPublishedViewStaysImmutable(t *testing.T) {
+	dir := t.TempDir()
+	opts := fastWalOptions(dir)
+	opts.CompactRecords = 6
+	opts.EpsilonBudget = 1e18
+	p := New(opts)
+	defer p.Close()
+	m, err := p.Create(Spec{ID: "imm"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	register(t, m, 3)
+	ctx := context.Background()
+	round := 0
+	trade := func() error {
+		round++
+		_, err := m.Trade(ctx, demoBuyer(80+float64(round), 0.8), nil, nil)
+		return err
+	}
+	for i := 0; i < 2; i++ {
+		if err := trade(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v2/markets/{id}/trades", func(w http.ResponseWriter, r *http.Request) {
+		mk, err := p.Get(r.PathValue("id"))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusNotFound)
+			return
+		}
+		if err := json.NewEncoder(w).Encode(mk.View().Trades); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(stop)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := srv.Client().Get(srv.URL + "/v2/markets/imm/trades")
+			if err != nil {
+				t.Errorf("listing trades: %v", err)
+				return
+			}
+			var trades []json.RawMessage
+			err = json.NewDecoder(resp.Body).Decode(&trades)
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || err != nil || len(trades) < 2 {
+				t.Errorf("listing trades: status %d, %d trades, decode error %v", resp.StatusCode, len(trades), err)
+				return
+			}
+		}
+	}()
+
+	snapSeq := func() uint64 {
+		snap, err := ReadSnapshotFile(filepath.Join(dir, "imm.json"))
+		if err != nil {
+			return 0
+		}
+		return snap.WalSeq
+	}
+	steps := []struct {
+		name string
+		do   func() error
+	}{
+		{"trades", func() error {
+			for i := 0; i < 2; i++ {
+				if err := trade(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"mid-life join", func() error {
+			_, err := m.RegisterSeller(Registration{ID: "j01", Lambda: 0.45, SyntheticRows: 60})
+			return err
+		}},
+		{"leave", func() error { return m.RemoveSeller("s01") }},
+		{"budget top-up", func() error {
+			_, err := m.TopUpBudget("s02", 5)
+			return err
+		}},
+		{"compaction", func() error {
+			seq := snapSeq()
+			for i := 0; i < 6 && snapSeq() == seq; i++ {
+				if err := trade(); err != nil {
+					return err
+				}
+			}
+			if snapSeq() == seq {
+				return fmt.Errorf("no compaction after 6 trades (snapshot wal_seq still %d)", seq)
+			}
+			return nil
+		}},
+		{"SaveAll", p.SaveAll},
+	}
+	type held struct {
+		v    *View
+		want string
+	}
+	v0 := m.View()
+	views := []held{{v0, canonicalView(t, v0)}}
+	for _, st := range steps {
+		if err := st.do(); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		for i, h := range views {
+			if got := canonicalView(t, h.v); got != h.want {
+				t.Fatalf("view %d (%d trades) changed after %s\n got: %.300s\nwant: %.300s", i, len(h.v.Trades), st.name, got, h.want)
+			}
+		}
+		v := m.View()
+		views = append(views, held{v, canonicalView(t, v)})
+	}
+}

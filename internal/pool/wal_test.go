@@ -33,7 +33,12 @@ func fastWalOptions(dir string) Options {
 // round trip, so float formatting is identical on both sides.
 func canonicalState(t *testing.T, m *Market) string {
 	t.Helper()
-	v := m.View()
+	return canonicalView(t, m.View())
+}
+
+// canonicalView is canonicalState for one published view.
+func canonicalView(t *testing.T, v *View) string {
+	t.Helper()
 	raw, err := json.Marshal(struct {
 		Epoch   uint64                `json:"epoch"`
 		Sellers []SellerState         `json:"sellers"`
@@ -598,7 +603,7 @@ func TestWALCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	register(t, m, 2) // 2 records
+	register(t, m, 2)        // 2 records
 	for i := 0; i < 3; i++ { // crosses the 4-record threshold
 		if _, err := m.Trade(context.Background(), demoBuyer(90+float64(i), 0.8), nil, nil); err != nil {
 			t.Fatal(err)

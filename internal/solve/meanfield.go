@@ -37,8 +37,10 @@ type meanFieldPrepared struct {
 func (p *meanFieldPrepared) Backend() Backend      { return MeanField{} }
 func (p *meanFieldPrepared) Game() *core.Game      { return p.g }
 func (p *meanFieldPrepared) SetBuyer(b core.Buyer) { p.g.Buyer = b }
-func (p *meanFieldPrepared) Clone() Prepared       { return &meanFieldPrepared{g: p.g.Clone(), epoch: p.epoch} }
-func (p *meanFieldPrepared) Epoch() uint64         { return p.epoch }
+func (p *meanFieldPrepared) Clone() Prepared {
+	return &meanFieldPrepared{g: p.g.Clone(), epoch: p.epoch}
+}
+func (p *meanFieldPrepared) Epoch() uint64 { return p.epoch }
 
 // Reprepare applies one roster change incrementally. The mean-field solve
 // reads only the cached aggregate S = Σ1/λᵢ and the Eq. 23 per-seller

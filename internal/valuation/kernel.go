@@ -80,6 +80,31 @@ func (kn *momentKernel) newScratch() *kernelScratch {
 	}
 }
 
+// seededPerms is one worker's permutation source for the seed+index
+// convention. Permutation p must draw the stream of stat.NewRand(seed+p);
+// re-seeding one rand.Rand fully re-initialises its source, so it draws
+// exactly that stream without allocating a new ~4.9 KB source per
+// permutation, and the permutation lands in a reused buffer.
+type seededPerms struct {
+	rng  *rand.Rand
+	perm []int
+}
+
+func newSeededPerms(m int) *seededPerms {
+	return &seededPerms{rng: stat.NewRand(0), perm: make([]int, m)}
+}
+
+// draw returns the permutation stat.Perm(stat.NewRand(seed), m) would. The
+// slice is overwritten by the next draw.
+func (s *seededPerms) draw(seed int64) []int {
+	s.rng.Seed(seed)
+	for i := range s.perm {
+		s.perm[i] = i
+	}
+	stat.Shuffle(s.rng, s.perm)
+	return s.perm
+}
+
 // utility scores the accumulator's current coalition: solve the ridge-damped
 // normal equations and evaluate explained variance against the cached test
 // moments. Unsolvable (empty) coalitions score 0, like evalModel.
@@ -163,10 +188,11 @@ func SellerShapleyMomentsCtx(ctx context.Context, chunks []*dataset.Dataset, tes
 // SellerShapleyKernelCtx is the production trade-round estimator: the
 // moment-cached kernel with its permutations fanned out across a worker
 // pool. It follows the repo-wide determinism convention (internal/parallel):
-// each permutation draws from its own rand.Rand seeded as seed+perm-index
-// and writes into its own arena row, and the final reduction runs in
-// permutation order — so the result depends only on (seed, permutations),
-// bit-identically for every worker count. workers ≤ 0 uses GOMAXPROCS.
+// each permutation draws the stream of a rand.Rand seeded as seed+perm-index
+// (one per worker, re-seeded per permutation) and writes into its own arena
+// row, and the final reduction runs in permutation order — so the result
+// depends only on (seed, permutations), bit-identically for every worker
+// count. workers ≤ 0 uses GOMAXPROCS.
 //
 // ctx is checked before each permutation: a canceled round stops dispatching
 // new permutations, drains the pool within one permutation's work per
@@ -208,8 +234,10 @@ func (kn *momentKernel) shapley(ctx context.Context, permutations int, truncateT
 	workers = parallel.Resolve(workers, permutations)
 	arena := make([]float64, permutations*kn.m)
 	scratch := make([]*kernelScratch, workers)
+	perms := make([]*seededPerms, workers)
 	for w := range scratch {
 		scratch[w] = kn.newScratch()
+		perms[w] = newSeededPerms(kn.m)
 	}
 	var canceled atomic.Bool
 	parallel.ForWorker(workers, permutations, func(w, p int) {
@@ -220,8 +248,7 @@ func (kn *momentKernel) shapley(ctx context.Context, permutations int, truncateT
 			canceled.Store(true)
 			return
 		}
-		rng := stat.NewRand(seed + int64(p))
-		kn.scan(scratch[w], stat.Perm(rng, kn.m), arena[p*kn.m:(p+1)*kn.m], grand, truncateTol)
+		kn.scan(scratch[w], perms[w].draw(seed+int64(p)), arena[p*kn.m:(p+1)*kn.m], grand, truncateTol)
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("valuation: kernel canceled: %w", err)
@@ -246,7 +273,7 @@ func (kn *momentKernel) shapley(ctx context.Context, permutations int, truncateT
 // for non-OLS products. The builder is opaque, so each prefix still retrains
 // from scratch — the win here is wall-clock only, near-linear in workers
 // because permutations are independent. Determinism and cancellation follow
-// the same contract as SellerShapleyKernelCtx: per-permutation rngs seeded
+// the same contract as SellerShapleyKernelCtx: per-permutation streams seeded
 // seed+index, in-order reduction, ctx checked before each permutation. The
 // builder must be safe for concurrent Build calls (all in-tree builders are
 // stateless).
@@ -292,8 +319,12 @@ func SellerShapleyBuilderParallelCtx(ctx context.Context, chunks []*dataset.Data
 
 	workers = parallel.Resolve(workers, permutations)
 	arena := make([]float64, permutations*m)
+	perms := make([]*seededPerms, workers)
+	for w := range perms {
+		perms[w] = newSeededPerms(m)
+	}
 	var canceled atomic.Bool
-	parallel.For(workers, permutations, func(p int) {
+	parallel.ForWorker(workers, permutations, func(w, p int) {
 		if canceled.Load() {
 			return
 		}
@@ -301,8 +332,7 @@ func SellerShapleyBuilderParallelCtx(ctx context.Context, chunks []*dataset.Data
 			canceled.Store(true)
 			return
 		}
-		rng := stat.NewRand(seed + int64(p))
-		perm := stat.Perm(rng, m)
+		perm := perms[w].draw(seed + int64(p))
 		credit := arena[p*m : (p+1)*m]
 		coalition := make([]int, 0, m)
 		prev := empty
