@@ -21,8 +21,9 @@ test:
 
 # Race-detector run, vet first: the concurrency in internal/parallel and the
 # sweep harnesses must stay clean under both. The explicit equivalence pass
-# pins the moment-cached Shapley kernel to the seed-path estimator, and the
+# pins the moment-cached Shapley kernel to the seed-path estimator, the
 # per-worker re-seeded permutation sources to fresh per-permutation rngs,
+# and every product's trade rounds to one result for every worker count,
 # under the race detector; the solver-backend pass pins cross-backend
 # agreement, the Jacobi determinism guarantee and the Stage-3 τ-boundary
 # cases of the general cascade; the pool pass pins per-market isolation, the
@@ -62,9 +63,11 @@ serve-smoke:
 	sh scripts/serve_smoke.sh
 
 # Go benchmarks (valuation kernel, trade rounds, solver) plus the
-# machine-readable reports, all under bench_out/: BENCH_PR3.json
-# (moment-cached Shapley kernel vs the seed-era row-streaming estimator,
-# and the kernel through a full trade round), BENCH_PR4.json (per-round
+# machine-readable reports, all under bench_out/: BENCH_PR3.json (the
+# moment-cached Shapley kernel in isolation and through a full trade round;
+# the seed-era estimator's rows in the committed file are no longer
+# re-measured — `go test -bench BenchmarkSellerShapley ./internal/valuation`
+# still times it against the kernel), BENCH_PR4.json (per-round
 # solve latency of the analytic, mean-field and general backends),
 # BENCH_PR6.json (trade throughput and commit latency of the sync /
 # group-commit / async WAL) and BENCH_PR8.json (the general backend's

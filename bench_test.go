@@ -8,6 +8,7 @@
 package share_test
 
 import (
+	"context"
 	"testing"
 
 	"share/internal/baseline"
@@ -340,22 +341,6 @@ func BenchmarkLDPLaplacePerturb(b *testing.B) {
 	}
 }
 
-func BenchmarkSellerShapleyTMC(b *testing.B) {
-	rng := stat.NewRand(3)
-	full := dataset.SyntheticCCPP(2100, rng)
-	train, test := full.Split(2000)
-	chunks, err := dataset.PartitionEqual(train.Clone(), 20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := valuation.SellerShapleyTMC(chunks, test, 5, 0.01, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkBrokerLeadingSolve(b *testing.B) {
 	g := benchGame(b, 100)
 	for i := 0; i < b.N; i++ {
@@ -384,10 +369,9 @@ func BenchmarkBaselineBandit(b *testing.B) {
 // path at scale).
 func BenchmarkSellerShapleySequential(b *testing.B) {
 	chunks, test := shapleyBenchData(b)
-	rng := stat.NewRand(5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := valuation.SellerShapleyTMC(chunks, test, 20, 0, rng); err != nil {
+		if _, err := valuation.SellerShapleyKernelCtx(context.Background(), chunks, test, 20, 0, 5, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -397,7 +381,7 @@ func BenchmarkSellerShapleyParallel(b *testing.B) {
 	chunks, test := shapleyBenchData(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := valuation.SellerShapleyParallel(chunks, test, 20, 0, 5, 0); err != nil {
+		if _, err := valuation.SellerShapleyKernelCtx(context.Background(), chunks, test, 20, 0, 5, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

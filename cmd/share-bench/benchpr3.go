@@ -19,18 +19,16 @@ import (
 )
 
 // pr3Report is the BENCH_PR3.json document: the moment-cached Shapley
-// valuation kernel measured against the seed-era row-streaming estimator as
-// an isolated kernel probe, with headline speedup ratios, plus the kernel
-// end-to-end through a full trade round.
+// valuation kernel as an isolated probe, plus the kernel end-to-end through
+// a full trade round.
 type pr3Report struct {
-	GoMaxProcs int                `json:"gomaxprocs"`
-	Workers    int                `json:"workers"`
-	Benchmarks []benchEntry       `json:"benchmarks"`
-	Speedups   map[string]float64 `json:"speedups"`
+	GoMaxProcs int          `json:"gomaxprocs"`
+	Workers    int          `json:"workers"`
+	Benchmarks []benchEntry `json:"benchmarks"`
 }
 
 // kernelProbe is one (sellers, rows-per-chunk, permutations) point of the
-// isolated estimator comparison.
+// isolated kernel probe.
 type kernelProbe struct {
 	m, rows, perms int
 }
@@ -45,9 +43,8 @@ func writeBenchPR3(outDir string, workers int, seed int64) error {
 	rep := &pr3Report{
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Workers:    workers,
-		Speedups:   map[string]float64{},
 	}
-	record := func(name string, w int, r testing.BenchmarkResult) benchEntry {
+	record := func(name string, w int, r testing.BenchmarkResult) {
 		e := benchEntry{
 			Name:        name,
 			NsPerOp:     float64(r.NsPerOp()),
@@ -57,13 +54,11 @@ func writeBenchPR3(outDir string, workers int, seed int64) error {
 		}
 		rep.Benchmarks = append(rep.Benchmarks, e)
 		log.Printf("bench %-28s %12.0f ns/op  (%d iterations)", name, e.NsPerOp, r.N)
-		return e
 	}
 
-	// Isolated kernel: seed-era row-streaming estimator vs the moment-cached
-	// kernel on identical chunk sets, at several (m, rows, permutations)
-	// points. The rows axis shows the kernel's O(k²) prefix step is
-	// independent of chunk size while the seed path scales with it.
+	// Isolated kernel at several (m, rows, permutations) points. The rows
+	// axis shows the kernel's O(k²) prefix step is independent of chunk
+	// size.
 	for _, p := range []kernelProbe{
 		{m: 20, rows: 50, perms: 50},
 		{m: 100, rows: 60, perms: 100},
@@ -76,16 +71,7 @@ func writeBenchPR3(outDir string, workers int, seed int64) error {
 		if err != nil {
 			return err
 		}
-		label := fmt.Sprintf("m%d_rows%d", p.m, p.rows)
-		streaming := record("shapley_seed_"+label, 1, testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := valuation.SellerShapleyTMC(chunks, test, p.perms, 0, stat.NewRand(seed)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}))
-		moment := record("shapley_kernel_"+label, 1, testing.Benchmark(func(b *testing.B) {
+		record(fmt.Sprintf("shapley_kernel_m%d_rows%d", p.m, p.rows), 1, testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := valuation.SellerShapleyKernelCtx(context.Background(), chunks, test, p.perms, 0, seed, 1); err != nil {
@@ -93,7 +79,6 @@ func writeBenchPR3(outDir string, workers int, seed int64) error {
 				}
 			}
 		}))
-		rep.Speedups["shapley_kernel_"+label] = streaming.NsPerOp / moment.NsPerOp
 	}
 
 	// End-to-end trade round at the acceptance point (m=100, 100

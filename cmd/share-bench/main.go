@@ -25,9 +25,9 @@
 // writes BENCH.json (ns/op, allocs/op and headline speedups for the cached
 // solver, the parallel sweep engine and the Jacobi Nash sweep).
 // -bench-pr3 runs the valuation-kernel probes and writes BENCH_PR3.json
-// (moment-cached Shapley kernel vs the seed-era row-streaming estimator in
-// isolation, plus the kernel end-to-end through a trade round); combine
-// with -fig none to skip figure regeneration.
+// (the moment-cached Shapley kernel in isolation, plus the kernel
+// end-to-end through a trade round); combine with -fig none to skip figure
+// regeneration.
 // -bench-pr4 runs the solve-backend probes and writes BENCH_PR4.json
 // (per-round equilibrium latency of the analytic, mean-field and general
 // backends at m ∈ {100, 1000}).

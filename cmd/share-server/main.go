@@ -36,9 +36,9 @@
 // demand body.
 //
 // -workers fans each trade's Shapley valuation across N workers (0 = one
-// worker; results are identical for every value). -pprof serves the Go
-// net/http/pprof profiling endpoints on a side listener, kept off the main
-// address so profiling can stay firewalled:
+// worker; results are identical for every value and every product). -pprof
+// serves the Go net/http/pprof profiling endpoints on a side listener, kept
+// off the main address so profiling can stay firewalled:
 //
 //	share-server -demo 10 -workers 8 -pprof localhost:6060 &
 //	go tool pprof http://localhost:6060/debug/pprof/profile?seconds=10
@@ -98,7 +98,7 @@ func main() {
 		maxBody      = flag.Int64("max-body", 0, "request body cap in bytes (0 = 8 MiB default)")
 		tradeTimeout = flag.Duration("trade-timeout", 0, "server-side deadline per trading round (0 = none)")
 		drain        = flag.Duration("drain", 2*time.Minute, "graceful-shutdown drain window for in-flight requests")
-		workers      = flag.Int("workers", 0, "Shapley valuation worker pool per trade (0 or 1 = one worker; results are identical for every value)")
+		workers      = flag.Int("workers", 0, "Shapley valuation worker pool per trade (0 or 1 = one worker; results are identical for every value and every product)")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060; empty = disabled)")
 		tradeQueue   = flag.Int("trade-queue", 0, "per-market trade waiting room: trades beyond -trade-concurrency park here, the rest get 429 + Retry-After (0 = default 64, negative = no waiting room)")
 		tradeConc    = flag.Int("trade-concurrency", 0, "max trades executing per market at once (0 = default 1); /v2 market creation overrides via the spec's \"trade_concurrency\" field")

@@ -13,14 +13,15 @@
 //	-n-lo/-n-hi     demand-quantity bounds (default 200..800)
 //	-v-lo/-v-hi     demanded-performance bounds (default 0.5..0.9)
 //	-theta-lo/-hi   θ₁ bounds (default 0.3..0.7)
-//	-product        ols | logistic | mean | histogram (default ols)
+//	-product        ols | ridge | logistic | mean | histogram (default ols)
 //	-solver NAME    equilibrium backend: analytic | meanfield | general
 //	-snapshot PATH  save the market snapshot JSON on exit
 //	-seed int       random seed
 //	-workers int    fan the Shapley weight update across n workers (>1).
-//	                Purely a latency knob: the moment-cached kernel seeds
-//	                each permutation independently, so output is identical
-//	                for every worker count (including the default of one)
+//	                Purely a latency knob for every product: each
+//	                permutation is seeded independently, so output is
+//	                identical for every worker count (including the
+//	                default of one)
 package main
 
 import (
@@ -51,10 +52,10 @@ func main() {
 		vHi      = flag.Float64("v-hi", 0.9, "maximum demanded performance")
 		thLo     = flag.Float64("theta-lo", 0.3, "minimum θ₁")
 		thHi     = flag.Float64("theta-hi", 0.7, "maximum θ₁")
-		prod     = flag.String("product", "ols", "product form: ols | logistic | mean | histogram")
+		prod     = flag.String("product", "ols", "product form: ols | ridge | logistic | mean | histogram")
 		snapshot = flag.String("snapshot", "", "save the market snapshot JSON here on exit")
 		seed     = flag.Int64("seed", 1, "random seed")
-		workers  = flag.Int("workers", 0, "Shapley weight-update workers (>1 fans out; output independent of count)")
+		workers  = flag.Int("workers", 0, "Shapley weight-update workers (>1 fans out; output independent of count for every product)")
 		solver   = flag.String("solver", "", "equilibrium backend: analytic | meanfield | general (empty = analytic)")
 	)
 	flag.Parse()
@@ -86,7 +87,7 @@ func run(m, rounds int, nLo, nHi, vLo, vHi, thLo, thHi float64, prod, snapshot, 
 			Data:   chunks[i],
 		}
 	}
-	builder, err := builderFor(prod, train)
+	builder, err := product.ByName(prod, train)
 	if err != nil {
 		return err
 	}
@@ -149,19 +150,4 @@ func run(m, rounds int, nLo, nHi, vLo, vHi, thLo, thHi float64, prod, snapshot, 
 		fmt.Printf("snapshot saved to %s\n", snapshot)
 	}
 	return nil
-}
-
-func builderFor(name string, ref *dataset.Dataset) (product.Builder, error) {
-	switch name {
-	case "ols", "":
-		return product.OLS{}, nil
-	case "logistic":
-		return product.Logistic{Threshold: product.MedianThreshold(ref)}, nil
-	case "mean":
-		return product.MeanVector{}, nil
-	case "histogram":
-		return product.Histogram{}, nil
-	default:
-		return nil, fmt.Errorf("unknown product %q (want ols|logistic|mean|histogram)", name)
-	}
 }

@@ -51,7 +51,6 @@ import (
 	"time"
 
 	"share/internal/core"
-	"share/internal/dataset"
 	"share/internal/market"
 	"share/internal/obs"
 	"share/internal/pool"
@@ -99,8 +98,8 @@ type Options struct {
 	Update *market.WeightUpdate
 	// Workers is the shared worker budget: Shapley valuation fan-out per
 	// trade and batch-quote fan-out (0 keeps the Update's own setting; the
-	// moment-cached kernel's output is identical for every worker count,
-	// so this is purely a latency knob).
+	// valuation of every product is identical for every worker count, so
+	// this is purely a latency knob).
 	Workers int
 	// Solver names the default equilibrium backend ("" → analytic).
 	// Markets may override it at creation, and individual quotes and
@@ -455,25 +454,6 @@ type QuoteBatchResult struct {
 	Quotes []Quote `json:"quotes"`
 }
 
-// builderFor resolves a demand's product name against the pooled training
-// data available to the market (needed for the logistic median threshold).
-func builderFor(name string, ref *dataset.Dataset) (product.Builder, error) {
-	switch name {
-	case "", "ols":
-		return product.OLS{}, nil
-	case "ridge":
-		return product.Ridge{Alpha: 1}, nil
-	case "logistic":
-		return product.Logistic{Threshold: product.MedianThreshold(ref)}, nil
-	case "mean":
-		return product.MeanVector{}, nil
-	case "histogram":
-		return product.Histogram{}, nil
-	default:
-		return nil, fieldErrorf("product", "unknown product %q (want ols|ridge|logistic|mean|histogram)", name)
-	}
-}
-
 // buyer maps the demand onto the paper's buyer, validating every supplied
 // field: absent (zero) fields fall back to the paper defaults, present
 // fields must satisfy the model's constraints — θ₁, θ₂ ∈ (0,1) and summing
@@ -825,9 +805,9 @@ func (s *Server) handleTrade(w http.ResponseWriter, r *http.Request, m *pool.Mar
 		writeError(w, err)
 		return
 	}
-	builder, err := builderFor(d.Product, m.TestSet())
+	builder, err := product.ByName(d.Product, m.TestSet())
 	if err != nil {
-		writeError(w, err)
+		writeError(w, fieldErrorf("product", "%v", err))
 		return
 	}
 	if s.testHookTradeBuilder != nil {

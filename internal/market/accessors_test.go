@@ -1,8 +1,11 @@
 package market
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+
+	"share/internal/product"
 )
 
 // TestLedgerReturnsDefensiveCopies: mutating anything reachable from
@@ -137,31 +140,53 @@ func TestTransactionCloneNil(t *testing.T) {
 }
 
 // TestRunRoundShapleyIdenticalAcrossWorkers is the market-level determinism
-// gate for the moment-cached kernel: the same demand against markets that
-// differ only in WeightUpdate.Workers must produce bit-identical Shapley
-// values and weights for workers = 1, 2, 8 (and the unset default 0).
+// gate: for every product, markets that differ only in WeightUpdate.Workers
+// must produce bit-identical Shapley values, weights and product
+// performance for workers = 1, 2, 8 and the unset default 0. The second
+// round checks that the first left the same market state behind (weights
+// and the private random stream the LDP sampling draws from).
 func TestRunRoundShapleyIdenticalAcrossWorkers(t *testing.T) {
-	var ref *Transaction
-	for _, workers := range []int{0, 1, 2, 8} {
-		mkt, buyer := testMarket(t, 9, &WeightUpdate{Retain: 0.2, Permutations: 20, Workers: workers}, 14)
-		tx, err := mkt.RunRound(buyer)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if tx.Shapley == nil {
-			t.Fatalf("workers=%d: no Shapley values", workers)
-		}
-		if ref == nil {
-			ref = tx
-			continue
-		}
-		for i := range tx.Shapley {
-			if tx.Shapley[i] != ref.Shapley[i] {
-				t.Errorf("workers=%d: Shapley[%d] = %v, want %v", workers, i, tx.Shapley[i], ref.Shapley[i])
+	for _, name := range []string{"ols", "ridge", "logistic", "mean", "histogram"} {
+		t.Run(name, func(t *testing.T) {
+			var ref []*Transaction
+			for _, workers := range []int{0, 1, 2, 8} {
+				mkt, buyer := testMarket(t, 9, &WeightUpdate{Retain: 0.2, Permutations: 20, Workers: workers}, 14)
+				b, err := product.ByName(name, mkt.testSet)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var txs []*Transaction
+				for round := 1; round <= 2; round++ {
+					tx, err := mkt.RunRoundWith(buyer, b)
+					if err != nil {
+						t.Fatalf("workers=%d round %d: %v", workers, round, err)
+					}
+					if tx.Shapley == nil {
+						t.Fatalf("workers=%d round %d: no Shapley values", workers, round)
+					}
+					txs = append(txs, tx)
+				}
+				if ref == nil {
+					ref = txs
+					continue
+				}
+				for r, tx := range txs {
+					want := ref[r]
+					if !sameBits(tx.Metrics.Performance, want.Metrics.Performance) {
+						t.Errorf("workers=%d round %d: performance = %v, want %v", workers, r+1, tx.Metrics.Performance, want.Metrics.Performance)
+					}
+					for i := range tx.Shapley {
+						if !sameBits(tx.Shapley[i], want.Shapley[i]) {
+							t.Errorf("workers=%d round %d: Shapley[%d] = %v, want %v", workers, r+1, i, tx.Shapley[i], want.Shapley[i])
+						}
+						if !sameBits(tx.Weights[i], want.Weights[i]) {
+							t.Errorf("workers=%d round %d: Weights[%d] = %v, want %v", workers, r+1, i, tx.Weights[i], want.Weights[i])
+						}
+					}
+				}
 			}
-			if tx.Weights[i] != ref.Weights[i] {
-				t.Errorf("workers=%d: Weights[%d] = %v, want %v", workers, i, tx.Weights[i], ref.Weights[i])
-			}
-		}
+		})
 	}
 }
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

@@ -44,12 +44,12 @@ type WeightUpdate struct {
 	// Retain is the weight kept on the old value (paper example: 0.2).
 	Retain float64
 	// Permutations is the Monte Carlo permutation count for the seller
-	// Shapley computation (paper: 100).
+	// Shapley computation; ≤ 0 uses the paper's 100.
 	Permutations int
 	// TruncateTol enables truncated Monte Carlo when positive.
 	TruncateTol float64
 	// Workers fans the Shapley permutations out across a worker pool when
-	// > 1 (0 or 1 = single-threaded). The moment-cached kernel seeds each
+	// > 1 (0 or 1 = single-threaded). Every product's estimator seeds each
 	// permutation independently, so the computed Shapley values — and
 	// therefore the weight trajectory — are identical for every Workers
 	// value; only wall-clock changes.
@@ -275,9 +275,6 @@ func New(sellers []*Seller, cfg Config) (*Market, error) {
 		}
 		if cfg.Update.Decay < 0 || cfg.Update.Decay >= 1 {
 			return nil, fmt.Errorf("market: weight-update decay factor %g outside [0,1)", cfg.Update.Decay)
-		}
-		if cfg.Update.Permutations <= 0 {
-			cfg.Update.Permutations = 100
 		}
 	}
 	builder := cfg.Product
@@ -659,36 +656,31 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 			return nil, fmt.Errorf("market: round canceled before weight update: %w", err)
 		}
 		t0 = time.Now()
-		// Estimator dispatch: OLS products go through the moment-cached
-		// kernel (per-chunk Gram statistics + fused test-set evaluation,
-		// fanned across Workers); opaque builders retrain per prefix but
-		// still fan out when Workers > 1. Both seeded paths derive the
-		// permutation stream from the round index, so Shapley values are
-		// identical for every Workers setting.
+		// Estimator dispatch by product: OLS goes through the moment-cached
+		// kernel (per-chunk Gram statistics + fused test-set evaluation);
+		// opaque builders retrain per prefix. Both run one seeded fan-out
+		// whose permutations derive from the round index, so Shapley values
+		// are identical for every Workers setting and never draw from m.rng.
 		var sv, red []float64
 		var err error
-		_, isOLS := builder.(product.OLS)
 		workers := m.update.Workers
 		if workers < 1 {
 			workers = 1
 		}
 		seed := int64(tx.Round) * 1_000_003
+		_, isOLS := builder.(product.OLS)
 		switch {
-		case isOLS:
-			if m.discount != nil {
-				// Redundancy rides on the Gram statistics the kernel
-				// caches anyway — no extra pass over seller data.
-				sv, red, err = valuation.SellerShapleyKernelRedundancyCtx(ctx, chunks, m.testSet,
-					m.update.Permutations, m.update.TruncateTol, seed, workers)
-			} else {
-				sv, err = valuation.SellerShapleyKernelCtx(ctx, chunks, m.testSet,
-					m.update.Permutations, m.update.TruncateTol, seed, workers)
-			}
-		case workers > 1:
+		case !isOLS:
 			sv, err = valuation.SellerShapleyBuilderParallelCtx(ctx, chunks, m.testSet, builder,
 				m.update.Permutations, m.update.TruncateTol, seed, workers)
+		case m.discount != nil:
+			// Redundancy rides on the Gram statistics the kernel caches
+			// anyway — no extra pass over seller data.
+			sv, red, err = valuation.SellerShapleyKernelRedundancyCtx(ctx, chunks, m.testSet,
+				m.update.Permutations, m.update.TruncateTol, seed, workers)
 		default:
-			sv, err = valuation.SellerShapleyForCtx(ctx, builder, chunks, m.testSet, m.update.Permutations, m.update.TruncateTol, m.rng)
+			sv, err = valuation.SellerShapleyKernelCtx(ctx, chunks, m.testSet,
+				m.update.Permutations, m.update.TruncateTol, seed, workers)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("market: Shapley weight update: %w", err)

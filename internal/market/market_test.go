@@ -72,6 +72,31 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewLeavesUpdateConfigUntouched: New must not write defaults into the
+// caller's WeightUpdate — a pool hands one to every market it hosts — and
+// an unset permutation count must value like the paper's 100.
+func TestNewLeavesUpdateConfigUntouched(t *testing.T) {
+	unset := &WeightUpdate{Retain: 0.2}
+	mkt, buyer := testMarket(t, 4, unset, 15)
+	if *unset != (WeightUpdate{Retain: 0.2}) {
+		t.Errorf("New rewrote the caller's WeightUpdate to %+v", *unset)
+	}
+	paper, _ := testMarket(t, 4, &WeightUpdate{Retain: 0.2, Permutations: 100}, 15)
+	got, err := mkt.RunRound(buyer)
+	if err != nil {
+		t.Fatalf("unset permutations: %v", err)
+	}
+	want, err := paper.RunRound(buyer)
+	if err != nil {
+		t.Fatalf("100 permutations: %v", err)
+	}
+	for i := range want.Shapley {
+		if math.Float64bits(got.Shapley[i]) != math.Float64bits(want.Shapley[i]) {
+			t.Errorf("Shapley[%d] = %v with unset permutations, want %v", i, got.Shapley[i], want.Shapley[i])
+		}
+	}
+}
+
 func TestRunRoundLedgerAndInvariants(t *testing.T) {
 	mkt, buyer := testMarket(t, 10, nil, 2)
 	tx, err := mkt.RunRound(buyer)

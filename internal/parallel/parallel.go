@@ -1,8 +1,9 @@
 // Package parallel provides the repo-wide deterministic worker-pool
 // convention: bounded fan-out over an index space with in-order reduction.
 //
-// Every concurrent path in Share follows the same three rules, established
-// by valuation.SellerShapleyParallel and enforced here:
+// Every concurrent path in Share follows the same three rules, enforced
+// here; the Shapley fan-out behind every trade's valuation is the canonical
+// user:
 //
 //  1. workers ≤ 0 selects runtime.GOMAXPROCS(0), and the pool never runs
 //     more workers than there are jobs (Resolve).

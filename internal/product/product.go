@@ -37,16 +37,38 @@ type Report struct {
 }
 
 // Builder manufactures one product from purchased data and scores it on a
-// clean held-out set. Implementations must be safe for sequential reuse
-// (one Build per market round) and must tolerate heavily-noised and even
-// degenerate training data, returning a zero-performance report rather than
-// an error when the data is merely bad (errors are for structural problems:
-// empty sets, shape mismatches).
+// clean held-out set. Implementations must be safe for concurrent Build
+// calls (the Shapley weight update builds coalition products from several
+// workers at once) and must tolerate heavily-noised and even degenerate
+// training data, returning a zero-performance report rather than an error
+// when the data is merely bad (errors are for structural problems: empty
+// sets, shape mismatches).
 type Builder interface {
 	// Name identifies the product type in ledgers.
 	Name() string
 	// Build trains on train and evaluates on test.
 	Build(train, test *dataset.Dataset) (Report, error)
+}
+
+// ByName resolves a product name to its builder: "" or "ols" (the paper's
+// product), "ridge" (Ridge with Alpha 1), "logistic" (thresholded at ref's
+// median target), "mean" or "histogram". ref is the data the logistic
+// threshold is drawn from. An unknown name's error lists the accepted ones.
+func ByName(name string, ref *dataset.Dataset) (Builder, error) {
+	switch name {
+	case "", "ols":
+		return OLS{}, nil
+	case "ridge":
+		return Ridge{Alpha: 1}, nil
+	case "logistic":
+		return Logistic{Threshold: MedianThreshold(ref)}, nil
+	case "mean":
+		return MeanVector{}, nil
+	case "histogram":
+		return Histogram{}, nil
+	default:
+		return nil, fmt.Errorf("unknown product %q (want ols|ridge|logistic|mean|histogram)", name)
+	}
 }
 
 // clamp01 confines a performance indicator to [0, 1].

@@ -242,3 +242,31 @@ func TestRidgeBuild(t *testing.T) {
 		t.Errorf("empty train: %+v, %v", empty, err)
 	}
 }
+
+func TestByName(t *testing.T) {
+	ref, _ := ccppSplit(t, 200, 41)
+	for _, tc := range []struct {
+		name string
+		want Builder
+	}{
+		{"", OLS{}},
+		{"ols", OLS{}},
+		{"ridge", Ridge{Alpha: 1}},
+		{"logistic", Logistic{Threshold: MedianThreshold(ref)}},
+		{"mean", MeanVector{}},
+		{"histogram", Histogram{}},
+	} {
+		got, err := ByName(tc.name, ref)
+		if err != nil {
+			t.Errorf("ByName(%q): %v", tc.name, err)
+			continue
+		}
+		if got != tc.want {
+			t.Errorf("ByName(%q) = %#v, want %#v", tc.name, got, tc.want)
+		}
+	}
+	_, err := ByName("nope", ref)
+	if want := `unknown product "nope" (want ols|ridge|logistic|mean|histogram)`; err == nil || err.Error() != want {
+		t.Errorf("ByName(\"nope\") error = %v, want %q", err, want)
+	}
+}

@@ -14,7 +14,6 @@
 package shapley
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -83,15 +82,7 @@ func Exact(m int, u Utility) ([]float64, error) {
 // coalition. The estimate is unbiased; its standard error shrinks as
 // 1/√permutations. The paper's experiments use 100 permutations.
 func MonteCarlo(m int, u Utility, permutations int, rng *rand.Rand) ([]float64, error) {
-	return monteCarlo(context.Background(), m, u, permutations, rng, math.Inf(1))
-}
-
-// MonteCarloCtx is MonteCarlo with cooperative cancellation: ctx is checked
-// once per permutation, so a canceled estimate returns ctx.Err() within one
-// permutation's work. Results are bit-identical to MonteCarlo when ctx is
-// never canceled.
-func MonteCarloCtx(ctx context.Context, m int, u Utility, permutations int, rng *rand.Rand) ([]float64, error) {
-	return monteCarlo(ctx, m, u, permutations, rng, math.Inf(1))
+	return monteCarlo(m, u, permutations, rng, math.Inf(1))
 }
 
 // TruncatedMonteCarlo is MonteCarlo with per-permutation truncation: once the
@@ -101,19 +92,13 @@ func MonteCarloCtx(ctx context.Context, m int, u Utility, permutations int, rng 
 // Truncated MC Shapley speedup and is what makes the m = 10,000 efficiency
 // experiments tractable.
 func TruncatedMonteCarlo(m int, u Utility, permutations int, tol float64, rng *rand.Rand) ([]float64, error) {
-	return TruncatedMonteCarloCtx(context.Background(), m, u, permutations, tol, rng)
-}
-
-// TruncatedMonteCarloCtx is TruncatedMonteCarlo with per-permutation
-// cancellation (see MonteCarloCtx).
-func TruncatedMonteCarloCtx(ctx context.Context, m int, u Utility, permutations int, tol float64, rng *rand.Rand) ([]float64, error) {
 	if tol < 0 {
 		tol = 0
 	}
-	return monteCarlo(ctx, m, u, permutations, rng, tol)
+	return monteCarlo(m, u, permutations, rng, tol)
 }
 
-func monteCarlo(ctx context.Context, m int, u Utility, permutations int, rng *rand.Rand, tol float64) ([]float64, error) {
+func monteCarlo(m int, u Utility, permutations int, rng *rand.Rand, tol float64) ([]float64, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("shapley: invalid player count %d", m)
 	}
@@ -137,9 +122,6 @@ func monteCarlo(ctx context.Context, m int, u Utility, permutations int, rng *ra
 	coalition := make([]int, 0, m)
 	sorted := make([]int, 0, m)
 	for p := 0; p < permutations; p++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("shapley: canceled after %d/%d permutations: %w", p, permutations, err)
-		}
 		perm := stat.Perm(rng, m)
 		coalition = coalition[:0]
 		prev := empty

@@ -1,80 +1,52 @@
 package valuation
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"share/internal/dataset"
 	"share/internal/product"
-	"share/internal/stat"
 )
 
+// TestSellerShapleyBuilderMatchesTMCForOLS: the builder estimator retraining
+// the OLS product on every prefix, the moment-cached kernel and the
+// seed-era SellerShapleyTMC all walk the same permutations from the same
+// seed, so the builder differs from the two truncated-Monte-Carlo estimators
+// only by the product's [0,1] clamp and the kernel's ridge damping.
 func TestSellerShapleyBuilderMatchesTMCForOLS(t *testing.T) {
-	train, test := cleanAndNoisy(40, 20, 30)
-	chunks, err := dataset.PartitionEqual(train, 6)
+	chunks, test := kernelFixture(t, 5, 20, 100, 25)
+	ctx := context.Background()
+	generic, err := SellerShapleyBuilderParallelCtx(ctx, chunks, test, product.OLS{}, 400, 0, 3, 2)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("builder estimator: %v", err)
 	}
-	generic, err := SellerShapleyBuilder(chunks, test, product.OLS{}, 200, 0, stat.NewRand(31))
+	kernel, err := SellerShapleyKernelCtx(ctx, chunks, test, 400, 0, 3, 2)
 	if err != nil {
-		t.Fatalf("SellerShapleyBuilder: %v", err)
+		t.Fatalf("kernel: %v", err)
 	}
-	fast, err := SellerShapleyTMC(chunks, test, 200, 0, stat.NewRand(32))
-	if err != nil {
-		t.Fatalf("SellerShapleyTMC: %v", err)
-	}
+	tmc := seedPathOracle(t, chunks, test, 400, 0, 3)
 	for i := range generic {
-		if math.Abs(generic[i]-fast[i]) > 0.08 {
-			t.Errorf("seller %d: builder path %v vs incremental %v", i, generic[i], fast[i])
+		if math.Abs(generic[i]-kernel[i]) > 0.05 {
+			t.Errorf("seller %d: builder %v vs kernel %v", i, generic[i], kernel[i])
 		}
-	}
-}
-
-func TestSellerShapleyForDispatch(t *testing.T) {
-	train, test := cleanAndNoisy(30, 10, 33)
-	chunks, err := dataset.PartitionEqual(train, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// OLS dispatches to the incremental estimator (same stream, same
-	// values).
-	viaFor, err := SellerShapleyFor(product.OLS{}, chunks, test, 50, 0, stat.NewRand(34))
-	if err != nil {
-		t.Fatalf("SellerShapleyFor(OLS): %v", err)
-	}
-	direct, err := SellerShapleyTMC(chunks, test, 50, 0, stat.NewRand(34))
-	if err != nil {
-		t.Fatalf("SellerShapleyTMC: %v", err)
-	}
-	for i := range viaFor {
-		if viaFor[i] != direct[i] {
-			t.Errorf("OLS dispatch diverged at %d: %v vs %v", i, viaFor[i], direct[i])
+		if math.Abs(generic[i]-tmc[i]) > 0.05 {
+			t.Errorf("seller %d: builder %v vs SellerShapleyTMC %v", i, generic[i], tmc[i])
 		}
-	}
-	// A non-OLS product goes through the generic path and still returns
-	// one value per seller.
-	mv, err := SellerShapleyFor(product.MeanVector{}, chunks, test, 20, 0, stat.NewRand(35))
-	if err != nil {
-		t.Fatalf("SellerShapleyFor(MeanVector): %v", err)
-	}
-	if len(mv) != 4 {
-		t.Errorf("got %d values", len(mv))
 	}
 }
 
 func TestSellerShapleyBuilderValidation(t *testing.T) {
 	train, test := cleanAndNoisy(10, 0, 36)
 	chunks, _ := dataset.PartitionEqual(train, 2)
-	if _, err := SellerShapleyBuilder(nil, test, product.OLS{}, 10, 0, stat.NewRand(1)); err == nil {
+	ctx := context.Background()
+	if _, err := SellerShapleyBuilderParallelCtx(ctx, nil, test, product.OLS{}, 10, 0, 1, 2); err == nil {
 		t.Error("accepted no chunks")
 	}
-	if _, err := SellerShapleyBuilder(chunks, test, nil, 10, 0, stat.NewRand(1)); err == nil {
+	if _, err := SellerShapleyBuilderParallelCtx(ctx, chunks, test, nil, 10, 0, 1, 2); err == nil {
 		t.Error("accepted nil builder")
 	}
-	if _, err := SellerShapleyBuilder(chunks, &dataset.Dataset{}, product.OLS{}, 10, 0, stat.NewRand(1)); err == nil {
+	if _, err := SellerShapleyBuilderParallelCtx(ctx, chunks, &dataset.Dataset{}, product.OLS{}, 10, 0, 1, 2); err == nil {
 		t.Error("accepted empty test set")
-	}
-	if _, err := SellerShapleyBuilder(chunks, test, product.OLS{}, 10, 0, nil); err == nil {
-		t.Error("accepted nil rng")
 	}
 }

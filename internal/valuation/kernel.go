@@ -142,61 +142,11 @@ func (kn *momentKernel) scan(sc *kernelScratch, perm []int, credit []float64, gr
 	}
 }
 
-// SellerShapleyMoments is the moment-cached drop-in for SellerShapleyTMC:
-// the same truncated Monte Carlo estimator over the same permutation stream
-// (one stat.Perm draw from rng per permutation), but with each prefix step
-// reduced from O(rows·k²)+O(n_test·k) to O(k²)+O(k³). On identical (rng
-// seed, permutations) it agrees with SellerShapleyTMC to ≲1e-9 — the only
-// difference is floating-point association order in the Gram sums and the
-// fused evaluation.
-func SellerShapleyMoments(chunks []*dataset.Dataset, test *dataset.Dataset, permutations int, truncateTol float64, rng *rand.Rand) ([]float64, error) {
-	return SellerShapleyMomentsCtx(context.Background(), chunks, test, permutations, truncateTol, rng)
-}
-
-// SellerShapleyMomentsCtx is SellerShapleyMoments with cooperative
-// cancellation, checked once per permutation.
-func SellerShapleyMomentsCtx(ctx context.Context, chunks []*dataset.Dataset, test *dataset.Dataset, permutations int, truncateTol float64, rng *rand.Rand) ([]float64, error) {
-	if rng == nil {
-		return nil, errors.New("valuation: nil random source")
-	}
-	if permutations <= 0 {
-		permutations = 100
-	}
-	kn, err := newMomentKernel(chunks, test)
-	if err != nil {
-		return nil, err
-	}
-	var grand float64
-	if truncateTol > 0 {
-		grand = kn.grand()
-	}
-	sc := kn.newScratch()
-	sv := make([]float64, kn.m)
-	for p := 0; p < permutations; p++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("valuation: canceled after %d/%d permutations: %w", p, permutations, err)
-		}
-		kn.scan(sc, stat.Perm(rng, kn.m), sv, grand, truncateTol)
-	}
-	inv := 1 / float64(permutations)
-	for i := range sv {
-		sv[i] *= inv
-	}
-	return sv, nil
-}
-
-// SellerShapleyKernelCtx is the production trade-round estimator: the
-// moment-cached kernel with its permutations fanned out across a worker
-// pool. It follows the repo-wide determinism convention (internal/parallel):
-// each permutation draws the stream of a rand.Rand seeded as seed+perm-index
-// (one per worker, re-seeded per permutation) and writes into its own arena
-// row, and the final reduction runs in permutation order — so the result
-// depends only on (seed, permutations), bit-identically for every worker
-// count. workers ≤ 0 uses GOMAXPROCS.
-//
-// ctx is checked before each permutation: a canceled round stops dispatching
-// new permutations, drains the pool within one permutation's work per
-// worker, and returns ctx.Err().
+// SellerShapleyKernelCtx is the trade-round estimator for OLS products: the
+// moment-cached kernel's permutation scan run through seededShapley, so the
+// result depends only on (seed, permutations), bit-identically for every
+// worker count. permutations ≤ 0 uses the paper's 100; workers ≤ 0 uses
+// GOMAXPROCS. Cancellation follows seededShapley.
 func SellerShapleyKernelCtx(ctx context.Context, chunks []*dataset.Dataset, test *dataset.Dataset, permutations int, truncateTol float64, seed int64, workers int) ([]float64, error) {
 	kn, err := newMomentKernel(chunks, test)
 	if err != nil {
@@ -221,62 +171,28 @@ func SellerShapleyKernelRedundancyCtx(ctx context.Context, chunks []*dataset.Dat
 	return sv, Redundancy(kn.moments), nil
 }
 
-// shapley is the shared fan-out body of the kernel entry points.
+// shapley is the shared body of the kernel entry points: one scratch per
+// worker, fanned out by seededShapley.
 func (kn *momentKernel) shapley(ctx context.Context, permutations int, truncateTol float64, seed int64, workers int) ([]float64, error) {
-	if permutations <= 0 {
-		permutations = 100
-	}
 	var grand float64
 	if truncateTol > 0 {
 		grand = kn.grand()
 	}
-
-	workers = parallel.Resolve(workers, permutations)
-	arena := make([]float64, permutations*kn.m)
-	scratch := make([]*kernelScratch, workers)
-	perms := make([]*seededPerms, workers)
-	for w := range scratch {
-		scratch[w] = kn.newScratch()
-		perms[w] = newSeededPerms(kn.m)
-	}
-	var canceled atomic.Bool
-	parallel.ForWorker(workers, permutations, func(w, p int) {
-		if canceled.Load() {
-			return
+	return seededShapley(ctx, kn.m, permutations, seed, workers, func() scanFunc {
+		sc := kn.newScratch()
+		return func(perm []int, credit []float64) {
+			kn.scan(sc, perm, credit, grand, truncateTol)
 		}
-		if ctx.Err() != nil {
-			canceled.Store(true)
-			return
-		}
-		kn.scan(scratch[w], perms[w].draw(seed+int64(p)), arena[p*kn.m:(p+1)*kn.m], grand, truncateTol)
 	})
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("valuation: kernel canceled: %w", err)
-	}
-
-	sv := make([]float64, kn.m)
-	for p := 0; p < permutations; p++ {
-		part := arena[p*kn.m : (p+1)*kn.m]
-		for i, v := range part {
-			sv[i] += v
-		}
-	}
-	inv := 1 / float64(permutations)
-	for i := range sv {
-		sv[i] *= inv
-	}
-	return sv, nil
 }
 
-// SellerShapleyBuilderParallelCtx fans the permutations of the
-// builder-generic estimator (SellerShapleyBuilderCtx) across a worker pool
-// for non-OLS products. The builder is opaque, so each prefix still retrains
-// from scratch — the win here is wall-clock only, near-linear in workers
-// because permutations are independent. Determinism and cancellation follow
-// the same contract as SellerShapleyKernelCtx: per-permutation streams seeded
-// seed+index, in-order reduction, ctx checked before each permutation. The
-// builder must be safe for concurrent Build calls (all in-tree builders are
-// stateless).
+// SellerShapleyBuilderParallelCtx is the trade-round estimator for every
+// product other than OLS: the coalition utility is the performance of the
+// product built from the union of the coalition's chunks. The builder is
+// opaque, so each prefix retrains from scratch; the fan-out, determinism
+// and cancellation are seededShapley's, exactly as for
+// SellerShapleyKernelCtx. The builder must be safe for concurrent Build
+// calls (all in-tree builders are stateless).
 func SellerShapleyBuilderParallelCtx(ctx context.Context, chunks []*dataset.Dataset, test *dataset.Dataset, b product.Builder, permutations int, truncateTol float64, seed int64, workers int) ([]float64, error) {
 	m := len(chunks)
 	if m == 0 {
@@ -287,9 +203,6 @@ func SellerShapleyBuilderParallelCtx(ctx context.Context, chunks []*dataset.Data
 	}
 	if test.Len() == 0 {
 		return nil, errors.New("valuation: empty test set")
-	}
-	if permutations <= 0 {
-		permutations = 100
 	}
 
 	utility := func(coalition []int) float64 {
@@ -317,10 +230,50 @@ func SellerShapleyBuilderParallelCtx(ctx context.Context, chunks []*dataset.Data
 	}
 	empty := utility(nil)
 
+	return seededShapley(ctx, m, permutations, seed, workers, func() scanFunc {
+		coalition := make([]int, 0, m)
+		return func(perm []int, credit []float64) {
+			coalition = coalition[:0]
+			prev := empty
+			for _, idx := range perm {
+				coalition = insertSorted(coalition, idx)
+				cur := utility(coalition)
+				credit[idx] += cur - prev
+				prev = cur
+				if truncateTol > 0 && math.Abs(grand-cur) <= truncateTol {
+					break
+				}
+			}
+		}
+	})
+}
+
+// scanFunc credits one permutation's marginal contributions into credit, a
+// zeroed row of the arena that no other permutation touches.
+type scanFunc func(perm []int, credit []float64)
+
+// seededShapley is the permutation fan-out both estimators share, following
+// the repo-wide determinism convention (internal/parallel): permutation p
+// draws the stream of stat.NewRand(seed+p) from its worker's re-seeded
+// source and writes only its own arena row, and the rows are reduced in
+// permutation order — so the estimate depends only on (seed, permutations),
+// bit-identically for every worker count. newScan is called once per worker
+// and returns that worker's scan over its own scratch. permutations ≤ 0
+// uses the paper's 100; workers ≤ 0 uses GOMAXPROCS.
+//
+// ctx is checked before each permutation: a canceled estimate stops
+// dispatching new permutations, drains the pool within one permutation's
+// work per worker, and returns ctx.Err().
+func seededShapley(ctx context.Context, m, permutations int, seed int64, workers int, newScan func() scanFunc) ([]float64, error) {
+	if permutations <= 0 {
+		permutations = 100
+	}
 	workers = parallel.Resolve(workers, permutations)
 	arena := make([]float64, permutations*m)
+	scans := make([]scanFunc, workers)
 	perms := make([]*seededPerms, workers)
-	for w := range perms {
+	for w := range scans {
+		scans[w] = newScan()
 		perms[w] = newSeededPerms(m)
 	}
 	var canceled atomic.Bool
@@ -332,28 +285,15 @@ func SellerShapleyBuilderParallelCtx(ctx context.Context, chunks []*dataset.Data
 			canceled.Store(true)
 			return
 		}
-		perm := perms[w].draw(seed + int64(p))
-		credit := arena[p*m : (p+1)*m]
-		coalition := make([]int, 0, m)
-		prev := empty
-		for _, idx := range perm {
-			coalition = insertSorted(coalition, idx)
-			cur := utility(coalition)
-			credit[idx] += cur - prev
-			prev = cur
-			if truncateTol > 0 && math.Abs(grand-cur) <= truncateTol {
-				break
-			}
-		}
+		scans[w](perms[w].draw(seed+int64(p)), arena[p*m:(p+1)*m])
 	})
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("valuation: kernel canceled: %w", err)
+		return nil, fmt.Errorf("valuation: Shapley estimate canceled: %w", err)
 	}
 
 	sv := make([]float64, m)
 	for p := 0; p < permutations; p++ {
-		part := arena[p*m : (p+1)*m]
-		for i, v := range part {
+		for i, v := range arena[p*m : (p+1)*m] {
 			sv[i] += v
 		}
 	}

@@ -69,9 +69,9 @@ func Redundancy(moments []*regress.Moments) []float64 {
 }
 
 // DatasetRedundancy computes Redundancy straight from seller chunks for
-// valuation paths that never build the moment kernel (builder-generic and
-// legacy estimators): one O(rows·k²) pass per chunk, then the pairwise
-// cosines. All-empty chunk sets return all zeros.
+// the builder-generic estimator, which never builds the moment kernel: one
+// O(rows·k²) pass per chunk, then the pairwise cosines. All-empty chunk
+// sets return all zeros.
 func DatasetRedundancy(chunks []*dataset.Dataset) []float64 {
 	k := 0
 	for _, c := range chunks {

@@ -11,13 +11,11 @@ package valuation
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 
 	"share/internal/dataset"
 	"share/internal/regress"
-	"share/internal/shapley"
 	"share/internal/stat"
 )
 
@@ -145,58 +143,4 @@ func sortDescending(a []float64) {
 		}
 		a[j+1] = v
 	}
-}
-
-// ChunkUtility returns a Shapley utility over seller chunks: the explained
-// variance of a model trained on the union of the coalition's chunks and
-// scored on test. Coalition evaluations are memoized, since Monte Carlo
-// permutations revisit prefixes rarely but Exact revisits subsets never —
-// the memo mostly serves the grand/empty coalitions and tests.
-func ChunkUtility(chunks []*dataset.Dataset, test *dataset.Dataset) shapley.Utility {
-	memo := make(map[string]float64)
-	return func(coalition []int) float64 {
-		key := coalitionKey(coalition)
-		if v, ok := memo[key]; ok {
-			return v
-		}
-		parts := make([]*dataset.Dataset, len(coalition))
-		for i, c := range coalition {
-			parts[i] = chunks[c]
-		}
-		joined, err := dataset.Concat(parts...)
-		if err != nil || joined.Len() == 0 {
-			memo[key] = 0
-			return 0
-		}
-		v := regress.ExplainedVariance(joined, test)
-		memo[key] = v
-		return v
-	}
-}
-
-func coalitionKey(coalition []int) string {
-	// Coalitions arrive sorted; a compact textual key suffices.
-	b := make([]byte, 0, len(coalition)*3)
-	for _, c := range coalition {
-		b = append(b, byte(c), byte(c>>8), byte(c>>16))
-	}
-	return string(b)
-}
-
-// SellerShapley computes per-seller Shapley values of the trained product's
-// explained variance using Monte Carlo permutations (Def. 3.2 instantiated
-// at chunk granularity). permutations ≤ 0 defaults to the paper's 100.
-func SellerShapley(chunks []*dataset.Dataset, test *dataset.Dataset, permutations int, rng *rand.Rand) ([]float64, error) {
-	if len(chunks) == 0 {
-		return nil, errors.New("valuation: no seller chunks")
-	}
-	if permutations <= 0 {
-		permutations = 100
-	}
-	u := ChunkUtility(chunks, test)
-	sv, err := shapley.MonteCarlo(len(chunks), u, permutations, rng)
-	if err != nil {
-		return nil, fmt.Errorf("valuation: seller Shapley: %w", err)
-	}
-	return sv, nil
 }

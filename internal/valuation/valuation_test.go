@@ -1,6 +1,7 @@
 package valuation
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -145,10 +146,9 @@ func TestSellerShapleyIdentifiesGoodSeller(t *testing.T) {
 		t.Fatalf("PartitionEqual: %v", err)
 	}
 	chunks = append(chunks, parts...)
-	rng := stat.NewRand(11)
-	sv, err := SellerShapley(chunks, test, 40, rng)
+	sv, err := SellerShapleyKernelCtx(context.Background(), chunks, test, 40, 0, 11, 1)
 	if err != nil {
-		t.Fatalf("SellerShapley: %v", err)
+		t.Fatalf("SellerShapleyKernelCtx: %v", err)
 	}
 	for i := 1; i < 4; i++ {
 		if sv[0] <= sv[i] {

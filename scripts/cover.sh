@@ -6,7 +6,8 @@
 # internal/numeric — the optimizer toolbox under every price search and
 # best response of the general cascade — internal/market — the
 # round-trip engine that owns roster churn and the weight trajectory —
-# and internal/budget — the ε-ledger every budgeted trade charges.
+# internal/budget — the ε-ledger every budgeted trade charges — and
+# internal/valuation — the Shapley estimators behind every weight update.
 set -eu
 
 FLOOR=80.0
@@ -36,3 +37,4 @@ check_floor 'share/internal/wal'
 check_floor 'share/internal/numeric'
 check_floor 'share/internal/market'
 check_floor 'share/internal/budget'
+check_floor 'share/internal/valuation'
