@@ -23,8 +23,12 @@ test:
 # sweep harnesses must stay clean under both. The explicit equivalence pass
 # pins the moment-cached Shapley kernel to the seed-path estimator, the
 # per-worker re-seeded permutation sources to fresh per-permutation rngs,
-# and every product's trade rounds to one result for every worker count,
-# under the race detector; the solver-backend pass pins cross-backend
+# every product's trade rounds to one result for every worker count, every
+# round's transactions to the digests recorded before round scratch was
+# reused (also with two markets trading interleaved and concurrently), the
+# free list that hands that scratch between goroutines, and the in-place
+# LDP mechanisms to the copying loop they replaced, under the race
+# detector; the solver-backend pass pins cross-backend
 # agreement, the Jacobi determinism guarantee and the Stage-3 τ-boundary
 # cases of the general cascade; the pool pass pins per-market isolation, the
 # delete-drain race, batch-quote determinism, the WAL crash-recovery
@@ -41,7 +45,7 @@ test:
 # kill -9 WAL replay).
 race: vet
 	$(GO) test -race ./...
-	$(GO) test -race -run 'TestKernelEquivalence|TestPerWorkerStreamsMatchPerPermutationRngs|TestRunRoundShapleyIdenticalAcrossWorkers' -count=1 ./internal/valuation ./internal/market
+	$(GO) test -race -run 'TestKernelEquivalence|TestPerWorkerStreamsMatchPerPermutationRngs|TestRunRoundShapleyIdenticalAcrossWorkers|TestRoundOutputsMatchParent|TestFreeListConcurrentOwnership|TestPerturbInPlace' -count=1 ./internal/valuation ./internal/market ./internal/parallel ./internal/ldp
 	$(GO) test -race -run 'TestGeneralMatchesAnalytic|TestGeneralDeterministicAcrossWorkers|TestMapDeterministicAcrossWorkers|TestMeanFieldWithinTheoremBounds|TestSolveGeneralTau' -count=1 ./internal/solve ./internal/core
 	$(GO) test -race -run 'TestMarketsAreIsolated|TestDeleteDrainsInFlightRounds|TestBatchQuoteDeterminism|TestWALTortureRecovery|TestWALTortureBudgetRecovery|TestConcurrentTradesGroupCommit|TestAdmissionRejectsWhenQueueFull|TestAdmissionQueueWaitsForSlot|TestAdmissionQueuedTradeHonorsContext|TestCloseSealsPoolAgainstStragglers|TestAsyncCloseFlushesTail|TestChurnQuoteIsolation|TestChurnSurvivesCheckpoint|TestExhaustedTradesLeaveQuotesUndisturbed|TestPublishedViewStaysImmutable' -count=1 ./internal/pool
 	$(GO) test -race -run 'TestOverloadIsolationAcrossMarkets|TestDrainAnswers503' -count=1 ./internal/httpapi

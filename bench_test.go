@@ -334,10 +334,12 @@ func BenchmarkLDPLaplacePerturb(b *testing.B) {
 	mech := ldp.NewLaplace(bounds)
 	rng := stat.NewRand(2)
 	row := []float64{20, 50, 1010, 70}
+	rec := make([]float64, len(row))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mech.Perturb(rng, row, 1.0)
+		copy(rec, row)
+		mech.Perturb(rng, rec, 1.0)
 	}
 }
 

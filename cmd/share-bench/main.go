@@ -16,7 +16,8 @@
 //	share-bench [-out DIR] [-fig NAME] [-seed N] [-m N] [-workers N] [-quick] [-plot] [-bench]
 //
 // -fig selects a single figure ("2a", "3", "7", "mf", "ablation", "vcg",
-// "welfare", "2c-emp", "avn"); the default "all" regenerates everything.
+// "welfare", "2c-emp", "avn"); the default "all" regenerates everything and
+// "none" nothing. An unknown name exits 2 with the accepted list.
 // -quick shrinks the Fig. 3 corpus and m sweep for a fast smoke run;
 // -plot additionally renders each figure as an ASCII chart.
 // -workers sets the sweep fan-out (0 = GOMAXPROCS, 1 = sequential); every
@@ -49,6 +50,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -64,7 +66,7 @@ func main() {
 
 	var (
 		outDir  = flag.String("out", "bench_out", "output directory for CSV files")
-		fig     = flag.String("fig", "all", "figure to regenerate (2a,2b,2c,3,3a,3b,4..8,mf,ablation,avn,all)")
+		fig     = flag.String("fig", "all", "figure to regenerate (2a,2b,2c,3,3a,3b,4..8,mf,ablation,avn,all; none = no figures)")
 		seed    = flag.Int64("seed", experiments.DefaultSeed, "random seed")
 		m       = flag.Int("m", core.PaperM, "number of sellers for the analytic figures")
 		quick   = flag.Bool("quick", false, "shrink the efficiency sweep for a fast run")
@@ -81,6 +83,11 @@ func main() {
 	)
 	flag.Parse()
 
+	figure := strings.ToLower(*fig)
+	if !slices.Contains(figureNames, figure) {
+		fmt.Fprintf(os.Stderr, "share-bench: unknown -fig %q (want one of: %s)\n", *fig, strings.Join(figureNames, ", "))
+		os.Exit(2)
+	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		log.Fatalf("creating %s: %v", *outDir, err)
 	}
@@ -88,7 +95,7 @@ func main() {
 	if err := experiments.SetSolver(*solver); err != nil {
 		log.Fatalf("-solver: %v", err)
 	}
-	if err := run(*outDir, strings.ToLower(*fig), *seed, *m, *workers, *quick, *warm, *plots, *report); err != nil {
+	if err := run(*outDir, figure, *seed, *m, *workers, *quick, *warm, *plots, *report); err != nil {
 		log.Fatal(err)
 	}
 	if *bench {
@@ -116,6 +123,18 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+}
+
+// figureNames lists every -fig value run regenerates something for, plus
+// "all" and "none" (no figures, for runs that only write probe reports).
+// Keep it in step with the want calls in run.
+var figureNames = []string{
+	"all", "none",
+	"2", "fig2", "2a", "2b", "2c",
+	"3", "fig3", "3a", "3b",
+	"4", "fig4", "5", "fig5", "6", "fig6", "7", "fig7", "8", "fig8",
+	"mf", "meanfield", "ablation", "2c-emp", "empirical",
+	"welfare", "poa", "vcg", "avn", "analytic-vs-numeric",
 }
 
 func run(outDir, fig string, seed int64, m, workers int, quick, warm, plots, report bool) error {

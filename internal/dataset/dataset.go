@@ -127,9 +127,20 @@ func (d *Dataset) Append(other *Dataset) error {
 }
 
 // Concat returns the concatenation of the given datasets as a new dataset.
-// Nil and empty inputs are skipped.
+// Nil and empty inputs are skipped. The row headers are copied into slices
+// sized once for the whole result; the rows themselves are shared.
 func Concat(parts ...*Dataset) (*Dataset, error) {
+	rows := 0
+	for _, p := range parts {
+		if p != nil {
+			rows += p.Len()
+		}
+	}
 	out := &Dataset{}
+	if rows > 0 {
+		out.X = make([][]float64, 0, rows)
+		out.Y = make([]float64, 0, rows)
+	}
 	for _, p := range parts {
 		if p == nil || p.Len() == 0 {
 			continue

@@ -101,6 +101,47 @@ func TestAppendAndConcat(t *testing.T) {
 	}
 }
 
+// TestConcatSizesOnce: Concat allocates the result and its two header
+// slices once, however many parts it joins, and still skips nil and empty
+// parts while keeping every row in order.
+func TestConcatSizesOnce(t *testing.T) {
+	parts := make([]*Dataset, 12)
+	want := 0
+	for i := range parts {
+		switch i % 4 {
+		case 1:
+			parts[i] = nil
+		case 2:
+			parts[i] = &Dataset{Features: []string{"x", "y"}}
+		default:
+			parts[i] = sample()
+			want += parts[i].Len()
+		}
+	}
+	var c *Dataset
+	allocs := testing.AllocsPerRun(50, func() {
+		var err error
+		if c, err = Concat(parts...); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 3 {
+		t.Errorf("Concat of %d parts made %v allocations, want 3", len(parts), allocs)
+	}
+	if c.Len() != want || len(c.Y) != want {
+		t.Fatalf("Concat kept %d rows and %d targets, want %d", c.Len(), len(c.Y), want)
+	}
+	if c.Features[0] != "a" {
+		t.Errorf("Concat took feature names %v from a skipped part", c.Features)
+	}
+	w := sample()
+	for i, row := range c.X {
+		if row[0] != w.X[i%4][0] || c.Y[i] != w.Y[i%4] {
+			t.Fatalf("row %d = %v/%v, want %v/%v", i, row, c.Y[i], w.X[i%4], w.Y[i%4])
+		}
+	}
+}
+
 func TestSplit(t *testing.T) {
 	d := sample()
 	train, test := d.Split(3)

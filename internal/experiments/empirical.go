@@ -59,7 +59,9 @@ func Fig2cEmpirical(g *core.Game, chunks []*dataset.Dataset, test *dataset.Datas
 				idx = idx[:pieces[i]]
 			}
 			for _, j := range idx {
-				part.X = append(part.X, mech.Perturb(rng, chunk.X[j], eps))
+				rec := append([]float64(nil), chunk.X[j]...)
+				mech.Perturb(rng, rec, eps)
+				part.X = append(part.X, rec)
 				part.Y = append(part.Y, chunk.Y[j])
 			}
 			joinParts = append(joinParts, part)

@@ -38,9 +38,9 @@ func (w *metered) Attrs() int {
 	return -1
 }
 
-// Perturb implements Mechanism: apply the inner mechanism, then report.
-func (w *metered) Perturb(rng *rand.Rand, record []float64, eps float64) []float64 {
-	out := w.inner.Perturb(rng, record, eps)
+// Perturb implements Mechanism: apply the inner mechanism in place, then
+// report.
+func (w *metered) Perturb(rng *rand.Rand, record []float64, eps float64) {
+	w.inner.Perturb(rng, record, eps)
 	w.hook(eps, 1)
-	return out
 }

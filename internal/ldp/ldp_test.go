@@ -109,7 +109,8 @@ func TestLaplaceMechanismUnbiased(t *testing.T) {
 	const n = 100_000
 	var sum float64
 	for i := 0; i < n; i++ {
-		out := mech.Perturb(rng, []float64{4}, 2.0)
+		out := []float64{4}
+		mech.Perturb(rng, out, 2.0)
 		sum += out[0]
 	}
 	if mean := sum / n; math.Abs(mean-4) > 0.1 {
@@ -125,7 +126,8 @@ func TestLaplaceMechanismNoiseShrinksWithEpsilon(t *testing.T) {
 		var s float64
 		const n = 20_000
 		for i := 0; i < n; i++ {
-			out := mech.Perturb(rng, []float64{0.5}, eps)
+			out := []float64{0.5}
+			mech.Perturb(rng, out, eps)
 			s += math.Abs(out[0] - 0.5)
 		}
 		return s / n
@@ -141,7 +143,8 @@ func TestLaplaceMechanismZeroEpsilonIsUniform(t *testing.T) {
 	b, _ := NewBounds([]float64{0}, []float64{10})
 	mech := NewLaplace(b)
 	for i := 0; i < 1000; i++ {
-		out := mech.Perturb(rng, []float64{5}, 0)
+		out := []float64{5}
+		mech.Perturb(rng, out, 0)
 		if out[0] < 0 || out[0] >= 10 {
 			t.Fatalf("ε=0 output %v outside bounds", out[0])
 		}
@@ -164,7 +167,9 @@ func TestGaussianMechanism(t *testing.T) {
 	var sum float64
 	const n = 50_000
 	for i := 0; i < n; i++ {
-		sum += mech.Perturb(rng, []float64{0.3}, 4)[0]
+		out := []float64{0.3}
+		mech.Perturb(rng, out, 4)
+		sum += out[0]
 	}
 	if mean := sum / n; math.Abs(mean-0.3) > 0.05 {
 		t.Errorf("Gaussian mechanism mean = %v, want 0.3", mean)
@@ -185,7 +190,9 @@ func TestPiecewiseMechanismUnbiasedAndBounded(t *testing.T) {
 	loBand := 0 + (-c+1)*10/2
 	hiBand := 0 + (c+1)*10/2
 	for i := 0; i < n; i++ {
-		out := mech.Perturb(rng, []float64{truth}, eps)[0]
+		rec := []float64{truth}
+		mech.Perturb(rng, rec, eps)
+		out := rec[0]
 		if out < loBand-1e-9 || out > hiBand+1e-9 {
 			t.Fatalf("piecewise output %v outside [%v, %v]", out, loBand, hiBand)
 		}

@@ -14,10 +14,11 @@ import (
 type Mechanism interface {
 	// Name identifies the mechanism in logs and experiment output.
 	Name() string
-	// Perturb returns a privatized copy of the record under budget eps.
-	// The record's values are assumed to lie within the bounds the
-	// mechanism was constructed with.
-	Perturb(rng *rand.Rand, record []float64, eps float64) []float64
+	// Perturb privatizes the record in place under budget eps and
+	// allocates nothing. The record's values are assumed to lie within the
+	// bounds the mechanism was constructed with; a caller that needs the
+	// clean record afterwards perturbs a copy.
+	Perturb(rng *rand.Rand, record []float64, eps float64)
 }
 
 // Bounds describe the per-attribute value ranges a mechanism must assume to
@@ -68,20 +69,18 @@ func (l *LaplaceMechanism) Attrs() int { return l.bounds.Attrs() }
 // Perturb implements Mechanism. eps <= 0 degrades to uniformly random values
 // within bounds (total distortion), matching the paper's "τ = 0 means random
 // noise" convention.
-func (l *LaplaceMechanism) Perturb(rng *rand.Rand, record []float64, eps float64) []float64 {
-	out := make([]float64, len(record))
+func (l *LaplaceMechanism) Perturb(rng *rand.Rand, record []float64, eps float64) {
 	if eps <= 0 {
-		for j := range out {
-			out[j] = stat.Uniform(rng, l.bounds.Lo[j], l.bounds.Hi[j])
+		for j := range record {
+			record[j] = stat.Uniform(rng, l.bounds.Lo[j], l.bounds.Hi[j])
 		}
-		return out
+		return
 	}
 	perAttr := eps / float64(len(record))
 	for j, v := range record {
 		scale := l.bounds.Width(j) / perAttr
-		out[j] = v + stat.Laplace(rng, 0, scale)
+		record[j] = v + stat.Laplace(rng, 0, scale)
 	}
-	return out
 }
 
 // GaussianMechanism adds N(0, σ²) noise with σ = Δ·√(2·ln(1.25/δ))/ε,
@@ -108,21 +107,19 @@ func (g *GaussianMechanism) Name() string { return "gaussian" }
 func (g *GaussianMechanism) Attrs() int { return g.bounds.Attrs() }
 
 // Perturb implements Mechanism.
-func (g *GaussianMechanism) Perturb(rng *rand.Rand, record []float64, eps float64) []float64 {
-	out := make([]float64, len(record))
+func (g *GaussianMechanism) Perturb(rng *rand.Rand, record []float64, eps float64) {
 	if eps <= 0 {
-		for j := range out {
-			out[j] = stat.Uniform(rng, g.bounds.Lo[j], g.bounds.Hi[j])
+		for j := range record {
+			record[j] = stat.Uniform(rng, g.bounds.Lo[j], g.bounds.Hi[j])
 		}
-		return out
+		return
 	}
 	perAttr := eps / float64(len(record))
 	c := math.Sqrt(2 * math.Log(1.25/g.delta))
 	for j, v := range record {
 		sigma := g.bounds.Width(j) * c / perAttr
-		out[j] = v + stat.Gaussian(rng, 0, sigma)
+		record[j] = v + stat.Gaussian(rng, 0, sigma)
 	}
-	return out
 }
 
 // PiecewiseMechanism implements the piecewise mechanism for one-dimensional
@@ -143,13 +140,12 @@ func (p *PiecewiseMechanism) Name() string { return "piecewise" }
 func (p *PiecewiseMechanism) Attrs() int { return p.bounds.Attrs() }
 
 // Perturb implements Mechanism.
-func (p *PiecewiseMechanism) Perturb(rng *rand.Rand, record []float64, eps float64) []float64 {
-	out := make([]float64, len(record))
+func (p *PiecewiseMechanism) Perturb(rng *rand.Rand, record []float64, eps float64) {
 	if eps <= 0 {
-		for j := range out {
-			out[j] = stat.Uniform(rng, p.bounds.Lo[j], p.bounds.Hi[j])
+		for j := range record {
+			record[j] = stat.Uniform(rng, p.bounds.Lo[j], p.bounds.Hi[j])
 		}
-		return out
+		return
 	}
 	perAttr := eps / float64(len(record))
 	for j, v := range record {
@@ -160,9 +156,8 @@ func (p *PiecewiseMechanism) Perturb(rng *rand.Rand, record []float64, eps float
 		tp := perturbPiecewise(rng, t, perAttr)
 		// De-normalize. tp lies in [-C, C] with C >= 1; keep it as-is so
 		// the output stays unbiased.
-		out[j] = lo + (tp+1)*w/2
+		record[j] = lo + (tp+1)*w/2
 	}
-	return out
 }
 
 // perturbPiecewise perturbs t ∈ [-1,1] under ε-LDP with the piecewise

@@ -45,6 +45,22 @@ func FromRows(rows [][]float64) (*Matrix, error) {
 	return m, nil
 }
 
+// Reshape makes m an r×c matrix, reusing its storage when it has the
+// capacity, so a caller refilling a matrix of varying shape allocates only
+// when it grows. The contents are unspecified.
+func (m *Matrix) Reshape(r, c int) {
+	m.Rows, m.Cols, m.Data = r, c, resize(m.Data, r*c)
+}
+
+// resize returns s with length n, reusing its storage when it has the
+// capacity. The contents are unspecified.
+func resize(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
+}
+
 // At returns the element at row i, column j.
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 

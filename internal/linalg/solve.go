@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"share/internal/parallel"
 )
 
 // ErrNotPositiveDefinite reports that Cholesky factorization failed because
@@ -167,11 +169,21 @@ func QRFactor(a *Matrix) (*QR, error) {
 	if m < n {
 		return nil, fmt.Errorf("linalg: QRFactor requires rows >= cols, got %dx%d", m, n)
 	}
-	work := a.Clone()
-	qr := &QR{v: make([]float64, m*n), m: m, n: n}
+	qr := &QR{v: make([]float64, m*n), r: NewMatrix(n, n), m: m, n: n}
+	if err := qr.factor(a.Clone(), make([]float64, m)); err != nil {
+		return nil, err
+	}
+	return qr, nil
+}
+
+// factor fills qr.v and qr.r from work, a copy of the m×n matrix being
+// factored, which it overwrites; col (len ≥ m) is scratch. Every entry of
+// qr.v and qr.r is written, so both can be reused across calls.
+func (qr *QR) factor(work *Matrix, col []float64) error {
+	m, n := qr.m, qr.n
 	for k := 0; k < n; k++ {
 		// Build the Householder vector for column k.
-		col := make([]float64, m-k)
+		col := col[:m-k]
 		for i := k; i < m; i++ {
 			col[i-k] = work.At(i, k)
 		}
@@ -180,7 +192,7 @@ func QRFactor(a *Matrix) (*QR, error) {
 			alpha = -alpha
 		}
 		if alpha == 0 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		v := qr.v[k*m : (k+1)*m]
 		for i := range v {
@@ -192,7 +204,7 @@ func QRFactor(a *Matrix) (*QR, error) {
 		}
 		vnorm := Norm2(v[k:])
 		if vnorm == 0 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		for i := k; i < m; i++ {
 			v[i] /= vnorm
@@ -209,13 +221,14 @@ func QRFactor(a *Matrix) (*QR, error) {
 			}
 		}
 	}
-	qr.r = NewMatrix(n, n)
 	for i := 0; i < n; i++ {
+		row := qr.r.Row(i)
+		clear(row[:i])
 		for j := i; j < n; j++ {
-			qr.r.Set(i, j, work.At(i, j))
+			row[j] = work.At(i, j)
 		}
 	}
-	return qr, nil
+	return nil
 }
 
 // applyQT overwrites b with Qᵀ·b.
@@ -239,10 +252,48 @@ func (qr *QR) Solve(b []float64) ([]float64, error) {
 	if len(b) != qr.m {
 		return nil, fmt.Errorf("linalg: QR solve dimension mismatch: %d vs %d", qr.m, len(b))
 	}
-	work := make([]float64, qr.m)
-	copy(work, b)
-	qr.applyQT(work)
-	return SolveUpper(qr.r, work[:qr.n])
+	return qr.solve(b, make([]float64, qr.m))
+}
+
+// solve is Solve with Qᵀb formed in the caller's qtb (len m).
+func (qr *QR) solve(b, qtb []float64) ([]float64, error) {
+	copy(qtb, b)
+	qr.applyQT(qtb)
+	return SolveUpper(qr.r, qtb[:qr.n])
+}
+
+// lsWorkspace is the QR path's working memory: the copy of the design it
+// factors in place, the Householder vectors, one column buffer, R and Qᵀb.
+// LeastSquares takes one from workspaces per call and puts it back before
+// returning, so repeated fits — a product build every trade round — reuse
+// the memory instead of rebuilding it, while concurrent callers each hold
+// their own. Only the returned solution is allocated.
+type lsWorkspace struct {
+	work Matrix
+	r    Matrix
+	col  []float64
+	qtb  []float64
+	qr   QR
+}
+
+var workspaces parallel.FreeList[lsWorkspace]
+
+// solveQR is QRFactor(a) then Solve(b), factored in the workspace: the
+// same operations in the same order, so the solution is bit-identical.
+func (ws *lsWorkspace) solveQR(a *Matrix, b []float64) ([]float64, error) {
+	m, n := a.Rows, a.Cols
+	if m < n {
+		return nil, fmt.Errorf("linalg: QRFactor requires rows >= cols, got %dx%d", m, n)
+	}
+	ws.work.Reshape(m, n)
+	copy(ws.work.Data, a.Data)
+	ws.r.Reshape(n, n)
+	ws.col, ws.qtb = resize(ws.col, m), resize(ws.qtb, m)
+	ws.qr = QR{v: resize(ws.qr.v, m*n), r: &ws.r, m: m, n: n}
+	if err := ws.qr.factor(&ws.work, ws.col); err != nil {
+		return nil, err
+	}
+	return ws.qr.solve(b, ws.qtb[:m])
 }
 
 // LeastSquares solves min ‖a·x − b‖₂. It first tries the numerically stable
@@ -253,10 +304,11 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 	if a.Rows != len(b) {
 		return nil, fmt.Errorf("linalg: LeastSquares dimension mismatch: %d rows vs %d observations", a.Rows, len(b))
 	}
-	if qr, err := QRFactor(a); err == nil {
-		if x, err := qr.Solve(b); err == nil {
-			return x, nil
-		}
+	ws := workspaces.Get()
+	x, err := ws.solveQR(a, b)
+	workspaces.Put(ws, 8*(cap(ws.work.Data)+cap(ws.qr.v)+cap(ws.r.Data)+cap(ws.col)+cap(ws.qtb)))
+	if err == nil {
+		return x, nil
 	}
 	// Rank-deficient fallback: damped normal equations.
 	g := a.Gram()

@@ -18,6 +18,7 @@ import (
 	"share/internal/core"
 	"share/internal/dataset"
 	"share/internal/ldp"
+	"share/internal/parallel"
 	"share/internal/product"
 	"share/internal/shapley"
 	"share/internal/solve"
@@ -159,9 +160,6 @@ type Market struct {
 	costLog   []translog.Observation
 	budget    *budget.Ledger
 	discount  *DiscountConfig
-
-	// perm is sellData's reusable sampling-permutation buffer.
-	perm []int
 
 	// epoch counts roster changes (seller joins and leaves) over the
 	// market's life. Transactions and snapshots are stamped with it, and
@@ -591,6 +589,8 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 	for i := range m.sellers {
 		tx.Epsilons[i] = ldp.EpsilonForFidelity(profile.Tau[i])
 	}
+	sc := roundScratches.Get()
+	defer sc.release()
 	// Budget admission: the round's per-seller ε charges are checked before
 	// any record is perturbed, so a refused round has spent nothing — no
 	// privacy, no rng draws, no ledger writes. Exhaustion excludes the
@@ -600,20 +600,15 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 	var applied []int
 	cur := -1
 	if m.budget != nil {
-		ids := make([]string, 0, m.M())
-		eps := make([]float64, 0, m.M())
-		for i, s := range m.sellers {
-			if tx.Pieces[i] > 0 && tx.Epsilons[i] > 0 {
-				ids = append(ids, s.ID)
-				eps = append(eps, tx.Epsilons[i])
-			}
-		}
+		ids, eps := sc.charges(m.sellers, tx.Epsilons, tx.Pieces)
 		if err := m.budget.Check(ids, eps); err != nil {
 			return nil, fmt.Errorf("market: data transaction: %w", err)
 		}
 		// Meter the mechanism so the commit-time charge covers exactly the
 		// LDP applications that ran, not the planned allocation.
-		applied = make([]int, m.M())
+		sc.applied = resize(sc.applied, m.M())
+		applied = sc.applied
+		clear(applied)
 		mech = ldp.Metered(m.mechanism, func(float64, int) {
 			if cur >= 0 {
 				applied[cur]++
@@ -621,14 +616,16 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 		})
 	}
 	tx.Compensations = make([]float64, m.M())
-	chunks := make([]*dataset.Dataset, m.M())
+	sc.reserve(m.sellers, tx.Pieces)
 	for i, s := range m.sellers {
 		cur = i
-		chunks[i] = m.sellData(mech, s, tx.Pieces[i], tx.Epsilons[i])
+		sc.chunks[i] = m.sellData(sc, mech, s, tx.Pieces[i], tx.Epsilons[i])
+		sc.parts[i] = &sc.chunks[i]
 		qi := profile.Chi[i] * profile.Tau[i]
 		tx.Compensations[i] = profile.PD * qi
 	}
 	cur = -1
+	chunks := sc.parts
 	tx.Timings.DataTransaction = time.Since(t0)
 
 	// Product Production (Line 16).
@@ -636,7 +633,7 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 		return nil, fmt.Errorf("market: round canceled before production: %w", err)
 	}
 	t0 = time.Now()
-	joined, err := dataset.Concat(chunks...)
+	joined, err := sc.joined()
 	if err != nil {
 		return nil, fmt.Errorf("market: assembling manufacturing dataset: %w", err)
 	}
@@ -738,15 +735,7 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 	// applications that actually ran (applied[i] == Pieces[i] whenever a
 	// chunk was sold).
 	if m.budget != nil {
-		ids := make([]string, 0, m.M())
-		eps := make([]float64, 0, m.M())
-		for i, s := range m.sellers {
-			if applied[i] > 0 && tx.Epsilons[i] > 0 {
-				ids = append(ids, s.ID)
-				eps = append(eps, tx.Epsilons[i])
-			}
-		}
-		m.budget.Charge(ids, eps)
+		m.budget.Charge(sc.charges(m.sellers, tx.Epsilons, applied))
 		tx.BudgetSpent = make([]float64, m.M())
 		for i, s := range m.sellers {
 			tx.BudgetSpent[i] = m.budget.Spent(s.ID)
@@ -761,48 +750,145 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 	return tx, nil
 }
 
+// roundScratch is one round's working memory for the data transaction and
+// production: the sampling permutation, every seller's perturbed records in
+// one flat arena, their row headers and targets, the per-seller chunk
+// datasets over those rows, and the budget ledger's argument buffers. A
+// round takes a scratch from roundScratches and releases it when it ends,
+// so only the committed Transaction outlives the round and a market holds
+// no scratch between rounds. Nothing a round keeps may alias its scratch:
+// the chunk datasets and the manufacturing set never leave the round.
+// Between Get and release a scratch belongs to the goroutine running the
+// round; rounds on different markets share the list.
+type roundScratch struct {
+	perm    []int       // sampling permutation (without replacement)
+	idx     []int       // sampled row indices (with replacement)
+	records []float64   // the round's records in seller order, k+1 floats each
+	x       [][]float64 // feature-row headers into records
+	y       []float64   // targets, one per record
+	chunks  []dataset.Dataset
+	parts   []*dataset.Dataset // &chunks[i], the estimators' view
+	all     dataset.Dataset    // the manufacturing set, over x and y
+	ids     []string
+	eps     []float64
+	applied []int
+}
+
+var roundScratches parallel.FreeList[roundScratch]
+
+// release returns the scratch to roundScratches.
+func (sc *roundScratch) release() {
+	bytes := 8*(cap(sc.records)+cap(sc.y)+cap(sc.perm)+cap(sc.idx)) + 24*cap(sc.x)
+	roundScratches.Put(sc, bytes)
+}
+
+// resize returns s with length n, reusing its backing array when it has the
+// capacity. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// reserve empties the scratch and sizes it for one round's sales, so the
+// appends in sellData never move a record: every row header stays valid and
+// the records stay contiguous.
+func (sc *roundScratch) reserve(sellers []*Seller, pieces []int) {
+	rows, floats := 0, 0
+	for i, s := range sellers {
+		if p := pieces[i]; p > 0 {
+			rows += p
+			floats += p * (s.Data.NumFeatures() + 1)
+		}
+	}
+	sc.records = resize(sc.records, floats)[:0]
+	sc.x = resize(sc.x, rows)[:0]
+	sc.y = resize(sc.y, rows)[:0]
+	sc.chunks = resize(sc.chunks, len(sellers))
+	sc.parts = resize(sc.parts, len(sellers))
+}
+
+// charges returns the budget ledger's arguments for a round: the ID and ε
+// of every seller with count[i] > 0 and a positive ε, in seller order. The
+// slices are the scratch's and valid until the next call.
+func (sc *roundScratch) charges(sellers []*Seller, epsilons []float64, count []int) ([]string, []float64) {
+	sc.ids, sc.eps = sc.ids[:0], sc.eps[:0]
+	for i, s := range sellers {
+		if count[i] > 0 && epsilons[i] > 0 {
+			sc.ids = append(sc.ids, s.ID)
+			sc.eps = append(sc.eps, epsilons[i])
+		}
+	}
+	return sc.ids, sc.eps
+}
+
+// joined returns every chunk's rows as one dataset in seller order — what
+// dataset.Concat(sc.parts...) returns — without copying a row header: the
+// chunks were laid out contiguously, so the whole record range is the join.
+func (sc *roundScratch) joined() (*dataset.Dataset, error) {
+	sc.all = dataset.Dataset{X: sc.x, Y: sc.y}
+	width := -1
+	for _, c := range sc.parts {
+		if c.Len() == 0 {
+			continue
+		}
+		if width < 0 {
+			width = c.NumFeatures()
+		} else if c.NumFeatures() != width {
+			return nil, fmt.Errorf("cannot append %d-feature rows to %d-feature dataset", c.NumFeatures(), width)
+		}
+		if sc.all.Features == nil {
+			sc.all.Features, sc.all.Target = c.Features, c.Target
+		}
+	}
+	return &sc.all, nil
+}
+
 // sellData picks `pieces` rows from the seller's dataset (random without
 // replacement; with replacement if the dataset is smaller than the
-// allocation) and perturbs each full record — features and target — under
-// ε-LDP. Mechanisms calibrated for features-only bounds (k attributes) are
-// honored by leaving the target untouched, preserving custom-mechanism
-// configurations.
-func (m *Market) sellData(mech ldp.Mechanism, s *Seller, pieces int, eps float64) *dataset.Dataset {
-	out := &dataset.Dataset{Features: s.Data.Features, Target: s.Data.Target}
+// allocation), copies each full record — features and target — into the
+// round's record arena and perturbs it there under ε-LDP. Mechanisms
+// calibrated for features-only bounds (k attributes) are honored by leaving
+// the target untouched, preserving custom-mechanism configurations. The
+// returned chunk covers the records just appended, so consecutive calls lay
+// the sellers out contiguously in call order.
+func (m *Market) sellData(sc *roundScratch, mech ldp.Mechanism, s *Seller, pieces int, eps float64) dataset.Dataset {
+	out := dataset.Dataset{Features: s.Data.Features, Target: s.Data.Target}
 	if pieces <= 0 {
 		return out
 	}
 	var idx []int
 	if pieces <= s.Data.Len() {
-		if cap(m.perm) < s.Data.Len() {
-			m.perm = make([]int, s.Data.Len())
-		}
-		perm := m.perm[:s.Data.Len()]
-		permInto(m.rng, perm)
-		idx = perm[:pieces]
+		sc.perm = resize(sc.perm, s.Data.Len())
+		permInto(m.rng, sc.perm)
+		idx = sc.perm[:pieces]
 	} else {
-		idx = make([]int, pieces)
+		sc.idx = resize(sc.idx, pieces)
+		idx = sc.idx
 		for i := range idx {
 			idx[i] = m.rng.Intn(s.Data.Len())
 		}
 	}
 	k := s.Data.NumFeatures()
 	fullRecord := mechanismAttrs(mech) != k
-	out.X = make([][]float64, 0, pieces)
-	out.Y = make([]float64, 0, pieces)
-	record := make([]float64, k+1)
+	first := len(sc.x)
 	for _, i := range idx {
+		off := len(sc.records)
+		sc.records = sc.records[:off+k+1]
+		record := sc.records[off:]
+		copy(record, s.Data.X[i])
+		record[k] = s.Data.Y[i]
 		if fullRecord {
-			copy(record, s.Data.X[i])
-			record[k] = s.Data.Y[i]
-			perturbed := mech.Perturb(m.rng, record, eps)
-			out.X = append(out.X, perturbed[:k:k])
-			out.Y = append(out.Y, perturbed[k])
+			mech.Perturb(m.rng, record, eps)
 		} else {
-			out.X = append(out.X, mech.Perturb(m.rng, s.Data.X[i], eps))
-			out.Y = append(out.Y, s.Data.Y[i])
+			mech.Perturb(m.rng, record[:k], eps)
 		}
+		sc.x = append(sc.x, record[:k:k])
+		sc.y = append(sc.y, record[k])
 	}
+	out.X = sc.x[first:len(sc.x):len(sc.x)]
+	out.Y = sc.y[first:len(sc.y):len(sc.y)]
 	return out
 }
 

@@ -19,6 +19,10 @@
 // Shapley permutation) where channel send/receive overhead is measurable,
 // and dynamic dispatch keeps the pool balanced when job costs are skewed
 // (e.g. mean-field sweeps where cost grows with the index).
+//
+// FreeList hands reusable scratch between the goroutines that run such
+// work, one owner at a time, so a hot path such as a trade round can reuse
+// its working memory instead of rebuilding it per call.
 package parallel
 
 import (

@@ -43,6 +43,10 @@ type Report struct {
 // training data, returning a zero-performance report rather than an error
 // when the data is merely bad (errors are for structural problems: empty
 // sets, shape mismatches).
+//
+// Build must not retain train, its rows or its targets once it returns: a
+// trade round builds from records in scratch memory that the next round
+// overwrites. Every in-tree builder returns only floats in its Report.
 type Builder interface {
 	// Name identifies the product type in ledgers.
 	Name() string

@@ -7,6 +7,75 @@ import (
 	"share/internal/linalg"
 )
 
+// gramStats are OLS sufficient statistics over the augmented design
+// (1, x...): the Gram matrix XᵀX, the moment vector Xᵀy and the row count,
+// plus the augmented-row buffer add fills. Incremental accumulates them;
+// Moments holds a finished set.
+type gramStats struct {
+	k    int // features (excluding intercept)
+	n    int // rows absorbed
+	gram *linalg.Matrix
+	xty  []float64
+	aug  []float64
+}
+
+// reset zeroes the statistics for k-feature rows, reusing the buffers when
+// they already hold k features.
+func (s *gramStats) reset(k int) {
+	if s.gram == nil || s.k != k {
+		*s = gramStats{
+			k:    k,
+			gram: linalg.NewMatrix(k+1, k+1),
+			xty:  make([]float64, k+1),
+			aug:  make([]float64, k+1),
+		}
+		return
+	}
+	clear(s.gram.Data)
+	clear(s.xty)
+	s.n = 0
+}
+
+// clone returns an independent copy of the statistics.
+func (s *gramStats) clone() gramStats {
+	return gramStats{
+		k:    s.k,
+		n:    s.n,
+		gram: s.gram.Clone(),
+		xty:  append([]float64(nil), s.xty...),
+		aug:  make([]float64, len(s.aug)),
+	}
+}
+
+// add absorbs one observation (x, y).
+func (s *gramStats) add(x []float64, y float64) {
+	// Augmented row is (1, x...), built in the reused buffer. We update the
+	// full matrix directly — k is small in Share.
+	aug := s.aug
+	aug[0] = 1
+	n := copy(aug[1:], x)
+	clear(aug[1+n:]) // a short row reads as zero-padded
+	for i := 0; i <= s.k; i++ {
+		ai := aug[i]
+		if ai == 0 {
+			continue
+		}
+		row := s.gram.Row(i)
+		for j := 0; j <= s.k; j++ {
+			row[j] += ai * aug[j]
+		}
+		s.xty[i] += ai * y
+	}
+	s.n++
+}
+
+// addDataset absorbs every row of d.
+func (s *gramStats) addDataset(d *dataset.Dataset) {
+	for i, row := range d.X {
+		s.add(row, d.Y[i])
+	}
+}
+
 // Incremental accumulates the sufficient statistics of an OLS fit — the Gram
 // matrix XᵀX and moment vector Xᵀy over the design with intercept — so rows
 // can be added one at a time and a model re-solved in O(k³) regardless of how
@@ -14,62 +83,27 @@ import (
 // prefixes; with this accumulator each prefix extension costs O(k²) to
 // absorb and O(k³) to refit, instead of refitting from scratch in O(n·k²).
 type Incremental struct {
-	k    int // features (excluding intercept)
-	n    int // rows absorbed
-	gram *linalg.Matrix
-	xty  []float64
+	gramStats
 }
 
 // NewIncremental creates an accumulator for k-feature rows.
 func NewIncremental(k int) *Incremental {
-	return &Incremental{
-		k:    k,
-		gram: linalg.NewMatrix(k+1, k+1),
-		xty:  make([]float64, k+1),
-	}
+	inc := new(Incremental)
+	inc.reset(k)
+	return inc
 }
 
 // N returns the number of rows absorbed so far.
 func (inc *Incremental) N() int { return inc.n }
 
-// Add absorbs one observation (x, y).
-func (inc *Incremental) Add(x []float64, y float64) {
-	// Augmented row is (1, x...); update upper triangle then mirror on
-	// Solve. We update the full matrix directly — k is small in Share.
-	aug := make([]float64, inc.k+1)
-	aug[0] = 1
-	copy(aug[1:], x)
-	for i := 0; i <= inc.k; i++ {
-		ai := aug[i]
-		if ai == 0 {
-			continue
-		}
-		row := inc.gram.Row(i)
-		for j := 0; j <= inc.k; j++ {
-			row[j] += ai * aug[j]
-		}
-		inc.xty[i] += ai * y
-	}
-	inc.n++
-}
+// Add absorbs one observation (x, y) without allocating.
+func (inc *Incremental) Add(x []float64, y float64) { inc.add(x, y) }
 
 // AddDataset absorbs every row of d.
-func (inc *Incremental) AddDataset(d *dataset.Dataset) {
-	for i, row := range d.X {
-		inc.Add(row, d.Y[i])
-	}
-}
+func (inc *Incremental) AddDataset(d *dataset.Dataset) { inc.addDataset(d) }
 
 // Reset clears the accumulator for reuse without reallocating.
-func (inc *Incremental) Reset() {
-	for i := range inc.gram.Data {
-		inc.gram.Data[i] = 0
-	}
-	for i := range inc.xty {
-		inc.xty[i] = 0
-	}
-	inc.n = 0
-}
+func (inc *Incremental) Reset() { inc.reset(inc.k) }
 
 // Solve returns the OLS model for the absorbed rows. With fewer rows than
 // parameters the normal equations are singular; a small ridge keeps the

@@ -15,31 +15,32 @@ import (
 // extension from an O(rows·k²) row-by-row re-ingest into an O(k²) merge —
 // the core of the moment-cached valuation kernel.
 type Moments struct {
-	k    int
-	n    int
-	gram *linalg.Matrix
-	xty  []float64
+	gramStats
 }
 
 // DatasetMoments computes the sufficient statistics of d for k-feature
 // rows. An empty dataset yields zero moments (merging them is a no-op), so
 // zero-allocation sellers flow through the kernel unchanged.
 func DatasetMoments(d *dataset.Dataset, k int) *Moments {
-	inc := NewIncremental(k)
+	mo := new(Moments)
+	mo.Load(d, k)
+	return mo
+}
+
+// Load overwrites mo with the sufficient statistics of d for k-feature rows,
+// computed exactly as DatasetMoments computes them. When mo already holds
+// k-feature moments its buffers are reused, so a caller refreshing the same
+// chunks every round allocates nothing.
+func (mo *Moments) Load(d *dataset.Dataset, k int) {
+	mo.reset(k)
 	if d != nil {
-		inc.AddDataset(d)
+		mo.addDataset(d)
 	}
-	return inc.Moments()
 }
 
 // Moments snapshots the accumulator's current sufficient statistics.
 func (inc *Incremental) Moments() *Moments {
-	return &Moments{
-		k:    inc.k,
-		n:    inc.n,
-		gram: inc.gram.Clone(),
-		xty:  append([]float64(nil), inc.xty...),
-	}
+	return &Moments{inc.clone()}
 }
 
 // N returns the number of rows the moments summarize.

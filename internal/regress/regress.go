@@ -14,6 +14,7 @@ import (
 
 	"share/internal/dataset"
 	"share/internal/linalg"
+	"share/internal/parallel"
 )
 
 // ErrEmptyTrainingSet reports an attempt to fit a model on no rows.
@@ -27,6 +28,11 @@ type Model struct {
 	Coef []float64
 }
 
+// designs recycles Fit's design matrices. LeastSquares never keeps its
+// input, so a design is dead once the solve returns; a shared free list
+// rather than a field keeps Fit safe for concurrent callers.
+var designs parallel.FreeList[linalg.Matrix]
+
 // Fit trains an OLS model on d. It requires at least one row; with fewer
 // rows than features the rank-deficient fallback in linalg produces the
 // minimum-norm ridge solution, so tiny Shapley coalitions still train.
@@ -37,14 +43,15 @@ func Fit(d *dataset.Dataset) (*Model, error) {
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("regress: invalid training set: %w", err)
 	}
-	k := d.NumFeatures()
-	design := linalg.NewMatrix(d.Len(), k+1)
+	design := designs.Get()
+	design.Reshape(d.Len(), d.NumFeatures()+1)
 	for i, row := range d.X {
 		dr := design.Row(i)
 		dr[0] = 1
 		copy(dr[1:], row)
 	}
 	beta, err := linalg.LeastSquares(design, d.Y)
+	designs.Put(design, 8*cap(design.Data))
 	if err != nil {
 		return nil, fmt.Errorf("regress: solving least squares: %w", err)
 	}

@@ -16,25 +16,39 @@ import (
 )
 
 // momentKernel is the moment-cached valuation engine for OLS products.
-// Built once per trading round, it precomputes every seller chunk's Gram
+// Loaded once per trading round, it precomputes every seller chunk's Gram
 // sufficient statistics and the test set's centered evaluation moments, so
 // one permutation-prefix step costs O(k²) to merge a chunk, O(k³) to refit,
 // and O(k²) to score — independent of chunk rows and test-set size. The
 // seed-era estimator paid O(rows·k²) per merge and O(n_test·k) per score.
+//
+// A kernel is reusable: load refreshes it for a new round over the buffers
+// of the previous one, and the per-worker scratch survives with it.
 type momentKernel struct {
 	moments []*regress.Moments
 	eval    *regress.EvalMoments
 	m       int
 	k       int
+	scratch []*kernelScratch // one per worker, see workerScratch
 }
 
 // newMomentKernel validates the inputs and precomputes all per-round
 // statistics. Empty chunks yield zero moments and merge as no-ops, matching
 // the row-streaming estimator's treatment of zero-allocation sellers.
 func newMomentKernel(chunks []*dataset.Dataset, test *dataset.Dataset) (*momentKernel, error) {
+	kn := new(momentKernel)
+	if err := kn.load(chunks, test); err != nil {
+		return nil, err
+	}
+	return kn, nil
+}
+
+// load is newMomentKernel into an existing kernel: the per-chunk moments
+// are recomputed in their own buffers.
+func (kn *momentKernel) load(chunks []*dataset.Dataset, test *dataset.Dataset) error {
 	m := len(chunks)
 	if m == 0 {
-		return nil, errors.New("valuation: no seller chunks")
+		return errors.New("valuation: no seller chunks")
 	}
 	k := 0
 	for _, c := range chunks {
@@ -44,25 +58,33 @@ func newMomentKernel(chunks []*dataset.Dataset, test *dataset.Dataset) (*momentK
 		}
 	}
 	if k == 0 {
-		return nil, errors.New("valuation: all seller chunks are empty")
+		return errors.New("valuation: all seller chunks are empty")
 	}
 	if test.Len() == 0 {
-		return nil, errors.New("valuation: empty test set")
+		return errors.New("valuation: empty test set")
 	}
 	eval, err := regress.NewEvalMoments(test)
 	if err != nil {
-		return nil, fmt.Errorf("valuation: caching test-set moments: %w", err)
+		return fmt.Errorf("valuation: caching test-set moments: %w", err)
 	}
-	kn := &momentKernel{
-		moments: make([]*regress.Moments, m),
-		eval:    eval,
-		m:       m,
-		k:       k,
-	}
+	kn.eval, kn.m, kn.k = eval, m, k
+	kn.moments = grow(kn.moments, m)
 	for i, c := range chunks {
-		kn.moments[i] = regress.DatasetMoments(c, k)
+		if kn.moments[i] == nil {
+			kn.moments[i] = new(regress.Moments)
+		}
+		kn.moments[i].Load(c, k)
 	}
-	return kn, nil
+	return nil
+}
+
+// grow returns s with length n, keeping its elements and backing array
+// when it has the capacity.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
 }
 
 // kernelScratch is one worker's reusable state: the coalition accumulator
@@ -71,13 +93,27 @@ func newMomentKernel(chunks []*dataset.Dataset, test *dataset.Dataset) (*momentK
 type kernelScratch struct {
 	inc *regress.Incremental
 	sol *regress.Solver
+	k   int
 }
 
 func (kn *momentKernel) newScratch() *kernelScratch {
 	return &kernelScratch{
 		inc: regress.NewIncremental(kn.k),
 		sol: regress.NewSolver(kn.k),
+		k:   kn.k,
 	}
+}
+
+// workerScratch returns the first n workers' scratch, building any that is
+// missing or sized for another feature count.
+func (kn *momentKernel) workerScratch(n int) []*kernelScratch {
+	kn.scratch = grow(kn.scratch, n)
+	for w, sc := range kn.scratch {
+		if sc == nil || sc.k != kn.k {
+			kn.scratch[w] = kn.newScratch()
+		}
+	}
+	return kn.scratch
 }
 
 // seededPerms is one worker's permutation source for the seed+index
@@ -116,9 +152,11 @@ func (kn *momentKernel) utility(sc *kernelScratch) float64 {
 	return kn.eval.ExplainedVariance(mdl)
 }
 
-// grand returns the grand coalition's utility (for truncation).
+// grand returns the grand coalition's utility (for truncation), computed in
+// worker 0's scratch before any worker runs.
 func (kn *momentKernel) grand() float64 {
-	sc := kn.newScratch()
+	sc := kn.workerScratch(1)[0]
+	sc.inc.Reset()
 	for _, mo := range kn.moments {
 		sc.inc.AddMoments(mo)
 	}
@@ -143,16 +181,18 @@ func (kn *momentKernel) scan(sc *kernelScratch, perm []int, credit []float64, gr
 }
 
 // SellerShapleyKernelCtx is the trade-round estimator for OLS products: the
-// moment-cached kernel's permutation scan run through seededShapley, so the
-// result depends only on (seed, permutations), bit-identically for every
-// worker count. permutations ≤ 0 uses the paper's 100; workers ≤ 0 uses
-// GOMAXPROCS. Cancellation follows seededShapley.
+// moment-cached kernel's permutation scan run through the seeded fan-out, so
+// the result depends only on (seed, permutations), bit-identically for
+// every worker count. permutations ≤ 0 uses the paper's 100; workers ≤ 0
+// uses GOMAXPROCS. Cancellation follows fanout.run.
 func SellerShapleyKernelCtx(ctx context.Context, chunks []*dataset.Dataset, test *dataset.Dataset, permutations int, truncateTol float64, seed int64, workers int) ([]float64, error) {
-	kn, err := newMomentKernel(chunks, test)
-	if err != nil {
+	st := fanouts.Get()
+	defer st.release()
+	kn := &st.kernel
+	if err := kn.load(chunks, test); err != nil {
 		return nil, err
 	}
-	return kn.shapley(ctx, permutations, truncateTol, seed, workers)
+	return kn.shapley(ctx, st, permutations, truncateTol, seed, workers)
 }
 
 // SellerShapleyKernelRedundancyCtx runs the kernel estimator and also
@@ -160,11 +200,13 @@ func SellerShapleyKernelCtx(ctx context.Context, chunks []*dataset.Dataset, test
 // sufficient statistics the kernel already cached for the round — the
 // similarity signal costs no extra pass over seller data.
 func SellerShapleyKernelRedundancyCtx(ctx context.Context, chunks []*dataset.Dataset, test *dataset.Dataset, permutations int, truncateTol float64, seed int64, workers int) (sv, redundancy []float64, err error) {
-	kn, err := newMomentKernel(chunks, test)
-	if err != nil {
+	st := fanouts.Get()
+	defer st.release()
+	kn := &st.kernel
+	if err := kn.load(chunks, test); err != nil {
 		return nil, nil, err
 	}
-	sv, err = kn.shapley(ctx, permutations, truncateTol, seed, workers)
+	sv, err = kn.shapley(ctx, st, permutations, truncateTol, seed, workers)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -172,17 +214,16 @@ func SellerShapleyKernelRedundancyCtx(ctx context.Context, chunks []*dataset.Dat
 }
 
 // shapley is the shared body of the kernel entry points: one scratch per
-// worker, fanned out by seededShapley.
-func (kn *momentKernel) shapley(ctx context.Context, permutations int, truncateTol float64, seed int64, workers int) ([]float64, error) {
+// worker, fanned out by st.
+func (kn *momentKernel) shapley(ctx context.Context, st *fanout, permutations int, truncateTol float64, seed int64, workers int) ([]float64, error) {
+	workers = st.reserve(kn.m, permutations, workers)
 	var grand float64
 	if truncateTol > 0 {
 		grand = kn.grand()
 	}
-	return seededShapley(ctx, kn.m, permutations, seed, workers, func() scanFunc {
-		sc := kn.newScratch()
-		return func(perm []int, credit []float64) {
-			kn.scan(sc, perm, credit, grand, truncateTol)
-		}
+	scratch := kn.workerScratch(workers)
+	return st.run(ctx, seed, func(w int, perm []int, credit []float64) {
+		kn.scan(scratch[w], perm, credit, grand, truncateTol)
 	})
 }
 
@@ -190,7 +231,7 @@ func (kn *momentKernel) shapley(ctx context.Context, permutations int, truncateT
 // product other than OLS: the coalition utility is the performance of the
 // product built from the union of the coalition's chunks. The builder is
 // opaque, so each prefix retrains from scratch; the fan-out, determinism
-// and cancellation are seededShapley's, exactly as for
+// and cancellation are fanout.run's, exactly as for
 // SellerShapleyKernelCtx. The builder must be safe for concurrent Build
 // calls (all in-tree builders are stateless).
 func SellerShapleyBuilderParallelCtx(ctx context.Context, chunks []*dataset.Dataset, test *dataset.Dataset, b product.Builder, permutations int, truncateTol float64, seed int64, workers int) ([]float64, error) {
@@ -204,9 +245,20 @@ func SellerShapleyBuilderParallelCtx(ctx context.Context, chunks []*dataset.Data
 	if test.Len() == 0 {
 		return nil, errors.New("valuation: empty test set")
 	}
+	st := fanouts.Get()
+	defer st.release()
+	workers = st.reserve(m, permutations, workers)
+	st.coalitions = grow(st.coalitions, workers)
+	st.parts = grow(st.parts, workers)
+	for w := 0; w < workers; w++ {
+		st.coalitions[w] = grow(st.coalitions[w], m)
+		st.parts[w] = grow(st.parts[w], m)
+	}
 
-	utility := func(coalition []int) float64 {
-		parts := make([]*dataset.Dataset, len(coalition))
+	// utility builds the product of the coalition's chunks, joining them
+	// through the worker's parts buffer.
+	utility := func(w int, coalition []int) float64 {
+		parts := st.parts[w][:len(coalition)]
 		for i, c := range coalition {
 			parts[i] = chunks[c]
 		}
@@ -222,62 +274,112 @@ func SellerShapleyBuilderParallelCtx(ctx context.Context, chunks []*dataset.Data
 	}
 	var grand float64
 	if truncateTol > 0 {
-		full := make([]int, m)
+		full := st.coalitions[0]
 		for i := range full {
 			full[i] = i
 		}
-		grand = utility(full)
+		grand = utility(0, full)
 	}
-	empty := utility(nil)
+	empty := utility(0, nil)
 
-	return seededShapley(ctx, m, permutations, seed, workers, func() scanFunc {
-		coalition := make([]int, 0, m)
-		return func(perm []int, credit []float64) {
-			coalition = coalition[:0]
-			prev := empty
-			for _, idx := range perm {
-				coalition = insertSorted(coalition, idx)
-				cur := utility(coalition)
-				credit[idx] += cur - prev
-				prev = cur
-				if truncateTol > 0 && math.Abs(grand-cur) <= truncateTol {
-					break
-				}
+	return st.run(ctx, seed, func(w int, perm []int, credit []float64) {
+		coalition := st.coalitions[w][:0]
+		prev := empty
+		for _, idx := range perm {
+			coalition = insertSorted(coalition, idx)
+			cur := utility(w, coalition)
+			credit[idx] += cur - prev
+			prev = cur
+			if truncateTol > 0 && math.Abs(grand-cur) <= truncateTol {
+				break
 			}
 		}
 	})
 }
 
-// scanFunc credits one permutation's marginal contributions into credit, a
-// zeroed row of the arena that no other permutation touches.
-type scanFunc func(perm []int, credit []float64)
+// fanout is the working memory of one Shapley estimate, reused across
+// estimates: the credit arena, one re-seeded permutation source per worker,
+// the moment kernel with its per-worker scratch, and the builder
+// estimator's per-worker coalition and parts buffers. An estimate takes one
+// from fanouts and releases it when it returns, so a trade round reuses
+// the ~4.9 KB math/rand source behind each worker's permutations, the
+// kernel's per-chunk moments and the arena instead of rebuilding them.
+// Between Get and release a state belongs to one estimate, whose workers
+// touch only their own index; estimates on different markets run
+// concurrently and share the list.
+type fanout struct {
+	arena        []float64
+	perms        []*seededPerms
+	m            int
+	permutations int
+	workers      int
 
-// seededShapley is the permutation fan-out both estimators share, following
-// the repo-wide determinism convention (internal/parallel): permutation p
-// draws the stream of stat.NewRand(seed+p) from its worker's re-seeded
-// source and writes only its own arena row, and the rows are reduced in
-// permutation order — so the estimate depends only on (seed, permutations),
-// bit-identically for every worker count. newScan is called once per worker
-// and returns that worker's scan over its own scratch. permutations ≤ 0
-// uses the paper's 100; workers ≤ 0 uses GOMAXPROCS.
-//
-// ctx is checked before each permutation: a canceled estimate stops
-// dispatching new permutations, drains the pool within one permutation's
-// work per worker, and returns ctx.Err().
-func seededShapley(ctx context.Context, m, permutations int, seed int64, workers int, newScan func() scanFunc) ([]float64, error) {
+	kernel     momentKernel
+	coalitions [][]int
+	parts      [][]*dataset.Dataset
+}
+
+var fanouts parallel.FreeList[fanout]
+
+// release drops the state's references to the caller's chunks and returns
+// it to fanouts. The footprint counts the arena, the permutation sources
+// and the per-chunk moments.
+func (st *fanout) release() {
+	for _, p := range st.parts {
+		clear(p)
+	}
+	bytes := 8*cap(st.arena) + 5000*len(st.perms)
+	for _, mo := range st.kernel.moments {
+		if mo != nil {
+			bytes += 8 * (mo.K() + 1) * (mo.K() + 4)
+		}
+	}
+	fanouts.Put(st, bytes)
+}
+
+// reserve sizes the state for an estimate over m players and returns the
+// resolved worker count: permutations ≤ 0 uses the paper's 100; workers ≤ 0
+// uses GOMAXPROCS, and never more workers than permutations run. Every
+// arena row starts zeroed.
+func (st *fanout) reserve(m, permutations, workers int) int {
 	if permutations <= 0 {
 		permutations = 100
 	}
 	workers = parallel.Resolve(workers, permutations)
-	arena := make([]float64, permutations*m)
-	scans := make([]scanFunc, workers)
-	perms := make([]*seededPerms, workers)
-	for w := range scans {
-		scans[w] = newScan()
-		perms[w] = newSeededPerms(m)
+	st.m, st.permutations, st.workers = m, permutations, workers
+	st.arena = grow(st.arena, permutations*m)
+	clear(st.arena)
+	st.perms = grow(st.perms, workers)
+	for w, p := range st.perms {
+		if p == nil {
+			st.perms[w] = newSeededPerms(m)
+		} else {
+			p.perm = grow(p.perm, m)
+		}
 	}
+	return workers
+}
+
+// scanFunc credits one permutation's marginal contributions into credit, a
+// zeroed row of the arena that no other permutation touches. worker is the
+// index of the goroutine running it, for per-worker scratch.
+type scanFunc func(worker int, perm []int, credit []float64)
+
+// run is the permutation fan-out both estimators share, following the
+// repo-wide determinism convention (internal/parallel): permutation p draws
+// the stream of stat.NewRand(seed+p) from its worker's re-seeded source and
+// writes only its own arena row, and the rows are reduced in permutation
+// order — so the estimate depends only on (seed, permutations),
+// bit-identically for every worker count. reserve must have sized the
+// state first.
+//
+// ctx is checked before each permutation: a canceled estimate stops
+// dispatching new permutations, drains the pool within one permutation's
+// work per worker, and returns ctx.Err().
+func (st *fanout) run(ctx context.Context, seed int64, scan scanFunc) ([]float64, error) {
+	m, permutations := st.m, st.permutations
 	var canceled atomic.Bool
-	parallel.ForWorker(workers, permutations, func(w, p int) {
+	parallel.ForWorker(st.workers, permutations, func(w, p int) {
 		if canceled.Load() {
 			return
 		}
@@ -285,7 +387,7 @@ func seededShapley(ctx context.Context, m, permutations int, seed int64, workers
 			canceled.Store(true)
 			return
 		}
-		scans[w](perms[w].draw(seed+int64(p)), arena[p*m:(p+1)*m])
+		scan(w, st.perms[w].draw(seed+int64(p)), st.arena[p*m:(p+1)*m])
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("valuation: Shapley estimate canceled: %w", err)
@@ -293,7 +395,7 @@ func seededShapley(ctx context.Context, m, permutations int, seed int64, workers
 
 	sv := make([]float64, m)
 	for p := 0; p < permutations; p++ {
-		for i, v := range arena[p*m : (p+1)*m] {
+		for i, v := range st.arena[p*m : (p+1)*m] {
 			sv[i] += v
 		}
 	}
