@@ -26,9 +26,10 @@ test:
 # every product's trade rounds to one result for every worker count, every
 # round's transactions to the digests recorded before round scratch was
 # reused (also with two markets trading interleaved and concurrently), the
-# free list that hands that scratch between goroutines, and the in-place
-# LDP mechanisms to the copying loop they replaced, under the race
-# detector; the solver-backend pass pins cross-backend
+# free list that hands that scratch between goroutines, the in-place
+# LDP mechanisms to the copying loop they replaced, and every row-major
+# Dataset operation to the one-slice-per-row layout it replaced, under the
+# race detector; the solver-backend pass pins cross-backend
 # agreement, the Jacobi determinism guarantee and the Stage-3 τ-boundary
 # cases of the general cascade; the pool pass pins per-market isolation, the
 # delete-drain race, batch-quote determinism, the WAL crash-recovery
@@ -36,8 +37,9 @@ test:
 # concurrent group commit, the admission gate (reject / queue / cancel),
 # the terminal-close seal, the churn-vs-quote isolation of the
 # copy-on-write view swap, the churned-checkpoint round trip, the
-# budget-exhaustion-vs-quote isolation and the immutability of published
-# views that share the committed ledger under the race detector;
+# budget-exhaustion-vs-quote isolation, the immutability of published
+# views that share the committed ledger, and the on-disk bytes of seller
+# rows in WAL records and compaction snapshots under the race detector;
 # the httpapi pass pins cross-market overload isolation end to end; and
 # the serve-smoke end-to-end pass rides along so the gate also
 # exercises the live server lifecycle (boot, /v2 markets, trade, metrics,
@@ -45,9 +47,9 @@ test:
 # kill -9 WAL replay).
 race: vet
 	$(GO) test -race ./...
-	$(GO) test -race -run 'TestKernelEquivalence|TestPerWorkerStreamsMatchPerPermutationRngs|TestRunRoundShapleyIdenticalAcrossWorkers|TestRoundOutputsMatchParent|TestFreeListConcurrentOwnership|TestPerturbInPlace' -count=1 ./internal/valuation ./internal/market ./internal/parallel ./internal/ldp
+	$(GO) test -race -run 'TestKernelEquivalence|TestPerWorkerStreamsMatchPerPermutationRngs|TestRunRoundShapleyIdenticalAcrossWorkers|TestRoundOutputsMatchParent|TestFreeListConcurrentOwnership|TestPerturbInPlace|TestLayoutMatchesRowSlices' -count=1 ./internal/valuation ./internal/market ./internal/parallel ./internal/ldp ./internal/dataset
 	$(GO) test -race -run 'TestGeneralMatchesAnalytic|TestGeneralDeterministicAcrossWorkers|TestMapDeterministicAcrossWorkers|TestMeanFieldWithinTheoremBounds|TestSolveGeneralTau' -count=1 ./internal/solve ./internal/core
-	$(GO) test -race -run 'TestMarketsAreIsolated|TestDeleteDrainsInFlightRounds|TestBatchQuoteDeterminism|TestWALTortureRecovery|TestWALTortureBudgetRecovery|TestConcurrentTradesGroupCommit|TestAdmissionRejectsWhenQueueFull|TestAdmissionQueueWaitsForSlot|TestAdmissionQueuedTradeHonorsContext|TestCloseSealsPoolAgainstStragglers|TestAsyncCloseFlushesTail|TestChurnQuoteIsolation|TestChurnSurvivesCheckpoint|TestExhaustedTradesLeaveQuotesUndisturbed|TestPublishedViewStaysImmutable' -count=1 ./internal/pool
+	$(GO) test -race -run 'TestMarketsAreIsolated|TestDeleteDrainsInFlightRounds|TestBatchQuoteDeterminism|TestWALTortureRecovery|TestWALTortureBudgetRecovery|TestConcurrentTradesGroupCommit|TestAdmissionRejectsWhenQueueFull|TestAdmissionQueueWaitsForSlot|TestAdmissionQueuedTradeHonorsContext|TestCloseSealsPoolAgainstStragglers|TestAsyncCloseFlushesTail|TestChurnQuoteIsolation|TestChurnSurvivesCheckpoint|TestExhaustedTradesLeaveQuotesUndisturbed|TestPublishedViewStaysImmutable|TestSellerBytesOnDiskMatchParent' -count=1 ./internal/pool
 	$(GO) test -race -run 'TestOverloadIsolationAcrossMarkets|TestDrainAnswers503' -count=1 ./internal/httpapi
 	$(GO) test -race -run 'TestConcurrentGroupCommit|TestTornTailTruncatedAtEveryOffset' -count=1 ./internal/wal
 	$(MAKE) serve-smoke

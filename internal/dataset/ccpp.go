@@ -57,7 +57,7 @@ func SyntheticCCPP(n int, rng *rand.Rand) *Dataset {
 	d := &Dataset{
 		Features: CCPPFeatureNames,
 		Target:   CCPPTargetName,
-		X:        make([][]float64, n),
+		X:        make([]float64, 0, n*len(CCPPFeatureNames)),
 		Y:        make([]float64, n),
 	}
 	for i := 0; i < n; i++ {
@@ -78,7 +78,7 @@ func SyntheticCCPP(n int, rng *rand.Rand) *Dataset {
 			0.10*(rh-73.3) -
 			0.006*(at-19.65)*(v-54.3) +
 			stat.Gaussian(rng, 0, 4.7)
-		d.X[i] = []float64{at, v, ap, rh}
+		d.X = append(d.X, at, v, ap, rh)
 		d.Y[i] = pe
 	}
 	return d

@@ -11,12 +11,12 @@ import (
 )
 
 func sample() *Dataset {
-	return &Dataset{
-		Features: []string{"a", "b"},
-		Target:   "y",
-		X:        [][]float64{{1, 2}, {3, 4}, {5, 6}, {7, 8}},
-		Y:        []float64{10, 20, 30, 40},
+	d, err := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}, {7, 8}}, []float64{10, 20, 30, 40})
+	if err != nil {
+		panic(err)
 	}
+	d.Features, d.Target = []string{"a", "b"}, "y"
+	return d
 }
 
 func TestValidate(t *testing.T) {
@@ -30,9 +30,12 @@ func TestValidate(t *testing.T) {
 		t.Error("length mismatch accepted")
 	}
 	bad = sample()
-	bad.X[2] = []float64{1}
+	bad.X = bad.X[:len(bad.X)-1]
 	if err := bad.Validate(); err == nil {
-		t.Error("ragged row accepted")
+		t.Error("short feature block accepted")
+	}
+	if err := (&Dataset{X: []float64{1}}).Validate(); err == nil {
+		t.Error("features without targets accepted")
 	}
 	bad = sample()
 	bad.Features = []string{"a"}
@@ -48,9 +51,9 @@ func TestValidate(t *testing.T) {
 func TestCloneIsDeep(t *testing.T) {
 	d := sample()
 	c := d.Clone()
-	c.X[0][0] = 99
+	c.X[0] = 99
 	c.Y[0] = 99
-	if d.X[0][0] == 99 || d.Y[0] == 99 {
+	if d.X[0] == 99 || d.Y[0] == 99 {
 		t.Error("Clone shares row storage with the original")
 	}
 }
@@ -61,8 +64,8 @@ func TestSubsetCopiesRows(t *testing.T) {
 	if s.Len() != 2 || s.Y[0] != 30 || s.Y[1] != 10 {
 		t.Fatalf("Subset content wrong: %+v", s)
 	}
-	s.X[0][0] = -1
-	if d.X[2][0] == -1 {
+	s.Row(0)[0] = -1
+	if d.Row(2)[0] == -1 {
 		t.Error("Subset shares row storage with the original")
 	}
 }
@@ -85,7 +88,10 @@ func TestAppendAndConcat(t *testing.T) {
 	if a.Len() != 8 {
 		t.Errorf("appended length = %d, want 8", a.Len())
 	}
-	wide := &Dataset{X: [][]float64{{1, 2, 3}}, Y: []float64{1}}
+	wide, err := FromRows([][]float64{{1, 2, 3}}, []float64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := a.Append(wide); err == nil {
 		t.Error("Append accepted mismatched widths")
 	}
@@ -135,9 +141,9 @@ func TestConcatSizesOnce(t *testing.T) {
 		t.Errorf("Concat took feature names %v from a skipped part", c.Features)
 	}
 	w := sample()
-	for i, row := range c.X {
-		if row[0] != w.X[i%4][0] || c.Y[i] != w.Y[i%4] {
-			t.Fatalf("row %d = %v/%v, want %v/%v", i, row, c.Y[i], w.X[i%4], w.Y[i%4])
+	for i := 0; i < c.Len(); i++ {
+		if row := c.Row(i); row[0] != w.Row(i % 4)[0] || c.Y[i] != w.Y[i%4] {
+			t.Fatalf("row %d = %v/%v, want %v/%v", i, row, c.Y[i], w.Row(i%4), w.Y[i%4])
 		}
 	}
 }
@@ -222,9 +228,9 @@ func TestPartitionContiguityProperty(t *testing.T) {
 				return false
 			}
 			for j := 0; j < per; j++ {
-				src := d.X[k*per+j]
+				src := d.Row(k*per + j)
 				for c := range src {
-					if p.X[j][c] != src[c] {
+					if p.Row(j)[c] != src[c] {
 						return false
 					}
 				}
@@ -247,7 +253,7 @@ func TestAugmentSizeAndNoise(t *testing.T) {
 	// Noise should be small but non-zero.
 	var diff float64
 	for i := 0; i < 100; i++ {
-		diff += math.Abs(aug.X[i][0] - d.X[i][0])
+		diff += math.Abs(aug.Row(i)[0] - d.Row(i)[0])
 	}
 	avg := diff / 100
 	if avg == 0 {
@@ -263,12 +269,12 @@ func TestShuffleKeepsRowsPaired(t *testing.T) {
 	d := SyntheticCCPP(50, rng)
 	// Tag targets so we can verify pairing: Y = f(X) originally; use AT.
 	orig := map[float64]float64{}
-	for i, row := range d.X {
-		orig[row[0]] = d.Y[i]
+	for i := range d.Y {
+		orig[d.Row(i)[0]] = d.Y[i]
 	}
 	d.Shuffle(rng)
-	for i, row := range d.X {
-		if orig[row[0]] != d.Y[i] {
+	for i := range d.Y {
+		if orig[d.Row(i)[0]] != d.Y[i] {
 			t.Fatal("Shuffle broke X/Y pairing")
 		}
 	}
@@ -291,9 +297,9 @@ func TestCSVRoundTrip(t *testing.T) {
 		if back.Y[i] != d.Y[i] {
 			t.Errorf("Y[%d] = %v, want %v", i, back.Y[i], d.Y[i])
 		}
-		for j := range d.X[i] {
-			if back.X[i][j] != d.X[i][j] {
-				t.Errorf("X[%d][%d] = %v, want %v", i, j, back.X[i][j], d.X[i][j])
+		for j, v := range d.Row(i) {
+			if back.Row(i)[j] != v {
+				t.Errorf("X[%d][%d] = %v, want %v", i, j, back.Row(i)[j], v)
 			}
 		}
 	}
@@ -318,8 +324,8 @@ func TestSyntheticCCPPRanges(t *testing.T) {
 		t.Fatalf("default size = %d, want %d", d.Len(), CCPPSize)
 	}
 	lo, hi := CCPPBounds()
-	for i, row := range d.X {
-		for j, v := range row {
+	for i := range d.Y {
+		for j, v := range d.Row(i) {
 			if v < lo[j] || v > hi[j] {
 				t.Fatalf("row %d feature %d = %v outside [%v, %v]", i, j, v, lo[j], hi[j])
 			}
@@ -346,8 +352,8 @@ func TestSyntheticCCPPCorrelationATV(t *testing.T) {
 	d := SyntheticCCPP(5000, rng)
 	at := make([]float64, d.Len())
 	v := make([]float64, d.Len())
-	for i, row := range d.X {
-		at[i], v[i] = row[0], row[1]
+	for i := range d.Y {
+		at[i], v[i] = d.Row(i)[0], d.Row(i)[1]
 	}
 	corr := correlation(at, v)
 	if corr < 0.6 {
@@ -359,8 +365,8 @@ func TestSyntheticCCPPTargetDrivenByAT(t *testing.T) {
 	rng := stat.NewRand(7)
 	d := SyntheticCCPP(5000, rng)
 	at := make([]float64, d.Len())
-	for i, row := range d.X {
-		at[i] = row[0]
+	for i := range d.Y {
+		at[i] = d.Row(i)[0]
 	}
 	corr := correlation(at, d.Y)
 	if corr > -0.8 {
@@ -398,7 +404,7 @@ func TestPartitionProportional(t *testing.T) {
 		t.Errorf("rows covered = %d", total)
 	}
 	// Chunks are contiguous and ordered.
-	if parts[1].X[0][0] != d.X[10][0] || parts[2].X[0][0] != d.X[30][0] {
+	if parts[1].Row(0)[0] != d.Row(10)[0] || parts[2].Row(0)[0] != d.Row(30)[0] {
 		t.Error("chunks not contiguous")
 	}
 	// Validation.

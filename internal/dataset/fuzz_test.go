@@ -43,10 +43,9 @@ func FuzzReadCSV(f *testing.F) {
 					t.Fatalf("row %d target drifted: %v → %v", i, d.Y[i], back.Y[i])
 				}
 			}
-			for j := range d.X[i] {
-				if back.X[i][j] != d.X[i][j] &&
-					(back.X[i][j] == back.X[i][j] || d.X[i][j] == d.X[i][j]) {
-					t.Fatalf("row %d feature %d drifted: %v → %v", i, j, d.X[i][j], back.X[i][j])
+			for j, v := range d.Row(i) {
+				if w := back.Row(i)[j]; w != v && (w == w || v == v) {
+					t.Fatalf("row %d feature %d drifted: %v → %v", i, j, v, w)
 				}
 			}
 		}

@@ -25,10 +25,11 @@ func SyntheticMedical(n int, rng *rand.Rand) *Dataset {
 	if n <= 0 {
 		n = 5000
 	}
+	features := []string{"AGE", "BMI", "SBP", "CHOL", "DOSE"}
 	d := &Dataset{
-		Features: []string{"AGE", "BMI", "SBP", "CHOL", "DOSE"},
+		Features: features,
 		Target:   "RESPONSE",
-		X:        make([][]float64, n),
+		X:        make([]float64, 0, n*len(features)),
 		Y:        make([]float64, n),
 	}
 	for i := 0; i < n; i++ {
@@ -45,7 +46,7 @@ func SyntheticMedical(n int, rng *rand.Rand) *Dataset {
 			0.05*(chol-200) +
 			stat.Gaussian(rng, 0, 6)
 		resp = clampTo(resp, 0, 100)
-		d.X[i] = []float64{age, bmi, sbp, chol, dose}
+		d.X = append(d.X, age, bmi, sbp, chol, dose)
 		d.Y[i] = resp
 	}
 	return d

@@ -13,8 +13,8 @@ func TestSyntheticMedicalRanges(t *testing.T) {
 		t.Fatalf("shape = %dx%d", d.Len(), d.NumFeatures())
 	}
 	lo, hi := MedicalBounds()
-	for i, row := range d.X {
-		for j, v := range row {
+	for i := range d.Y {
+		for j, v := range d.Row(i) {
 			if v < lo[j] || v > hi[j] {
 				t.Fatalf("row %d feature %d = %v outside [%v, %v]", i, j, v, lo[j], hi[j])
 			}
@@ -40,8 +40,8 @@ func TestSyntheticMedicalClinicalStructure(t *testing.T) {
 	d := SyntheticMedical(8000, rng)
 	col := func(j int) []float64 {
 		out := make([]float64, d.Len())
-		for i, row := range d.X {
-			out[i] = row[j]
+		for i := range out {
+			out[i] = d.Row(i)[j]
 		}
 		return out
 	}

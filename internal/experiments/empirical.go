@@ -59,9 +59,9 @@ func Fig2cEmpirical(g *core.Game, chunks []*dataset.Dataset, test *dataset.Datas
 				idx = idx[:pieces[i]]
 			}
 			for _, j := range idx {
-				rec := append([]float64(nil), chunk.X[j]...)
-				mech.Perturb(rng, rec, eps)
-				part.X = append(part.X, rec)
+				off := len(part.X)
+				part.X = append(part.X, chunk.Row(j)...)
+				mech.Perturb(rng, part.X[off:], eps)
 				part.Y = append(part.Y, chunk.Y[j])
 			}
 			joinParts = append(joinParts, part)

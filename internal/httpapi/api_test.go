@@ -88,7 +88,7 @@ func TestRegisterValidation(t *testing.T) {
 		{"no data", SellerRegistration{ID: "x", Lambda: 0.5}, http.StatusBadRequest},
 		{"both data kinds", SellerRegistration{ID: "x", Lambda: 0.5, SyntheticRows: 5, Rows: [][]float64{{1}}, Targets: []float64{1}}, http.StatusBadRequest},
 		{"row/target mismatch", SellerRegistration{ID: "x", Lambda: 0.5, Rows: [][]float64{{1}}, Targets: []float64{1, 2}}, http.StatusBadRequest},
-		{"ok inline", SellerRegistration{ID: "inline", Lambda: 0.5, Rows: [][]float64{{1, 2}, {3, 4}}, Targets: []float64{1, 2}}, http.StatusCreated},
+		{"ok inline", SellerRegistration{ID: "inline", Lambda: 0.5, Rows: [][]float64{{1, 2, 3, 4}, {3, 4, 5, 6}}, Targets: []float64{1, 2}}, http.StatusCreated},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -102,6 +102,40 @@ func TestRegisterValidation(t *testing.T) {
 	resp, _ := postJSON(t, ts.URL+"/v1/sellers", SellerRegistration{ID: "inline", Lambda: 0.5, SyntheticRows: 5})
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("duplicate registration status = %d, want 409", resp.StatusCode)
+	}
+}
+
+// TestRegisterRejectsRowsOfWrongWidth: inline rows must be exactly as wide
+// as the market's 4-feature test set. Wider rows used to register and then
+// panic the first trade's scoring; narrower ones traded but were scored
+// against the test set's first columns. Both are a field-level 400 on rows,
+// on either API version, for the first seller of a fresh market too.
+func TestRegisterRejectsRowsOfWrongWidth(t *testing.T) {
+	for _, base := range []string{"/v1/sellers", "/v2/markets/default/sellers"} {
+		for _, width := range []int{6, 2} {
+			ts := newTestServer(t)
+			reg := SellerRegistration{ID: fmt.Sprintf("w%d", width), Lambda: 0.5}
+			for i := 0; i < 5; i++ {
+				row := make([]float64, width)
+				for j := range row {
+					row[j] = float64(10*i + j)
+				}
+				reg.Rows = append(reg.Rows, row)
+				reg.Targets = append(reg.Targets, float64(i))
+			}
+			resp, body := postJSON(t, ts.URL+base, reg)
+			var e struct {
+				Error struct {
+					Field string `json:"field"`
+				} `json:"error"`
+			}
+			if err := json.Unmarshal(body, &e); err != nil {
+				t.Fatalf("%s, %d-feature rows: decoding %s: %v", base, width, body, err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || e.Error.Field != "rows" {
+				t.Errorf("%s, %d-feature rows: %d %s, want 400 on rows", base, width, resp.StatusCode, body)
+			}
+		}
 	}
 }
 

@@ -194,7 +194,11 @@ func dupMarket(t *testing.T, disc *DiscountConfig, seed int64) (*Market, core.Bu
 			x[i] = []float64{a, b}
 			y[i] = 2*a - b + 0.05*rng.NormFloat64()
 		}
-		return &dataset.Dataset{X: x, Y: y}
+		d, err := dataset.FromRows(x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
 	}
 	shared := mkRows(120, true)
 	sellers := []*Seller{

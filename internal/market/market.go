@@ -239,8 +239,10 @@ type Transaction struct {
 	Timings Timings
 }
 
-// New builds a market over the given sellers. Every seller needs a positive
-// λ and a non-empty dataset; cfg.TestSet must be non-empty.
+// New builds a market over the given sellers. cfg.TestSet must be
+// non-empty, and every seller needs a positive λ and a non-empty dataset as
+// wide as the test set; a seller failing that is refused with a
+// *RosterError.
 func New(sellers []*Seller, cfg Config) (*Market, error) {
 	if len(sellers) == 0 {
 		return nil, errors.New("market: no sellers")
@@ -248,15 +250,9 @@ func New(sellers []*Seller, cfg Config) (*Market, error) {
 	if cfg.TestSet == nil || cfg.TestSet.Len() == 0 {
 		return nil, errors.New("market: missing test set for product scoring")
 	}
-	for i, s := range sellers {
-		if s == nil {
-			return nil, fmt.Errorf("market: seller %d is nil", i)
-		}
-		if !(s.Lambda > 0) {
-			return nil, fmt.Errorf("market: seller %q has invalid λ=%g", s.ID, s.Lambda)
-		}
-		if s.Data == nil || s.Data.Len() == 0 {
-			return nil, fmt.Errorf("market: seller %q has no data", s.ID)
+	for _, s := range sellers {
+		if err := checkSeller(s, cfg.TestSet.NumFeatures()); err != nil {
+			return nil, err
 		}
 	}
 	mech := cfg.Mechanism
@@ -324,8 +320,8 @@ func defaultMechanism(sellers []*Seller) (ldp.Mechanism, error) {
 	hi := make([]float64, k+1)
 	first := true
 	for _, s := range sellers {
-		for i, row := range s.Data.X {
-			for j, v := range row {
+		for i := range s.Data.Y {
+			for j, v := range s.Data.Row(i) {
 				if first || v < lo[j] {
 					lo[j] = v
 				}
@@ -633,11 +629,7 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 		return nil, fmt.Errorf("market: round canceled before production: %w", err)
 	}
 	t0 = time.Now()
-	joined, err := sc.joined()
-	if err != nil {
-		return nil, fmt.Errorf("market: assembling manufacturing dataset: %w", err)
-	}
-	tx.Metrics, err = builder.Build(joined, m.testSet)
+	tx.Metrics, err = builder.Build(sc.joined(), m.testSet)
 	if err != nil {
 		return nil, fmt.Errorf("market: manufacturing %s product: %w", builder.Name(), err)
 	}
@@ -751,21 +743,22 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 }
 
 // roundScratch is one round's working memory for the data transaction and
-// production: the sampling permutation, every seller's perturbed records in
-// one flat arena, their row headers and targets, the per-seller chunk
-// datasets over those rows, and the budget ledger's argument buffers. A
-// round takes a scratch from roundScratches and releases it when it ends,
-// so only the committed Transaction outlives the round and a market holds
-// no scratch between rounds. Nothing a round keeps may alias its scratch:
+// production: the sampling permutation, the record buffer each sold row is
+// perturbed in, every seller's perturbed features in one row-major block
+// and their targets, the per-seller chunk datasets over those blocks, and
+// the budget ledger's argument buffers. A round takes a scratch from
+// roundScratches and releases it when it ends, so only the committed
+// Transaction outlives the round and a market holds no scratch between
+// rounds. Nothing a round keeps may alias its scratch:
 // the chunk datasets and the manufacturing set never leave the round.
 // Between Get and release a scratch belongs to the goroutine running the
 // round; rounds on different markets share the list.
 type roundScratch struct {
-	perm    []int       // sampling permutation (without replacement)
-	idx     []int       // sampled row indices (with replacement)
-	records []float64   // the round's records in seller order, k+1 floats each
-	x       [][]float64 // feature-row headers into records
-	y       []float64   // targets, one per record
+	perm    []int     // sampling permutation (without replacement)
+	idx     []int     // sampled row indices (with replacement)
+	record  []float64 // one record, features then target, perturbed in place
+	x       []float64 // the round's features in seller order, row-major
+	y       []float64 // targets, one per record
 	chunks  []dataset.Dataset
 	parts   []*dataset.Dataset // &chunks[i], the estimators' view
 	all     dataset.Dataset    // the manufacturing set, over x and y
@@ -778,7 +771,7 @@ var roundScratches parallel.FreeList[roundScratch]
 
 // release returns the scratch to roundScratches.
 func (sc *roundScratch) release() {
-	bytes := 8*(cap(sc.records)+cap(sc.y)+cap(sc.perm)+cap(sc.idx)) + 24*cap(sc.x)
+	bytes := 8 * (cap(sc.record) + cap(sc.x) + cap(sc.y) + cap(sc.perm) + cap(sc.idx))
 	roundScratches.Put(sc, bytes)
 }
 
@@ -792,18 +785,20 @@ func resize[T any](s []T, n int) []T {
 }
 
 // reserve empties the scratch and sizes it for one round's sales, so the
-// appends in sellData never move a record: every row header stays valid and
-// the records stay contiguous.
+// appends in sellData never move a row: every chunk's view stays valid and
+// the chunks stay contiguous.
 func (sc *roundScratch) reserve(sellers []*Seller, pieces []int) {
-	rows, floats := 0, 0
+	rows, floats, width := 0, 0, 0
 	for i, s := range sellers {
 		if p := pieces[i]; p > 0 {
+			k := s.Data.NumFeatures()
 			rows += p
-			floats += p * (s.Data.NumFeatures() + 1)
+			floats += p * k
+			width = max(width, k+1)
 		}
 	}
-	sc.records = resize(sc.records, floats)[:0]
-	sc.x = resize(sc.x, rows)[:0]
+	sc.record = resize(sc.record, width)
+	sc.x = resize(sc.x, floats)[:0]
 	sc.y = resize(sc.y, rows)[:0]
 	sc.chunks = resize(sc.chunks, len(sellers))
 	sc.parts = resize(sc.parts, len(sellers))
@@ -824,35 +819,28 @@ func (sc *roundScratch) charges(sellers []*Seller, epsilons []float64, count []i
 }
 
 // joined returns every chunk's rows as one dataset in seller order — what
-// dataset.Concat(sc.parts...) returns — without copying a row header: the
-// chunks were laid out contiguously, so the whole record range is the join.
-func (sc *roundScratch) joined() (*dataset.Dataset, error) {
+// dataset.Concat(sc.parts...) returns — without copying a row: the chunks
+// were laid out contiguously, so the whole of x and y is the join. Every
+// seller passed checkSeller, so the chunks share the test set's width.
+func (sc *roundScratch) joined() *dataset.Dataset {
 	sc.all = dataset.Dataset{X: sc.x, Y: sc.y}
-	width := -1
 	for _, c := range sc.parts {
-		if c.Len() == 0 {
-			continue
-		}
-		if width < 0 {
-			width = c.NumFeatures()
-		} else if c.NumFeatures() != width {
-			return nil, fmt.Errorf("cannot append %d-feature rows to %d-feature dataset", c.NumFeatures(), width)
-		}
-		if sc.all.Features == nil {
+		if c.Len() > 0 && sc.all.Features == nil {
 			sc.all.Features, sc.all.Target = c.Features, c.Target
 		}
 	}
-	return &sc.all, nil
+	return &sc.all
 }
 
 // sellData picks `pieces` rows from the seller's dataset (random without
 // replacement; with replacement if the dataset is smaller than the
 // allocation), copies each full record — features and target — into the
-// round's record arena and perturbs it there under ε-LDP. Mechanisms
-// calibrated for features-only bounds (k attributes) are honored by leaving
-// the target untouched, preserving custom-mechanism configurations. The
-// returned chunk covers the records just appended, so consecutive calls lay
-// the sellers out contiguously in call order.
+// round's record buffer and perturbs it there under ε-LDP, then appends
+// its features to x and its target to y. Mechanisms calibrated for
+// features-only bounds (k attributes) are honored by leaving the target
+// untouched, preserving custom-mechanism configurations. The returned chunk
+// covers the rows just appended, so consecutive calls lay the sellers out
+// contiguously in call order.
 func (m *Market) sellData(sc *roundScratch, mech ldp.Mechanism, s *Seller, pieces int, eps float64) dataset.Dataset {
 	out := dataset.Dataset{Features: s.Data.Features, Target: s.Data.Target}
 	if pieces <= 0 {
@@ -872,23 +860,21 @@ func (m *Market) sellData(sc *roundScratch, mech ldp.Mechanism, s *Seller, piece
 	}
 	k := s.Data.NumFeatures()
 	fullRecord := mechanismAttrs(mech) != k
-	first := len(sc.x)
+	record := sc.record[:k+1]
+	firstX, firstY := len(sc.x), len(sc.y)
 	for _, i := range idx {
-		off := len(sc.records)
-		sc.records = sc.records[:off+k+1]
-		record := sc.records[off:]
-		copy(record, s.Data.X[i])
+		copy(record, s.Data.Row(i))
 		record[k] = s.Data.Y[i]
 		if fullRecord {
 			mech.Perturb(m.rng, record, eps)
 		} else {
 			mech.Perturb(m.rng, record[:k], eps)
 		}
-		sc.x = append(sc.x, record[:k:k])
+		sc.x = append(sc.x, record[:k]...)
 		sc.y = append(sc.y, record[k])
 	}
-	out.X = sc.x[first:len(sc.x):len(sc.x)]
-	out.Y = sc.y[first:len(sc.y):len(sc.y)]
+	out.X = sc.x[firstX:len(sc.x):len(sc.x)]
+	out.Y = sc.y[firstY:len(sc.y):len(sc.y)]
 	return out
 }
 

@@ -1,6 +1,7 @@
 package market
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -69,6 +70,36 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(good, Config{TestSet: test}); err != nil {
 		t.Errorf("valid market rejected: %v", err)
+	}
+}
+
+// TestNewRefusesSellersOfTheWrongWidth: a seller's rows must be exactly as
+// wide as the test set products are scored on. Wider rows used to panic the
+// first round's scoring; narrower ones were scored against the test set's
+// first columns.
+func TestNewRefusesSellersOfTheWrongWidth(t *testing.T) {
+	rng := stat.NewRand(2)
+	test := dataset.SyntheticCCPP(20, rng)
+	for _, k := range []int{2, 6} {
+		x := make([][]float64, 10)
+		y := make([]float64, len(x))
+		for i := range x {
+			x[i] = make([]float64, k)
+			for j := range x[i] {
+				x[i][j] = rng.Float64()
+			}
+			y[i] = rng.Float64()
+		}
+		data, err := dataset.FromRows(x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sellers := []*Seller{{ID: "a", Lambda: 0.5, Data: dataset.SyntheticCCPP(50, rng)}, {ID: "b", Lambda: 0.5, Data: data}}
+		_, err = New(sellers, Config{TestSet: test})
+		var re *RosterError
+		if !errors.As(err, &re) || re.SellerID != "b" {
+			t.Errorf("%d-feature seller: err = %v, want a *RosterError naming b", k, err)
+		}
 	}
 }
 

@@ -79,10 +79,10 @@ func outputsMarket(t testing.TB, c outputCase, featuresOnly bool) (*Market, core
 		k := train.NumFeatures()
 		lo, hi := make([]float64, k), make([]float64, k)
 		for j := range lo {
-			lo[j], hi[j] = train.X[0][j], train.X[0][j]
+			lo[j], hi[j] = train.X[j], train.X[j]
 		}
-		for _, row := range train.X {
-			for j, v := range row {
+		for i := range train.Y {
+			for j, v := range train.Row(i) {
 				lo[j], hi[j] = min(lo[j], v), max(hi[j], v)
 			}
 		}

@@ -32,21 +32,11 @@ func (m *Market) SetEpoch(e uint64) { m.epoch = e }
 // admitted at: the mean of the current weights. Every observable of the
 // three-stage game is invariant to uniform weight scaling, so a mean-weight
 // joiner changes prices exactly as much as her λ and data warrant — no more
-// because the weight mass shifted. Validation failures (nil seller, bad λ,
-// empty or shape-mismatched data, duplicate ID) return a *RosterError and
-// leave the market untouched.
+// because the weight mass shifted. Validation failures (see checkSeller, and
+// a duplicate ID) return a *RosterError and leave the market untouched.
 func (m *Market) AddSeller(s *Seller) (float64, error) {
-	if s == nil {
-		return 0, &RosterError{Msg: "cannot add a nil seller"}
-	}
-	if !(s.Lambda > 0) {
-		return 0, &RosterError{SellerID: s.ID, Msg: fmt.Sprintf("invalid λ=%g", s.Lambda)}
-	}
-	if s.Data == nil || s.Data.Len() == 0 {
-		return 0, &RosterError{SellerID: s.ID, Msg: "no data"}
-	}
-	if k := m.sellers[0].Data.NumFeatures(); s.Data.NumFeatures() != k {
-		return 0, &RosterError{SellerID: s.ID, Msg: fmt.Sprintf("dataset has %d features, market expects %d", s.Data.NumFeatures(), k)}
+	if err := checkSeller(s, m.testSet.NumFeatures()); err != nil {
+		return 0, err
 	}
 	var sum float64
 	for _, w := range m.weights {
@@ -69,13 +59,15 @@ func (m *Market) RemoveSeller(id string) error {
 // ApplyJoin re-applies a seller join recorded by a previous process — the
 // write-ahead-log replay path. The recorded admission weight is trusted
 // verbatim (it need not be the mean the live path would compute today), and
-// the recorded epoch must be exactly the next one the market expects.
+// the recorded epoch must be exactly the next one the market expects. The
+// seller passes the same checks as a live AddSeller, so a log can never
+// admit data the live path would have refused.
 func (m *Market) ApplyJoin(s *Seller, weight float64, epoch uint64) error {
 	if err := m.checkEpoch(epoch); err != nil {
 		return err
 	}
-	if s == nil {
-		return &RosterError{Msg: "cannot add a nil seller"}
+	if err := checkSeller(s, m.testSet.NumFeatures()); err != nil {
+		return err
 	}
 	if !(weight > 0) {
 		return &RosterError{SellerID: s.ID, Msg: fmt.Sprintf("invalid admission weight %g", weight)}
@@ -89,6 +81,29 @@ func (m *Market) ApplyLeave(id string, epoch uint64) error {
 		return err
 	}
 	return m.applyLeave(id, epoch)
+}
+
+// checkSeller is the admission check New, AddSeller and ApplyJoin share: a
+// non-nil seller with a positive λ and a non-empty, well-formed dataset of
+// k features — the test set's width, so every product the market builds
+// scores against the columns it trained on. Failures are *RosterErrors.
+func checkSeller(s *Seller, k int) error {
+	if s == nil {
+		return &RosterError{Msg: "cannot add a nil seller"}
+	}
+	if !(s.Lambda > 0) {
+		return &RosterError{SellerID: s.ID, Msg: fmt.Sprintf("invalid λ=%g", s.Lambda)}
+	}
+	if s.Data == nil || s.Data.Len() == 0 {
+		return &RosterError{SellerID: s.ID, Msg: "no data"}
+	}
+	if err := s.Data.Validate(); err != nil {
+		return &RosterError{SellerID: s.ID, Msg: err.Error()}
+	}
+	if w := s.Data.NumFeatures(); w != k {
+		return &RosterError{SellerID: s.ID, Msg: fmt.Sprintf("dataset has %d features, market expects %d", w, k)}
+	}
+	return nil
 }
 
 func (m *Market) checkEpoch(epoch uint64) error {

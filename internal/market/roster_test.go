@@ -85,7 +85,15 @@ func TestChurnedMarketMatchesFreshMarket(t *testing.T) {
 // market left untouched.
 func TestRosterValidation(t *testing.T) {
 	mkt, _ := testMarket(t, 3, nil, 7)
-	short := &dataset.Dataset{X: [][]float64{{1, 2}}, Y: []float64{3}, Features: []string{"a", "b"}, Target: "y"}
+	short, err := dataset.FromRows([][]float64{{1, 2}}, []float64{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short.Features, short.Target = []string{"a", "b"}, "y"
+	wide, err := dataset.FromRows([][]float64{{1, 2, 3, 4, 5, 6}}, []float64{3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		op   func() error
@@ -94,6 +102,9 @@ func TestRosterValidation(t *testing.T) {
 		{"bad lambda", func() error { _, err := mkt.AddSeller(&Seller{ID: "x", Lambda: -1, Data: short}); return err }},
 		{"no data", func() error { _, err := mkt.AddSeller(&Seller{ID: "x", Lambda: 0.5}); return err }},
 		{"feature mismatch", func() error { _, err := mkt.AddSeller(&Seller{ID: "x", Lambda: 0.5, Data: short}); return err }},
+		{"wider than the test set", func() error { _, err := mkt.AddSeller(&Seller{ID: "x", Lambda: 0.5, Data: wide}); return err }},
+		{"replayed join without data", func() error { return mkt.ApplyJoin(&Seller{ID: "x", Lambda: 0.5, Data: &dataset.Dataset{}}, 1.0, 1) }},
+		{"replayed join of the wrong width", func() error { return mkt.ApplyJoin(&Seller{ID: "x", Lambda: 0.5, Data: short}, 1.0, 1) }},
 		{"duplicate id", func() error { _, err := mkt.AddSeller(joiner(t, "S1", 0.5, 1)); return err }},
 		{"unknown leave", func() error { return mkt.RemoveSeller("nobody") }},
 		{"stale join epoch", func() error { return mkt.ApplyJoin(joiner(t, "x", 0.5, 1), 1.0, 5) }},
@@ -114,7 +125,7 @@ func TestRosterValidation(t *testing.T) {
 
 	// The last seller cannot leave.
 	solo, _ := testMarket(t, 1, nil, 7)
-	err := solo.RemoveSeller("S0")
+	err = solo.RemoveSeller("S0")
 	var re *RosterError
 	if !errors.As(err, &re) {
 		t.Fatalf("removing the last seller: want *RosterError, got %v", err)

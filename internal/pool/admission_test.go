@@ -3,8 +3,12 @@ package pool
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"share/internal/dataset"
+	"share/internal/product"
 )
 
 // admissionSpec builds a Spec with explicit per-market admission overrides.
@@ -245,5 +249,45 @@ func TestAdmissionPoolDefaults(t *testing.T) {
 	}
 	if info := none.Info(); info.TradeQueue != 0 {
 		t.Errorf("negative pool queue → market queue = %d, want 0", info.TradeQueue)
+	}
+}
+
+// panicOnceBuilder panics in its first Build and manufactures OLS after.
+type panicOnceBuilder struct{ fired atomic.Bool }
+
+func (b *panicOnceBuilder) Name() string { return "panic-once" }
+
+func (b *panicOnceBuilder) Build(train, test *dataset.Dataset) (product.Report, error) {
+	if b.fired.CompareAndSwap(false, true) {
+		panic("manufacturing failed")
+	}
+	return product.OLS{}.Build(train, test)
+}
+
+// TestPanickingTradeReleasesSlot: a round that panics must hand back its
+// admission slot as it unwinds. With the default single slot, a leaked
+// one left every later trade on the market waiting out its context.
+func TestPanickingTradeReleasesSlot(t *testing.T) {
+	p := New(quietOptions())
+	m, err := p.Create(Spec{ID: "panics"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := m.Info(); info.TradeConcurrency != 1 {
+		t.Fatalf("test premise: default trade concurrency %d, want 1", info.TradeConcurrency)
+	}
+	register(t, m, 3)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the panicking builder's trade did not panic")
+			}
+		}()
+		m.Trade(context.Background(), demoBuyer(90, 0.8), &panicOnceBuilder{}, nil)
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := m.Trade(ctx, demoBuyer(90, 0.8), nil, nil); err != nil {
+		t.Fatalf("trade after a panicked round: %v", err)
 	}
 }

@@ -318,15 +318,6 @@ func (m *Market) registerLocked(reg Registration) (SellerState, *wal.Log, uint64
 	if err != nil {
 		return SellerState{}, nil, 0, err
 	}
-	// The market's LDP mechanism and product builders need one common
-	// schema; a mismatched roster would otherwise only blow up at the
-	// first trade.
-	if len(m.sellers) > 0 {
-		if want, got := m.sellers[0].Data.NumFeatures(), data.NumFeatures(); got != want {
-			return SellerState{}, nil, 0, &FieldError{Field: "rows", Msg: fmt.Sprintf(
-				"expected %d features per row to match the registered roster, got %d", want, got)}
-		}
-	}
 	sel := &market.Seller{ID: reg.ID, Lambda: reg.Lambda, Data: data}
 	if m.mkt != nil {
 		// Mid-life join: the inner market stages an incremental solver
@@ -346,7 +337,7 @@ func (m *Market) registerLocked(reg Registration) (SellerState, *wal.Log, uint64
 			Weight: weight,
 		})
 		l, seq := m.persistRecordLocked(recordJoin, joinRecord{
-			Seller: StoredSeller{ID: reg.ID, Lambda: reg.Lambda, Rows: data.X, Targets: data.Y},
+			Seller: StoredSeller{ID: reg.ID, Lambda: reg.Lambda, Rows: data.AppendRows(nil), Targets: data.Y},
 			Weight: weight,
 			Epoch:  m.rosterEpoch,
 		})
@@ -365,15 +356,16 @@ func (m *Market) registerLocked(reg Registration) (SellerState, *wal.Log, uint64
 		m.rosterEpoch--
 		return SellerState{}, nil, 0, &FieldError{Field: "lambda", Msg: err.Error()}
 	}
-	l, seq := m.persistRecordLocked(recordRegister, StoredSeller{ID: reg.ID, Lambda: reg.Lambda, Rows: data.X, Targets: data.Y})
+	l, seq := m.persistRecordLocked(recordRegister, StoredSeller{ID: reg.ID, Lambda: reg.Lambda, Rows: data.AppendRows(nil), Targets: data.Y})
 	m.emitRoster("join", reg.ID)
 	m.p.logf("pool: market %q registered seller %q (%d rows, λ=%g)", m.id, reg.ID, data.Len(), reg.Lambda)
 	return SellerState{ID: reg.ID, Lambda: reg.Lambda, Rows: data.Len()}, l, seq, nil
 }
 
-// sellerData materializes a registration's dataset: inline rows validated,
-// or a synthetic CCPP-like set minted from the market seed and roster
-// position (identical to the single-market server's demo path).
+// sellerData materializes a registration's dataset: inline rows converted
+// and checked by storedData, or a synthetic CCPP-like set — the test set's
+// schema — minted from the market seed and roster position (identical to
+// the single-market server's demo path).
 func (m *Market) sellerData(reg Registration) (*dataset.Dataset, error) {
 	switch {
 	case reg.SyntheticRows > 0 && reg.Rows != nil:
@@ -384,8 +376,8 @@ func (m *Market) sellerData(reg Registration) (*dataset.Dataset, error) {
 		if len(reg.Rows) != len(reg.Targets) {
 			return nil, &FieldError{Field: "targets", Msg: fmt.Sprintf("%d rows but %d targets", len(reg.Rows), len(reg.Targets))}
 		}
-		d := &dataset.Dataset{X: reg.Rows, Y: reg.Targets}
-		if err := d.Validate(); err != nil {
+		d, err := m.storedData(reg.Rows, reg.Targets)
+		if err != nil {
 			return nil, &FieldError{Field: "rows", Msg: err.Error()}
 		}
 		return d, nil
@@ -493,7 +485,8 @@ func (m *Market) QuoteBatch(ctx context.Context, demands []BatchDemand) ([]*core
 // *OverloadError carrying a Retry-After estimate) instead of queueing
 // unboundedly on writeMu. The slot is released after the write lock is
 // dropped but before the commit wait, preserving the fsync/next-solve
-// overlap group commit batches on.
+// overlap group commit batches on — and on every exit from the round,
+// a panicking one included, so a failed round never wedges the gate.
 func (m *Market) Trade(ctx context.Context, b core.Buyer, builder product.Builder, backend solve.Backend) (*market.Transaction, error) {
 	if err := m.begin(); err != nil {
 		return nil, err
@@ -503,8 +496,7 @@ func (m *Market) Trade(ctx context.Context, b core.Buyer, builder product.Builde
 	if err != nil {
 		return nil, err
 	}
-	tx, l, seq, err := m.tradeLocked(ctx, b, builder, backend)
-	release()
+	tx, l, seq, err := m.tradeLocked(ctx, release, b, builder, backend)
 	if err != nil {
 		var ee *budget.ExhaustedError
 		if m.exhaustedC != nil && errors.As(err, &ee) {
@@ -517,8 +509,11 @@ func (m *Market) Trade(ctx context.Context, b core.Buyer, builder product.Builde
 }
 
 // tradeLocked is Trade's write-lock section: the round itself, view
-// publication, metrics and the WAL append (or snapshot fallback).
-func (m *Market) tradeLocked(ctx context.Context, b core.Buyer, builder product.Builder, backend solve.Backend) (*market.Transaction, *wal.Log, uint64, error) {
+// publication, metrics and the WAL append (or snapshot fallback). It calls
+// release, the admission slot's, once the write lock is dropped, however
+// the section ends.
+func (m *Market) tradeLocked(ctx context.Context, release func(), b core.Buyer, builder product.Builder, backend solve.Backend) (*market.Transaction, *wal.Log, uint64, error) {
+	defer release()
 	m.writeMu.Lock()
 	defer m.writeMu.Unlock()
 	if m.mkt == nil {

@@ -92,7 +92,9 @@ func (m *Market) Snapshot() *MarketSnapshot {
 	return m.snapshotLocked()
 }
 
-// snapshotLocked is Snapshot with writeMu already held.
+// snapshotLocked is Snapshot with writeMu already held. The sellers' rows
+// are views over their datasets, their headers in one block for the whole
+// roster.
 func (m *Market) snapshotLocked() *MarketSnapshot {
 	seed := m.seed
 	snap := &MarketSnapshot{
@@ -111,11 +113,18 @@ func (m *Market) snapshotLocked() *MarketSnapshot {
 		snap.Composition = m.compositionName()
 		snap.BudgetAccounts = m.ledger.Accounts()
 	}
+	n := 0
 	for _, sel := range m.sellers {
+		n += sel.Data.Len()
+	}
+	rows := make([][]float64, 0, n)
+	for _, sel := range m.sellers {
+		start := len(rows)
+		rows = sel.Data.AppendRows(rows)
 		snap.Sellers = append(snap.Sellers, StoredSeller{
 			ID:      sel.ID,
 			Lambda:  sel.Lambda,
-			Rows:    sel.Data.X,
+			Rows:    rows[start:len(rows):len(rows)],
 			Targets: sel.Data.Y,
 		})
 	}
@@ -196,15 +205,9 @@ func (m *Market) RestoreSnapshot(snap *MarketSnapshot) error {
 	}
 	sellers := make([]*market.Seller, len(snap.Sellers))
 	for i, st := range snap.Sellers {
-		d := &dataset.Dataset{X: st.Rows, Y: st.Targets}
-		if err := d.Validate(); err != nil {
+		d, err := m.storedData(st.Rows, st.Targets)
+		if err != nil {
 			return fmt.Errorf("pool: snapshot seller %q: %w", st.ID, err)
-		}
-		// Same schema rule RegisterSeller enforces: a mixed-width roster
-		// would panic the LDP mechanism at the first trade.
-		if want := sellers[0]; i > 0 && d.NumFeatures() != want.Data.NumFeatures() {
-			return fmt.Errorf("pool: snapshot seller %q: %d features per row, roster has %d",
-				st.ID, d.NumFeatures(), want.Data.NumFeatures())
 		}
 		sellers[i] = &market.Seller{ID: st.ID, Lambda: st.Lambda, Data: d}
 	}
@@ -354,6 +357,12 @@ func (p *Pool) SaveAll() error {
 // pre-creates its default market) and is skipped otherwise. Returns the
 // restored IDs in directory order.
 //
+// Stored seller rows whose width differs from the test set are the
+// exception: earlier releases admitted them, so the files are intact state
+// this release refuses, and a skipped market's next write would overwrite
+// them. RestoreAll still restores every other market, then returns an
+// error naming each such market and its files; the caller must not serve.
+//
 // Call RestoreAll before serving traffic: a market that appends to its WAL
 // segment before RestoreAll reaches it treats the segment's contents as
 // orphaned and truncates them.
@@ -401,9 +410,17 @@ func (p *Pool) RestoreAll() ([]string, error) {
 		}
 	}
 	var restored []string
+	var refused []error
 	for _, id := range ids {
 		f := byID[id]
 		if err := p.restoreOne(id, f.snap); err != nil {
+			var we *widthError
+			if errors.As(err, &we) {
+				refused = append(refused, fmt.Errorf(
+					"pool: market %q cannot be restored: %w; move its %s and %s files out of %s to start without it",
+					id, err, id+snapshotExt, id+walExt, p.snapshotDir))
+				continue
+			}
 			path := f.snap
 			if path == "" {
 				path = f.wal
@@ -413,7 +430,7 @@ func (p *Pool) RestoreAll() ([]string, error) {
 		}
 		restored = append(restored, id)
 	}
-	return restored, nil
+	return restored, errors.Join(refused...)
 }
 
 // restoreOne loads one market from its snapshot file and/or WAL segment,

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 
-	"share/internal/dataset"
 	"share/internal/market"
 	"share/internal/translog"
 	"share/internal/wal"
@@ -238,13 +237,9 @@ func (m *Market) applyRecordLocked(rec *wal.Record) error {
 		if err := json.Unmarshal(rec.Data, &st); err != nil {
 			return fmt.Errorf("pool: decoding register record %d: %w", rec.Seq, err)
 		}
-		d := &dataset.Dataset{X: st.Rows, Y: st.Targets}
-		if err := d.Validate(); err != nil {
-			return fmt.Errorf("pool: register record %d seller %q: %w", rec.Seq, st.ID, err)
-		}
-		if len(m.sellers) > 0 && d.NumFeatures() != m.sellers[0].Data.NumFeatures() {
-			return fmt.Errorf("pool: register record %d seller %q: %d features per row, roster has %d",
-				rec.Seq, st.ID, d.NumFeatures(), m.sellers[0].Data.NumFeatures())
+		d, err := m.storedData(st.Rows, st.Targets)
+		if err != nil {
+			return fmt.Errorf("pool: register record %d: seller %q: %w", rec.Seq, st.ID, err)
 		}
 		m.sellers = append(m.sellers, &market.Seller{ID: st.ID, Lambda: st.Lambda, Data: d})
 		m.rosterEpoch++
@@ -278,9 +273,9 @@ func (m *Market) applyRecordLocked(rec *wal.Record) error {
 			return fmt.Errorf("pool: join record %d before trading began: %w", rec.Seq,
 				&market.RosterError{SellerID: jr.Seller.ID, Msg: "mid-life join replayed onto a pre-trade market"})
 		}
-		d := &dataset.Dataset{X: jr.Seller.Rows, Y: jr.Seller.Targets}
-		if err := d.Validate(); err != nil {
-			return fmt.Errorf("pool: join record %d seller %q: %w", rec.Seq, jr.Seller.ID, err)
+		d, err := m.storedData(jr.Seller.Rows, jr.Seller.Targets)
+		if err != nil {
+			return fmt.Errorf("pool: join record %d: seller %q: %w", rec.Seq, jr.Seller.ID, err)
 		}
 		sel := &market.Seller{ID: jr.Seller.ID, Lambda: jr.Seller.Lambda, Data: d}
 		if err := m.mkt.ApplyJoin(sel, jr.Weight, jr.Epoch); err != nil {

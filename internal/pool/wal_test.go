@@ -811,3 +811,82 @@ func TestAsyncCloseFlushesTail(t *testing.T) {
 		t.Fatalf("restored state diverged:\n got %s\nwant %s", got, want)
 	}
 }
+
+// TestReplayRejectsBadJoinData: a seller_join record replays through the
+// same data checks a live join gets. A crafted record with no rows, or
+// with rows narrower or wider than the market's test set, used to restore
+// cleanly and then panic or fail every later trade. Now the market does
+// not restore: damaged rows skip it with a warning naming the record, and
+// rows of the wrong width fail RestoreAll with an error naming it.
+func TestReplayRejectsBadJoinData(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		rows    [][]float64
+		targets []float64
+		fails   bool // RestoreAll returns the error rather than skipping
+	}{
+		{"no rows", nil, nil, false},
+		{"3-feature rows", [][]float64{{1, 2, 3}, {4, 5, 6}}, []float64{1, 2}, true},
+		{"6-feature rows", [][]float64{{1, 2, 3, 4, 5, 6}}, []float64{1}, true},
+		{"ragged rows", [][]float64{{1, 2, 3, 4}, {5, 6, 7}}, []float64{1, 2}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			p := New(fastWalOptions(dir))
+			m, err := p.Create(Spec{ID: "joins"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			register(t, m, 2)
+			if _, err := m.Trade(context.Background(), demoBuyer(60, 0.8), nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			p.Close()
+
+			// Records 1–3 are the two registrations and the trade; the
+			// crafted join is record 4, at the roster's next epoch.
+			l, err := wal.Open(filepath.Join(dir, "joins"+walExt), wal.Options{Replay: func(*wal.Record) error { return nil }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = l.Append(recordJoin, joinRecord{
+				Seller: StoredSeller{ID: "crafted", Lambda: 0.5, Rows: tc.rows, Targets: tc.targets},
+				Weight: 0.5,
+				Epoch:  3,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			var warnings []string
+			opts := fastWalOptions(dir)
+			opts.Logf = func(format string, args ...any) { warnings = append(warnings, fmt.Sprintf(format, args...)) }
+			p2 := New(opts)
+			defer p2.Close()
+			ids, err := p2.RestoreAll()
+			if (err != nil) != tc.fails {
+				t.Fatalf("RestoreAll error %v, want one: %v", err, tc.fails)
+			}
+			if len(ids) != 0 {
+				t.Fatalf("restored %v from a log whose join carries bad data", ids)
+			}
+			if _, err := p2.Get("joins"); err == nil {
+				t.Fatal("the rejected market stayed in the pool")
+			}
+			reports := warnings
+			if err != nil {
+				reports = []string{err.Error()}
+			}
+			named := false
+			for _, w := range reports {
+				named = named || (strings.Contains(w, "join record 4") && strings.Contains(w, `seller "crafted"`))
+			}
+			if !named {
+				t.Fatalf("nothing names the bad join record: %q", reports)
+			}
+		})
+	}
+}

@@ -49,7 +49,10 @@ func TestHistogramEdgeCases(t *testing.T) {
 	if err != nil || rep.Performance != 0 {
 		t.Errorf("empty train: rep=%+v err=%v", rep, err)
 	}
-	constant := &dataset.Dataset{X: [][]float64{{1}, {1}}, Y: []float64{5, 5}}
+	constant, err := dataset.FromRows([][]float64{{1}, {1}}, []float64{5, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := (Histogram{}).Build(constant, constant); err == nil {
 		t.Error("accepted a degenerate target range")
 	}

@@ -83,15 +83,22 @@ func (m *LogisticModel) Prob(x []float64) float64 {
 	return 1 / (1 + math.Exp(-s))
 }
 
-// FitLogistic trains a logistic regression on features x and binary labels
-// y (0/1) by IRLS. It needs both classes present; with one class it returns
-// an error (callers decide how to score a degenerate product).
-func FitLogistic(x [][]float64, y []float64, maxIter int, ridge float64) (*LogisticModel, error) {
-	n := len(x)
+// FitLogistic trains a logistic regression of binary labels y (0/1) on the
+// features of x by IRLS; x's own targets are not read. It needs both
+// classes present; with one class it returns an error (callers decide how
+// to score a degenerate product).
+func FitLogistic(x *dataset.Dataset, y []float64, maxIter int, ridge float64) (*LogisticModel, error) {
+	n := 0
+	if x != nil {
+		n = x.Len()
+	}
 	if n == 0 || n != len(y) {
 		return nil, fmt.Errorf("product: logistic fit on %d/%d rows", n, len(y))
 	}
-	k := len(x[0])
+	if err := x.Validate(); err != nil {
+		return nil, fmt.Errorf("product: logistic fit: %w", err)
+	}
+	k := x.NumFeatures()
 	if maxIter <= 0 {
 		maxIter = 25
 	}
@@ -119,7 +126,7 @@ func FitLogistic(x [][]float64, y []float64, maxIter int, ridge float64) (*Logis
 		grad := make([]float64, k+1)
 		for i := 0; i < n; i++ {
 			aug[0] = 1
-			copy(aug[1:], x[i])
+			copy(aug[1:], x.Row(i))
 			var eta float64
 			for j, b := range beta {
 				eta += b * aug[j]
@@ -177,7 +184,7 @@ func (l Logistic) Build(train, test *dataset.Dataset) (Report, error) {
 			labels[i] = 1
 		}
 	}
-	model, err := FitLogistic(train.X, labels, l.MaxIter, l.Ridge)
+	model, err := FitLogistic(train, labels, l.MaxIter, l.Ridge)
 	if err != nil {
 		// Degenerate purchase (single class): a constant classifier —
 		// score it honestly on the test set rather than failing the round.
@@ -194,13 +201,13 @@ func (l Logistic) Build(train, test *dataset.Dataset) (Report, error) {
 	var correct int
 	var logloss float64
 	var positives int
-	for i, row := range test.X {
+	for i, y := range test.Y {
 		truth := 0.0
-		if test.Y[i] > l.Threshold {
+		if y > l.Threshold {
 			truth = 1
 			positives++
 		}
-		p := model.Prob(row)
+		p := model.Prob(test.Row(i))
 		pred := 0.0
 		if p >= 0.5 {
 			pred = 1

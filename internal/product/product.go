@@ -200,9 +200,10 @@ func (MeanVector) Build(train, test *dataset.Dataset) (Report, error) {
 		}
 		return y
 	}
-	for i, row := range test.X {
+	for i, y := range test.Y {
+		row := test.Row(i)
 		for j := 0; j <= k; j++ {
-			v := col(row, test.Y[i], j)
+			v := col(row, y, j)
 			trueMean[j] += v
 			lo[j] = math.Min(lo[j], v)
 			hi[j] = math.Max(hi[j], v)
@@ -213,9 +214,10 @@ func (MeanVector) Build(train, test *dataset.Dataset) (Report, error) {
 	}
 	// Estimated means from the purchased data.
 	est := make([]float64, k+1)
-	for i, row := range train.X {
+	for i, y := range train.Y {
+		row := train.Row(i)
 		for j := 0; j <= k; j++ {
-			est[j] += col(row, train.Y[i], j)
+			est[j] += col(row, y, j)
 		}
 	}
 	detail := make(map[string]float64, k+2)

@@ -64,10 +64,8 @@ func TestMeanVectorDetectsBias(t *testing.T) {
 	train, test := ccppSplit(t, 2000, 4)
 	// Shift every feature massively: estimated means are far off.
 	biased := train.Clone()
-	for _, row := range biased.X {
-		for j := range row {
-			row[j] += 1000
-		}
+	for j := range biased.X {
+		biased.X[j] += 1000
 	}
 	clean, err := MeanVector{}.Build(train, test)
 	if err != nil {
@@ -84,7 +82,10 @@ func TestMeanVectorDetectsBias(t *testing.T) {
 
 func TestMeanVectorShapeMismatch(t *testing.T) {
 	train, test := ccppSplit(t, 500, 5)
-	narrow := &dataset.Dataset{X: [][]float64{{1}}, Y: []float64{1}}
+	narrow, err := dataset.FromRows([][]float64{{1}}, []float64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := (MeanVector{}).Build(narrow, test); err == nil {
 		t.Error("accepted mismatched feature counts")
 	}
@@ -101,7 +102,7 @@ func TestLogisticSeparatesLinearClasses(t *testing.T) {
 			// Continuous target whose sign region is linearly separable
 			// with margin noise.
 			y := 2*x1 - x2 + stat.Gaussian(rng, 0, 0.3)
-			d.X = append(d.X, []float64{x1, x2})
+			d.X = append(d.X, x1, x2)
 			d.Y = append(d.Y, y)
 		}
 		return d
@@ -139,13 +140,13 @@ func TestLogisticCCPPMedianSplit(t *testing.T) {
 func TestLogisticDegenerateSingleClass(t *testing.T) {
 	// All targets above threshold → single-class purchase → constant
 	// classifier scored honestly.
-	train := &dataset.Dataset{
-		X: [][]float64{{1}, {2}, {3}},
-		Y: []float64{10, 11, 12},
+	train, err := dataset.FromRows([][]float64{{1}, {2}, {3}}, []float64{10, 11, 12})
+	if err != nil {
+		t.Fatal(err)
 	}
-	test := &dataset.Dataset{
-		X: [][]float64{{1}, {2}, {3}, {4}},
-		Y: []float64{10, 11, -5, -6},
+	test, err := dataset.FromRows([][]float64{{1}, {2}, {3}, {4}}, []float64{10, 11, -5, -6})
+	if err != nil {
+		t.Fatal(err)
 	}
 	rep, err := Logistic{Threshold: 0}.Build(train, test)
 	if err != nil {
@@ -160,13 +161,26 @@ func TestLogisticDegenerateSingleClass(t *testing.T) {
 }
 
 func TestFitLogisticValidation(t *testing.T) {
+	rows := func(x [][]float64) *dataset.Dataset {
+		d, err := dataset.FromRows(x, make([]float64, len(x)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
 	if _, err := FitLogistic(nil, nil, 0, 0); err == nil {
 		t.Error("accepted empty input")
 	}
-	if _, err := FitLogistic([][]float64{{1}}, []float64{0.5}, 0, 0); err == nil {
+	if _, err := FitLogistic(rows([][]float64{{1}, {2}}), []float64{0, 1, 1}, 0, 0); err == nil {
+		t.Error("accepted more labels than rows")
+	}
+	if _, err := FitLogistic(&dataset.Dataset{X: []float64{1, 2, 3}, Y: []float64{0, 1}}, []float64{0, 1}, 0, 0); err == nil {
+		t.Error("accepted a feature block that does not fill its rows")
+	}
+	if _, err := FitLogistic(rows([][]float64{{1}}), []float64{0.5}, 0, 0); err == nil {
 		t.Error("accepted a non-binary label")
 	}
-	if _, err := FitLogistic([][]float64{{1}, {2}}, []float64{1, 1}, 0, 0); err == nil {
+	if _, err := FitLogistic(rows([][]float64{{1}, {2}}), []float64{1, 1}, 0, 0); err == nil {
 		t.Error("accepted a single-class sample")
 	}
 }
@@ -185,7 +199,11 @@ func TestFitLogisticRecoversDecisionBoundary(t *testing.T) {
 			y = append(y, 0)
 		}
 	}
-	m, err := FitLogistic(x, y, 50, 1e-6)
+	d, err := dataset.FromRows(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := FitLogistic(d, y, 50, 1e-6)
 	if err != nil {
 		t.Fatalf("FitLogistic: %v", err)
 	}
@@ -201,7 +219,7 @@ func TestFitLogisticRecoversDecisionBoundary(t *testing.T) {
 
 func TestMedianThreshold(t *testing.T) {
 	d := &dataset.Dataset{Y: []float64{5, 1, 3}}
-	d.X = [][]float64{{0}, {0}, {0}}
+	d.X = []float64{0, 0, 0}
 	if got := MedianThreshold(d); got != 3 {
 		t.Errorf("median = %v, want 3", got)
 	}

@@ -71,8 +71,8 @@ func (s *gramStats) add(x []float64, y float64) {
 
 // addDataset absorbs every row of d.
 func (s *gramStats) addDataset(d *dataset.Dataset) {
-	for i, row := range d.X {
-		s.add(row, d.Y[i])
+	for i, y := range d.Y {
+		s.add(d.Row(i), y)
 	}
 }
 

@@ -122,22 +122,22 @@ func NewEvalMoments(test *dataset.Dataset) (*EvalMoments, error) {
 		gram: linalg.NewMatrix(k, k),
 		xty:  make([]float64, k),
 	}
-	for i, row := range test.X {
-		for j, v := range row {
+	for i, y := range test.Y {
+		for j, v := range test.Row(i) {
 			em.mean[j] += v
 		}
-		em.meanY += test.Y[i]
+		em.meanY += y
 	}
 	for j := range em.mean {
 		em.mean[j] /= em.n
 	}
 	em.meanY /= em.n
 	c := make([]float64, k)
-	for i, row := range test.X {
-		for j, v := range row {
+	for i, y := range test.Y {
+		for j, v := range test.Row(i) {
 			c[j] = v - em.mean[j]
 		}
-		dy := test.Y[i] - em.meanY
+		dy := y - em.meanY
 		em.syy += dy * dy
 		for a := 0; a < k; a++ {
 			ca := c[a]

@@ -132,9 +132,9 @@ func TestEvalMomentsMatchesEvaluate(t *testing.T) {
 }
 
 func TestEvalMomentsConstantTarget(t *testing.T) {
-	test := &dataset.Dataset{
-		X: [][]float64{{1, 2}, {3, 4}, {5, 6}},
-		Y: []float64{7, 7, 7},
+	test, err := dataset.FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}}, []float64{7, 7, 7})
+	if err != nil {
+		t.Fatal(err)
 	}
 	em, err := NewEvalMoments(test)
 	if err != nil {

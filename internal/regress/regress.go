@@ -43,12 +43,13 @@ func Fit(d *dataset.Dataset) (*Model, error) {
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("regress: invalid training set: %w", err)
 	}
+	k := d.NumFeatures()
 	design := designs.Get()
-	design.Reshape(d.Len(), d.NumFeatures()+1)
-	for i, row := range d.X {
+	design.Reshape(d.Len(), k+1)
+	for i := range d.Y {
 		dr := design.Row(i)
 		dr[0] = 1
-		copy(dr[1:], row)
+		copy(dr[1:], d.Row(i))
 	}
 	beta, err := linalg.LeastSquares(design, d.Y)
 	designs.Put(design, 8*cap(design.Data))
@@ -70,8 +71,8 @@ func (m *Model) Predict(x []float64) float64 {
 // PredictAll returns predictions for every row of d.
 func (m *Model) PredictAll(d *dataset.Dataset) []float64 {
 	out := make([]float64, d.Len())
-	for i, row := range d.X {
-		out[i] = m.Predict(row)
+	for i := range out {
+		out[i] = m.Predict(d.Row(i))
 	}
 	return out
 }
@@ -106,13 +107,13 @@ func Evaluate(m *Model, test *dataset.Dataset) (Metrics, error) {
 	meanY /= n
 
 	var ssRes, ssTot, sumErr, sumAbs, sumErrSq float64
-	for i, row := range test.X {
-		err := test.Y[i] - m.Predict(row)
+	for i, y := range test.Y {
+		err := y - m.Predict(test.Row(i))
 		ssRes += err * err
 		sumErr += err
 		sumErrSq += err * err
 		sumAbs += math.Abs(err)
-		d := test.Y[i] - meanY
+		d := y - meanY
 		ssTot += d * d
 	}
 	mse := ssRes / n

@@ -16,7 +16,7 @@ func linearData(n int, seed int64, noise float64) *dataset.Dataset {
 		x1 := stat.Uniform(rng, -5, 5)
 		x2 := stat.Uniform(rng, 0, 10)
 		y := 3 + 2*x1 - 0.5*x2 + stat.Gaussian(rng, 0, noise)
-		d.X = append(d.X, []float64{x1, x2})
+		d.X = append(d.X, x1, x2)
 		d.Y = append(d.Y, y)
 	}
 	return d
@@ -40,7 +40,7 @@ func TestFitRejectsEmptyAndInvalid(t *testing.T) {
 	if _, err := Fit(&dataset.Dataset{}); err == nil {
 		t.Error("Fit accepted an empty dataset")
 	}
-	bad := &dataset.Dataset{X: [][]float64{{1}}, Y: []float64{1, 2}}
+	bad := &dataset.Dataset{X: []float64{1}, Y: []float64{1, 2}}
 	if _, err := Fit(bad); err == nil {
 		t.Error("Fit accepted an inconsistent dataset")
 	}
@@ -48,7 +48,10 @@ func TestFitRejectsEmptyAndInvalid(t *testing.T) {
 
 func TestFitFewerRowsThanFeatures(t *testing.T) {
 	// 1 row, 2 features: rank-deficient; ridge fallback must succeed.
-	d := &dataset.Dataset{X: [][]float64{{1, 2}}, Y: []float64{5}}
+	d, err := dataset.FromRows([][]float64{{1, 2}}, []float64{5})
+	if err != nil {
+		t.Fatal(err)
+	}
 	m, err := Fit(d)
 	if err != nil {
 		t.Fatalf("Fit on underdetermined data: %v", err)
@@ -109,7 +112,10 @@ func TestEvaluateNoisyFitReasonable(t *testing.T) {
 }
 
 func TestEvaluateConstantTarget(t *testing.T) {
-	d := &dataset.Dataset{X: [][]float64{{1}, {2}, {3}}, Y: []float64{7, 7, 7}}
+	d, err := dataset.FromRows([][]float64{{1}, {2}, {3}}, []float64{7, 7, 7})
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := &Model{Intercept: 7}
 	met, err := Evaluate(m, d)
 	if err != nil {

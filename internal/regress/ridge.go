@@ -32,11 +32,11 @@ func FitRidge(d *dataset.Dataset, alpha float64) (*Model, error) {
 	// and stays unpenalized.
 	xMean := make([]float64, k)
 	var yMean float64
-	for i, row := range d.X {
-		for j, v := range row {
+	for i, y := range d.Y {
+		for j, v := range d.Row(i) {
 			xMean[j] += v
 		}
-		yMean += d.Y[i]
+		yMean += y
 	}
 	n := float64(d.Len())
 	for j := range xMean {
@@ -48,11 +48,11 @@ func FitRidge(d *dataset.Dataset, alpha float64) (*Model, error) {
 	gram := linalg.NewMatrix(k, k)
 	xty := make([]float64, k)
 	cRow := make([]float64, k)
-	for i, row := range d.X {
-		for j, v := range row {
+	for i, y := range d.Y {
+		for j, v := range d.Row(i) {
 			cRow[j] = v - xMean[j]
 		}
-		yc := d.Y[i] - yMean
+		yc := y - yMean
 		for a := 0; a < k; a++ {
 			ca := cRow[a]
 			if ca == 0 {

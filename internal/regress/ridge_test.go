@@ -71,7 +71,7 @@ func TestFitRidgeHandlesCollinearity(t *testing.T) {
 	d := &dataset.Dataset{Features: []string{"a", "b"}, Target: "y"}
 	for i := 0; i < 100; i++ {
 		x := stat.Uniform(rng, 0, 10)
-		d.X = append(d.X, []float64{x, x}) // perfectly collinear
+		d.X = append(d.X, x, x) // perfectly collinear
 		d.Y = append(d.Y, 3*x+stat.Gaussian(rng, 0, 0.1))
 	}
 	m, err := FitRidge(d, 1.0)

@@ -250,20 +250,22 @@ func SellerShapleyBuilderParallelCtx(ctx context.Context, chunks []*dataset.Data
 	workers = st.reserve(m, permutations, workers)
 	st.coalitions = grow(st.coalitions, workers)
 	st.parts = grow(st.parts, workers)
+	st.joins = grow(st.joins, workers)
 	for w := 0; w < workers; w++ {
 		st.coalitions[w] = grow(st.coalitions[w], m)
 		st.parts[w] = grow(st.parts[w], m)
 	}
 
-	// utility builds the product of the coalition's chunks, joining them
-	// through the worker's parts buffer.
+	// utility builds the product of the coalition's chunks, joined through
+	// the worker's parts buffer into its reused join dataset — Build must
+	// not retain its training set, so the next coalition may overwrite it.
 	utility := func(w int, coalition []int) float64 {
 		parts := st.parts[w][:len(coalition)]
 		for i, c := range coalition {
 			parts[i] = chunks[c]
 		}
-		joined, err := dataset.Concat(parts...)
-		if err != nil {
+		joined := &st.joins[w]
+		if err := dataset.ConcatInto(joined, parts...); err != nil {
 			return 0
 		}
 		rep, err := b.Build(joined, test)
@@ -300,10 +302,11 @@ func SellerShapleyBuilderParallelCtx(ctx context.Context, chunks []*dataset.Data
 // fanout is the working memory of one Shapley estimate, reused across
 // estimates: the credit arena, one re-seeded permutation source per worker,
 // the moment kernel with its per-worker scratch, and the builder
-// estimator's per-worker coalition and parts buffers. An estimate takes one
-// from fanouts and releases it when it returns, so a trade round reuses
-// the ~4.9 KB math/rand source behind each worker's permutations, the
-// kernel's per-chunk moments and the arena instead of rebuilding them.
+// estimator's per-worker coalition, parts and join buffers. An estimate
+// takes one from fanouts and releases it when it returns, so a trade round
+// reuses the ~4.9 KB math/rand source behind each worker's permutations,
+// the kernel's per-chunk moments, the coalition joins and the arena instead
+// of rebuilding them.
 // Between Get and release a state belongs to one estimate, whose workers
 // touch only their own index; estimates on different markets run
 // concurrently and share the list.
@@ -317,18 +320,24 @@ type fanout struct {
 	kernel     momentKernel
 	coalitions [][]int
 	parts      [][]*dataset.Dataset
+	joins      []dataset.Dataset
 }
 
 var fanouts parallel.FreeList[fanout]
 
 // release drops the state's references to the caller's chunks and returns
-// it to fanouts. The footprint counts the arena, the permutation sources
-// and the per-chunk moments.
+// it to fanouts. The footprint counts the arena, the permutation sources,
+// the join blocks and the per-chunk moments.
 func (st *fanout) release() {
 	for _, p := range st.parts {
 		clear(p)
 	}
 	bytes := 8*cap(st.arena) + 5000*len(st.perms)
+	for i := range st.joins {
+		j := &st.joins[i]
+		j.Features, j.Target = nil, ""
+		bytes += 8 * (cap(j.X) + cap(j.Y))
+	}
 	for _, mo := range st.kernel.moments {
 		if mo != nil {
 			bytes += 8 * (mo.K() + 1) * (mo.K() + 4)

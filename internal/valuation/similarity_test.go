@@ -10,9 +10,17 @@ import (
 	"share/internal/stat"
 )
 
-// cloneRows builds a dataset from explicit rows.
+// rowsDataset builds a dataset from explicit rows; no rows give an empty
+// dataset.
 func rowsDataset(x [][]float64, y []float64) *dataset.Dataset {
-	return &dataset.Dataset{X: x, Y: y}
+	if len(x) == 0 {
+		return &dataset.Dataset{}
+	}
+	d, err := dataset.FromRows(x, y)
+	if err != nil {
+		panic(err)
+	}
+	return d
 }
 
 // TestRedundancyDuplicatesScoreHigh: two sellers holding copies of the

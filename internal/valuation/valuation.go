@@ -76,7 +76,7 @@ func PointShapley(train, test *dataset.Dataset, opt PointShapleyOptions, rng *ra
 		inc.Reset()
 		prev := 0.0
 		for _, idx := range perm {
-			inc.Add(train.X[idx], train.Y[idx])
+			inc.Add(train.Row(idx), train.Y[idx])
 			cur := evalModel(inc, eval)
 			sv[idx] += cur - prev
 			prev = cur

@@ -24,7 +24,7 @@ func cleanAndNoisy(nClean, nNoisy int, seed int64) (*dataset.Dataset, *dataset.D
 			if noisy {
 				y = stat.Uniform(rng, -20, 20)
 			}
-			d.X = append(d.X, []float64{x})
+			d.X = append(d.X, x)
 			d.Y = append(d.Y, y)
 		}
 		return d

@@ -6,8 +6,11 @@
 # internal/numeric — the optimizer toolbox under every price search and
 # best response of the general cascade — internal/market — the
 # round-trip engine that owns roster churn and the weight trajectory —
-# internal/budget — the ε-ledger every budgeted trade charges — and
-# internal/valuation — the Shapley estimators behind every weight update.
+# internal/budget — the ε-ledger every budgeted trade charges —
+# internal/valuation — the Shapley estimators behind every weight update —
+# internal/dataset — the row-major seller data every market holds and the
+# FromRows converter every seller row enters through — and internal/regress
+# — the product fits and test-set moments that read those rows.
 set -eu
 
 FLOOR=80.0
@@ -38,3 +41,5 @@ check_floor 'share/internal/numeric'
 check_floor 'share/internal/market'
 check_floor 'share/internal/budget'
 check_floor 'share/internal/valuation'
+check_floor 'share/internal/dataset'
+check_floor 'share/internal/regress'
