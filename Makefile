@@ -31,16 +31,20 @@ test:
 # Dataset operation to the one-slice-per-row layout it replaced, under the
 # race detector; the solver-backend pass pins cross-backend
 # agreement, the Jacobi determinism guarantee and the Stage-3 τ-boundary
-# cases of the general cascade; the pool pass pins per-market isolation, the
+# cases of the general cascade, and every backend's in-place SolveFor to the
+# clone-and-solve path it replaced on quotes; the pool pass pins per-market
+# isolation, the
 # delete-drain race, batch-quote determinism, the WAL crash-recovery
 # torture sweeps (trade-only, roster-churn and budget_charge histories),
 # concurrent group commit, the admission gate (reject / queue / cancel),
 # the terminal-close seal, the churn-vs-quote isolation of the
 # copy-on-write view swap, the churned-checkpoint round trip, the
 # budget-exhaustion-vs-quote isolation, the immutability of published
-# views that share the committed ledger, and the on-disk bytes of seller
-# rows in WAL records and compaction snapshots under the race detector;
-# the httpapi pass pins cross-market overload isolation end to end; and
+# views that share the committed ledger, the on-disk bytes of seller
+# rows in WAL records and compaction snapshots, and quotes into reused
+# profiles while churn republishes the view, under the race detector;
+# the httpapi pass pins cross-market overload isolation end to end and
+# that a quote's reused scratch never leaks into the next response; and
 # the serve-smoke end-to-end pass rides along so the gate also
 # exercises the live server lifecycle (boot, /v2 markets, trade, metrics,
 # saturation via share-loadgen, SIGTERM drain, -snapshot-dir restore,
@@ -48,9 +52,9 @@ test:
 race: vet
 	$(GO) test -race ./...
 	$(GO) test -race -run 'TestKernelEquivalence|TestPerWorkerStreamsMatchPerPermutationRngs|TestRunRoundShapleyIdenticalAcrossWorkers|TestRoundOutputsMatchParent|TestFreeListConcurrentOwnership|TestPerturbInPlace|TestLayoutMatchesRowSlices' -count=1 ./internal/valuation ./internal/market ./internal/parallel ./internal/ldp ./internal/dataset
-	$(GO) test -race -run 'TestGeneralMatchesAnalytic|TestGeneralDeterministicAcrossWorkers|TestMapDeterministicAcrossWorkers|TestMeanFieldWithinTheoremBounds|TestSolveGeneralTau' -count=1 ./internal/solve ./internal/core
-	$(GO) test -race -run 'TestMarketsAreIsolated|TestDeleteDrainsInFlightRounds|TestBatchQuoteDeterminism|TestWALTortureRecovery|TestWALTortureBudgetRecovery|TestConcurrentTradesGroupCommit|TestAdmissionRejectsWhenQueueFull|TestAdmissionQueueWaitsForSlot|TestAdmissionQueuedTradeHonorsContext|TestCloseSealsPoolAgainstStragglers|TestAsyncCloseFlushesTail|TestChurnQuoteIsolation|TestChurnSurvivesCheckpoint|TestExhaustedTradesLeaveQuotesUndisturbed|TestPublishedViewStaysImmutable|TestSellerBytesOnDiskMatchParent' -count=1 ./internal/pool
-	$(GO) test -race -run 'TestOverloadIsolationAcrossMarkets|TestDrainAnswers503' -count=1 ./internal/httpapi
+	$(GO) test -race -run 'TestGeneralMatchesAnalytic|TestGeneralDeterministicAcrossWorkers|TestMapDeterministicAcrossWorkers|TestMeanFieldWithinTheoremBounds|TestSolveGeneralTau|TestSolveForMatchesCloneSolve' -count=1 ./internal/solve ./internal/core
+	$(GO) test -race -run 'TestMarketsAreIsolated|TestDeleteDrainsInFlightRounds|TestBatchQuoteDeterminism|TestWALTortureRecovery|TestWALTortureBudgetRecovery|TestConcurrentTradesGroupCommit|TestAdmissionRejectsWhenQueueFull|TestAdmissionQueueWaitsForSlot|TestAdmissionQueuedTradeHonorsContext|TestCloseSealsPoolAgainstStragglers|TestAsyncCloseFlushesTail|TestChurnQuoteIsolation|TestChurnSurvivesCheckpoint|TestExhaustedTradesLeaveQuotesUndisturbed|TestPublishedViewStaysImmutable|TestSellerBytesOnDiskMatchParent|TestConcurrentQuotesDuringChurn' -count=1 ./internal/pool
+	$(GO) test -race -run 'TestOverloadIsolationAcrossMarkets|TestDrainAnswers503|TestQuoteScratchDoesNotLeak' -count=1 ./internal/httpapi
 	$(GO) test -race -run 'TestConcurrentGroupCommit|TestTornTailTruncatedAtEveryOffset' -count=1 ./internal/wal
 	$(MAKE) serve-smoke
 

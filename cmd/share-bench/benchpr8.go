@@ -92,12 +92,11 @@ func writeBenchPR8(outDir string, workers int, seed int64) error {
 					prep = proto.Clone()
 					prep.SetBuyer(buyer)
 				}
-				if _, err := prep.Solve(context.Background()); err != nil {
+				prof, err := prep.Solve(context.Background())
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-			if sp, ok := prep.(solve.StatsProvider); ok {
-				stats = sp.SolveStats()
+				stats = *prof.Effort
 			}
 		})
 		p := pr8Probe{

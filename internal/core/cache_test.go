@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"share/internal/stat"
@@ -196,8 +197,12 @@ func TestStage3TauCachedBitIdentical(t *testing.T) {
 
 // TestDeviationProfitsBitIdentical pins the allocation-free sweep evaluator
 // to EvaluateProfile: identical bits for buyer, broker and the requested
-// seller profits, cached or not, including the zero-fidelity edge case.
+// seller profits, cached or not, including the zero-fidelity edge case. The
+// Into forms must match too when they write into buffers and a profile left
+// dirty by the previous roster size or price.
 func TestDeviationProfitsBitIdentical(t *testing.T) {
+	var tauBuf, mfBuf []float64
+	var dirty Profile
 	for _, m := range []int{2, 17, 400} {
 		g := PaperGame(m, stat.NewRand(99))
 		for _, precompute := range []bool{false, true} {
@@ -208,13 +213,19 @@ func TestDeviationProfitsBitIdentical(t *testing.T) {
 			}
 			for _, pd := range []float64{0, 0.01, 0.05} {
 				tau := g.Stage3Tau(pd)
-				into := g.Stage3TauInto(pd, make([]float64, m))
-				for i := range tau {
-					if tau[i] != into[i] {
-						t.Fatalf("m=%d pd=%g: Stage3TauInto[%d]=%g != Stage3Tau=%g", m, pd, i, into[i], tau[i])
-					}
+				tauBuf = g.Stage3TauInto(pd, tauBuf)
+				if !reflect.DeepEqual(tauBuf, tau) {
+					t.Fatalf("m=%d pd=%g: Stage3TauInto = %v, Stage3Tau = %v", m, pd, tauBuf, tau)
+				}
+				mfBuf = g.MeanFieldTauInto(pd, mfBuf)
+				if mf := g.MeanFieldTau(pd); !reflect.DeepEqual(mfBuf, mf) {
+					t.Fatalf("m=%d pd=%g: MeanFieldTauInto = %v, MeanFieldTau = %v", m, pd, mfBuf, mf)
 				}
 				prof := g.EvaluateProfile(0.04, pd, tau)
+				g.EvaluateProfileInto(0.04, pd, tau, &dirty)
+				if !reflect.DeepEqual(&dirty, prof) {
+					t.Fatalf("m=%d pd=%g: EvaluateProfileInto = %+v, EvaluateProfile = %+v", m, pd, dirty, *prof)
+				}
 				sp := make([]float64, 2)
 				buyer, broker := g.DeviationProfits(0.04, pd, tau, sp)
 				if buyer != prof.BuyerProfit || broker != prof.BrokerProfit {

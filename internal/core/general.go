@@ -487,18 +487,29 @@ func (g *Game) SolveGeneral(opt GeneralOptions) (*Profile, error) {
 // the context's error, never as a fabricated profile. With a background
 // context results are bit-identical to SolveGeneral.
 func (g *Game) SolveGeneralCtx(ctx context.Context, opt GeneralOptions) (*Profile, error) {
-	if err := g.Validate(); err != nil {
+	p := new(Profile)
+	if err := g.SolveGeneralInto(ctx, opt, p); err != nil {
 		return nil, err
 	}
+	return p, nil
+}
+
+// SolveGeneralInto is SolveGeneralCtx writing the equilibrium into dst,
+// reusing dst's vectors as EvaluateProfileInto does; dst is written only on
+// success.
+func (g *Game) SolveGeneralInto(ctx context.Context, opt GeneralOptions, dst *Profile) error {
+	if err := g.Validate(); err != nil {
+		return err
+	}
 	if opt.Loss == nil {
-		return nil, errors.New("core: SolveGeneral requires a loss function")
+		return errors.New("core: SolveGeneral requires a loss function")
 	}
 	pmHi := opt.PMHi
 	pmCenter := 0.0 // quadratic closed-form guess; 0 disables windowing
 	if pmHi <= 0 {
 		pm, err := g.Stage1PM()
 		if err != nil {
-			return nil, fmt.Errorf("core: bracketing p^M: %w", err)
+			return fmt.Errorf("core: bracketing p^M: %w", err)
 		}
 		pmHi = 4 * pm
 		pmCenter = pm
@@ -540,7 +551,7 @@ func (g *Game) SolveGeneralCtx(ctx context.Context, opt GeneralOptions) (*Profil
 		warmTau:  opt.WarmTau,
 	}
 	if st.warmTau != nil && len(st.warmTau) != g.M() {
-		return nil, fmt.Errorf("core: warm-start profile has %d entries for %d sellers", len(st.warmTau), g.M())
+		return fmt.Errorf("core: warm-start profile has %d entries for %d sellers", len(st.warmTau), g.M())
 	}
 	workers := nopt.Workers
 
@@ -579,12 +590,12 @@ func (g *Game) SolveGeneralCtx(ctx context.Context, opt GeneralOptions) (*Profil
 	}
 	pmStar, err := stage1(pmLo, pmW)
 	if err != nil {
-		return nil, fmt.Errorf("core: general solve: %w", err)
+		return fmt.Errorf("core: general solve: %w", err)
 	}
 	if windowed && (pmStar-pmLo < 4*priceTol || pmW-pmStar < 4*priceTol) {
 		pmStar, err = stage1(0, pmHi)
 		if err != nil {
-			return nil, fmt.Errorf("core: general solve: %w", err)
+			return fmt.Errorf("core: general solve: %w", err)
 		}
 	}
 
@@ -593,16 +604,16 @@ func (g *Game) SolveGeneralCtx(ctx context.Context, opt GeneralOptions) (*Profil
 	// of warm-started sweeps.
 	pdStar, eStar, err := st.stage2(ctx, workers, pmStar, st.nash.Tol)
 	if err != nil {
-		return nil, fmt.Errorf("core: general solve: %w", err)
+		return fmt.Errorf("core: general solve: %w", err)
 	}
 	if opt.Stats != nil {
 		*opt.Stats = st.stats
 	}
-	p := g.EvaluateProfile(pmStar, pdStar, eStar.tau)
+	g.EvaluateProfileInto(pmStar, pdStar, eStar.tau, dst)
 	// Seller profits under the general loss differ from the quadratic ones
-	// EvaluateProfile assumes; recompute them.
-	for i := range p.SellerProfits {
-		p.SellerProfits[i] = g.GeneralSellerProfit(i, pdStar, eStar.tau, opt.Loss)
+	// EvaluateProfileInto assumes; recompute them.
+	for i := range dst.SellerProfits {
+		dst.SellerProfits[i] = g.GeneralSellerProfit(i, pdStar, eStar.tau, opt.Loss)
 	}
-	return p, nil
+	return nil
 }

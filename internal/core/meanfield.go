@@ -26,8 +26,15 @@ func (g *Game) MFSellerProfit(i int, pD float64, tau []float64) float64 {
 // alternative loss, treating the weighted mean fidelity τ̄ = Σωⱼτⱼ/m as an
 // exogenous mean-field state (Eq. 23): τᵢ* = 2p^D/(3λᵢ), clamped to [0, 1].
 func (g *Game) MeanFieldTau(pD float64) []float64 {
-	tau := make([]float64, g.M())
+	return g.MeanFieldTauInto(pD, nil)
+}
+
+// MeanFieldTauInto is MeanFieldTau writing into dst, as Stage3TauInto does:
+// it returns dst[:m], or a fresh slice when dst's capacity is short of m.
+func (g *Game) MeanFieldTauInto(pD float64, dst []float64) []float64 {
+	tau := resize(dst, g.M())
 	if pD <= 0 {
+		clear(tau)
 		return tau
 	}
 	for i, l := range g.Sellers.Lambda {

@@ -18,16 +18,15 @@ func (g *Game) Stage3Tau(pD float64) []float64 {
 	return g.Stage3TauInto(pD, make([]float64, g.M()))
 }
 
-// Stage3TauInto is Stage3Tau writing into dst (length ≥ m), for sweep hot
-// paths that reuse a per-worker buffer instead of allocating per call. It
-// returns dst[:m]; values are bit-identical to Stage3Tau's.
+// Stage3TauInto is Stage3Tau writing into dst, for hot paths that reuse a
+// buffer instead of allocating per call. It returns dst[:m], or a fresh
+// slice when dst's capacity is short of m; values are bit-identical to
+// Stage3Tau's.
 func (g *Game) Stage3TauInto(pD float64, dst []float64) []float64 {
 	sum := g.SumSqrtWeightOverLambda()
-	tau := dst[:g.M()]
+	tau := resize(dst, g.M())
 	if pD <= 0 {
-		for i := range tau {
-			tau[i] = 0
-		}
+		clear(tau)
 		return tau
 	}
 	// The Precompute snapshot supplies √(ωᵢλᵢ) directly; the expression is
@@ -144,44 +143,57 @@ type Profile struct {
 	// Approx carries the error guarantee when the profile came from an
 	// approximate solver (the mean-field backend); nil for exact solves.
 	Approx *ApproxBound
+	// Effort carries the numerical cascade's effort counters when the
+	// profile came from the general backend; nil for closed-form solves.
+	// It is telemetry, not part of the equilibrium, and never serialized.
+	Effort *GeneralStats `json:"-"`
 }
 
 // EvaluateProfile computes allocations, qualities and all profits for an
 // arbitrary strategy profile (p^M, p^D, τ). It is the workhorse behind both
 // Solve and the unilateral-deviation experiments of Fig. 2.
 func (g *Game) EvaluateProfile(pM, pD float64, tau []float64) *Profile {
-	return g.EvaluateProfileOwned(pM, pD, append([]float64(nil), tau...))
+	p := new(Profile)
+	g.EvaluateProfileInto(pM, pD, tau, p)
+	return p
 }
 
-// EvaluateProfileOwned is EvaluateProfile taking ownership of tau — the
-// caller must not use the slice afterwards (it becomes Profile.Tau). The
-// solve path and the deviation sweeps hand over slices they just built,
-// skipping an O(m) copy per evaluation. The allocation, quality and profit
-// passes are fused into one loop; every arithmetic expression and
-// accumulation order matches the Allocation / SellerQuality / SellerProfits
-// definitions, so results are bit-identical to evaluating them separately.
-func (g *Game) EvaluateProfileOwned(pM, pD float64, tau []float64) *Profile {
-	chi := make([]float64, len(tau))
-	profits := make([]float64, len(tau))
+// EvaluateProfileInto is EvaluateProfile writing into dst: tau is copied
+// into dst.Tau (it may be dst.Tau itself), and dst's Tau, Chi and
+// SellerProfits arrays are reused when their capacity suffices. Every field
+// of dst is written — Approx and Effort are cleared — so a reused profile
+// never shows an earlier answer. The allocation, quality and profit passes
+// are fused into one loop; every arithmetic expression and accumulation
+// order matches the Allocation / SellerQuality / SellerProfits definitions,
+// so results are bit-identical to evaluating them separately.
+func (g *Game) EvaluateProfileInto(pM, pD float64, tau []float64, dst *Profile) {
+	m := len(tau)
+	t := resize(dst.Tau, m)
+	copy(t, tau)
+	chi := resize(dst.Chi, m)
+	profits := resize(dst.SellerProfits, m)
 	var denom float64
-	for j, t := range tau {
-		denom += g.Broker.Weights[j] * t
+	for j, x := range t {
+		denom += g.Broker.Weights[j] * x
 	}
 	var qD float64
 	if denom > 0 {
-		for i, t := range tau {
-			c := g.Buyer.N * g.Broker.Weights[i] * t / denom
+		for i, x := range t {
+			c := g.Buyer.N * g.Broker.Weights[i] * x / denom
 			chi[i] = c
-			q := c * t
+			q := c * x
 			qD += q
 			profits[i] = pD*q - g.Sellers.Lambda[i]*q*q
 		}
+	} else {
+		clear(chi)
+		clear(profits)
 	}
 	qM := g.ProductQuality(qD)
-	return &Profile{
+	*dst = Profile{
 		PM:            pM,
 		PD:            pD,
-		Tau:           tau,
+		Tau:           t,
 		Chi:           chi,
 		QD:            qD,
 		QM:            qM,
@@ -189,6 +201,15 @@ func (g *Game) EvaluateProfileOwned(pM, pD float64, tau []float64) *Profile {
 		BrokerProfit:  pM*qM - g.ManufacturingCost() - pD*qD,
 		SellerProfits: profits,
 	}
+}
+
+// resize returns s with length n, reusing its array when the capacity
+// suffices and allocating a fresh one otherwise. Callers write every entry.
+func resize(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }
 
 // Solve runs the full backward induction (§5.1): Stage 3 yields the sellers'
@@ -204,14 +225,30 @@ func (g *Game) EvaluateProfileOwned(pM, pD float64, tau []float64) *Profile {
 // parameters are re-checked. Direct writes to λ/ω on a precomputed game must
 // go through SetLambda/SetWeight or be followed by Invalidate.
 func (g *Game) Solve() (*Profile, error) {
-	if g.cached() == nil {
-		if err := g.Validate(); err != nil {
-			return nil, err
-		}
-	} else if err := g.Buyer.Validate(); err != nil {
+	p := new(Profile)
+	if err := g.SolveInto(p); err != nil {
 		return nil, err
 	}
-	return g.solve()
+	return p, nil
+}
+
+// SolveInto is Solve writing the equilibrium into dst, reusing dst's
+// vectors as EvaluateProfileInto does; dst is written only on success.
+//
+// A Game copied by assignment (c := *g) shares the original's seller
+// slices and Precompute snapshot, so setting c.Buyer and calling
+// c.SolveInto solves a new demand against a shared prototype without
+// writing to it — the quote path's allocation-free way to serve many
+// buyers, concurrently, from one precomputed game.
+func (g *Game) SolveInto(dst *Profile) error {
+	if g.cached() == nil {
+		if err := g.Validate(); err != nil {
+			return err
+		}
+	} else if err := g.Buyer.Validate(); err != nil {
+		return err
+	}
+	return g.solveInto(dst)
 }
 
 // SolveValidated is Solve minus all validation — the fast path for sweeps
@@ -221,16 +258,22 @@ func (g *Game) Solve() (*Profile, error) {
 // with Precompute, the per-solve overhead of Stages 1–2 drops from O(m)
 // to O(1); results are bit-for-bit identical to Solve.
 func (g *Game) SolveValidated() (*Profile, error) {
-	return g.solve()
-}
-
-// solve is the shared backward-induction body of Solve and SolveValidated.
-func (g *Game) solve() (*Profile, error) {
-	pm, err := g.Stage1PM()
-	if err != nil {
+	p := new(Profile)
+	if err := g.solveInto(p); err != nil {
 		return nil, err
 	}
+	return p, nil
+}
+
+// solveInto is the shared backward-induction body of SolveInto and
+// SolveValidated.
+func (g *Game) solveInto(dst *Profile) error {
+	pm, err := g.Stage1PM()
+	if err != nil {
+		return err
+	}
 	pd := g.Stage2PD(pm)
-	tau := g.Stage3Tau(pd)
-	return g.EvaluateProfileOwned(pm, pd, tau), nil
+	dst.Tau = g.Stage3TauInto(pd, dst.Tau)
+	g.EvaluateProfileInto(pm, pd, dst.Tau, dst)
+	return nil
 }

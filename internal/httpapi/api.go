@@ -49,10 +49,12 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"share/internal/core"
 	"share/internal/market"
 	"share/internal/obs"
+	"share/internal/parallel"
 	"share/internal/pool"
 	"share/internal/product"
 	"share/internal/solve"
@@ -78,6 +80,10 @@ type Server struct {
 	metrics *obs.Registry
 	maxBody int64
 	reqSeq  atomic.Uint64
+
+	// quotes keeps the quote handlers' per-request scratch between
+	// requests (see quoteScratch).
+	quotes parallel.FreeList[quoteScratch]
 
 	// testHookTradeBuilder, when set, replaces the resolved product builder
 	// on every trade. Tests use it to inject blocking or failing builders;
@@ -693,8 +699,11 @@ func (s *Server) handleListSellers(w http.ResponseWriter, r *http.Request, m *po
 	writeJSON(w, http.StatusOK, out)
 }
 
-func quoteFromProfile(p *core.Profile, solver string) Quote {
-	q := Quote{
+// quoteFromProfile renders p into q. The vectors are shared with p, and
+// q's ApproxInfo is reused when p carries a bound.
+func quoteFromProfile(q *Quote, p *core.Profile, solver string) {
+	approx := q.Approx
+	*q = Quote{
 		Solver:       solver,
 		ProductPrice: p.PM,
 		DataPrice:    p.PD,
@@ -707,13 +716,67 @@ func quoteFromProfile(p *core.Profile, solver string) Quote {
 		ProductQ:     p.QM,
 	}
 	if p.Approx != nil {
-		q.Approx = &ApproxInfo{
+		if approx == nil {
+			approx = new(ApproxInfo)
+		}
+		*approx = ApproxInfo{
 			ErrorLo:        p.Approx.Lo,
 			ErrorHi:        p.Approx.Hi,
 			ConditionHolds: p.Approx.ConditionHolds,
 		}
+		q.Approx = approx
 	}
-	return q
+}
+
+// maxBatchDemands caps one batch quote. The response grows with demands ×
+// sellers, so without a cap the 8 MiB body limit would admit millions of
+// demands and a response hundreds of megabytes long.
+const maxBatchDemands = 1024
+
+// quoteScratch is one quote request's working memory: the solved profiles,
+// their response bodies and the batch's demand and name slices. The quote
+// handlers take one from Server.quotes and return it once the body is
+// written, so a steady stream of quotes refills the same vectors instead
+// of allocating them per request.
+type quoteScratch struct {
+	prof  core.Profile // a single quote's profile
+	quote Quote        // and its response
+
+	demands  []pool.BatchDemand
+	profiles []core.Profile
+	names    []string
+	batch    QuoteBatchResult
+}
+
+// releaseQuoteScratch returns sc to the server's free list with its
+// footprint, so that the scratch of an unusually large batch is dropped
+// rather than kept.
+func (s *Server) releaseQuoteScratch(sc *quoteScratch) {
+	bytes := profileBytes(&sc.prof) +
+		cap(sc.demands)*int(unsafe.Sizeof(pool.BatchDemand{})) +
+		cap(sc.profiles)*int(unsafe.Sizeof(core.Profile{})) +
+		cap(sc.names)*int(unsafe.Sizeof("")) +
+		cap(sc.batch.Quotes)*int(unsafe.Sizeof(Quote{}))
+	all := sc.profiles[:cap(sc.profiles)]
+	for i := range all {
+		bytes += profileBytes(&all[i])
+	}
+	s.quotes.Put(sc, bytes)
+}
+
+// profileBytes is the size of a profile's vectors.
+func profileBytes(p *core.Profile) int {
+	return 8 * (cap(p.Tau) + cap(p.Chi) + cap(p.SellerProfits))
+}
+
+// resize returns s with length n, reusing its array when the capacity
+// suffices. Entries it reuses keep their old contents for the caller to
+// overwrite.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // solveError classifies an equilibrium-solve failure: the prepared game was
@@ -740,7 +803,9 @@ func (s *Server) handleQuote(w http.ResponseWriter, r *http.Request, m *pool.Mar
 		writeError(w, err)
 		return
 	}
-	prof, name, err := m.Quote(r.Context(), b, d.Solver)
+	sc := s.quotes.Get()
+	defer s.releaseQuoteScratch(sc)
+	name, err := m.QuoteInto(r.Context(), b, d.Solver, &sc.prof)
 	if err != nil {
 		var fe *pool.FieldError
 		if errors.As(err, &fe) || errors.Is(err, pool.ErrNoSellers) {
@@ -750,7 +815,8 @@ func (s *Server) handleQuote(w http.ResponseWriter, r *http.Request, m *pool.Mar
 		writeError(w, solveError(err))
 		return
 	}
-	writeJSON(w, http.StatusOK, quoteFromProfile(prof, name))
+	quoteFromProfile(&sc.quote, &sc.prof, name)
+	writeJSON(w, http.StatusOK, &sc.quote)
 }
 
 // handleQuoteBatch solves a batch of demands concurrently against one
@@ -762,21 +828,29 @@ func (s *Server) handleQuoteBatch(w http.ResponseWriter, r *http.Request, m *poo
 		writeDecodeError(w, err)
 		return
 	}
-	if len(req.Demands) == 0 {
+	n := len(req.Demands)
+	if n == 0 {
 		writeError(w, fieldErrorf("demands", "at least one demand is required"))
 		return
 	}
-	batch := make([]pool.BatchDemand, len(req.Demands))
+	if n > maxBatchDemands {
+		writeError(w, fieldErrorf("demands", "at most %d demands per batch, got %d", maxBatchDemands, n))
+		return
+	}
+	sc := s.quotes.Get()
+	defer s.releaseQuoteScratch(sc)
+	sc.demands = resize(sc.demands, n)
 	for i, d := range req.Demands {
 		b, err := d.buyer()
 		if err != nil {
 			writeError(w, &pool.BatchError{Index: i, Err: err})
 			return
 		}
-		batch[i] = pool.BatchDemand{Buyer: b, Solver: d.Solver}
+		sc.demands[i] = pool.BatchDemand{Buyer: b, Solver: d.Solver}
 	}
-	profiles, names, err := m.QuoteBatch(r.Context(), batch)
-	if err != nil {
+	sc.profiles = resize(sc.profiles, n)
+	sc.names = resize(sc.names, n)
+	if err := m.QuoteBatchInto(r.Context(), sc.demands, sc.profiles, sc.names); err != nil {
 		var be *pool.BatchError
 		if errors.As(err, &be) {
 			var fe *pool.FieldError
@@ -787,11 +861,11 @@ func (s *Server) handleQuoteBatch(w http.ResponseWriter, r *http.Request, m *poo
 		writeError(w, err)
 		return
 	}
-	out := QuoteBatchResult{Quotes: make([]Quote, len(profiles))}
-	for i, p := range profiles {
-		out.Quotes[i] = quoteFromProfile(p, names[i])
+	sc.batch.Quotes = resize(sc.batch.Quotes, n)
+	for i := range sc.profiles {
+		quoteFromProfile(&sc.batch.Quotes[i], &sc.profiles[i], sc.names[i])
 	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, &sc.batch)
 }
 
 func (s *Server) handleTrade(w http.ResponseWriter, r *http.Request, m *pool.Market) {
@@ -830,11 +904,10 @@ func (s *Server) handleTrade(w http.ResponseWriter, r *http.Request, m *pool.Mar
 }
 
 func tradeResult(tx *market.Transaction) TradeResult {
-	return TradeResult{
+	res := TradeResult{
 		Round:             tx.Round,
 		Product:           tx.Product,
 		Solver:            tx.Solver,
-		Quote:             quoteFromProfile(tx.Profile, tx.Solver),
 		Pieces:            tx.Pieces,
 		Compensations:     tx.Compensations,
 		Payment:           tx.Payment,
@@ -845,6 +918,8 @@ func tradeResult(tx *market.Transaction) TradeResult {
 		Weights:           tx.Weights,
 		TotalSeconds:      tx.Timings.Total.Seconds(),
 	}
+	quoteFromProfile(&res.Quote, tx.Profile, tx.Solver)
+	return res
 }
 
 func (s *Server) handleListTrades(w http.ResponseWriter, r *http.Request, m *pool.Market) {

@@ -232,8 +232,8 @@ type Transaction struct {
 	// under.
 	Epoch uint64 `json:",omitempty"`
 	// SolveEffort carries the numerical backend's per-stage effort counters
-	// when the solving Prepared exposes them (the general backend); nil for
-	// closed-form backends. Consumers surface it as observability series.
+	// (Profile.Effort of a general solve); nil for closed-form backends.
+	// Consumers surface it as observability series.
 	SolveEffort *core.GeneralStats
 	// Timings records per-phase durations.
 	Timings Timings
@@ -568,10 +568,8 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 		Epoch:   m.epoch,
 	}
 	tx.Timings.Strategy = time.Since(t0)
-	if sp, ok := prep.(solve.StatsProvider); ok {
-		if st := sp.SolveStats(); st.Stage3Solves > 0 {
-			tx.SolveEffort = &st
-		}
+	if st := profile.Effort; st != nil && st.Stage3Solves > 0 {
+		tx.SolveEffort = st
 	}
 
 	// Data Transaction (Lines 8–14).

@@ -26,9 +26,9 @@ import (
 //
 // Locking: writeMu serializes the mutating operations (registration,
 // trades, snapshot save/restore) of THIS market only. Read paths — View,
-// Quote, QuoteBatch, Info — never take it; they load the atomically
-// published View. stateMu guards only the admission gate (closed flag +
-// in-flight counter) used by Delete's drain.
+// Quote, QuoteBatch and their Into forms, Info — never take it; they load
+// the atomically published View. stateMu guards only the admission gate
+// (closed flag + in-flight counter) used by Delete's drain.
 type Market struct {
 	id     string
 	p      *Pool
@@ -95,8 +95,9 @@ type Market struct {
 type View struct {
 	// Protos holds one validated, precomputed solver prototype per
 	// registered backend over the current sellers and weights (nil until
-	// the first seller registers). A quote Clones the requested backend's
-	// prototype — O(m) copy, seller aggregates carried.
+	// the first seller registers). Quotes solve the requested backend's
+	// prototype with SolveFor, which never writes to it, so every
+	// concurrent quote shares it without a copy.
 	Protos map[string]solve.Prepared
 	// Sellers is the roster with current weights.
 	Sellers []SellerState
@@ -362,6 +363,12 @@ func (m *Market) registerLocked(reg Registration) (SellerState, *wal.Log, uint64
 	return SellerState{ID: reg.ID, Lambda: reg.Lambda, Rows: data.Len()}, l, seq, nil
 }
 
+// MaxSyntheticRows caps Registration.SyntheticRows. Minting costs memory
+// linear in the count, so an uncapped count in a 50-byte request could
+// exhaust the server; the cap sits well above the paper's scaled corpus
+// (10,000 rows per seller).
+const MaxSyntheticRows = 100_000
+
 // sellerData materializes a registration's dataset: inline rows converted
 // and checked by storedData, or a synthetic CCPP-like set — the test set's
 // schema — minted from the market seed and roster position (identical to
@@ -370,6 +377,8 @@ func (m *Market) sellerData(reg Registration) (*dataset.Dataset, error) {
 	switch {
 	case reg.SyntheticRows > 0 && reg.Rows != nil:
 		return nil, &FieldError{Field: "synthetic_rows", Msg: "provide either inline rows or synthetic_rows, not both"}
+	case reg.SyntheticRows > MaxSyntheticRows:
+		return nil, &FieldError{Field: "synthetic_rows", Msg: fmt.Sprintf("at most %d rows, got %d", MaxSyntheticRows, reg.SyntheticRows)}
 	case reg.SyntheticRows > 0:
 		return dataset.SyntheticCCPP(reg.SyntheticRows, stat.NewRand(m.cfg.Seed+int64(len(m.sellers)))), nil
 	case len(reg.Rows) > 0:
@@ -403,70 +412,93 @@ func (m *Market) resolveProto(v *View, requested string) (string, solve.Prepared
 	return name, proto, nil
 }
 
-// Quote solves the game for one buyer against the published view — no
-// locks, so quotes stay responsive while a trade holds the write path.
-// The returned name is the backend that actually solved.
+// QuoteInto solves the game for one buyer against the published view into
+// dst — no locks, so quotes stay responsive while a trade holds the write
+// path, and no copy of the view's prototype: dst's vectors are reused, so a
+// warm dst quotes the closed-form backends without allocating. The returned
+// name is the backend that actually solved.
+func (m *Market) QuoteInto(ctx context.Context, b core.Buyer, solverName string, dst *core.Profile) (string, error) {
+	name, d, err := m.solveQuote(ctx, m.view.Load(), b, solverName, dst)
+	if err != nil {
+		return name, err
+	}
+	m.quoteObs.Observe(d)
+	return name, nil
+}
+
+// Quote is QuoteInto into a fresh profile.
 func (m *Market) Quote(ctx context.Context, b core.Buyer, solverName string) (*core.Profile, string, error) {
-	v := m.view.Load()
-	name, proto, err := m.resolveProto(v, solverName)
+	prof := new(core.Profile)
+	name, err := m.QuoteInto(ctx, b, solverName, prof)
 	if err != nil {
 		return nil, name, err
 	}
-	prep := proto.Clone()
-	prep.SetBuyer(b)
+	return prof, name, nil
+}
+
+// QuoteBatchInto solves many demands concurrently against ONE consistent
+// view snapshot, fanned across the pool's shared worker budget: demand i is
+// solved into dst[i] and its backend named in names[i] (both must hold
+// len(demands) entries). Each index owns its slots, so the batch is
+// byte-identical for every worker count. A failing demand fails the batch
+// with a BatchError naming the lowest failing index (quotes have no side
+// effects, so the all-or-nothing contract is cheap and keeps the error
+// deterministic); the other slots are then unspecified.
+func (m *Market) QuoteBatchInto(ctx context.Context, demands []BatchDemand, dst []core.Profile, names []string) error {
+	v := m.view.Load()
 	t0 := time.Now()
-	prof, err := prep.Solve(ctx)
+	var mu sync.Mutex
+	var firstErr *BatchError
+	parallel.For(m.p.workers, len(demands), func(i int) {
+		var err error
+		names[i], _, err = m.solveQuote(ctx, v, demands[i].Buyer, demands[i].Solver, &dst[i])
+		if err != nil {
+			mu.Lock()
+			if firstErr == nil || i < firstErr.Index {
+				firstErr = &BatchError{Index: i, Err: err}
+			}
+			mu.Unlock()
+		}
+	})
+	if firstErr != nil {
+		return firstErr
+	}
+	m.quoteObs.Observe(time.Since(t0))
+	return nil
+}
+
+// QuoteBatch is QuoteBatchInto into fresh profiles.
+func (m *Market) QuoteBatch(ctx context.Context, demands []BatchDemand) ([]*core.Profile, []string, error) {
+	profiles := make([]core.Profile, len(demands))
+	names := make([]string, len(demands))
+	if err := m.QuoteBatchInto(ctx, demands, profiles, names); err != nil {
+		return nil, nil, err
+	}
+	out := make([]*core.Profile, len(profiles))
+	for i := range profiles {
+		out[i] = &profiles[i]
+	}
+	return out, names, nil
+}
+
+// solveQuote resolves the requested backend on view v and solves b into dst
+// against its shared prototype, recording the solve under its backend's
+// latency series and a general solve's effort under solve/general/*.
+func (m *Market) solveQuote(ctx context.Context, v *View, b core.Buyer, solverName string, dst *core.Profile) (string, time.Duration, error) {
+	name, proto, err := m.resolveProto(v, solverName)
 	if err != nil {
-		return nil, name, err
+		return name, 0, err
+	}
+	t0 := time.Now()
+	if err := proto.SolveFor(ctx, b, dst); err != nil {
+		return name, 0, err
 	}
 	d := time.Since(t0)
 	if ep := m.p.solveObs[name]; ep != nil {
 		ep.Observe(d)
 	}
-	if sp, ok := prep.(solve.StatsProvider); ok {
-		m.p.observeStage3(sp.SolveStats())
-	}
-	m.quoteObs.Observe(d)
-	return prof, name, nil
-}
-
-// QuoteBatch solves many demands concurrently against ONE consistent view
-// snapshot, fanned across the pool's shared worker budget. Each index owns
-// its clone and its output slot and results are collected in order, so the
-// batch is byte-identical for every worker count. A failing demand aborts
-// the batch with a BatchError naming the lowest failing index (quotes have
-// no side effects, so the all-or-nothing contract is cheap and keeps the
-// error deterministic).
-func (m *Market) QuoteBatch(ctx context.Context, demands []BatchDemand) ([]*core.Profile, []string, error) {
-	v := m.view.Load()
-	names := make([]string, len(demands))
-	t0 := time.Now()
-	profiles, err := parallel.Map(m.p.workers, len(demands), func(i int) (*core.Profile, error) {
-		name, proto, err := m.resolveProto(v, demands[i].Solver)
-		names[i] = name
-		if err != nil {
-			return nil, &BatchError{Index: i, Err: err}
-		}
-		prep := proto.Clone()
-		prep.SetBuyer(demands[i].Buyer)
-		s0 := time.Now()
-		prof, err := prep.Solve(ctx)
-		if err != nil {
-			return nil, &BatchError{Index: i, Err: err}
-		}
-		if ep := m.p.solveObs[name]; ep != nil {
-			ep.Observe(time.Since(s0))
-		}
-		if sp, ok := prep.(solve.StatsProvider); ok {
-			m.p.observeStage3(sp.SolveStats())
-		}
-		return prof, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	m.quoteObs.Observe(time.Since(t0))
-	return profiles, names, nil
+	m.p.observeStage3(dst.Effort)
+	return name, d, nil
 }
 
 // Trade runs one full round of Algorithm 1 for the buyer, with this
@@ -546,9 +578,7 @@ func (m *Market) tradeLocked(ctx context.Context, release func(), b core.Buyer, 
 	if ep := m.p.solveObs[tx.Solver]; ep != nil {
 		ep.Observe(tx.Timings.Strategy)
 	}
-	if tx.SolveEffort != nil {
-		m.p.observeStage3(*tx.SolveEffort)
-	}
+	m.p.observeStage3(tx.SolveEffort)
 	m.tradeObs.Observe(time.Since(start))
 	m.emitWeights(tx)
 	l, seq := m.persistTradeLocked(tx, translog.Observation{N: b.N, V: b.V, Cost: tx.ManufacturingCost})

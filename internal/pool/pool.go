@@ -144,7 +144,7 @@ type Pool struct {
 	walMet    wal.Metrics              // shared WAL series, all markets
 
 	// Per-stage effort series of the general backend's numerical cascade,
-	// fed from solve.StatsProvider after each general solve: time spent in
+	// fed from Profile.Effort after each general solve: time spent in
 	// Stage-3 inner Nash solves, and cumulative solve/sweep/memo counters.
 	stage3Obs    *obs.Endpoint
 	stage3Solves *obs.Counter
@@ -334,9 +334,9 @@ func (p *Pool) Metrics() *obs.Registry { return p.metrics }
 
 // observeStage3 folds one general solve's per-stage effort counters into
 // the pool's solve/general/* series. Closed-form backends report nothing
-// (Stage3Solves == 0) and are skipped.
-func (p *Pool) observeStage3(st core.GeneralStats) {
-	if st.Stage3Solves <= 0 {
+// (nil, or Stage3Solves == 0) and are skipped.
+func (p *Pool) observeStage3(st *core.GeneralStats) {
+	if st == nil || st.Stage3Solves <= 0 {
 		return
 	}
 	p.stage3Obs.Observe(st.Stage3Time)

@@ -211,9 +211,8 @@ func (m *Market) emitRoster(action, seller string) {
 	ev.Action = action
 	ev.Seller = seller
 	if proto, ok := m.view.Load().Protos[m.solver.Name()]; ok {
-		prep := proto.Clone()
-		prep.SetBuyer(core.PaperBuyer())
-		if prof, err := prep.Solve(context.Background()); err == nil {
+		var prof core.Profile
+		if err := proto.SolveFor(context.Background(), core.PaperBuyer(), &prof); err == nil {
 			ev.PM, ev.PD = prof.PM, prof.PD
 		}
 	}

@@ -47,13 +47,22 @@ func (p *analyticPrepared) Reprepare(d RosterDelta) error {
 	return nil
 }
 
-// Solve runs the cached closed-form backward induction. With a live
-// Precompute snapshot only the buyer parameters are re-validated; a seller
-// mutation through Game() drops the snapshot and Solve transparently falls
-// back to the full-validation path.
+// Solve runs the cached closed-form backward induction for the Prepared's
+// own buyer. With a live Precompute snapshot only the buyer parameters are
+// re-validated; a seller mutation through Game() drops the snapshot and
+// Solve transparently falls back to the full-validation path.
 func (p *analyticPrepared) Solve(ctx context.Context) (*core.Profile, error) {
+	return solveFresh(ctx, p)
+}
+
+// SolveFor solves a copy of the game header carrying b: the copy shares the
+// seller slices and the Precompute snapshot, stays on the stack and leaves
+// the Prepared untouched.
+func (p *analyticPrepared) SolveFor(ctx context.Context, b core.Buyer, dst *core.Profile) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	return p.g.Solve()
+	g := *p.g
+	g.Buyer = b
+	return g.SolveInto(dst)
 }

@@ -27,11 +27,14 @@ import (
 // identically whether its ancestor had warmed up or not is NOT guaranteed —
 // what is guaranteed, and tested, is that the warm-started answer matches
 // the cold one to the solver tolerances and that any fixed call sequence is
-// bit-identical across worker counts.
+// bit-identical across worker counts. SolveFor starts from the chain but
+// never advances it, so every quote against one prototype sees the same
+// chain state.
 type General struct {
 	// LossFor builds the seller loss for a prepared game; nil selects the
-	// quadratic loss (Eq. 11). It is called against the Prepared's owned
-	// clone at each Solve, so the closure sees current λ/ω values.
+	// quadratic loss (Eq. 11). It is called at each solve against the game
+	// being solved — the Prepared's game carrying the solve's buyer — so
+	// the closure sees current λ/ω values.
 	LossFor func(g *core.Game) core.LossFunc
 	// Workers bounds the Jacobi fan-out of the inner Stage-3 solves and the
 	// speculative Stage-2 probe pairs; ≤ 0 means GOMAXPROCS (the
@@ -65,9 +68,6 @@ type generalPrepared struct {
 	// seeding. Nil until the first Solve.
 	warmPD  float64
 	warmTau []float64
-
-	// stats of the most recent Solve.
-	stats core.GeneralStats
 }
 
 func (p *generalPrepared) Backend() Backend      { return p.b }
@@ -120,30 +120,11 @@ func (p *generalPrepared) Clone() Prepared {
 	}
 }
 
-// Solve runs the numerical backward induction under the backend's loss.
+// Solve runs the numerical backward induction under the backend's loss for
+// the Prepared's own buyer, then advances the warm-start chain to the
+// solved profile.
 func (p *generalPrepared) Solve(ctx context.Context) (*core.Profile, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	loss := p.g.QuadraticLoss()
-	if p.b.LossFor != nil {
-		loss = p.b.LossFor(p.g)
-	}
-	warmTau := p.warmTau
-	if warmTau != nil && len(warmTau) != p.g.M() {
-		warmTau = nil // population changed since the last round; cold start
-	}
-	prof, err := p.g.SolveGeneralCtx(ctx, core.GeneralOptions{
-		Loss:     loss,
-		PriceTol: p.b.PriceTol,
-		Nash: nash.Options{
-			Sweep:   nash.Jacobi,
-			Workers: p.b.Workers,
-		},
-		WarmPD:  p.warmPD,
-		WarmTau: warmTau,
-		Stats:   &p.stats,
-	})
+	prof, err := solveFresh(ctx, p)
 	if err != nil {
 		return nil, err
 	}
@@ -152,6 +133,38 @@ func (p *generalPrepared) Solve(ctx context.Context) (*core.Profile, error) {
 	return prof, nil
 }
 
-// SolveStats implements StatsProvider with the effort counters of the most
-// recent Solve.
-func (p *generalPrepared) SolveStats() core.GeneralStats { return p.stats }
+// SolveFor solves a private copy of the game header carrying b, seeded from
+// the warm-start chain but never advancing it, and reports the cascade's
+// effort on dst.Effort.
+func (p *generalPrepared) SolveFor(ctx context.Context, b core.Buyer, dst *core.Profile) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	g := *p.g
+	g.Buyer = b
+	loss := g.QuadraticLoss()
+	if p.b.LossFor != nil {
+		loss = p.b.LossFor(&g)
+	}
+	warmTau := p.warmTau
+	if warmTau != nil && len(warmTau) != g.M() {
+		warmTau = nil // population changed since the last round; cold start
+	}
+	effort := new(core.GeneralStats)
+	err := g.SolveGeneralInto(ctx, core.GeneralOptions{
+		Loss:     loss,
+		PriceTol: p.b.PriceTol,
+		Nash: nash.Options{
+			Sweep:   nash.Jacobi,
+			Workers: p.b.Workers,
+		},
+		WarmPD:  p.warmPD,
+		WarmTau: warmTau,
+		Stats:   effort,
+	}, dst)
+	if err != nil {
+		return err
+	}
+	dst.Effort = effort
+	return nil
+}

@@ -54,36 +54,48 @@ func (p *meanFieldPrepared) Reprepare(d RosterDelta) error {
 	return nil
 }
 
-// Solve runs backward induction with the mean-field Stage 3 and attaches the
-// Theorem 5.1 bound.
+// Solve runs backward induction with the mean-field Stage 3 for the
+// Prepared's own buyer and attaches the Theorem 5.1 bound.
 func (p *meanFieldPrepared) Solve(ctx context.Context) (*core.Profile, error) {
+	return solveFresh(ctx, p)
+}
+
+// SolveFor solves a stack copy of the game header carrying b, as the
+// analytic backend does, and reuses dst.Approx for the bound.
+func (p *meanFieldPrepared) SolveFor(ctx context.Context, b core.Buyer, dst *core.Profile) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	g := p.g
+	g := *p.g
+	g.Buyer = b
 	if g.Precomputed() {
 		if err := g.Buyer.Validate(); err != nil {
-			return nil, err
+			return err
 		}
 	} else if err := g.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	pm, err := g.Stage1PM()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	pd := g.Stage2PD(pm)
-	tau := g.MeanFieldTau(pd)
-	prof := g.EvaluateProfileOwned(pm, pd, tau)
-	// EvaluateProfile assumes the quadratic loss; the mean-field strategy is
-	// the optimum of the alternative form λᵢχτ² (Eq. 22), so seller profits
-	// are re-evaluated under it. The allocation χ is already in the profile
-	// and the expression matches MFSellerProfit term for term.
-	for i := range prof.SellerProfits {
-		chi, t := prof.Chi[i], prof.Tau[i]
-		prof.SellerProfits[i] = pd*chi*t - g.Sellers.Lambda[i]*chi*t*t
+	approx := dst.Approx // EvaluateProfileInto clears it
+	dst.Tau = g.MeanFieldTauInto(pd, dst.Tau)
+	g.EvaluateProfileInto(pm, pd, dst.Tau, dst)
+	// EvaluateProfileInto assumes the quadratic loss; the mean-field strategy
+	// is the optimum of the alternative form λᵢχτ² (Eq. 22), so seller
+	// profits are re-evaluated under it. The allocation χ is already in the
+	// profile and the expression matches MFSellerProfit term for term.
+	for i := range dst.SellerProfits {
+		chi, t := dst.Chi[i], dst.Tau[i]
+		dst.SellerProfits[i] = pd*chi*t - g.Sellers.Lambda[i]*chi*t*t
+	}
+	if approx == nil {
+		approx = new(core.ApproxBound)
 	}
 	lo, hi := core.Theorem51Bounds(g.M())
-	prof.Approx = &core.ApproxBound{Lo: lo, Hi: hi, ConditionHolds: g.BoundCondition(pd)}
-	return prof, nil
+	*approx = core.ApproxBound{Lo: lo, Hi: hi, ConditionHolds: g.BoundCondition(pd)}
+	dst.Approx = approx
+	return nil
 }

@@ -13,9 +13,17 @@
 // route behind the same two-phase contract the PR 1 cache machinery
 // established:
 //
-//	Precompute(game)  →  Prepared     (once per seller population: O(m))
-//	Prepared.Clone()  →  Prepared     (once per request: O(m) copy, cache carried)
-//	SetBuyer + Solve  →  *Profile     (per demand: the backend's own cost)
+//	Precompute(game)          →  Prepared  (once per seller population: O(m))
+//	SolveFor(ctx, buyer, dst) →  dst       (per demand: the backend's own cost)
+//
+// SolveFor never writes to the Prepared, so one prototype serves every
+// concurrent quote, and it refills the caller's profile in place, so a
+// caller that keeps its profile solves the closed forms without allocating.
+// Clone is for callers that mutate the game or advance state between
+// solves — sweeps over λ/ω, trade rounds, roster churn staged on a copy:
+//
+//	Prepared.Clone()  →  Prepared     (O(m) copy, cache carried)
+//	SetBuyer + Solve  →  *Profile     (Solve = SolveFor on the own buyer)
 //
 // Backends register themselves by name in a process-global registry;
 // consumers select one with Lookup and treat the empty string as the
@@ -47,9 +55,11 @@ type Backend interface {
 	Precompute(g *core.Game) (Prepared, error)
 }
 
-// Prepared is a game bound to a backend, ready to solve. A Prepared is NOT
-// safe for concurrent use — Clone one per goroutine (the intended pattern:
-// hold a long-lived prototype, Clone per request or per grid point).
+// Prepared is a game bound to a backend, ready to solve. Any number of
+// SolveFor calls may share one Prepared while nothing mutates it. SetBuyer,
+// Solve, Reprepare and writes through Game mutate it, so a Prepared that is
+// mutated is NOT safe for concurrent use — Clone one per goroutine (sweeps,
+// rounds, churn staging).
 type Prepared interface {
 	// Backend returns the backend that built this Prepared.
 	Backend() Backend
@@ -61,10 +71,18 @@ type Prepared interface {
 	// SetBuyer swaps the demand side. Buyer parameters never enter the
 	// precomputed seller aggregates, so this is O(1) and cache-preserving.
 	SetBuyer(b core.Buyer)
-	// Solve computes the equilibrium profile. Approximate backends attach
-	// Profile.Approx; exact ones leave it nil. A canceled context returns
-	// promptly with the context's error.
+	// Solve computes the equilibrium profile for the Prepared's own buyer:
+	// SolveFor into a fresh profile. The general backend then advances its
+	// warm-start chain to the solved profile.
 	Solve(ctx context.Context) (*core.Profile, error)
+	// SolveFor computes the equilibrium profile for buyer b into dst,
+	// reusing dst's vectors when their capacity suffices and writing every
+	// field, so a reused dst never shows an earlier answer. Approximate
+	// backends attach Profile.Approx (reusing dst's); exact ones clear it.
+	// The general backend reports its effort on Profile.Effort. SolveFor
+	// never writes to the Prepared; dst is written only on success. A
+	// canceled context returns promptly with the context's error.
+	SolveFor(ctx context.Context, b core.Buyer, dst *core.Profile) error
 	// Clone returns an independent copy sharing no mutable state, carrying
 	// any precomputed caches.
 	Clone() Prepared
@@ -119,12 +137,14 @@ func applyDelta(g *core.Game, d RosterDelta) error {
 	return nil
 }
 
-// StatsProvider is implemented by Prepared instances that track per-solve
-// effort counters (currently the general backend). Consumers type-assert
-// after a Solve to surface the numbers as observability series; the stats
-// describe the most recent Solve on that Prepared.
-type StatsProvider interface {
-	SolveStats() core.GeneralStats
+// solveFresh is the Solve shared by every backend: SolveFor on the
+// Prepared's own buyer into a fresh profile.
+func solveFresh(ctx context.Context, p Prepared) (*core.Profile, error) {
+	prof := new(core.Profile)
+	if err := p.SolveFor(ctx, p.Game().Buyer, prof); err != nil {
+		return nil, err
+	}
+	return prof, nil
 }
 
 // DefaultName is the backend consumers fall back to when none is named —

@@ -331,7 +331,7 @@ func TestGeneralWarmChainConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("first Solve: %v", err)
 	}
-	cold := prep.(StatsProvider).SolveStats()
+	cold := *first.Effort
 	// Clone now, so the clone carries exactly the chain state the second
 	// solve starts from.
 	clone := prep.Clone()
@@ -339,7 +339,7 @@ func TestGeneralWarmChainConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second Solve: %v", err)
 	}
-	warm := prep.(StatsProvider).SolveStats()
+	warm := *second.Effort
 	if d := math.Abs(second.PM - first.PM); d > 0.05*first.PM {
 		t.Errorf("p^M drifted %g across the warm chain (first %g)", d, first.PM)
 	}
@@ -357,7 +357,7 @@ func TestGeneralWarmChainConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cloned Solve: %v", err)
 	}
-	cloned := clone.(StatsProvider).SolveStats()
+	cloned := *third.Effort
 	if third.PM != second.PM || third.PD != second.PD {
 		t.Errorf("clone of a warmed Prepared solved to (%g, %g), original to (%g, %g); identical state must solve identically",
 			third.PM, third.PD, second.PM, second.PD)

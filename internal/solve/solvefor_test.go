@@ -1,0 +1,192 @@
+package solve
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"share/internal/core"
+	"share/internal/stat"
+	"share/internal/translog"
+)
+
+// randomGame draws a game with m sellers: λ and ω uniform over a decade
+// each, and a random buyer.
+func randomGame(m int, rng *rand.Rand) *core.Game {
+	g := &core.Game{
+		Buyer:   randomBuyer(rng),
+		Broker:  core.Broker{Cost: translog.PaperDefaults(), Weights: make([]float64, m)},
+		Sellers: core.Sellers{Lambda: make([]float64, m)},
+	}
+	for i := 0; i < m; i++ {
+		g.Sellers.Lambda[i] = 0.1 + 0.9*rng.Float64()
+		g.Broker.Weights[i] = 0.2 + 1.8*rng.Float64()
+	}
+	return g
+}
+
+// randomBuyer draws a valid buyer around the paper's defaults.
+func randomBuyer(rng *rand.Rand) core.Buyer {
+	theta1 := 0.2 + 0.6*rng.Float64()
+	return core.Buyer{
+		N:      50 + 950*rng.Float64(),
+		V:      0.5 + 0.45*rng.Float64(),
+		Theta1: theta1,
+		Theta2: 1 - theta1,
+		Rho1:   0.1 + rng.Float64(),
+		Rho2:   50 + 400*rng.Float64(),
+	}
+}
+
+// protoState is everything SolveFor must leave untouched on a prototype.
+type protoState struct {
+	buyer          core.Buyer
+	lambda, weight []float64
+	lambda0        *float64
+	warmPD         float64
+	warmTau        []float64
+	warmTau0       *float64
+}
+
+func captureProto(p Prepared) protoState {
+	g := p.Game()
+	st := protoState{
+		buyer:   g.Buyer,
+		lambda:  append([]float64(nil), g.Sellers.Lambda...),
+		weight:  append([]float64(nil), g.Broker.Weights...),
+		lambda0: &g.Sellers.Lambda[0],
+	}
+	if gp, ok := p.(*generalPrepared); ok {
+		st.warmPD = gp.warmPD
+		st.warmTau = append([]float64(nil), gp.warmTau...)
+		if len(gp.warmTau) > 0 {
+			st.warmTau0 = &gp.warmTau[0]
+		}
+	}
+	return st
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// diffProfile reports the first field where got and want differ bit for
+// bit, or "" when they are identical. Effort is compared on its counters;
+// Stage3Time is wall-clock.
+func diffProfile(got, want *core.Profile) string {
+	scalars := []struct {
+		name     string
+		got, exp float64
+	}{
+		{"PM", got.PM, want.PM}, {"PD", got.PD, want.PD},
+		{"QD", got.QD, want.QD}, {"QM", got.QM, want.QM},
+		{"BuyerProfit", got.BuyerProfit, want.BuyerProfit},
+		{"BrokerProfit", got.BrokerProfit, want.BrokerProfit},
+	}
+	for _, s := range scalars {
+		if math.Float64bits(s.got) != math.Float64bits(s.exp) {
+			return fmt.Sprintf("%s = %v, want %v", s.name, s.got, s.exp)
+		}
+	}
+	vectors := []struct {
+		name     string
+		got, exp []float64
+	}{
+		{"Tau", got.Tau, want.Tau}, {"Chi", got.Chi, want.Chi},
+		{"SellerProfits", got.SellerProfits, want.SellerProfits},
+	}
+	for _, v := range vectors {
+		if !sameBits(v.got, v.exp) {
+			return fmt.Sprintf("%s = %v, want %v", v.name, v.got, v.exp)
+		}
+	}
+	switch {
+	case (got.Approx == nil) != (want.Approx == nil):
+		return fmt.Sprintf("Approx = %v, want %v", got.Approx, want.Approx)
+	case got.Approx != nil && (math.Float64bits(got.Approx.Lo) != math.Float64bits(want.Approx.Lo) ||
+		math.Float64bits(got.Approx.Hi) != math.Float64bits(want.Approx.Hi) ||
+		got.Approx.ConditionHolds != want.Approx.ConditionHolds):
+		return fmt.Sprintf("Approx = %+v, want %+v", *got.Approx, *want.Approx)
+	case (got.Effort == nil) != (want.Effort == nil):
+		return fmt.Sprintf("Effort = %v, want %v", got.Effort, want.Effort)
+	case got.Effort != nil && (got.Effort.Stage3Solves != want.Effort.Stage3Solves ||
+		got.Effort.Stage3Sweeps != want.Effort.Stage3Sweeps || got.Effort.MemoHits != want.Effort.MemoHits):
+		return fmt.Sprintf("Effort = %+v, want %+v", *got.Effort, *want.Effort)
+	}
+	return ""
+}
+
+// TestSolveForMatchesCloneSolve pins SolveFor to the Clone → SetBuyer →
+// Solve path it replaces on the quote path: for every backend, over
+// generated games and buyers, SolveFor into a fresh profile and into one
+// left dirty by a different roster size or backend must agree bit for bit,
+// and must leave the prototype's game and the general warm chain as they
+// were.
+func TestSolveForMatchesCloneSolve(t *testing.T) {
+	ctx := context.Background()
+	rng := stat.NewRand(18)
+	var dirty core.Profile // carried across cases: grows, shrinks, switches backend
+	for _, m := range []int{12, 1, 100, 2} {
+		g := randomGame(m, rng)
+		for _, name := range Names() {
+			b, err := Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			proto, err := b.Precompute(g)
+			if err != nil {
+				t.Fatalf("m=%d %s: Precompute: %v", m, name, err)
+			}
+			// Warm the general chain, so SolveFor starts from a carried
+			// profile, as it does on a market's prototypes after a round.
+			if _, err := proto.Solve(ctx); err != nil {
+				t.Fatalf("m=%d %s: warm-up Solve: %v", m, name, err)
+			}
+			before := captureProto(proto)
+			for k := 0; k < 2; k++ {
+				buyer := randomBuyer(rng)
+				clone := proto.Clone()
+				clone.SetBuyer(buyer)
+				want, err := clone.Solve(ctx)
+				if err != nil {
+					t.Fatalf("m=%d %s buyer %d: Clone+Solve: %v", m, name, k, err)
+				}
+				var fresh core.Profile
+				if err := proto.SolveFor(ctx, buyer, &fresh); err != nil {
+					t.Fatalf("m=%d %s buyer %d: SolveFor: %v", m, name, k, err)
+				}
+				if d := diffProfile(&fresh, want); d != "" {
+					t.Errorf("m=%d %s buyer %d: SolveFor into a fresh profile: %s", m, name, k, d)
+				}
+				if err := proto.SolveFor(ctx, buyer, &dirty); err != nil {
+					t.Fatalf("m=%d %s buyer %d: SolveFor (dirty): %v", m, name, k, err)
+				}
+				if d := diffProfile(&dirty, want); d != "" {
+					t.Errorf("m=%d %s buyer %d: SolveFor into a reused profile: %s", m, name, k, d)
+				}
+			}
+			after := captureProto(proto)
+			if after.buyer != before.buyer || !sameBits(after.lambda, before.lambda) ||
+				!sameBits(after.weight, before.weight) || after.lambda0 != before.lambda0 {
+				t.Errorf("m=%d %s: SolveFor wrote to the prototype's game", m, name)
+			}
+			if !proto.Game().Precomputed() {
+				t.Errorf("m=%d %s: SolveFor dropped the prototype's Precompute snapshot", m, name)
+			}
+			if math.Float64bits(after.warmPD) != math.Float64bits(before.warmPD) ||
+				!sameBits(after.warmTau, before.warmTau) || after.warmTau0 != before.warmTau0 {
+				t.Errorf("m=%d %s: SolveFor advanced the warm-start chain", m, name)
+			}
+		}
+	}
+}

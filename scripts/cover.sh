@@ -9,8 +9,11 @@
 # internal/budget — the ε-ledger every budgeted trade charges —
 # internal/valuation — the Shapley estimators behind every weight update —
 # internal/dataset — the row-major seller data every market holds and the
-# FromRows converter every seller row enters through — and internal/regress
-# — the product fits and test-set moments that read those rows.
+# FromRows converter every seller row enters through — internal/regress
+# — the product fits and test-set moments that read those rows —
+# internal/core — the game, its closed forms and the in-place solves every
+# quote writes through — and internal/httpapi — the wire layer, its request
+# caps and the quote handlers' reused scratch.
 set -eu
 
 FLOOR=80.0
@@ -43,3 +46,5 @@ check_floor 'share/internal/budget'
 check_floor 'share/internal/valuation'
 check_floor 'share/internal/dataset'
 check_floor 'share/internal/regress'
+check_floor 'share/internal/core'
+check_floor 'share/internal/httpapi'
