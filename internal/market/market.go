@@ -464,11 +464,11 @@ func (m *Market) CostObservations() []translog.Observation {
 
 // prototype builds a precomputed solver prototype for the given weight
 // vector under the market's backend. The prototype carries a placeholder
-// buyer (demands swap in per round via Prepared.SetBuyer) and the seller
-// aggregates cache, so per-round preparation is one O(m) clone instead of
-// re-assembling and re-validating the λ and ω slices on every quote — the
-// fix for the old game() helper, which allocated both from scratch each
-// call and never benefited from Precompute.
+// buyer (each round solves it for its own buyer with Prepared.SolveFor) and
+// the seller aggregates cache, so a round neither re-assembles and
+// re-validates the λ and ω slices nor copies the game — the fix for the old
+// game() helper, which allocated both from scratch each call and never
+// benefited from Precompute.
 func (m *Market) prototype(weights []float64) (solve.Prepared, error) {
 	g := &core.Game{
 		Buyer:   core.PaperBuyer(),
@@ -486,16 +486,6 @@ func (m *Market) rebuildProto() error {
 	}
 	m.proto = proto
 	return nil
-}
-
-// prepared returns a round-private Prepared for the requested backend: the
-// market's own prototype is cloned (cache carried, no re-validation), while
-// an override backend precomputes fresh against the market's current state.
-func (m *Market) prepared(backend solve.Backend) (solve.Prepared, error) {
-	if backend == nil || backend.Name() == m.backend.Name() {
-		return m.proto.Clone(), nil
-	}
-	return backend.Precompute(m.proto.Game())
 }
 
 // RunRound executes Algorithm 1 for one buyer with the market's configured
@@ -543,28 +533,34 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 	}
 	start := time.Now()
 
-	// Strategy Decision (Lines 6–7). The prepared game was assembled from
-	// the market's own (validated) sellers and weights, so a solve failure
+	// Strategy Decision (Lines 6–7). The prototype was assembled from the
+	// market's own (validated) sellers and weights, so a solve failure
 	// here — other than cancellation — is attributable to the buyer's
-	// demand parameters.
+	// demand parameters. SolveFor never writes to the prototype, so the
+	// round solves it in place, as quotes solve a view's, into the
+	// transaction's own profile; an override backend precomputes fresh
+	// against the market's current state.
 	t0 := time.Now()
-	prep, err := m.prepared(backend)
-	if err != nil {
-		return nil, fmt.Errorf("market: preparing solver: %w", err)
+	proto := m.proto
+	var err error
+	if backend != nil && backend.Name() != m.backend.Name() {
+		if proto, err = backend.Precompute(m.proto.Game()); err != nil {
+			return nil, fmt.Errorf("market: preparing solver: %w", err)
+		}
 	}
-	prep.SetBuyer(buyer)
-	profile, err := prep.Solve(ctx)
-	if err != nil {
+	profile := new(core.Profile)
+	if err := proto.SolveFor(ctx, buyer, profile); err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
 			return nil, fmt.Errorf("market: strategy decision canceled: %w", err)
 		}
 		return nil, fmt.Errorf("market: strategy decision: %w: %w", ErrDemand, err)
 	}
-	g := prep.Game()
+	g := *proto.Game() // the game header carrying this round's buyer
+	g.Buyer = buyer
 	tx := &Transaction{
 		Round:   len(m.ledger) + 1,
 		Profile: profile,
-		Solver:  prep.Backend().Name(),
+		Solver:  proto.Backend().Name(),
 		Epoch:   m.epoch,
 	}
 	tx.Timings.Strategy = time.Since(t0)

@@ -119,6 +119,32 @@ func TestBudgetedTradeChargesLedger(t *testing.T) {
 	}
 }
 
+// TestBudgetGaugesFollowEverySpend: the market keeps each seller's
+// ε-spent gauge handle after its first publish, and every later publish
+// still sets it — for sellers already known and for a seller seen for the
+// first time. (A paper-parameter trade spends a few micro-ε, which the
+// milli-ε gauge rounds to 0, so the publishes here carry set spends.)
+func TestBudgetGaugesFollowEverySpend(t *testing.T) {
+	p := New(quietOptions())
+	m, err := p.Create(Spec{ID: "g", EpsilonBudget: fptr(10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	publish := func(sellers ...SellerState) map[string]int64 {
+		m.writeMu.Lock()
+		m.updateBudgetGauges(&View{Sellers: sellers})
+		m.writeMu.Unlock()
+		return p.metrics.Snapshot().Gauges
+	}
+	publish(SellerState{ID: "a", Spent: 1.5}, SellerState{ID: "b", Spent: 0.25})
+	got := publish(SellerState{ID: "a", Spent: 3}, SellerState{ID: "b", Spent: 0.5}, SellerState{ID: "c", Spent: 2})
+	for id, want := range map[string]int64{"a": 3000, "b": 500, "c": 2000} {
+		if g := got["market/g/seller/"+id+"/eps_spent_milli"]; g != want {
+			t.Errorf("seller %s eps_spent_milli = %d, want %d", id, g, want)
+		}
+	}
+}
+
 // probeRoundSpends runs rounds generous-budget rounds on a market named id
 // and returns the per-seller ε-spent map after each round. The derived seed
 // depends only on the pool seed and the market ID, and budgets draw no

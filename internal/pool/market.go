@@ -87,6 +87,11 @@ type Market struct {
 	rosterGauge *obs.Gauge   // current roster size
 	subGauge    *obs.Gauge   // live stream subscribers
 	exhaustedC  *obs.Counter // trades refused on budget exhaustion (nil without a ledger)
+
+	// epsGauges holds each seller's ε-spent gauge by seller ID, looked up
+	// once per seller rather than by name on every publish. Guarded by
+	// writeMu; nil until the first publish with a ledger.
+	epsGauges map[string]*obs.Gauge
 }
 
 // View is an immutable snapshot of everything a market's read paths serve.
@@ -675,14 +680,22 @@ func (m *Market) publishView() error {
 }
 
 // updateBudgetGauges refreshes the per-seller ε-spent gauges (milli-ε, the
-// registry is integer-valued) after a view publish. A no-op without a
-// ledger.
+// registry is integer-valued) after a view publish (writeMu held). A no-op
+// without a ledger.
 func (m *Market) updateBudgetGauges(v *View) {
 	if m.ledger == nil {
 		return
 	}
+	if m.epsGauges == nil {
+		m.epsGauges = make(map[string]*obs.Gauge, len(v.Sellers))
+	}
 	for _, s := range v.Sellers {
-		m.p.metrics.Gauge("market/" + m.id + "/seller/" + s.ID + "/eps_spent_milli").Set(int64(s.Spent * 1000))
+		g := m.epsGauges[s.ID]
+		if g == nil {
+			g = m.p.metrics.Gauge("market/" + m.id + "/seller/" + s.ID + "/eps_spent_milli")
+			m.epsGauges[s.ID] = g
+		}
+		g.Set(int64(s.Spent * 1000))
 	}
 }
 

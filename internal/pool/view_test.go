@@ -50,6 +50,52 @@ func TestTradeAllocsFlatInLedgerLength(t *testing.T) {
 	}
 }
 
+// raceEnabled reports a race-detector build (set in race_test.go).
+var raceEnabled bool
+
+// TestTradeBytesPerRound: a persisted trade on a budgeted 12-seller market
+// allocates for its round, its view and the two WAL records it appends —
+// not for copies of them. Each record was once encoded twice (the payload,
+// then the wal.Record wrapping it) and copied out of the encoder both
+// times, each round cloned the market's solver prototype, and every publish
+// rebuilt each seller's ε-gauge name: 19,680 B per trade in all, against
+// about 10,900 B without them. Under the race detector the trades still
+// run, through the encoder and the kept gauges, but the bound is not
+// checked.
+func TestTradeBytesPerRound(t *testing.T) {
+	const bound = 12 << 10
+	opts := fastWalOptions(t.TempDir())
+	opts.Update = nil // the paper's update, as the server runs it
+	opts.Durability = string(DurGroup)
+	opts.EpsilonBudget = 1e18
+	p := New(opts)
+	defer p.Close()
+	m, err := p.Create(Spec{ID: "bytes"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	register(t, m, 12)
+	ctx := context.Background()
+	var before, after runtime.MemStats
+	var total uint64
+	for r := 1; r <= 210; r++ {
+		runtime.ReadMemStats(&before)
+		_, err := m.Trade(ctx, demoBuyer(90, 0.8), nil, nil)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		if r > 10 {
+			total += after.TotalAlloc - before.TotalAlloc
+		}
+	}
+	mean := float64(total) / 200
+	t.Logf("mean allocation per trade over rounds 11-210: %.0f B", mean)
+	if mean > bound && !raceEnabled {
+		t.Fatalf("mean allocation per trade over rounds 11-210 is %.0f B, want at most %d B", mean, bound)
+	}
+}
+
 // TestPublishedViewStaysImmutable: views share the inner market's committed
 // transactions instead of copying them, so a view handed out earlier must
 // render the same after every later kind of mutation — trades, a mid-life

@@ -17,10 +17,11 @@
 //	SolveFor(ctx, buyer, dst) →  dst       (per demand: the backend's own cost)
 //
 // SolveFor never writes to the Prepared, so one prototype serves every
-// concurrent quote, and it refills the caller's profile in place, so a
-// caller that keeps its profile solves the closed forms without allocating.
-// Clone is for callers that mutate the game or advance state between
-// solves — sweeps over λ/ω, trade rounds, roster churn staged on a copy:
+// concurrent quote and every trade round, and it refills the caller's
+// profile in place, so a caller that keeps its profile solves the closed
+// forms without allocating. Clone is for callers that mutate the game or
+// advance state between solves — sweeps over λ/ω, roster churn staged on a
+// copy:
 //
 //	Prepared.Clone()  →  Prepared     (O(m) copy, cache carried)
 //	SetBuyer + Solve  →  *Profile     (Solve = SolveFor on the own buyer)

@@ -11,15 +11,19 @@
 // only; a record whose length or checksum does not verify marks the end of
 // the readable prefix. Open truncates everything past that prefix — the
 // torn-final-record case after a crash mid-append — so replay always sees a
-// clean sequence of fully committed records.
+// clean sequence of fully committed records. A length that runs past the
+// end of the file is such a torn tail too, so replay reads every frame into
+// one buffer no larger than the file's largest record.
 //
-// Group commit. Append buffers the record and assigns it a monotonically
-// increasing sequence number; Commit makes it durable according to the
-// log's mode. In ModeGroup a dedicated syncer goroutine flushes and fsyncs
-// on demand: every appender waiting in Commit when an fsync lands is
-// released by that single fsync, so concurrent commits amortize the disk
-// barrier. ModeSync fsyncs inline per commit; ModeAsync acknowledges
-// immediately and lets the syncer flush in the background.
+// Group commit. Append encodes the value once, straight into the frame it
+// buffers — the payload is assembled around the encoded value, never
+// copied — and assigns it a monotonically increasing sequence number;
+// Commit makes it durable according to the log's mode. In ModeGroup a
+// dedicated syncer goroutine flushes and fsyncs on demand: every appender
+// waiting in Commit when an fsync lands is released by that single fsync,
+// so concurrent commits amortize the disk barrier. ModeSync fsyncs inline
+// per commit; ModeAsync acknowledges immediately and lets the syncer flush
+// in the background.
 //
 // Compaction. Once the caller has persisted a snapshot capturing all
 // records up to LastSeq, Reset truncates the file; Options.MinSeq on the
@@ -36,6 +40,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"strconv"
 	"sync"
 	"time"
 
@@ -123,8 +128,9 @@ type Options struct {
 // headerSize is the per-record frame overhead: length + CRC.
 const headerSize = 8
 
-// maxRecordBytes bounds a single record's payload. A length prefix above
-// this is treated as torn-tail garbage, not an allocation request.
+// maxRecordBytes bounds a single record's payload. Append refuses a larger
+// record, and replay treats a length prefix above it as torn-tail garbage,
+// not an allocation request.
 const maxRecordBytes = 64 << 20
 
 // ErrClosed reports an operation on a closed log.
@@ -136,10 +142,13 @@ type Log struct {
 	mode Mode
 	met  Metrics
 
-	// mu serializes file writes, sequence assignment and truncation.
+	// mu serializes encoding, file writes, sequence assignment and
+	// truncation.
 	mu      sync.Mutex
 	f       *os.File
 	w       *bufio.Writer
+	fr      framer
+	enc     *json.Encoder // writes through fr
 	seq     uint64
 	size    int64
 	records int
@@ -208,6 +217,8 @@ func Open(path string, opts Options) (*Log, error) {
 		stop:    make(chan struct{}),
 		stopped: make(chan struct{}),
 	}
+	l.fr.w = l.w
+	l.enc = json.NewEncoder(&l.fr) // escapes HTML, as json.Marshal does
 	l.syncCond = sync.NewCond(&l.syncMu)
 	go l.syncLoop()
 	return l, nil
@@ -216,14 +227,23 @@ func Open(path string, opts Options) (*Log, error) {
 // scan reads frames from the start of f, calling fn with each intact record
 // and the file offset just past it. It stops — without error — at the first
 // frame that is incomplete or fails its checksum, returning the clean
-// prefix length. A CRC-valid record that does not decode, or one whose
-// sequence number does not increase, is a format error, not a torn tail.
+// prefix length. A length prefix past the bytes left in the file is such an
+// incomplete frame, so the one payload buffer every frame is read into
+// never outgrows the file. A CRC-valid record that does not decode, or one
+// whose sequence number does not increase, is a format error, not a torn
+// tail.
 func scan(f *os.File, fn func(*Record, int64) error) (lastSeq uint64, clean int64, err error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, 0, err
+	}
+	size := fi.Size()
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return 0, 0, err
 	}
 	r := bufio.NewReader(f)
 	var hdr [headerSize]byte
+	var payload []byte
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
@@ -231,12 +251,15 @@ func scan(f *os.File, fn func(*Record, int64) error) (lastSeq uint64, clean int6
 			}
 			return lastSeq, clean, err
 		}
-		ln := binary.LittleEndian.Uint32(hdr[0:4])
+		ln := int64(binary.LittleEndian.Uint32(hdr[0:4]))
 		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if ln == 0 || ln > maxRecordBytes {
-			return lastSeq, clean, nil // garbage length: torn tail
+		if ln == 0 || ln > maxRecordBytes || ln > size-clean-headerSize {
+			return lastSeq, clean, nil // garbage or cut-off length: torn tail
 		}
-		payload := make([]byte, ln)
+		if int64(cap(payload)) < ln {
+			payload = make([]byte, ln)
+		}
+		payload = payload[:ln]
 		if _, err := io.ReadFull(r, payload); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
 				return lastSeq, clean, nil // torn payload
@@ -246,6 +269,8 @@ func scan(f *os.File, fn func(*Record, int64) error) (lastSeq uint64, clean int6
 		if crc32.ChecksumIEEE(payload) != sum {
 			return lastSeq, clean, nil // corrupt record: end of trusted prefix
 		}
+		// Unmarshal copies Data and Kind out of payload, so the next frame
+		// may reuse the buffer.
 		var rec Record
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return lastSeq, clean, fmt.Errorf("record at offset %d: %w", clean, err)
@@ -253,7 +278,7 @@ func scan(f *os.File, fn func(*Record, int64) error) (lastSeq uint64, clean int6
 		if rec.Seq <= lastSeq {
 			return lastSeq, clean, fmt.Errorf("record at offset %d: sequence %d not above %d", clean, rec.Seq, lastSeq)
 		}
-		end := clean + headerSize + int64(ln)
+		end := clean + headerSize + ln
 		if fn != nil {
 			if err := fn(&rec, end); err != nil {
 				return lastSeq, clean, err
@@ -276,37 +301,35 @@ func Scan(path string, fn func(rec *Record, end int64) error) (lastSeq uint64, c
 	return scan(f, fn)
 }
 
-// Append marshals v into a framed record of the given kind and buffers it,
-// returning the assigned sequence number. The record is NOT durable until a
-// Commit covering the sequence number returns (or, in ModeAsync, until the
-// background flush lands).
+// Append encodes v as the data of a framed record of the given kind and
+// buffers it, returning the assigned sequence number. The record is NOT
+// durable until a Commit covering the sequence number returns (or, in
+// ModeAsync, until the background flush lands). The kind must be printable
+// ASCII other than '"', '\', '<', '>' and '&' — bytes JSON writes
+// verbatim — and the payload at most maxRecordBytes long; a record that
+// fails either, or whose value does not encode, is refused and nothing is
+// written.
 func (l *Log) Append(kind string, v any) (uint64, error) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return 0, fmt.Errorf("wal: encoding %s record: %w", kind, err)
+	if !plainKind(kind) {
+		return 0, fmt.Errorf("wal: record kind %q needs JSON escaping", kind)
 	}
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return 0, ErrClosed
 	}
-	payload, err := json.Marshal(Record{Seq: l.seq + 1, Kind: kind, Data: data})
+	l.fr.begin(l.seq+1, kind)
+	if err := l.enc.Encode(v); err != nil {
+		l.mu.Unlock()
+		return 0, fmt.Errorf("wal: encoding %s record: %w", kind, err)
+	}
+	n, err := l.fr.n, l.fr.err
 	if err != nil {
 		l.mu.Unlock()
-		return 0, fmt.Errorf("wal: framing %s record: %w", kind, err)
-	}
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := l.w.Write(hdr[:]); err == nil {
-		_, err = l.w.Write(payload)
-	}
-	if err != nil {
-		l.mu.Unlock()
-		return 0, fmt.Errorf("wal: appending to %s: %w", l.path, err)
+		return 0, fmt.Errorf("wal: appending %s record to %s: %w", kind, l.path, err)
 	}
 	l.seq++
-	l.size += headerSize + int64(len(payload))
+	l.size += int64(n)
 	l.records++
 	seq := l.seq
 	l.mu.Unlock()
@@ -314,9 +337,78 @@ func (l *Log) Append(kind string, v any) (uint64, error) {
 		l.met.Records.Add(1)
 	}
 	if l.met.Bytes != nil {
-		l.met.Bytes.Add(headerSize + uint64(len(payload)))
+		l.met.Bytes.Add(uint64(n))
 	}
 	return seq, nil
+}
+
+// plainKind reports whether JSON writes kind verbatim between its quotes,
+// which is what lets framer hand-write the record prefix.
+func plainKind(kind string) bool {
+	for i := 0; i < len(kind); i++ {
+		switch c := kind[i]; {
+		case c < 0x20 || c > 0x7e, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
+}
+
+// framer is the writer under a Log's json.Encoder. Encode hands it the
+// encoded value, newline-terminated, in a single Write; the framer makes
+// that value the data of a Record —
+//
+//	{"seq":N,"kind":"K","data":VALUE}
+//
+// byte for byte what json.Marshal writes for the Record — and writes the
+// frame header, the prefix, the value and the closing brace into the log's
+// buffer, checksumming the pieces with crc32.Update. Only the short prefix
+// is built here; the value itself is never copied. Used under the log
+// mutex.
+type framer struct {
+	w      *bufio.Writer
+	prefix []byte // {"seq":N,"kind":"K","data": of the record being framed
+	n      int    // frame bytes written by the last Write
+	err    error  // why the last Write wrote no frame, or a buffered-write error
+}
+
+// closing ends every record payload.
+var closing = []byte{'}'}
+
+// begin readies the framer for the record with sequence number seq.
+func (fr *framer) begin(seq uint64, kind string) {
+	fr.prefix = append(fr.prefix[:0], `{"seq":`...)
+	fr.prefix = strconv.AppendUint(fr.prefix, seq, 10)
+	fr.prefix = append(fr.prefix, `,"kind":"`...)
+	fr.prefix = append(fr.prefix, kind...)
+	fr.prefix = append(fr.prefix, `","data":`...)
+	fr.n, fr.err = 0, nil
+}
+
+// Write frames one encoded value. It never returns an error — the Encoder
+// would keep it for every later record — and reports through fr.err
+// instead.
+func (fr *framer) Write(p []byte) (int, error) {
+	value := p[:len(p)-1] // drop Encode's newline
+	ln := len(fr.prefix) + len(value) + len(closing)
+	if ln > maxRecordBytes {
+		fr.err = fmt.Errorf("%d-byte record exceeds the %d-byte bound", ln, maxRecordBytes)
+		return len(p), nil
+	}
+	sum := crc32.Update(0, crc32.IEEETable, fr.prefix)
+	sum = crc32.Update(sum, crc32.IEEETable, value)
+	sum = crc32.Update(sum, crc32.IEEETable, closing)
+	var hdr [headerSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(ln))
+	binary.LittleEndian.PutUint32(hdr[4:8], sum)
+	// bufio.Writer errors are sticky: the last write reports any earlier
+	// failure.
+	fr.w.Write(hdr[:])
+	fr.w.Write(fr.prefix)
+	fr.w.Write(value)
+	_, fr.err = fr.w.Write(closing)
+	fr.n = headerSize + ln
+	return len(p), nil
 }
 
 // Commit makes the record at seq durable according to the log's mode:
