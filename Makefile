@@ -35,8 +35,9 @@ test:
 # clone-and-solve path it replaced on quotes; the pool pass pins per-market
 # isolation, the
 # delete-drain race, batch-quote determinism, the WAL crash-recovery
-# torture sweeps (trade-only, roster-churn and budget_charge histories),
-# concurrent group commit, the admission gate (reject / queue / cancel),
+# torture sweeps (trade-only, roster-churn and budgeted histories), the
+# restore of a log that paired each trade with a charge record, concurrent
+# group commit, the admission gate (reject / queue / cancel),
 # the terminal-close seal, the churn-vs-quote isolation of the
 # copy-on-write view swap, the churned-checkpoint round trip, the
 # budget-exhaustion-vs-quote isolation, the immutability of published
@@ -49,7 +50,8 @@ test:
 # wal pass pins concurrent group commit, the torn-tail sweep, every frame
 # the in-place encoder writes to the marshal-twice framing it replaced,
 # and that a corrupt length makes replay allocate no more than the file,
-# then fuzzes Open over arbitrary bytes after intact frames for 10 s; and
+# then fuzzes Open over arbitrary bytes after intact frames for 10 s,
+# requiring every segment Open refuses to be reported as wal.ErrCorrupt; and
 # the serve-smoke end-to-end pass rides along so the gate also
 # exercises the live server lifecycle (boot, /v2 markets, trade, metrics,
 # saturation via share-loadgen, SIGTERM drain, -snapshot-dir restore,
@@ -58,7 +60,7 @@ race: vet
 	$(GO) test -race ./...
 	$(GO) test -race -run 'TestKernelEquivalence|TestPerWorkerStreamsMatchPerPermutationRngs|TestRunRoundShapleyIdenticalAcrossWorkers|TestRoundOutputsMatchParent|TestFreeListConcurrentOwnership|TestPerturbInPlace|TestLayoutMatchesRowSlices' -count=1 ./internal/valuation ./internal/market ./internal/parallel ./internal/ldp ./internal/dataset
 	$(GO) test -race -run 'TestGeneralMatchesAnalytic|TestGeneralDeterministicAcrossWorkers|TestMapDeterministicAcrossWorkers|TestMeanFieldWithinTheoremBounds|TestSolveGeneralTau|TestSolveForMatchesCloneSolve' -count=1 ./internal/solve ./internal/core
-	$(GO) test -race -run 'TestMarketsAreIsolated|TestDeleteDrainsInFlightRounds|TestBatchQuoteDeterminism|TestWALTortureRecovery|TestWALTortureBudgetRecovery|TestConcurrentTradesGroupCommit|TestAdmissionRejectsWhenQueueFull|TestAdmissionQueueWaitsForSlot|TestAdmissionQueuedTradeHonorsContext|TestCloseSealsPoolAgainstStragglers|TestAsyncCloseFlushesTail|TestChurnQuoteIsolation|TestChurnSurvivesCheckpoint|TestExhaustedTradesLeaveQuotesUndisturbed|TestPublishedViewStaysImmutable|TestSellerBytesOnDiskMatchParent|TestConcurrentQuotesDuringChurn|TestTradeBytesPerRound' -count=1 ./internal/pool
+	$(GO) test -race -run 'TestMarketsAreIsolated|TestDeleteDrainsInFlightRounds|TestBatchQuoteDeterminism|TestWALTortureRecovery|TestWALTortureBudgetRecovery|TestParentEraBudgetLogRestores|TestConcurrentTradesGroupCommit|TestAdmissionRejectsWhenQueueFull|TestAdmissionQueueWaitsForSlot|TestAdmissionQueuedTradeHonorsContext|TestCloseSealsPoolAgainstStragglers|TestAsyncCloseFlushesTail|TestChurnQuoteIsolation|TestChurnSurvivesCheckpoint|TestExhaustedTradesLeaveQuotesUndisturbed|TestPublishedViewStaysImmutable|TestSellerBytesOnDiskMatchParent|TestConcurrentQuotesDuringChurn|TestTradeBytesPerRound' -count=1 ./internal/pool
 	$(GO) test -race -run 'TestOverloadIsolationAcrossMarkets|TestDrainAnswers503|TestQuoteScratchDoesNotLeak' -count=1 ./internal/httpapi
 	$(GO) test -race -run 'TestConcurrentGroupCommit|TestTornTailTruncatedAtEveryOffset|TestAppendFramesMatchMarshal|TestCorruptLengthAllocatesOnlyTheFile' -count=1 ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 10s ./internal/wal

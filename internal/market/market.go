@@ -95,7 +95,8 @@ type Config struct {
 	// round with a *budget.ExhaustedError — the refusal is surfaced, never
 	// silently re-priced around. The market does not own the ledger's
 	// persistence; the caller (internal/pool) serializes access and logs
-	// committed charges. nil disables budget accounting with a code path
+	// committed transactions, whose replay through ApplyCommitted charges
+	// the ledger again. nil disables budget accounting with a code path
 	// bit-identical to a pre-budget market.
 	Budget *budget.Ledger
 	// Discount, when non-nil with a positive Factor, prices data similarity
@@ -800,7 +801,9 @@ func (sc *roundScratch) reserve(sellers []*Seller, pieces []int) {
 
 // charges returns the budget ledger's arguments for a round: the ID and ε
 // of every seller with count[i] > 0 and a positive ε, in seller order. The
-// slices are the scratch's and valid until the next call.
+// live round counts the LDP applications that ran, replay the recorded
+// Pieces; the two agree for every seller who sold. The slices are the
+// scratch's and valid until the next call.
 func (sc *roundScratch) charges(sellers []*Seller, epsilons []float64, count []int) ([]string, []float64) {
 	sc.ids, sc.eps = sc.ids[:0], sc.eps[:0]
 	for i, s := range sellers {

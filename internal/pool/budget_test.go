@@ -8,10 +8,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"share/internal/budget"
+	"share/internal/market"
 	"share/internal/wal"
 )
 
@@ -442,9 +445,9 @@ func TestBudgetCompactionCarriesAccounts(t *testing.T) {
 	dir := t.TempDir()
 	opts := fastWalOptions(dir)
 	opts.EpsilonBudget = 1e15
-	// Compact after the first trade's pair of records so the final state is
-	// a snapshot carrying ledger accounts plus a replayed WAL tail whose
-	// budget_charge cross-check would catch a zeroed or double-applied
+	// Compact after the first trade and the top-up so the final state is a
+	// snapshot carrying ledger accounts plus a replayed WAL tail whose trade
+	// record's spend cross-check would catch a zeroed or double-applied
 	// ledger.
 	opts.CompactRecords = 4
 	p := New(opts)
@@ -479,130 +482,77 @@ func TestBudgetCompactionCarriesAccounts(t *testing.T) {
 	p2.Close()
 }
 
-// TestWALTortureBudgetRecovery extends the crash-recovery torture sweep to
-// budget_charge frames: a budgeted market's WAL is truncated at a dense set
-// of byte offsets and replay must restore exactly the longest committed
-// record prefix. Budgeted trades write TWO records (trade, then its charge),
-// so a cut between them legitimately restores a trade whose ε has not been
-// charged yet — a state no live observation matches — which is why the
-// expectations here derive from the committed records themselves rather
-// than from live state snapshots.
+// TestWALTortureBudgetRecovery runs the crash-recovery torture sweep over a
+// budgeted market's log — registrations, trades, a top-up, a mid-life join
+// and a mid-life leave — and asserts that every cut restores the live state
+// after the last whole mutation it keeps, every seller's exact ε spent and
+// budget included. Every mutation appends one record, so that is the state
+// after the last record the cut keeps. A trade once appended its charges in
+// a second record, and a cut between the two restored the trade uncharged:
+// a state no live market passes through, which this sweep reports.
 func TestWALTortureBudgetRecovery(t *testing.T) {
-	const eps = 1e15
 	dir := t.TempDir()
 	opts := fastWalOptions(dir)
-	opts.EpsilonBudget = eps
+	opts.EpsilonBudget = 1e15
 	p := New(opts)
 	m, err := p.Create(Spec{ID: "btort"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	register(t, m, 3)
-	for i := 0; i < 2; i++ {
-		if _, err := m.Trade(context.Background(), demoBuyer(80+10*float64(i), 0.8), nil, nil); err != nil {
+	// states[i] is the canonical state after mutation i and marks[i] the
+	// wal/records count then; index 0 is the empty market.
+	states := []string{canonicalState(t, m)}
+	marks := []uint64{p.walMet.Records.Value()}
+	step := func(err error) {
+		t.Helper()
+		if err != nil {
 			t.Fatal(err)
 		}
+		states = append(states, canonicalState(t, m))
+		marks = append(marks, p.walMet.Records.Value())
 	}
-	if _, err := m.TopUpBudget("s01", 2.5); err != nil {
-		t.Fatal(err)
+	trade := func(n float64) {
+		t.Helper()
+		_, err := m.Trade(context.Background(), demoBuyer(n, 0.8), nil, nil)
+		step(err)
 	}
-	for i := 2; i < 4; i++ {
-		if _, err := m.Trade(context.Background(), demoBuyer(80+10*float64(i), 0.8), nil, nil); err != nil {
-			t.Fatal(err)
-		}
+	for i := 0; i < 3; i++ {
+		_, err := m.RegisterSeller(Registration{ID: fmt.Sprintf("s%02d", i+1), Lambda: 0.3 + 0.1*float64(i), SyntheticRows: 40})
+		step(err)
 	}
+	trade(80)
+	trade(90)
+	_, err = m.TopUpBudget("s01", 2.5)
+	step(err)
+	trade(100)
+	_, err = m.RegisterSeller(Registration{ID: "j01", Lambda: 0.45, SyntheticRows: 40}) // mid-life join
+	step(err)
+	trade(110)
+	step(m.RemoveSeller("s02")) // mid-life leave
+	trade(120)
 	p.Close()
 
 	walPath := filepath.Join(dir, "btort"+walExt)
-	raw, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type recInfo struct {
-		end     int64
-		kind    string
-		seller  string       // register records
-		charges budgetRecord // budget records
-	}
-	var recs []recInfo
-	if _, _, err := wal.Scan(walPath, func(rec *wal.Record, end int64) error {
-		ri := recInfo{end: end, kind: rec.Kind}
-		switch rec.Kind {
-		case recordRegister:
-			var st StoredSeller
-			if err := json.Unmarshal(rec.Data, &st); err != nil {
-				return err
-			}
-			ri.seller = st.ID
-		case recordBudget:
-			if err := json.Unmarshal(rec.Data, &ri.charges); err != nil {
-				return err
+	raw, ends := segmentEnds(t, walPath)
+	for _, cut := range tortureCuts(ends, int64(len(raw))) {
+		kept := uint64(0)
+		for _, e := range ends {
+			if e <= cut {
+				kept++
 			}
 		}
-		recs = append(recs, ri)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// 3 registers + 4 trades × (trade + budget_charge) + 1 top-up.
-	if len(recs) != 12 {
-		t.Fatalf("wal holds %d records, want 12", len(recs))
-	}
-
-	cuts := map[int64]bool{0: true, int64(len(raw)): true}
-	prev := int64(0)
-	for _, r := range recs {
-		for _, c := range []int64{r.end, r.end - 1, r.end + 1, r.end - 3, r.end + 3, (prev + r.end) / 2} {
-			if c >= 0 && c <= int64(len(raw)) {
-				cuts[c] = true
+		want := 0
+		for i, mark := range marks {
+			if mark <= kept {
+				want = i
 			}
 		}
-		prev = r.end
-	}
-	stride := int64(len(raw) / 64)
-	if stride < 1 {
-		stride = 1
-	}
-	for c := int64(0); c <= int64(len(raw)); c += stride {
-		cuts[c] = true
-	}
-
-	for cut := range cuts {
-		// Expectations from the committed prefix: roster, trade count and
-		// each seller's exact ε-spent (basic composition sums charges in
-		// record order — the same float additions the ledger performs).
-		var roster []string
-		trades := 0
-		spent := map[string]float64{}
-		extra := map[string]float64{}
-		for _, r := range recs {
-			if r.end > cut {
-				break
-			}
-			switch r.kind {
-			case recordRegister:
-				roster = append(roster, r.seller)
-			case recordTrade:
-				trades++
-			case recordBudget:
-				if r.charges.TopUpSeller != "" {
-					extra[r.charges.TopUpSeller] += r.charges.TopUpAmount
-					continue
-				}
-				for _, id := range roster {
-					if e, ok := r.charges.Charges[id]; ok {
-						spent[id] += e
-					}
-				}
-			}
-		}
-
 		sub := t.TempDir()
 		if err := os.WriteFile(filepath.Join(sub, "btort"+walExt), raw[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		subOpts := fastWalOptions(sub)
-		subOpts.EpsilonBudget = eps
+		subOpts.EpsilonBudget = opts.EpsilonBudget
 		p2 := New(subOpts)
 		restored, err := p2.RestoreAll()
 		if err != nil {
@@ -615,24 +565,299 @@ func TestWALTortureBudgetRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
-		v := m2.View()
-		if len(v.Trades) != trades {
-			t.Fatalf("cut %d: replayed %d trades, committed prefix holds %d", cut, len(v.Trades), trades)
-		}
-		if len(v.Sellers) != len(roster) {
-			t.Fatalf("cut %d: replayed %d sellers, committed prefix holds %d", cut, len(v.Sellers), len(roster))
-		}
-		for i, s := range v.Sellers {
-			if s.ID != roster[i] {
-				t.Fatalf("cut %d: roster[%d] = %s, want %s", cut, i, s.ID, roster[i])
-			}
-			if s.Spent != spent[s.ID] {
-				t.Errorf("cut %d: seller %s ε-spent %v, committed prefix says exactly %v", cut, s.ID, s.Spent, spent[s.ID])
-			}
-			if want := eps + extra[s.ID]; s.Budget != want {
-				t.Errorf("cut %d: seller %s budget %v, committed prefix says exactly %v", cut, s.ID, s.Budget, want)
-			}
+		if got := canonicalState(t, m2); got != states[want] {
+			t.Fatalf("cut %d keeps %d records: replayed state diverges from the state after mutation %d\n got: %.300s\nwant: %.300s",
+				cut, kept, want, got, states[want])
 		}
 		p2.Close()
+	}
+	for i, mark := range marks {
+		if mark != uint64(i) {
+			t.Fatalf("%d records after mutation %d, want one record per mutation (marks %v)", mark, i, marks)
+		}
+	}
+}
+
+// segmentEnds returns the bytes of the WAL segment at path and the offset
+// just past each of its records; the last must end the file.
+func segmentEnds(t *testing.T, path string) ([]byte, []int64) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int64
+	if _, _, err := wal.Scan(path, func(_ *wal.Record, end int64) error {
+		ends = append(ends, end)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(ends) == 0 || ends[len(ends)-1] != int64(len(raw)) {
+		t.Fatalf("%s: records end at %v, file is %d bytes", path, ends, len(raw))
+	}
+	return raw, ends
+}
+
+// tortureCuts lists the truncation offsets the torture sweeps try on a
+// segment of the given size: every record boundary, boundary ±1 and ±3,
+// each record's midpoint, and a coarse stride over the whole file.
+func tortureCuts(ends []int64, size int64) []int64 {
+	cuts := map[int64]bool{0: true, size: true}
+	prev := int64(0)
+	for _, e := range ends {
+		for _, c := range []int64{e, e - 1, e + 1, e - 3, e + 3, (prev + e) / 2} {
+			if c >= 0 && c <= size {
+				cuts[c] = true
+			}
+		}
+		prev = e
+	}
+	stride := max(size/64, 1)
+	for c := int64(0); c <= size; c += stride {
+		cuts[c] = true
+	}
+	out := make([]int64, 0, len(cuts))
+	for c := range cuts {
+		out = append(out, c)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// canonicalJSON renders raw JSON the way canonicalState renders a view.
+func canonicalJSON(t *testing.T, raw []byte) string {
+	t.Helper()
+	var v any
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatal(err)
+	}
+	norm, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(norm)
+}
+
+// TestParentEraBudgetLogRestores restores a directory written by a release
+// that logged each budgeted trade as a trade record followed by a
+// budget_charge record holding its charges: testdata/parent_budget holds
+// the spec snapshot and segment of a 3-seller market (advanced
+// composition) that traded four times with a top-up after the second
+// trade, and the live canonical state after each trade. The whole log
+// restores the final state: each trade record charges the ledger and each
+// charge record is a no-op. A copy cut right after a trade frame, before
+// its charge frame, restores the state after that trade, charge included.
+// One more trade then appends exactly one record.
+func TestParentEraBudgetLogRestores(t *testing.T) {
+	const src = "testdata/parent_budget"
+	spec, err := os.ReadFile(filepath.Join(src, "pb"+snapshotExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawStates, err := os.ReadFile(filepath.Join(src, "states.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored []json.RawMessage
+	if err := json.Unmarshal(rawStates, &stored); err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(src, "pb"+walExt)
+	seg, _ := segmentEnds(t, walPath)
+	var tradeEnds []int64
+	charges := 0
+	if _, _, err := wal.Scan(walPath, func(rec *wal.Record, end int64) error {
+		switch rec.Kind {
+		case recordTrade:
+			tradeEnds = append(tradeEnds, end)
+		case recordBudget:
+			charges++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(tradeEnds) != len(stored) || charges != len(stored)+1 {
+		t.Fatalf("fixture holds %d trades, %d budget records and %d states, want one charge per trade, a top-up and one state per trade",
+			len(tradeEnds), charges, len(stored))
+	}
+	restore := func(cut int64) (*Pool, *Market) {
+		t.Helper()
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "pb"+snapshotExt), spec, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "pb"+walExt), seg[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		p := New(fastWalOptions(dir))
+		restored, err := p.RestoreAll()
+		if err != nil || len(restored) != 1 {
+			t.Fatalf("cut %d: RestoreAll = %v, %v; want [pb]", cut, restored, err)
+		}
+		m, err := p.Get("pb")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p, m
+	}
+	for i, end := range tradeEnds {
+		p, m := restore(end)
+		if got, want := canonicalState(t, m), canonicalJSON(t, stored[i]); got != want {
+			t.Errorf("cut after trade %d's record: restored state diverges from the live state after that trade\n got: %.300s\nwant: %.300s",
+				i+1, got, want)
+		}
+		p.Close()
+	}
+
+	p, m := restore(int64(len(seg)))
+	defer p.Close()
+	if got, want := canonicalState(t, m), canonicalJSON(t, stored[len(stored)-1]); got != want {
+		t.Fatalf("whole log: restored state diverges from the final live state\n got: %.300s\nwant: %.300s", got, want)
+	}
+	before := p.walMet.Records.Value()
+	if _, err := m.Trade(context.Background(), demoBuyer(120, 0.8), nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := p.walMet.Records.Value() - before; n != 1 {
+		t.Errorf("a trade after the restore appended %d records, want 1", n)
+	}
+}
+
+// TestReplaySkipsMalformedTradeRecords: a trade record whose per-seller
+// slices do not match the roster, whose recorded spend disagrees with the
+// replayed one, or which records ε spent into a market without a privacy
+// budget makes RestoreAll skip that market — never panic — with a warning
+// naming the record, while the pool's other markets restore.
+func TestReplaySkipsMalformedTradeRecords(t *testing.T) {
+	base := t.TempDir()
+	p := New(fastWalOptions(base))
+	var live string
+	var tradeSeqs []uint64
+	for _, id := range []string{"good", "bad"} {
+		m, err := p.Create(Spec{ID: id, EpsilonBudget: fptr(1e15)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		register(t, m, 3)
+		for i := 0; i < 2; i++ {
+			if _, err := m.Trade(context.Background(), demoBuyer(80+10*float64(i), 0.8), nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if id == "good" {
+			live = canonicalState(t, m)
+		}
+	}
+	p.Close()
+	if _, _, err := wal.Scan(filepath.Join(base, "bad"+walExt), func(rec *wal.Record, _ int64) error {
+		if rec.Kind == recordTrade {
+			tradeSeqs = append(tradeSeqs, rec.Seq)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(tradeSeqs) != 2 {
+		t.Fatalf("bad market logged trade records %v, want 2", tradeSeqs)
+	}
+	first, last := tradeSeqs[0], tradeSeqs[1]
+
+	for _, tc := range []struct {
+		name     string
+		seq      uint64                    // the record the warning must name
+		edit     func(*market.Transaction) // applied to record seq; nil keeps the log
+		noBudget bool                      // strip the budget from the spec snapshot
+	}{
+		{"pieces shorter than the roster", last, func(tx *market.Transaction) { tx.Pieces = tx.Pieces[:2] }, false},
+		{"epsilons longer than the roster", last, func(tx *market.Transaction) { tx.Epsilons = append(tx.Epsilons, 1e-5) }, false},
+		{"budget spent shorter than the roster", last, func(tx *market.Transaction) { tx.BudgetSpent = tx.BudgetSpent[:1] }, false},
+		{"budget spent one ulp off the replayed spend", last, func(tx *market.Transaction) {
+			tx.BudgetSpent[1] = math.Nextafter(tx.BudgetSpent[1], 1)
+		}, false},
+		{"budget spent into a market without a budget", first, nil, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for _, name := range []string{"good" + snapshotExt, "good" + walExt, "bad" + snapshotExt} {
+				raw, err := os.ReadFile(filepath.Join(base, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.noBudget {
+				spec, err := ReadSnapshotFile(filepath.Join(dir, "bad"+snapshotExt))
+				if err != nil {
+					t.Fatal(err)
+				}
+				spec.EpsilonBudget, spec.Composition = 0, ""
+				if err := writeSnapshotFile(filepath.Join(dir, "bad"+snapshotExt), spec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l, err := wal.Open(filepath.Join(dir, "bad"+walExt), wal.Options{Mode: wal.ModeSync})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := wal.Scan(filepath.Join(base, "bad"+walExt), func(rec *wal.Record, _ int64) error {
+				data := rec.Data
+				if rec.Seq == tc.seq && tc.edit != nil {
+					var tr tradeRecord
+					if err := json.Unmarshal(data, &tr); err != nil {
+						return err
+					}
+					tc.edit(tr.Tx)
+					var err error
+					if data, err = json.Marshal(tr); err != nil {
+						return err
+					}
+				}
+				seq, err := l.Append(rec.Kind, json.RawMessage(data))
+				if err == nil && seq != rec.Seq {
+					err = fmt.Errorf("copied record %d as %d", rec.Seq, seq)
+				}
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			var warnings []string
+			opts := fastWalOptions(dir)
+			opts.Logf = func(format string, args ...any) { warnings = append(warnings, fmt.Sprintf(format, args...)) }
+			p2 := New(opts)
+			defer p2.Close()
+			ids, err := p2.RestoreAll()
+			if err != nil {
+				t.Fatalf("RestoreAll: %v", err)
+			}
+			if len(ids) != 1 || ids[0] != "good" {
+				t.Fatalf("restored %v, want [good]", ids)
+			}
+			if _, err := p2.Get("bad"); err == nil {
+				t.Fatal("the rejected market stayed in the pool")
+			}
+			m, err := p2.Get("good")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := canonicalState(t, m); got != live {
+				t.Errorf("the intact market restored a different state\n got: %.300s\nwant: %.300s", got, live)
+			}
+			record := fmt.Sprintf("trade record %d", tc.seq)
+			named := false
+			for _, w := range warnings {
+				named = named || (strings.Contains(w, "skipping") && strings.Contains(w, record))
+			}
+			if !named {
+				t.Fatalf("no warning names %s: %q", record, warnings)
+			}
+		})
 	}
 }

@@ -71,11 +71,11 @@ type Market struct {
 	log        *wal.Log
 
 	// ledger is the market's per-seller privacy-budget ledger (nil when
-	// budgeting is disabled). The inner market charges it at trade commit;
-	// the pool persists every charge as a budget_charge WAL record and
-	// restores it through snapshots. Guarded by writeMu like the rest of
-	// the trading state; epsBudget and composition are immutable after
-	// creation.
+	// budgeting is disabled). The inner market charges it at trade commit
+	// and again when it replays the trade record, which carries the
+	// charges; top-ups are budget_charge WAL records, and snapshots carry
+	// the accounts. Guarded by writeMu like the rest of the trading state;
+	// epsBudget and composition are immutable after creation.
 	ledger      *budget.Ledger
 	epsBudget   float64
 	composition budget.Composition
@@ -586,7 +586,8 @@ func (m *Market) tradeLocked(ctx context.Context, release func(), b core.Buyer, 
 	m.p.observeStage3(tx.SolveEffort)
 	m.tradeObs.Observe(time.Since(start))
 	m.emitWeights(tx)
-	l, seq := m.persistTradeLocked(tx, translog.Observation{N: b.N, V: b.V, Cost: tx.ManufacturingCost})
+	obs := translog.Observation{N: b.N, V: b.V, Cost: tx.ManufacturingCost}
+	l, seq := m.persistRecordLocked(recordTrade, tradeRecord{Tx: tx, Obs: obs})
 	m.p.logf("pool: market %q trade %d executed (p^M=%g, p^D=%g, EV=%.4f)",
 		m.id, tx.Round, tx.Profile.PM, tx.Profile.PD, tx.Metrics.Performance)
 	return tx, l, seq, nil
@@ -713,9 +714,9 @@ func (m *Market) Seller(id string) (SellerState, uint64, error) {
 
 // TopUpBudget raises one seller's privacy budget by add (ε). The grant is
 // persisted as a budget_charge WAL record — it must survive a reboot with
-// the same exactness as the charges it offsets — and the refreshed view is
-// published before returning. Markets without a ledger refuse with a
-// field-level error; unknown sellers with ErrSellerNotFound.
+// the same exactness as the charges the trade records carry — and the
+// refreshed view is published before returning. Markets without a ledger
+// refuse with a field-level error; unknown sellers with ErrSellerNotFound.
 func (m *Market) TopUpBudget(id string, add float64) (SellerState, error) {
 	if err := m.begin(); err != nil {
 		return SellerState{}, err

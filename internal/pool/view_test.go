@@ -54,8 +54,8 @@ func TestTradeAllocsFlatInLedgerLength(t *testing.T) {
 var raceEnabled bool
 
 // TestTradeBytesPerRound: a persisted trade on a budgeted 12-seller market
-// allocates for its round, its view and the two WAL records it appends —
-// not for copies of them. Each record was once encoded twice (the payload,
+// allocates for its round, its view and the WAL record it appends — not
+// for copies of it. Each record was once encoded twice (the payload,
 // then the wal.Record wrapping it) and copied out of the encoder both
 // times, each round cloned the market's solver prototype, and every publish
 // rebuilt each seller's ε-gauge name: 19,680 B per trade in all, against

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"share/internal/market"
 	"share/internal/translog"
@@ -73,9 +72,8 @@ const (
 	// recordLeave logs one seller release at any point of the market's life
 	// (payload: leaveRecord).
 	recordLeave = "seller_leave"
-	// recordBudget logs one privacy-ledger mutation (payload: budgetRecord):
-	// the per-seller ε charges of a committed trade, written right after its
-	// trade record, or a budget top-up grant.
+	// recordBudget logs one budget top-up grant (payload: budgetRecord). A
+	// trade's ε charges ride on its trade record.
 	recordBudget = "budget_charge"
 )
 
@@ -104,21 +102,17 @@ type leaveRecord struct {
 	Epoch uint64 `json:"epoch"`
 }
 
-// budgetRecord is the WAL payload of one privacy-ledger mutation. Trade
-// charges carry Round and the charged sellers' ε; top-ups carry the grant.
-// Replay validates Epoch against the roster history it lands on — the same
-// discipline as churn records, except a ledger mutation extends the current
-// epoch rather than opening the next one — applies the mutation verbatim,
-// and cross-checks the recomputed composed spend against Spent bit for bit
-// (Go's JSON float round-trip is exact, so any divergence is real state
-// drift, not encoding noise).
+// budgetRecord is the WAL payload of one budget top-up. Replay validates
+// Epoch against the roster history it lands on — the same discipline as
+// churn records, except a top-up extends the current epoch rather than
+// opening the next one. Releases that logged each trade's charges in a
+// record of this kind after the trade record wrote no TopUpSeller there;
+// such a record replays as a no-op, because replaying its trade record
+// already charged the ledger.
 type budgetRecord struct {
-	Round       int                `json:"round,omitempty"`
-	Epoch       uint64             `json:"epoch"`
-	Charges     map[string]float64 `json:"charges,omitempty"`
-	TopUpSeller string             `json:"topup_seller,omitempty"`
-	TopUpAmount float64            `json:"topup_amount,omitempty"`
-	Spent       map[string]float64 `json:"spent,omitempty"`
+	Epoch       uint64  `json:"epoch"`
+	TopUpSeller string  `json:"topup_seller,omitempty"`
+	TopUpAmount float64 `json:"topup_amount,omitempty"`
 }
 
 // walPath is the market's WAL segment path.
@@ -299,27 +293,11 @@ func (m *Market) applyRecordLocked(rec *wal.Record) error {
 			return fmt.Errorf("pool: budget record %d: %w", rec.Seq,
 				&market.RosterError{Msg: fmt.Sprintf("record at epoch %d, roster at epoch %d", br.Epoch, m.rosterEpoch)})
 		}
-		if br.TopUpSeller != "" {
-			if _, err := m.ledger.TopUp(br.TopUpSeller, br.TopUpAmount); err != nil {
-				return fmt.Errorf("pool: budget record %d: replaying top-up: %w", rec.Seq, err)
-			}
-			return nil
+		if br.TopUpSeller == "" {
+			return nil // an earlier release's trade charge
 		}
-		ids := make([]string, 0, len(br.Charges))
-		for id := range br.Charges {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids) // per-seller accounts are independent; sorted for determinism
-		eps := make([]float64, len(ids))
-		for i, id := range ids {
-			eps[i] = br.Charges[id]
-		}
-		m.ledger.Charge(ids, eps)
-		for id, want := range br.Spent {
-			if got := m.ledger.Spent(id); got != want {
-				return fmt.Errorf("pool: budget record %d: replayed ε-spent for seller %q is %v, record says %v",
-					rec.Seq, id, got, want)
-			}
+		if _, err := m.ledger.TopUp(br.TopUpSeller, br.TopUpAmount); err != nil {
+			return fmt.Errorf("pool: budget record %d: replaying top-up: %w", rec.Seq, err)
 		}
 		return nil
 	case recordLeave:
@@ -354,70 +332,11 @@ func (m *Market) applyRecordLocked(rec *wal.Record) error {
 	}
 }
 
-// persistTradeLocked makes one committed trade durable (writeMu held): it
-// appends a record and returns its sequence number for the caller to
-// Commit outside the lock. A trade the log cannot take is saved at once as
-// a full snapshot and 0 is returned. A committed trade is never failed
-// because the disk was — failures log, matching saveLocked.
-func (m *Market) persistTradeLocked(tx *market.Transaction, obs translog.Observation) (*wal.Log, uint64) {
-	if m.p.snapshotDir == "" {
-		return nil, 0
-	}
-	if !m.ensureLogLocked() {
-		m.saveLocked()
-		return nil, 0
-	}
-	seq, err := m.log.Append(recordTrade, tradeRecord{Tx: tx, Obs: obs})
-	if err != nil {
-		m.p.logf("pool: market %q: wal append failed: %v; writing full snapshot instead", m.id, err)
-		m.saveLocked()
-		return nil, 0
-	}
-	if m.ledger != nil {
-		if bseq, ok := m.appendTradeChargeLocked(tx); ok {
-			seq = bseq // commit the later record; the barrier covers both
-		} else {
-			// The trade record landed but its charge did not: fall back to a
-			// full snapshot (which carries the ledger accounts) so a reboot
-			// cannot replay the trade with its ε charge missing.
-			m.saveLocked()
-			return nil, 0
-		}
-	}
-	m.maybeCompactLocked()
-	return m.log, seq
-}
-
-// appendTradeChargeLocked writes one committed trade's budget_charge record
-// (writeMu held). The charge set derives from the transaction — every
-// seller who sold perturbed records at ε > 0 — and the record carries each
-// charged seller's post-charge composed spend for the replay cross-check.
-func (m *Market) appendTradeChargeLocked(tx *market.Transaction) (uint64, bool) {
-	rec := budgetRecord{
-		Round:   tx.Round,
-		Epoch:   m.rosterEpoch,
-		Charges: make(map[string]float64),
-		Spent:   make(map[string]float64),
-	}
-	for i, s := range m.sellers {
-		if i < len(tx.Pieces) && i < len(tx.Epsilons) && tx.Pieces[i] > 0 && tx.Epsilons[i] > 0 {
-			rec.Charges[s.ID] = tx.Epsilons[i]
-			rec.Spent[s.ID] = m.ledger.Spent(s.ID)
-		}
-	}
-	seq, err := m.log.Append(recordBudget, rec)
-	if err != nil {
-		m.p.logf("pool: market %q: wal budget append failed: %v", m.id, err)
-		return 0, false
-	}
-	return seq, true
-}
-
-// persistRecordLocked makes one roster or ledger mutation — a
-// registration, join, leave or top-up — durable (writeMu held): it appends
-// the record and returns its sequence number for the caller to Commit
-// outside the lock. A mutation the log cannot take is saved at once as a
-// full snapshot and 0 is returned.
+// persistRecordLocked makes one committed mutation — a registration,
+// trade, join, leave or top-up — durable (writeMu held): it appends the
+// record and returns its sequence number for the caller to Commit outside
+// the lock. A mutation the log cannot take is saved at once as a full
+// snapshot and 0 is returned; it is never failed because the disk was.
 func (m *Market) persistRecordLocked(kind string, payload any) (*wal.Log, uint64) {
 	if m.p.snapshotDir == "" {
 		return nil, 0

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -377,13 +378,14 @@ func sameRecord(a, b Record) bool {
 
 // FuzzOpen: whatever bytes follow a segment's intact records — a torn or
 // corrupt frame, a lying length, more frames, garbage — Open never panics.
-// It either refuses the segment (a checksummed frame that does not decode
-// or does not advance the sequence) or replays the intact records, plus
-// any whole frames the bytes hold, and truncates the file to the end of the
-// last one. An Append then lands right behind them: a reopen replays the
-// same records and the new one. The committed corpus under
-// testdata/fuzz/FuzzOpen holds a cut at every header byte of a fourth
-// frame, a 60 MiB length, and whole, corrupt and out-of-order frames.
+// It either refuses the segment with an error wrapping ErrCorrupt (a
+// checksummed frame that does not decode or does not advance the
+// sequence) or replays the intact records, plus any whole frames the bytes
+// hold, and truncates the file to the end of the last one. An Append then
+// lands right behind them: a reopen replays the same records and the new
+// one. The committed corpus under testdata/fuzz/FuzzOpen holds a cut at
+// every header byte of a fourth frame, a 60 MiB length, and whole, corrupt
+// and out-of-order frames.
 func FuzzOpen(f *testing.F) {
 	prefix, intact := fuzzPrefix(f)
 	f.Fuzz(func(t *testing.T, tail []byte) {
@@ -397,6 +399,9 @@ func FuzzOpen(f *testing.F) {
 			return nil
 		}})
 		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Open refused the segment with %v, want an error wrapping ErrCorrupt", err)
+			}
 			return
 		}
 		defer l.Close()

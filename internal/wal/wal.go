@@ -136,6 +136,11 @@ const maxRecordBytes = 64 << 20
 // ErrClosed reports an operation on a closed log.
 var ErrClosed = errors.New("wal: log closed")
 
+// ErrCorrupt marks a segment whose checksummed frames are not a valid log:
+// a record that does not decode, or a sequence number that does not
+// increase. Open and Scan wrap it; a torn tail is not corruption.
+var ErrCorrupt = errors.New("wal: corrupt segment")
+
 // Log is one append-only segment file. Safe for concurrent use.
 type Log struct {
 	path string
@@ -231,7 +236,7 @@ func Open(path string, opts Options) (*Log, error) {
 // incomplete frame, so the one payload buffer every frame is read into
 // never outgrows the file. A CRC-valid record that does not decode, or one
 // whose sequence number does not increase, is a format error, not a torn
-// tail.
+// tail: the error wraps ErrCorrupt.
 func scan(f *os.File, fn func(*Record, int64) error) (lastSeq uint64, clean int64, err error) {
 	fi, err := f.Stat()
 	if err != nil {
@@ -273,10 +278,10 @@ func scan(f *os.File, fn func(*Record, int64) error) (lastSeq uint64, clean int6
 		// may reuse the buffer.
 		var rec Record
 		if err := json.Unmarshal(payload, &rec); err != nil {
-			return lastSeq, clean, fmt.Errorf("record at offset %d: %w", clean, err)
+			return lastSeq, clean, fmt.Errorf("%w: record at offset %d: %w", ErrCorrupt, clean, err)
 		}
 		if rec.Seq <= lastSeq {
-			return lastSeq, clean, fmt.Errorf("record at offset %d: sequence %d not above %d", clean, rec.Seq, lastSeq)
+			return lastSeq, clean, fmt.Errorf("%w: record at offset %d: sequence %d not above %d", ErrCorrupt, clean, rec.Seq, lastSeq)
 		}
 		end := clean + headerSize + ln
 		if fn != nil {

@@ -291,8 +291,9 @@ func TestReplayErrorAbortsOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
-	if _, err := Open(path, Options{Replay: func(*Record) error { return boom }}); !errors.Is(err, boom) {
-		t.Fatalf("Open = %v, want %v", err, boom)
+	_, err := Open(path, Options{Replay: func(*Record) error { return boom }})
+	if !errors.Is(err, boom) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open = %v, want %v and not ErrCorrupt", err, boom)
 	}
 }
 
