@@ -25,26 +25,31 @@ test:
 # per-worker re-seeded permutation sources to fresh per-permutation rngs,
 # every product's trade rounds to one result for every worker count, every
 # round's transactions to the digests recorded before round scratch was
-# reused (also with two markets trading interleaved and concurrently), the
+# reused (also with two markets trading interleaved and concurrently, and
+# with rounds alternating per-round solver overrides), the
 # free list that hands that scratch between goroutines, the in-place
 # LDP mechanisms to the copying loop they replaced, and every row-major
 # Dataset operation to the one-slice-per-row layout it replaced, under the
 # race detector; the solver-backend pass pins cross-backend
 # agreement, the Jacobi determinism guarantee and the Stage-3 τ-boundary
-# cases of the general cascade, and every backend's in-place SolveFor to the
-# clone-and-solve path it replaced on quotes; the pool pass pins per-market
-# isolation, the
-# delete-drain race, batch-quote determinism, the WAL crash-recovery
-# torture sweeps (trade-only, roster-churn and budgeted histories), the
+# cases of the general cascade, every backend's in-place SolveFor to the
+# clone-and-solve path it replaced on quotes, and every backend's Bind of a
+# shared precomputed game to a Precompute of its own; the pool pass pins
+# per-market isolation, the delete-drain race, batch-quote determinism, the
+# WAL crash-recovery torture sweeps (trade-only, roster-churn and budgeted
+# histories, each now comparing the market's Info too), the
 # restore of a log that paired each trade with a charge record, concurrent
 # group commit, the admission gate (reject / queue / cancel),
 # the terminal-close seal, the churn-vs-quote isolation of the
 # copy-on-write view swap, the churned-checkpoint round trip, the
 # budget-exhaustion-vs-quote isolation, the immutability of published
 # views that share the committed ledger, the on-disk bytes of seller
-# rows in WAL records and compaction snapshots, and quotes into reused
-# profiles while churn republishes the view, and what a persisted trade
-# allocates once each WAL record is encoded once, under the race detector;
+# rows in WAL records and compaction snapshots, quotes into reused
+# profiles while churn republishes the view, what a persisted trade
+# allocates once each WAL record is encoded once, every view's backends
+# bound to the inner market's committed game, quotes that survive mid-life
+# leaves and a WAL-only reboot, and a market's spec surviving a reboot,
+# under the race detector (allocation bounds are checked only without it);
 # the httpapi pass pins cross-market overload isolation end to end and
 # that a quote's reused scratch never leaks into the next response; the
 # wal pass pins concurrent group commit, the torn-tail sweep, every frame
@@ -59,8 +64,8 @@ test:
 race: vet
 	$(GO) test -race ./...
 	$(GO) test -race -run 'TestKernelEquivalence|TestPerWorkerStreamsMatchPerPermutationRngs|TestRunRoundShapleyIdenticalAcrossWorkers|TestRoundOutputsMatchParent|TestFreeListConcurrentOwnership|TestPerturbInPlace|TestLayoutMatchesRowSlices' -count=1 ./internal/valuation ./internal/market ./internal/parallel ./internal/ldp ./internal/dataset
-	$(GO) test -race -run 'TestGeneralMatchesAnalytic|TestGeneralDeterministicAcrossWorkers|TestMapDeterministicAcrossWorkers|TestMeanFieldWithinTheoremBounds|TestSolveGeneralTau|TestSolveForMatchesCloneSolve' -count=1 ./internal/solve ./internal/core
-	$(GO) test -race -run 'TestMarketsAreIsolated|TestDeleteDrainsInFlightRounds|TestBatchQuoteDeterminism|TestWALTortureRecovery|TestWALTortureBudgetRecovery|TestParentEraBudgetLogRestores|TestConcurrentTradesGroupCommit|TestAdmissionRejectsWhenQueueFull|TestAdmissionQueueWaitsForSlot|TestAdmissionQueuedTradeHonorsContext|TestCloseSealsPoolAgainstStragglers|TestAsyncCloseFlushesTail|TestChurnQuoteIsolation|TestChurnSurvivesCheckpoint|TestExhaustedTradesLeaveQuotesUndisturbed|TestPublishedViewStaysImmutable|TestSellerBytesOnDiskMatchParent|TestConcurrentQuotesDuringChurn|TestTradeBytesPerRound' -count=1 ./internal/pool
+	$(GO) test -race -run 'TestGeneralMatchesAnalytic|TestGeneralDeterministicAcrossWorkers|TestMapDeterministicAcrossWorkers|TestMeanFieldWithinTheoremBounds|TestSolveGeneralTau|TestSolveForMatchesCloneSolve|TestBindMatchesPrecompute' -count=1 ./internal/solve ./internal/core
+	$(GO) test -race -run 'TestMarketsAreIsolated|TestDeleteDrainsInFlightRounds|TestBatchQuoteDeterminism|TestWALTortureRecovery|TestWALTortureBudgetRecovery|TestParentEraBudgetLogRestores|TestConcurrentTradesGroupCommit|TestAdmissionRejectsWhenQueueFull|TestAdmissionQueueWaitsForSlot|TestAdmissionQueuedTradeHonorsContext|TestCloseSealsPoolAgainstStragglers|TestAsyncCloseFlushesTail|TestChurnQuoteIsolation|TestChurnSurvivesCheckpoint|TestExhaustedTradesLeaveQuotesUndisturbed|TestPublishedViewStaysImmutable|TestSellerBytesOnDiskMatchParent|TestConcurrentQuotesDuringChurn|TestTradeBytesPerRound|TestViewsBindTheCommittedGame|TestLeaveQuotesSurviveReboot|TestSpecSurvivesReboot' -count=1 ./internal/pool
 	$(GO) test -race -run 'TestOverloadIsolationAcrossMarkets|TestDrainAnswers503|TestQuoteScratchDoesNotLeak' -count=1 ./internal/httpapi
 	$(GO) test -race -run 'TestConcurrentGroupCommit|TestTornTailTruncatedAtEveryOffset|TestAppendFramesMatchMarshal|TestCorruptLengthAllocatesOnlyTheFile' -count=1 ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 10s ./internal/wal

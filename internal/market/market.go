@@ -152,15 +152,15 @@ type Market struct {
 	testSet   *dataset.Dataset
 	update    *WeightUpdate
 	sellers   []*Seller
-	weights   []float64
-	lambdas   []float64
 	backend   solve.Backend
-	proto     solve.Prepared
-	rng       *rand.Rand
-	ledger    []*Transaction
-	costLog   []translog.Observation
-	budget    *budget.Ledger
-	discount  *DiscountConfig
+	// proto binds the backend to the committed game, the market's only
+	// copy of λ and ω (see Prototype); commits and churn replace it.
+	proto    solve.Prepared
+	rng      *rand.Rand
+	ledger   []*Transaction
+	costLog  []translog.Observation
+	budget   *budget.Ledger
+	discount *DiscountConfig
 
 	// epoch counts roster changes (seller joins and leaves) over the
 	// market's life. Transactions and snapshots are stamped with it, and
@@ -299,16 +299,16 @@ func New(sellers []*Seller, cfg Config) (*Market, error) {
 		testSet:   cfg.TestSet,
 		update:    cfg.Update,
 		sellers:   sellers,
-		weights:   core.UniformWeights(len(sellers)),
-		lambdas:   lambdas,
 		backend:   backend,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		budget:    cfg.Budget,
 		discount:  discount,
 	}
-	if err := m.rebuildProto(); err != nil {
+	proto, err := m.prototype(lambdas, core.UniformWeights(len(sellers)))
+	if err != nil {
 		return nil, fmt.Errorf("market: precomputing solver prototype: %w", err)
 	}
+	m.proto = proto
 	return m, nil
 }
 
@@ -356,7 +356,7 @@ func defaultMechanism(sellers []*Seller) (ldp.Mechanism, error) {
 func (m *Market) M() int { return len(m.sellers) }
 
 // Weights returns a copy of the broker's current dataset weights.
-func (m *Market) Weights() []float64 { return append([]float64(nil), m.weights...) }
+func (m *Market) Weights() []float64 { return append([]float64(nil), m.proto.Game().Broker.Weights...) }
 
 // SetWeights replaces the broker's weights (length must match the seller
 // count and every weight must be positive). The solver prototype is staged
@@ -371,12 +371,10 @@ func (m *Market) SetWeights(w []float64) error {
 			return fmt.Errorf("market: weight %d must be positive, got %g", i, x)
 		}
 	}
-	weights := append([]float64(nil), w...)
-	proto, err := m.prototype(weights)
+	proto, err := m.prototype(m.proto.Game().Sellers.Lambda, append([]float64(nil), w...))
 	if err != nil {
 		return fmt.Errorf("market: precomputing solver prototype: %w", err)
 	}
-	m.weights = weights
 	m.proto = proto
 	return nil
 }
@@ -384,20 +382,26 @@ func (m *Market) SetWeights(w []float64) error {
 // Solver names the market's equilibrium backend.
 func (m *Market) Solver() string { return m.backend.Name() }
 
-// SetSolver switches the market's equilibrium backend and rebuilds the
-// solver prototype. In-flight per-round overrides are unaffected.
+// SetSolver switches the market's equilibrium backend, binding it to the
+// committed game. In-flight per-round overrides are unaffected. The game is
+// already validated, so the error is always nil.
 func (m *Market) SetSolver(b solve.Backend) error {
 	if b == nil {
 		b = solve.Analytic{}
 	}
-	old := m.backend
 	m.backend = b
-	if err := m.rebuildProto(); err != nil {
-		m.backend = old
-		return fmt.Errorf("market: switching solver to %q: %w", b.Name(), err)
-	}
+	m.proto = b.Bind(m.proto.Game())
 	return nil
 }
+
+// Prototype returns the committed solver prototype: the market's backend
+// bound to the validated, precomputed game over the current sellers and
+// weights. It is shared, not copied: callers may solve it with SolveFor,
+// Clone it, read its Game and Bind other backends to that game, but must
+// never call SetBuyer, Solve or Reprepare on it or write to the game. A
+// later round or roster change replaces the prototype instead of mutating
+// it, so a game handed out here stays valid for as long as it is held.
+func (m *Market) Prototype() solve.Prepared { return m.proto }
 
 // Ledger returns the recorded transactions in order. Every entry is a deep
 // copy: mutating the returned slice, a transaction, or any of its nested
@@ -463,30 +467,23 @@ func (m *Market) CostObservations() []translog.Observation {
 	return append([]translog.Observation(nil), m.costLog...)
 }
 
-// prototype builds a precomputed solver prototype for the given weight
-// vector under the market's backend. The prototype carries a placeholder
-// buyer (each round solves it for its own buyer with Prepared.SolveFor) and
-// the seller aggregates cache, so a round neither re-assembles and
-// re-validates the λ and ω slices nor copies the game — the fix for the old
-// game() helper, which allocated both from scratch each call and never
-// benefited from Precompute.
-func (m *Market) prototype(weights []float64) (solve.Prepared, error) {
+// prototype builds the game over the given λ and weight vectors, keeping
+// both without a copy (the caller hands weights over; λ may be the
+// committed game's, which no game writes), precomputes it in place and
+// binds the market's backend to it. The game carries a placeholder buyer —
+// each round solves it for its own buyer with Prepared.SolveFor — and the
+// seller aggregates, so a round neither re-assembles and re-validates the
+// λ and ω slices nor copies the game.
+func (m *Market) prototype(lambdas, weights []float64) (solve.Prepared, error) {
 	g := &core.Game{
 		Buyer:   core.PaperBuyer(),
 		Broker:  core.Broker{Cost: m.cost, Weights: weights},
-		Sellers: core.Sellers{Lambda: m.lambdas},
+		Sellers: core.Sellers{Lambda: lambdas},
 	}
-	return m.backend.Precompute(g)
-}
-
-// rebuildProto refreshes the solver prototype against the current weights.
-func (m *Market) rebuildProto() error {
-	proto, err := m.prototype(m.weights)
-	if err != nil {
-		return err
+	if err := g.Precompute(); err != nil {
+		return nil, err
 	}
-	m.proto = proto
-	return nil
+	return m.backend.Bind(g), nil
 }
 
 // RunRound executes Algorithm 1 for one buyer with the market's configured
@@ -539,15 +536,12 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 	// here — other than cancellation — is attributable to the buyer's
 	// demand parameters. SolveFor never writes to the prototype, so the
 	// round solves it in place, as quotes solve a view's, into the
-	// transaction's own profile; an override backend precomputes fresh
-	// against the market's current state.
+	// transaction's own profile; an override backend binds the committed
+	// game.
 	t0 := time.Now()
 	proto := m.proto
-	var err error
 	if backend != nil && backend.Name() != m.backend.Name() {
-		if proto, err = backend.Precompute(m.proto.Game()); err != nil {
-			return nil, fmt.Errorf("market: preparing solver: %w", err)
-		}
+		proto = backend.Bind(m.proto.Game())
 	}
 	profile := new(core.Profile)
 	if err := proto.SolveFor(ctx, buyer, profile); err != nil {
@@ -624,10 +618,11 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 		return nil, fmt.Errorf("market: round canceled before production: %w", err)
 	}
 	t0 = time.Now()
-	tx.Metrics, err = builder.Build(sc.joined(), m.testSet)
+	metrics, err := builder.Build(sc.joined(), m.testSet)
 	if err != nil {
 		return nil, fmt.Errorf("market: manufacturing %s product: %w", builder.Name(), err)
 	}
+	tx.Metrics = metrics
 	tx.Product = builder.Name()
 	tx.ManufacturingCost = g.ManufacturingCost()
 	tx.Timings.Production = time.Since(t0)
@@ -689,9 +684,10 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 		}
 		tx.Shapley = sv
 		norm := shapley.Normalize(sv)
-		newWeights = make([]float64, len(m.weights))
-		for i := range m.weights {
-			newWeights[i] = m.update.Retain*m.weights[i] + (1-m.update.Retain)*norm[i]
+		weights := m.proto.Game().Broker.Weights
+		newWeights = make([]float64, len(weights))
+		for i, w := range weights {
+			newWeights[i] = m.update.Retain*w + (1-m.update.Retain)*norm[i]
 		}
 		if d := m.update.Decay; d > 0 {
 			uniform := 1 / float64(len(newWeights))
@@ -708,11 +704,10 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 	// first: if the updated weights fail precompute validation, the round
 	// fails cleanly with the market untouched.
 	if newWeights != nil {
-		newProto, err := m.prototype(newWeights)
+		newProto, err := m.prototype(m.proto.Game().Sellers.Lambda, newWeights)
 		if err != nil {
 			return nil, fmt.Errorf("market: weight update produced an unsolvable market: %w", err)
 		}
-		m.weights = newWeights
 		m.proto = newProto
 	}
 	tx.Weights = m.Weights()

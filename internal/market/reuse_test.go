@@ -1,6 +1,7 @@
 package market
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -15,6 +16,7 @@ import (
 	"share/internal/dataset"
 	"share/internal/ldp"
 	"share/internal/product"
+	"share/internal/solve"
 	"share/internal/stat"
 	"share/internal/translog"
 )
@@ -22,13 +24,16 @@ import (
 // outputCase is one market shape of TestRoundOutputsMatchParent. Together
 // the cases reach every branch of a round that touches reused scratch: the
 // moment kernel with and without its redundancy pass, the builder-generic
-// estimator, and both sellData record layouts.
+// estimator, and both sellData record layouts. The overrides shape cycles
+// its rounds through per-round solver overrides (nil = the market's own
+// backend), so the override path's strategy decisions are pinned too.
 type outputCase struct {
-	name     string
-	product  product.Builder
-	budget   bool
-	discount *DiscountConfig
-	update   WeightUpdate
+	name      string
+	product   product.Builder
+	budget    bool
+	discount  *DiscountConfig
+	update    WeightUpdate
+	overrides []solve.Backend
 }
 
 var outputCases = []outputCase{
@@ -41,6 +46,11 @@ var outputCases = []outputCase{
 	{name: "ols", update: WeightUpdate{Retain: 0.2, Permutations: 20}},
 	{name: "ridge", product: product.Ridge{Alpha: 1}, update: WeightUpdate{Retain: 0.2, Permutations: 20, Workers: 2}},
 	{name: "mean", product: product.MeanVector{}, update: WeightUpdate{Retain: 0.2, Permutations: 20, Workers: 2}},
+	{
+		name:      "ols-overrides",
+		update:    WeightUpdate{Retain: 0.2, Permutations: 20},
+		overrides: []solve.Backend{nil, solve.MeanField{}, solve.General{}},
+	},
 }
 
 // outputsMarket builds a 12-seller × 300-row CCPP market for c. With
@@ -102,7 +112,7 @@ func outputsMarket(t testing.TB, c outputCase, featuresOnly bool) (*Market, core
 }
 
 // roundDigest folds transactions into a SHA-256 over their JSON encoding
-// with the wall-clock Timings zeroed.
+// with the wall-clock Timings and general-solve Stage3Time zeroed.
 type roundDigest struct {
 	t testing.TB
 	h hash.Hash
@@ -113,6 +123,11 @@ func newRoundDigest(t testing.TB) *roundDigest { return &roundDigest{t: t, h: sh
 func (d *roundDigest) add(tx *Transaction) {
 	cp := *tx
 	cp.Timings = Timings{}
+	if st := cp.SolveEffort; st != nil {
+		eff := *st
+		eff.Stage3Time = 0
+		cp.SolveEffort = &eff
+	}
 	b, err := json.Marshal(&cp)
 	if err != nil {
 		d.t.Errorf("encoding round %d: %v", tx.Round, err)
@@ -126,7 +141,9 @@ func (d *roundDigest) hex() string { return hex.EncodeToString(d.h.Sum(nil)) }
 const outputRounds = 40
 
 // wantOutputDigest holds each run's digest, recorded by running this test's
-// body against the implementation before round scratch was reused.
+// body against the implementation before round scratch was reused; the
+// ols-overrides digests were recorded while an override backend still
+// precomputed its own copy of the committed game.
 var wantOutputDigest = map[string]string{
 	"ols-budget-discount/full-record":   "11a3384ceca5705110017ab9e44644a386c98c3c6a5a66fc1b98ecc4f0505d22",
 	"ols-budget-discount/features-only": "82626d6ac094cd1d05cb8d33206a599e92ae0a85ccc63e868c51f9c85a2b15eb",
@@ -136,6 +153,8 @@ var wantOutputDigest = map[string]string{
 	"ridge/features-only":               "c180a4d702912be6ae5562d0a73f833a3aef5b2585c6d4b5b9a1ef875afeb85f",
 	"mean/full-record":                  "dad6969f6cc1b2c85d8f98f54456637be3f6348a780c143b8eed33d040e8af29",
 	"mean/features-only":                "d915806a7fa07caf74d25151ed22697b2d1188085d9d11b154d17a4384ad958c",
+	"ols-overrides/full-record":         "d794345e97f6ce19043a77d845319a2e870a8aa8a5e207e94711d71a59b4bbae",
+	"ols-overrides/features-only":       "08ab13527bf8d645e93e419fa7a21d32f015c6370dfec5aca2a382e325ff1bf2",
 }
 
 func outputRunName(c outputCase, featuresOnly bool) string {
@@ -152,17 +171,22 @@ func outputRunName(c outputCase, featuresOnly bool) string {
 // from one round's scratch into another's outputs.
 func TestRoundOutputsMatchParent(t *testing.T) {
 	type run struct {
-		name   string
-		mkt    *Market
-		buyer  core.Buyer
-		digest *roundDigest
+		name      string
+		mkt       *Market
+		buyer     core.Buyer
+		overrides []solve.Backend
+		digest    *roundDigest
 	}
 	newRun := func(c outputCase, featuresOnly bool) *run {
 		mkt, buyer := outputsMarket(t, c, featuresOnly)
-		return &run{name: outputRunName(c, featuresOnly), mkt: mkt, buyer: buyer, digest: newRoundDigest(t)}
+		return &run{name: outputRunName(c, featuresOnly), mkt: mkt, buyer: buyer, overrides: c.overrides, digest: newRoundDigest(t)}
 	}
 	step := func(r *run) error {
-		tx, err := r.mkt.RunRound(r.buyer)
+		var backend solve.Backend
+		if n := len(r.overrides); n > 0 {
+			backend = r.overrides[len(r.mkt.ledger)%n]
+		}
+		tx, err := r.mkt.RunRoundBackend(context.Background(), r.buyer, nil, backend)
 		if err != nil {
 			return fmt.Errorf("%s round %d: %w", r.name, len(r.mkt.ledger)+1, err)
 		}

@@ -38,11 +38,12 @@ func (m *Market) AddSeller(s *Seller) (float64, error) {
 	if err := checkSeller(s, m.testSet.NumFeatures()); err != nil {
 		return 0, err
 	}
+	weights := m.proto.Game().Broker.Weights
 	var sum float64
-	for _, w := range m.weights {
+	for _, w := range weights {
 		sum += w
 	}
-	weight := sum / float64(len(m.weights))
+	weight := sum / float64(len(weights))
 	if err := m.applyJoin(s, weight, m.epoch+1); err != nil {
 		return 0, err
 	}
@@ -133,8 +134,6 @@ func (m *Market) applyJoin(s *Seller, weight float64, epoch uint64) error {
 		return &RosterError{SellerID: s.ID, Msg: fmt.Sprintf("re-preparing solver: %v", err)}
 	}
 	m.sellers = append(m.sellers, s)
-	m.lambdas = append(m.lambdas, s.Lambda)
-	m.weights = append(m.weights, weight)
 	m.proto = staged
 	m.epoch = epoch
 	return nil
@@ -161,8 +160,6 @@ func (m *Market) applyLeave(id string, epoch uint64) error {
 		return &RosterError{SellerID: id, Msg: fmt.Sprintf("re-preparing solver: %v", err)}
 	}
 	m.sellers = append(m.sellers[:idx:idx], m.sellers[idx+1:]...)
-	m.lambdas = append(m.lambdas[:idx:idx], m.lambdas[idx+1:]...)
-	m.weights = append(m.weights[:idx:idx], m.weights[idx+1:]...)
 	m.proto = staged
 	m.epoch = epoch
 	return nil

@@ -625,7 +625,7 @@ func tortureCuts(ends []int64, size int64) []int64 {
 	return out
 }
 
-// canonicalJSON renders raw JSON the way canonicalState renders a view.
+// canonicalJSON renders raw JSON the way canonicalView renders a view.
 func canonicalJSON(t *testing.T, raw []byte) string {
 	t.Helper()
 	var v any
@@ -644,7 +644,7 @@ func canonicalJSON(t *testing.T, raw []byte) string {
 // budget_charge record holding its charges: testdata/parent_budget holds
 // the spec snapshot and segment of a 3-seller market (advanced
 // composition) that traded four times with a top-up after the second
-// trade, and the live canonical state after each trade. The whole log
+// trade, and the live canonical view after each trade. The whole log
 // restores the final state: each trade record charges the ledger and each
 // charge record is a no-op. A copy cut right after a trade frame, before
 // its charge frame, restores the state after that trade, charge included.
@@ -704,7 +704,7 @@ func TestParentEraBudgetLogRestores(t *testing.T) {
 	}
 	for i, end := range tradeEnds {
 		p, m := restore(end)
-		if got, want := canonicalState(t, m), canonicalJSON(t, stored[i]); got != want {
+		if got, want := canonicalView(t, m.View()), canonicalJSON(t, stored[i]); got != want {
 			t.Errorf("cut after trade %d's record: restored state diverges from the live state after that trade\n got: %.300s\nwant: %.300s",
 				i+1, got, want)
 		}
@@ -713,7 +713,7 @@ func TestParentEraBudgetLogRestores(t *testing.T) {
 
 	p, m := restore(int64(len(seg)))
 	defer p.Close()
-	if got, want := canonicalState(t, m), canonicalJSON(t, stored[len(stored)-1]); got != want {
+	if got, want := canonicalView(t, m.View()), canonicalJSON(t, stored[len(stored)-1]); got != want {
 		t.Fatalf("whole log: restored state diverges from the final live state\n got: %.300s\nwant: %.300s", got, want)
 	}
 	before := p.walMet.Records.Value()

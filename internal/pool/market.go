@@ -98,16 +98,19 @@ type Market struct {
 // Writers build a fresh View under writeMu and publish it atomically;
 // nothing reachable from a published View is ever mutated.
 type View struct {
-	// Protos holds one validated, precomputed solver prototype per
-	// registered backend over the current sellers and weights (nil until
-	// the first seller registers). Quotes solve the requested backend's
-	// prototype with SolveFor, which never writes to it, so every
-	// concurrent quote shares it without a copy.
+	// Protos holds one solver prototype per registered backend (nil until
+	// the first seller registers), every one bound to the same validated,
+	// precomputed game over the current sellers and weights: once trading
+	// has begun, the inner market's committed game itself. Quotes solve the
+	// requested backend's prototype with SolveFor, which never writes to
+	// it, so every concurrent quote shares it without a copy. Readers may
+	// SolveFor and Clone a prototype, never SetBuyer, Solve or Reprepare it.
 	Protos map[string]solve.Prepared
 	// Sellers is the roster with current weights.
 	Sellers []SellerState
-	// Weights is the broker's weight vector (uniform length-1 placeholder
-	// while the roster is empty, matching the single-market server).
+	// Weights is the broker's weight vector, shared with the prototypes'
+	// game (uniform length-1 placeholder while the roster is empty,
+	// matching the single-market server). Readers must not mutate it.
 	Weights []float64
 	// Trades is the committed ledger. Its entries are the inner market's
 	// committed transactions, shared rather than copied: they are
@@ -328,20 +331,14 @@ func (m *Market) registerLocked(reg Registration) (SellerState, *wal.Log, uint64
 	if m.mkt != nil {
 		// Mid-life join: the inner market stages an incremental solver
 		// re-preparation (rank-1 aggregate adjustment) and commits it with
-		// the roster in one step; the view swap reuses the same delta.
+		// the roster in one step; the new view binds to the re-prepared game.
 		weight, err := m.mkt.AddSeller(sel)
 		if err != nil {
 			return SellerState{}, nil, 0, err
 		}
 		m.sellers = append(m.sellers, sel)
 		m.rosterEpoch = m.mkt.Epoch()
-		m.publishChurnView(solve.RosterDelta{
-			Epoch:  m.rosterEpoch,
-			Join:   true,
-			Index:  len(m.sellers) - 1,
-			Lambda: reg.Lambda,
-			Weight: weight,
-		})
+		m.publishChurnView()
 		l, seq := m.persistRecordLocked(recordJoin, joinRecord{
 			Seller: StoredSeller{ID: reg.ID, Lambda: reg.Lambda, Rows: data.AppendRows(nil), Targets: data.Y},
 			Weight: weight,
@@ -594,45 +591,42 @@ func (m *Market) tradeLocked(ctx context.Context, release func(), b core.Buyer, 
 }
 
 // buildView renders the market's mutable state into a fresh immutable
-// view. Must be called with writeMu held.
+// view. Must be called with writeMu held. Every backend binds one game:
+// once trading has begun the inner market's committed game, whose weight
+// vector the view shares; before that a game over the registered roster at
+// uniform weights, precomputed here. Only that precompute can fail.
 func (m *Market) buildView() (*View, error) {
 	v := &View{Trading: m.mkt != nil, Epoch: m.rosterEpoch}
-
-	weights := core.UniformWeights(max(1, len(m.sellers)))
-	if m.mkt != nil {
-		weights = m.mkt.Weights()
-	}
-	v.Weights = weights
-
-	if m.mkt != nil {
+	var g *core.Game
+	switch {
+	case m.mkt != nil:
+		g = m.mkt.Prototype().Game()
 		v.Trades = m.mkt.SharedLedger()
-	}
-	v.Sellers = m.sellerStates(weights, v.Trades)
-
-	if len(m.sellers) > 0 {
+	case len(m.sellers) > 0:
 		lambdas := make([]float64, len(m.sellers))
 		for i, sel := range m.sellers {
 			lambdas[i] = sel.Lambda
 		}
-		g := &core.Game{
-			Buyer:   core.PaperBuyer(), // placeholder; quotes overwrite it
-			Broker:  core.Broker{Cost: m.cfg.Cost, Weights: append([]float64(nil), weights...)},
+		g = &core.Game{
+			Buyer:   core.PaperBuyer(), // placeholder; quotes solve their own buyer
+			Broker:  core.Broker{Cost: m.cfg.Cost, Weights: core.UniformWeights(len(lambdas))},
 			Sellers: core.Sellers{Lambda: lambdas},
 		}
-		names := solve.Names()
-		v.Protos = make(map[string]solve.Prepared, len(names))
-		for _, name := range names {
-			b, err := solve.Lookup(name)
-			if err != nil {
-				return nil, err
-			}
-			p, err := b.Precompute(g)
-			if err != nil {
-				return nil, err
-			}
-			v.Protos[name] = p
+		if err := g.Precompute(); err != nil {
+			return nil, err
 		}
 	}
+	if g == nil {
+		v.Weights = core.UniformWeights(1)
+	} else {
+		w := g.Broker.Weights
+		v.Weights = w[:len(w):len(w)] // an append by a reader copies
+		v.Protos = make(map[string]solve.Prepared, len(m.p.backends))
+		for _, b := range m.p.backends {
+			v.Protos[b.Name()] = b.Bind(g)
+		}
+	}
+	v.Sellers = m.sellerStates(v.Weights, v.Trades)
 	return v, nil
 }
 

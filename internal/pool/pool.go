@@ -141,6 +141,7 @@ type Pool struct {
 	metrics   *obs.Registry
 	valuation *obs.Endpoint            // Shapley weight-update latency, all markets
 	solveObs  map[string]*obs.Endpoint // per-backend equilibrium-solve latency
+	backends  []solve.Backend          // every registered backend, bound by each view
 	walMet    wal.Metrics              // shared WAL series, all markets
 
 	// Per-stage effort series of the general backend's numerical cascade,
@@ -156,36 +157,39 @@ type Pool struct {
 	draining bool // set by Drain/Close; Create refuses with ErrDraining
 }
 
-// Spec names and configures one market to create.
+// Spec names and configures one market to create. Snapshots store a
+// market's resolved spec — every field set, zeros included — under the
+// JSON names below, and a restore creates the market from it.
 type Spec struct {
 	// ID is the market's name: 1–64 characters from [A-Za-z0-9._-],
 	// starting with a letter or digit (it doubles as the snapshot file
-	// stem and the metric-label segment).
-	ID string
+	// stem and the metric-label segment). A stored spec leaves it to the
+	// snapshot's own id.
+	ID string `json:"-"`
 	// Solver overrides the pool's default equilibrium backend for this
 	// market ("" → pool default). Unknown names are a field-level error.
-	Solver string
+	Solver string `json:"solver"`
 	// Seed pins the market's random seed (nil → derived deterministically
 	// from the pool seed and the ID).
-	Seed *int64
+	Seed *int64 `json:"seed"`
 	// Durability overrides the pool's default persistence mode for this
 	// market ("" → pool default). Unknown names are a field-level error.
-	Durability string
+	Durability string `json:"durability"`
 	// TradeConcurrency overrides the pool's in-flight trade cap for this
 	// market (nil → pool default; values < 1 are a field-level error).
-	TradeConcurrency *int
+	TradeConcurrency *int `json:"trade_concurrency"`
 	// TradeQueue overrides the pool's trade waiting-room size for this
 	// market (nil → pool default). An explicit 0 means no waiting room —
 	// reject the moment every slot is busy; negative values are a
 	// field-level error.
-	TradeQueue *int
+	TradeQueue *int `json:"trade_queue"`
 	// EpsilonBudget overrides the pool's default per-seller privacy
 	// budget for this market (nil → pool default; explicit 0 disables
 	// budgeting; negative or non-finite values are a field-level error).
-	EpsilonBudget *float64
+	EpsilonBudget *float64 `json:"epsilon_budget"`
 	// Composition overrides the pool's ε-composition rule for this market
 	// ("" → pool default). Unknown names are a field-level error.
-	Composition string
+	Composition string `json:"composition"`
 }
 
 // Info is the externally visible state of one hosted market.
@@ -324,6 +328,8 @@ func New(opts Options) *Pool {
 		markets: make(map[string]*Market),
 	}
 	for _, name := range solve.Names() {
+		b, _ := solve.Lookup(name) // registered, so found
+		p.backends = append(p.backends, b)
 		p.solveObs[name] = p.metrics.Endpoint("solve/" + name)
 	}
 	return p

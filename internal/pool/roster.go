@@ -7,7 +7,6 @@ import (
 
 	"share/internal/core"
 	"share/internal/market"
-	"share/internal/solve"
 	"share/internal/wal"
 )
 
@@ -83,7 +82,7 @@ func (m *Market) removeLocked(id string) (*wal.Log, uint64, error) {
 		}
 		m.sellers = append(m.sellers[:idx:idx], m.sellers[idx+1:]...)
 		m.rosterEpoch = m.mkt.Epoch()
-		m.publishChurnView(solve.RosterDelta{Epoch: m.rosterEpoch, Index: idx})
+		m.publishChurnView()
 	} else {
 		m.sellers = append(m.sellers[:idx:idx], m.sellers[idx+1:]...)
 		m.rosterEpoch++
@@ -101,48 +100,18 @@ func (m *Market) removeLocked(id string) (*wal.Log, uint64, error) {
 	return wl, wseq, nil
 }
 
-// publishChurnView swaps the view after a mid-life roster change without
-// re-precomputing from scratch: each backend prototype of the outgoing view
-// is cloned and incrementally re-prepared with the same delta the inner
-// market committed — the O(1)-per-backend path the PR exists for. Any
-// failure falls back to a full rebuild. Must be called with writeMu held.
-func (m *Market) publishChurnView(d solve.RosterDelta) {
+// publishChurnView swaps the view after a mid-life roster change, timing
+// the publication under market/<id>/reprepare. The inner market has
+// already re-prepared its game incrementally; the new view binds every
+// backend to it, so a restart that replays the same churn serves the same
+// quotes. Must be called with writeMu held.
+func (m *Market) publishChurnView() {
 	t0 := time.Now()
-	old := m.view.Load()
-	v, err := m.buildChurnView(old, d)
-	if err != nil {
-		m.p.logf("pool: market %q: incremental view swap: %v; rebuilding from scratch", m.id, err)
-		if err := m.publishView(); err != nil {
-			m.p.logf("pool: market %q: view rebuild after churn: %v (serving stale view until next publish)", m.id, err)
-		}
+	if err := m.publishView(); err != nil {
+		m.p.logf("pool: market %q: view rebuild after churn: %v (serving stale view until next publish)", m.id, err)
 		return
 	}
-	m.view.Store(v)
-	m.rosterGauge.Set(int64(len(v.Sellers)))
-	m.updateBudgetGauges(v)
 	m.reprepObs.Observe(time.Since(t0))
-}
-
-// buildChurnView derives the post-churn view from the outgoing one: roster
-// and weights re-read from the inner market, the ledger carried over (churn
-// commits no trade), and every solver prototype re-prepared incrementally.
-func (m *Market) buildChurnView(old *View, d solve.RosterDelta) (*View, error) {
-	if old == nil || old.Protos == nil {
-		return nil, &market.RosterError{Msg: "no prepared view to re-prepare"}
-	}
-	v := &View{Trading: m.mkt != nil, Epoch: m.rosterEpoch}
-	v.Weights = m.mkt.Weights()
-	v.Trades = old.Trades // immutable by contract; churn does not trade
-	v.Sellers = m.sellerStates(v.Weights, v.Trades)
-	v.Protos = make(map[string]solve.Prepared, len(old.Protos))
-	for name, proto := range old.Protos {
-		np := proto.Clone()
-		if err := np.Reprepare(d); err != nil {
-			return nil, err
-		}
-		v.Protos[name] = np
-	}
-	return v, nil
 }
 
 // Subscribe opens a live event channel with the given buffer (≤ 0 selects

@@ -56,6 +56,12 @@ type MarketSnapshot struct {
 	// or keeps the restoring market's configuration).
 	EpsilonBudget float64 `json:"epsilon_budget,omitempty"`
 	Composition   string  `json:"composition,omitempty"`
+	// Spec is the market's resolved spec, every field explicit: a restore
+	// creates the market from it whole, whatever the restoring pool's
+	// defaults. nil in files written before snapshots stored it; those
+	// restore by the fields above, each one absent meaning the pool
+	// default.
+	Spec *Spec `json:"spec,omitempty"`
 	// BudgetAccounts is each seller's ledger account at save time, keyed
 	// by seller ID; sellers who never charged are omitted. Restored
 	// verbatim, so the composed ε-spent after a reboot is bit-identical
@@ -92,25 +98,42 @@ func (m *Market) Snapshot() *MarketSnapshot {
 	return m.snapshotLocked()
 }
 
+// specSnapshot is the roster-free head of every snapshot: the market's
+// identity and its resolved spec, every field explicit so Create rebuilds
+// the market from it whatever the pool's defaults. On its own it is the
+// spec snapshot written beside a new WAL segment.
+func (m *Market) specSnapshot() *MarketSnapshot {
+	seed, conc, queue, eps := m.seed, cap(m.adm.slots), m.adm.queueCap, m.epsBudget
+	return &MarketSnapshot{
+		Version:       snapshotVersion,
+		ID:            m.id,
+		Solver:        m.solver.Name(),
+		Seed:          &seed,
+		Durability:    string(m.durability),
+		EpsilonBudget: eps,
+		Composition:   m.compositionName(),
+		Spec: &Spec{
+			Solver:           m.solver.Name(),
+			Seed:             &seed,
+			Durability:       string(m.durability),
+			TradeConcurrency: &conc,
+			TradeQueue:       &queue,
+			EpsilonBudget:    &eps,
+			Composition:      string(m.composition),
+		},
+	}
+}
+
 // snapshotLocked is Snapshot with writeMu already held. The sellers' rows
 // are views over their datasets, their headers in one block for the whole
 // roster.
 func (m *Market) snapshotLocked() *MarketSnapshot {
-	seed := m.seed
-	snap := &MarketSnapshot{
-		Version:    snapshotVersion,
-		ID:         m.id,
-		Solver:     m.solver.Name(),
-		Seed:       &seed,
-		Durability: string(m.durability),
-	}
+	snap := m.specSnapshot()
 	if m.log != nil {
 		snap.WalSeq = m.log.LastSeq()
 	}
 	snap.RosterEpoch = m.rosterEpoch
 	if m.ledger != nil {
-		snap.EpsilonBudget = m.epsBudget
-		snap.Composition = m.compositionName()
 		snap.BudgetAccounts = m.ledger.Accounts()
 	}
 	n := 0
@@ -179,26 +202,27 @@ func (m *Market) RestoreSnapshot(snap *MarketSnapshot) error {
 		}
 		m.durability = d
 	}
-	if snap.EpsilonBudget != 0 {
+	if snap.EpsilonBudget != 0 || snap.Spec != nil {
 		// Budget config follows the Solver/Durability rule (absent keeps
-		// the restoring market's configuration); the ledger itself is
-		// rebuilt before the inner market so trades wire to it, and the
-		// saved accounts restore the composed spend exactly.
-		comp, err := budget.ParseComposition(snap.Composition)
-		if err != nil {
-			return fmt.Errorf("pool: restoring composition: %w", err)
+		// the restoring market's configuration), except that a file with a
+		// stored spec names it even when it is zero: disabled. The ledger
+		// itself is rebuilt before the inner market so trades wire to it,
+		// and the saved accounts restore the composed spend exactly.
+		var led *budget.Ledger
+		comp := m.composition
+		if snap.EpsilonBudget != 0 {
+			var err error
+			if comp, err = budget.ParseComposition(snap.Composition); err != nil {
+				return fmt.Errorf("pool: restoring composition: %w", err)
+			}
+			if led, err = budget.NewLedger(budget.Config{Epsilon: snap.EpsilonBudget, Composition: comp}); err != nil {
+				return fmt.Errorf("pool: restoring privacy budget: %w", err)
+			}
+			if m.exhaustedC == nil {
+				m.exhaustedC = m.p.metrics.Counter("market/" + m.id + "/budget_exhausted")
+			}
 		}
-		led, err := budget.NewLedger(budget.Config{Epsilon: snap.EpsilonBudget, Composition: comp})
-		if err != nil {
-			return fmt.Errorf("pool: restoring privacy budget: %w", err)
-		}
-		m.ledger = led
-		m.epsBudget = snap.EpsilonBudget
-		m.composition = comp
-		m.cfg.Budget = led
-		if m.exhaustedC == nil {
-			m.exhaustedC = m.p.metrics.Counter("market/" + m.id + "/budget_exhausted")
-		}
+		m.ledger, m.epsBudget, m.composition, m.cfg.Budget = led, snap.EpsilonBudget, comp, led
 	}
 	if m.ledger != nil {
 		m.ledger.Restore(snap.BudgetAccounts)
@@ -449,7 +473,14 @@ func (p *Pool) restoreOne(id, snapPath string) error {
 	created := false
 	if getErr != nil {
 		spec := Spec{ID: id}
-		if snap != nil {
+		switch {
+		case snap == nil:
+		case snap.Spec != nil:
+			spec = *snap.Spec // the resolved spec, whole
+			spec.ID = id
+		default:
+			// Written before snapshots stored the spec: the fields it names
+			// apply, and every other one takes the pool default.
 			spec.Solver = snap.Solver
 			spec.Seed = snap.Seed
 			spec.Durability = snap.Durability

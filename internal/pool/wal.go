@@ -151,23 +151,12 @@ func (m *Market) ensureLogLocked() bool {
 	// Until the first compaction the market's whole history lives in the
 	// log, which carries records but not configuration. Drop a roster-free
 	// spec snapshot next to the fresh segment so a crash-reboot restores
-	// the market's solver, seed and durability before replaying — the
-	// roster itself replays from the log (every admission is a record).
+	// the market's spec before replaying — the roster itself replays from
+	// the log (every admission is a record). It holds budget configuration
+	// only, never accounts: the log holds the market's whole charge
+	// history, so replay rebuilds every spend from a zeroed ledger.
 	if _, err := os.Stat(m.snapshotPath()); errors.Is(err, os.ErrNotExist) {
-		seed := m.seed
-		spec := &MarketSnapshot{
-			Version:    snapshotVersion,
-			ID:         m.id,
-			Solver:     m.solver.Name(),
-			Seed:       &seed,
-			Durability: string(m.durability),
-			// Budget configuration only — never accounts: the log holds the
-			// market's whole charge history, so replay rebuilds every spend
-			// from a zeroed ledger.
-			EpsilonBudget: m.epsBudget,
-			Composition:   m.compositionName(),
-		}
-		if err := writeSnapshotFile(m.snapshotPath(), spec); err != nil {
+		if err := writeSnapshotFile(m.snapshotPath(), m.specSnapshot()); err != nil {
 			m.p.logf("pool: market %q: writing spec snapshot: %v", m.id, err)
 		}
 	}

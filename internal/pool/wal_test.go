@@ -28,15 +28,20 @@ func fastWalOptions(dir string) Options {
 }
 
 // canonicalState renders everything a restored market must reproduce —
-// roster epoch, roster, weights, ledger, trading flag — as canonical JSON. Both the
-// reference and the replayed state pass through one marshal/unmarshal
-// round trip, so float formatting is identical on both sides.
+// its Info (the spec and counters), then the view's roster epoch, roster,
+// weights, ledger and trading flag — as canonical JSON. Both the reference
+// and the replayed state pass through one marshal/unmarshal round trip,
+// so float formatting is identical on both sides.
 func canonicalState(t *testing.T, m *Market) string {
 	t.Helper()
-	return canonicalView(t, m.View())
+	info, err := json.Marshal(m.Info())
+	if err != nil {
+		t.Fatalf("marshaling market info: %v", err)
+	}
+	return canonicalJSON(t, info) + canonicalView(t, m.View())
 }
 
-// canonicalView is canonicalState for one published view.
+// canonicalView is canonicalState's rendering of one published view.
 func canonicalView(t *testing.T, v *View) string {
 	t.Helper()
 	raw, err := json.Marshal(struct {

@@ -17,13 +17,10 @@ type Analytic struct{}
 func (Analytic) Name() string { return "analytic" }
 
 // Precompute implements Backend.
-func (Analytic) Precompute(g *core.Game) (Prepared, error) {
-	c := g.Clone()
-	if err := c.Precompute(); err != nil {
-		return nil, err
-	}
-	return &analyticPrepared{g: c}, nil
-}
+func (a Analytic) Precompute(g *core.Game) (Prepared, error) { return precompute(a, g) }
+
+// Bind implements Backend.
+func (Analytic) Bind(g *core.Game) Prepared { return &analyticPrepared{g: g} }
 
 type analyticPrepared struct {
 	g     *core.Game

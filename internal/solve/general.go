@@ -50,13 +50,11 @@ func (General) Name() string { return "general" }
 
 // Precompute implements Backend. The snapshot accelerates the quadratic
 // closed form used to bracket p^M and to warm-start every Stage-3 iteration.
-func (b General) Precompute(g *core.Game) (Prepared, error) {
-	c := g.Clone()
-	if err := c.Precompute(); err != nil {
-		return nil, err
-	}
-	return &generalPrepared{b: b, g: c}, nil
-}
+func (b General) Precompute(g *core.Game) (Prepared, error) { return precompute(b, g) }
+
+// Bind implements Backend. The bound Prepared starts with no warm-start
+// chain, as a fresh Precompute does.
+func (b General) Bind(g *core.Game) Prepared { return &generalPrepared{b: b, g: g} }
 
 type generalPrepared struct {
 	b     General

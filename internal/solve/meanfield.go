@@ -21,13 +21,10 @@ func (MeanField) Name() string { return "meanfield" }
 
 // Precompute implements Backend. The snapshot still pays off here: the
 // Stage 1–2 closed forms read the cached S = Σ1/λᵢ.
-func (MeanField) Precompute(g *core.Game) (Prepared, error) {
-	c := g.Clone()
-	if err := c.Precompute(); err != nil {
-		return nil, err
-	}
-	return &meanFieldPrepared{g: c}, nil
-}
+func (mf MeanField) Precompute(g *core.Game) (Prepared, error) { return precompute(mf, g) }
+
+// Bind implements Backend.
+func (MeanField) Bind(g *core.Game) Prepared { return &meanFieldPrepared{g: g} }
 
 type meanFieldPrepared struct {
 	g     *core.Game

@@ -14,12 +14,14 @@
 // established:
 //
 //	Precompute(game)          →  Prepared  (once per seller population: O(m))
+//	Bind(precomputed game)    →  Prepared  (no copy; SolveFor and Clone only)
 //	SolveFor(ctx, buyer, dst) →  dst       (per demand: the backend's own cost)
 //
 // SolveFor never writes to the Prepared, so one prototype serves every
 // concurrent quote and every trade round, and it refills the caller's
 // profile in place, so a caller that keeps its profile solves the closed
-// forms without allocating. Clone is for callers that mutate the game or
+// forms without allocating. Bind lets every backend of one market state
+// share one precomputed game. Clone is for callers that mutate the game or
 // advance state between solves — sweeps over λ/ω, roster churn staged on a
 // copy:
 //
@@ -50,17 +52,26 @@ type Backend interface {
 	// Name is the registry key, the wire value of the HTTP `solver` field
 	// and the CLI `-solver` flag.
 	Name() string
-	// Precompute deep-clones g, validates it and builds whatever per-game
-	// state makes subsequent Solve calls cheap. The caller's game is never
-	// retained or mutated.
+	// Precompute deep-clones g, validates and precomputes the clone
+	// (core.Game.Precompute) and binds it: Bind on a private copy. The
+	// caller's game is never retained or mutated.
 	Precompute(g *core.Game) (Prepared, error)
+	// Bind wraps g without copying it. g should already be validated and
+	// precomputed; the Prepared shares it with the caller and with every
+	// other Prepared bound to it, so it may be used only through SolveFor
+	// and Clone (and read through Game) — SetBuyer, Solve and Reprepare
+	// write to g. The caller must not mutate g while such a Prepared is in
+	// use. This is how one precomputed game serves every backend of a
+	// market state.
+	Bind(g *core.Game) Prepared
 }
 
 // Prepared is a game bound to a backend, ready to solve. Any number of
 // SolveFor calls may share one Prepared while nothing mutates it. SetBuyer,
 // Solve, Reprepare and writes through Game mutate it, so a Prepared that is
 // mutated is NOT safe for concurrent use — Clone one per goroutine (sweeps,
-// rounds, churn staging).
+// rounds, churn staging). A Prepared from Bind shares its game and must
+// never be mutated at all.
 type Prepared interface {
 	// Backend returns the backend that built this Prepared.
 	Backend() Backend
@@ -136,6 +147,16 @@ func applyDelta(g *core.Game, d RosterDelta) error {
 		return g.Precompute()
 	}
 	return nil
+}
+
+// precompute is every backend's Precompute: one clone of g, precomputed in
+// place and bound.
+func precompute(b Backend, g *core.Game) (Prepared, error) {
+	c := g.Clone()
+	if err := c.Precompute(); err != nil {
+		return nil, err
+	}
+	return b.Bind(c), nil
 }
 
 // solveFresh is the Solve shared by every backend: SolveFor on the

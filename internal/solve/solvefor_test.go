@@ -190,3 +190,85 @@ func TestSolveForMatchesCloneSolve(t *testing.T) {
 		}
 	}
 }
+
+// TestBindMatchesPrecompute pins Bind to the Precompute it shares a game
+// in place of: for every backend, over generated games, a Prepared bound
+// to one precomputed game must solve every buyer bit for bit like a
+// Precompute of the same game, through SolveFor and through a Clone, and
+// leave the shared game as it was. A general Prepared whose game another
+// Prepared's warm chain rides on must leave that chain alone and start
+// cold, as a fresh Precompute does.
+func TestBindMatchesPrecompute(t *testing.T) {
+	ctx := context.Background()
+	rng := stat.NewRand(21)
+	for _, m := range []int{1, 2, 12, 100} {
+		g := randomGame(m, rng)
+		shared := g.Clone()
+		if err := shared.Precompute(); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range Names() {
+			b, err := Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := b.Precompute(g)
+			if err != nil {
+				t.Fatalf("m=%d %s: Precompute: %v", m, name, err)
+			}
+			// warm holds a warm chain over its own game; bound shares that
+			// game, and must neither advance the chain nor start from it.
+			warm, err := b.Precompute(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := warm.Solve(ctx); err != nil {
+				t.Fatalf("m=%d %s: warm-up Solve: %v", m, name, err)
+			}
+			warmBefore := captureProto(warm)
+			for _, c := range []struct {
+				what  string
+				proto Prepared
+			}{{"bound", b.Bind(shared)}, {"bound to a warmed game", b.Bind(warm.Game())}} {
+				before := captureProto(c.proto)
+				for k := 0; k < 2; k++ {
+					buyer := randomBuyer(rng)
+					var want, got core.Profile
+					if err := ref.SolveFor(ctx, buyer, &want); err != nil {
+						t.Fatalf("m=%d %s buyer %d: Precompute's SolveFor: %v", m, name, k, err)
+					}
+					if err := c.proto.SolveFor(ctx, buyer, &got); err != nil {
+						t.Fatalf("m=%d %s %s buyer %d: SolveFor: %v", m, name, c.what, k, err)
+					}
+					if d := diffProfile(&got, &want); d != "" {
+						t.Errorf("m=%d %s %s buyer %d: SolveFor: %s", m, name, c.what, k, d)
+					}
+					clone := c.proto.Clone()
+					clone.SetBuyer(buyer)
+					cloned, err := clone.Solve(ctx)
+					if err != nil {
+						t.Fatalf("m=%d %s %s buyer %d: Clone+Solve: %v", m, name, c.what, k, err)
+					}
+					if d := diffProfile(cloned, &want); d != "" {
+						t.Errorf("m=%d %s %s buyer %d: Clone+Solve: %s", m, name, c.what, k, d)
+					}
+				}
+				after := captureProto(c.proto)
+				if after.buyer != before.buyer || !sameBits(after.lambda, before.lambda) ||
+					!sameBits(after.weight, before.weight) || after.lambda0 != before.lambda0 ||
+					!c.proto.Game().Precomputed() {
+					t.Errorf("m=%d %s %s: solving wrote to the shared game", m, name, c.what)
+				}
+			}
+			warmAfter := captureProto(warm)
+			if math.Float64bits(warmAfter.warmPD) != math.Float64bits(warmBefore.warmPD) ||
+				!sameBits(warmAfter.warmTau, warmBefore.warmTau) || warmAfter.warmTau0 != warmBefore.warmTau0 {
+				t.Errorf("m=%d %s: a Prepared bound to its game moved the warm-start chain", m, name)
+			}
+		}
+		if shared.Buyer != g.Buyer || !sameBits(shared.Sellers.Lambda, g.Sellers.Lambda) ||
+			!sameBits(shared.Broker.Weights, g.Broker.Weights) {
+			t.Errorf("m=%d: the shared game no longer matches the game it was cloned from", m)
+		}
+	}
+}
