@@ -56,8 +56,11 @@ test:
 # the in-place encoder writes to the marshal-twice framing it replaced,
 # and that a corrupt length makes replay allocate no more than the file,
 # then fuzzes Open over arbitrary bytes after intact frames for 10 s,
-# requiring every segment Open refuses to be reported as wal.ErrCorrupt; and
-# the serve-smoke end-to-end pass rides along so the gate also
+# requiring every segment Open refuses to be reported as wal.ErrCorrupt;
+# the pool fuzz pass restores arbitrary bytes as a market's snapshot file
+# for 10 s, requiring every market that restores to answer a quote and a
+# trade within a watchdog's bound; and the serve-smoke end-to-end pass
+# rides along so the gate also
 # exercises the live server lifecycle (boot, /v2 markets, trade, metrics,
 # saturation via share-loadgen, SIGTERM drain, -snapshot-dir restore,
 # kill -9 WAL replay).
@@ -69,6 +72,7 @@ race: vet
 	$(GO) test -race -run 'TestOverloadIsolationAcrossMarkets|TestDrainAnswers503|TestQuoteScratchDoesNotLeak' -count=1 ./internal/httpapi
 	$(GO) test -race -run 'TestConcurrentGroupCommit|TestTornTailTruncatedAtEveryOffset|TestAppendFramesMatchMarshal|TestCorruptLengthAllocatesOnlyTheFile' -count=1 ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 10s ./internal/wal
+	$(GO) test -run '^$$' -fuzz FuzzRestoreSnapshot -fuzztime 10s ./internal/pool
 	$(MAKE) serve-smoke
 
 # Statement coverage for every package, failing if internal/solve — the
@@ -85,17 +89,17 @@ cover:
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
-# Go benchmarks (valuation kernel, trade rounds, solver) plus the
-# machine-readable reports, all under bench_out/: BENCH_PR3.json (the
-# moment-cached Shapley kernel in isolation and through a full trade round;
-# the seed-era estimator's rows in the committed file are no longer
-# re-measured — `go test -bench BenchmarkSellerShapley ./internal/valuation`
-# still times it against the kernel), BENCH_PR4.json (per-round
-# solve latency of the analytic, mean-field and general backends),
-# BENCH_PR6.json (trade throughput and commit latency of the sync /
-# group-commit / async WAL) and BENCH_PR8.json (the general backend's
-# cold and warm-chained cascade across loss functions, against the
-# committed BENCH_PR4.json numbers).
+# Go benchmarks (figures, ablations, valuation kernel, trade rounds,
+# solvers) plus the machine-readable reports, all under bench_out/:
+# BENCH_PR3.json (the moment-cached Shapley kernel in isolation and through
+# a full trade round; the seed-era estimator's rows in the committed file
+# are no longer re-measured — `go test -bench BenchmarkSellerShapley
+# ./internal/valuation` still times it against the kernel), BENCH_PR4.json
+# (per-round solve latency of the analytic, mean-field and general
+# backends), BENCH_PR6.json (trade throughput and commit latency of the
+# sync / group-commit / async WAL) and BENCH_PR8.json (the general
+# backend's cold and warm-chained cascade across loss functions, against
+# the committed BENCH_PR4.json numbers).
 bench:
 	$(GO) test -bench=. -benchmem ./...
 	$(GO) run ./cmd/share-bench -fig none -out bench_out -bench-pr3 -bench-pr4 -bench-pr6 -bench-pr8

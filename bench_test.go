@@ -11,13 +11,11 @@ import (
 	"context"
 	"testing"
 
-	"share/internal/baseline"
 	"share/internal/core"
 	"share/internal/dataset"
 	"share/internal/experiments"
 	"share/internal/ldp"
 	"share/internal/nash"
-	"share/internal/shapley"
 	"share/internal/stat"
 	"share/internal/valuation"
 )
@@ -280,49 +278,6 @@ func BenchmarkAblationMechanisms(b *testing.B) {
 	}
 }
 
-// Ablation 5: exact vs Monte Carlo vs truncated Shapley.
-func BenchmarkShapleyExact12(b *testing.B) {
-	u := saturatingUtility()
-	for i := 0; i < b.N; i++ {
-		if _, err := shapley.Exact(12, u); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkShapleyMonteCarlo100x100(b *testing.B) {
-	u := saturatingUtility()
-	rng := stat.NewRand(1)
-	for i := 0; i < b.N; i++ {
-		if _, err := shapley.MonteCarlo(100, u, 100, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkShapleyTruncated100x100(b *testing.B) {
-	u := saturatingUtility()
-	rng := stat.NewRand(1)
-	for i := 0; i < b.N; i++ {
-		if _, err := shapley.TruncatedMonteCarlo(100, u, 100, 1e-6, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// saturatingUtility reaches the grand coalition's value once 20 of the 100
-// players have joined, so the truncated estimator skips ~80% of the
-// evaluations while the plain one scans every prefix.
-func saturatingUtility() shapley.Utility {
-	return func(coalition []int) float64 {
-		n := float64(len(coalition))
-		if n >= 20 {
-			return 1
-		}
-		return n / 20
-	}
-}
-
 // --- Substrate benches ---
 
 func BenchmarkLDPLaplacePerturb(b *testing.B) {
@@ -347,21 +302,6 @@ func BenchmarkBrokerLeadingSolve(b *testing.B) {
 	g := benchGame(b, 100)
 	for i := 0; i < b.N; i++ {
 		if _, err := g.SolveBrokerLeading(0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBaselineBandit(b *testing.B) {
-	g := benchGame(b, 100)
-	p, err := g.Solve()
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := stat.NewRand(4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := baseline.EpsilonGreedyBandit(g, p.PM, p.PD, 25, 50, 0.1, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

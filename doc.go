@@ -8,10 +8,9 @@
 //	core        the three-stage game, backward induction, SNE verification,
 //	            mean-field approximation (the paper's contribution)
 //	nash        generic numerical Nash solver (cross-validation oracle)
-//	ldp         local differential privacy mechanisms and the fidelity map
+//	ldp         the Laplace LDP mechanism and the inverse fidelity map
 //	regress     linear-regression data products and metrics
-//	shapley     exact and Monte Carlo Shapley values
-//	valuation   point- and seller-level data valuation pipelines
+//	valuation   point- and seller-level Shapley valuation pipelines
 //	translog    the broker's translog cost model and parameter fitting
 //	dataset     synthetic CCPP data, augmentation, partitioning
 //	market      Algorithm 1: the complete trading dynamics

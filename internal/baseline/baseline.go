@@ -13,9 +13,6 @@
 //     splits N equally among them (Dealer-style broker selection).
 //   - RandomK: as GreedyTopK but with uniformly random winners.
 //   - UniformAllocation: every seller receives N/m (no selection at all).
-//   - EpsilonGreedyBandit: a multi-round explore/exploit broker that learns
-//     seller quality from realized deliveries (An et al.-style bandit
-//     selection, simplified to ε-greedy).
 //
 // Sellers remain rational everywhere: under an imposed allocation χᵢ a
 // seller's profit p^D·χᵢτᵢ − λᵢ(χᵢτᵢ)² is maximized at τᵢ = p^D/(2λᵢχᵢ),
@@ -171,77 +168,4 @@ func topKByWeight(g *core.Game, k int) ([]int, error) {
 	w := g.Broker.Weights
 	sort.SliceStable(idx, func(a, b int) bool { return w[idx[a]] > w[idx[b]] })
 	return idx[:k], nil
-}
-
-// BanditResult reports a multi-round bandit-selection run.
-type BanditResult struct {
-	// Rounds is the number of transactions simulated.
-	Rounds int
-	// CumulativeQuality is Σ over rounds of the realized q^D.
-	CumulativeQuality float64
-	// FinalOutcome is the last round's market outcome.
-	FinalOutcome *Outcome
-	// PullCounts records how often each seller was selected.
-	PullCounts []int
-}
-
-// EpsilonGreedyBandit simulates an An et al.-style learning broker: for
-// `rounds` transactions it selects k sellers — exploring uniformly with
-// probability eps, otherwise exploiting the highest observed mean per-piece
-// quality — splits N equally among them, and observes the quality each
-// delivers (her rational response to the imposed allocation). It measures
-// how much dataset quality a broker-driven selection can accumulate without
-// the inner Nash competition.
-func EpsilonGreedyBandit(g *core.Game, pM, pD float64, k, rounds int, eps float64, rng *rand.Rand) (*BanditResult, error) {
-	m := g.M()
-	if k <= 0 || k > m {
-		return nil, fmt.Errorf("baseline: invalid selection size %d of %d sellers", k, m)
-	}
-	if rounds <= 0 {
-		return nil, fmt.Errorf("baseline: invalid round count %d", rounds)
-	}
-	if eps < 0 || eps > 1 {
-		return nil, fmt.Errorf("baseline: exploration rate %g outside [0,1]", eps)
-	}
-	if rng == nil {
-		return nil, errors.New("baseline: nil random source")
-	}
-	counts := make([]int, m)
-	means := make([]float64, m)
-	res := &BanditResult{Rounds: rounds, PullCounts: counts}
-	for r := 0; r < rounds; r++ {
-		var selected []int
-		if rng.Float64() < eps {
-			selected = rng.Perm(m)[:k]
-		} else {
-			selected = topKByScore(means, counts, k)
-		}
-		out := imposed("eps-greedy-bandit", g, pM, pD, selected)
-		res.CumulativeQuality += out.QD
-		share := g.Buyer.N / float64(k)
-		for _, i := range selected {
-			q := share * out.Tau[i] // realized per-seller quality
-			counts[i]++
-			means[i] += (q/share - means[i]) / float64(counts[i]) // per-piece quality
-		}
-		res.FinalOutcome = out
-	}
-	return res, nil
-}
-
-// topKByScore returns the k indices with the best optimistic score: unseen
-// sellers first (forced exploration), then by observed mean quality.
-func topKByScore(means []float64, counts []int, k int) []int {
-	idx := make([]int, len(means))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		if (counts[ia] == 0) != (counts[ib] == 0) {
-			return counts[ia] == 0
-		}
-		return means[ia] > means[ib]
-	})
-	return idx[:k]
 }

@@ -160,50 +160,3 @@ func TestImposedResponseSellerRationality(t *testing.T) {
 		t.Errorf("zero allocation should yield zero fidelity, got %v", got)
 	}
 }
-
-func TestEpsilonGreedyBanditLearnsGoodSellers(t *testing.T) {
-	g := testGame(t, 10, 8)
-	// Make sellers 0 and 1 dramatically cheaper to provide fidelity.
-	for i := range g.Sellers.Lambda {
-		g.Sellers.Lambda[i] = 5
-	}
-	g.Sellers.Lambda[0] = 0.01
-	g.Sellers.Lambda[1] = 0.01
-	rng := stat.NewRand(9)
-	res, err := EpsilonGreedyBandit(g, 0.05, 0.02, 2, 200, 0.1, rng)
-	if err != nil {
-		t.Fatalf("EpsilonGreedyBandit: %v", err)
-	}
-	// The two cheap sellers should dominate the pulls.
-	cheap := res.PullCounts[0] + res.PullCounts[1]
-	var total int
-	for _, c := range res.PullCounts {
-		total += c
-	}
-	if float64(cheap)/float64(total) < 0.6 {
-		t.Errorf("bandit failed to exploit cheap sellers: %v", res.PullCounts)
-	}
-	if res.CumulativeQuality <= 0 {
-		t.Errorf("cumulative quality = %v", res.CumulativeQuality)
-	}
-	if res.FinalOutcome == nil {
-		t.Error("no final outcome recorded")
-	}
-}
-
-func TestEpsilonGreedyBanditValidation(t *testing.T) {
-	g := testGame(t, 5, 10)
-	rng := stat.NewRand(11)
-	if _, err := EpsilonGreedyBandit(g, 0.05, 0.02, 0, 10, 0.1, rng); err == nil {
-		t.Error("accepted k = 0")
-	}
-	if _, err := EpsilonGreedyBandit(g, 0.05, 0.02, 2, 0, 0.1, rng); err == nil {
-		t.Error("accepted zero rounds")
-	}
-	if _, err := EpsilonGreedyBandit(g, 0.05, 0.02, 2, 10, 1.5, rng); err == nil {
-		t.Error("accepted ε > 1")
-	}
-	if _, err := EpsilonGreedyBandit(g, 0.05, 0.02, 2, 10, 0.1, nil); err == nil {
-		t.Error("accepted nil rng")
-	}
-}

@@ -20,7 +20,6 @@ package budget
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Composition names a rule for composing per-round ε into a total.
@@ -167,9 +166,6 @@ func NewLedger(cfg Config) (*Ledger, error) {
 	return &Ledger{cfg: cfg, acct: make(map[string]*Account)}, nil
 }
 
-// Config returns the ledger's policy.
-func (l *Ledger) Config() Config { return l.cfg }
-
 // account returns the seller's live account, creating it on first touch.
 func (l *Ledger) account(id string) *Account {
 	a := l.acct[id]
@@ -194,15 +190,6 @@ func (l *Ledger) Spent(id string) float64 {
 		return a.Spent(l.cfg)
 	}
 	return 0
-}
-
-// Remaining is the budget headroom left before the seller is refused.
-func (l *Ledger) Remaining(id string) float64 {
-	r := l.Budget(id) - l.Spent(id)
-	if r < 0 {
-		return 0
-	}
-	return r
 }
 
 // Check projects one round's charges without applying them. ids[i] is
@@ -277,18 +264,4 @@ func (l *Ledger) Restore(accounts map[string]Account) {
 		cp := a
 		l.acct[id] = &cp
 	}
-}
-
-// SellerIDs lists every seller with a non-empty account in sorted order —
-// deterministic iteration for gauges and logs.
-func (l *Ledger) SellerIDs() []string {
-	ids := make([]string, 0, len(l.acct))
-	for id, a := range l.acct {
-		if *a == (Account{}) {
-			continue
-		}
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }

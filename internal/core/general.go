@@ -66,7 +66,7 @@ func (g *Game) AlternativeLoss() LossFunc {
 // CubicLoss is an example "complicated case": L = λᵢ·χ·τ³·(1+τ). It has no
 // closed-form simultaneous solution — exactly the situation §5.1.1's
 // mean-field discussion targets — and is used by tests and benches to
-// exercise SolveGeneral beyond the paper's forms.
+// exercise SolveGeneralInto beyond the paper's forms.
 func (g *Game) CubicLoss() LossFunc {
 	return func(i int, chi, tau float64) float64 {
 		return g.Sellers.Lambda[i] * chi * tau * tau * tau * (1 + tau)
@@ -80,7 +80,7 @@ func (g *Game) GeneralSellerProfit(i int, pD float64, tau []float64, loss LossFu
 	return pD*chi[i]*tau[i] - loss(i, chi[i], tau[i])
 }
 
-// GeneralStats reports where one SolveGeneralCtx call spent its effort; the
+// GeneralStats reports where one SolveGeneralInto call spent its effort; the
 // solve backend surfaces them as the solve/general/stage3 latency series
 // and its iteration counters.
 type GeneralStats struct {
@@ -188,7 +188,7 @@ type stage3Entry struct {
 	qD  float64   // DatasetQuality(tau), the sufficient statistic of Stages 1–2
 }
 
-// generalState carries one SolveGeneralCtx invocation's shared machinery:
+// generalState carries one SolveGeneralInto invocation's shared machinery:
 // the memo table, the tolerance schedule and the effort counters.
 type generalState struct {
 	g        *Game
@@ -217,7 +217,7 @@ type generalState struct {
 }
 
 // looseTolCap caps how coarse the scheduled Stage-3 tolerance may start;
-// the per-solve cap additionally tracks PriceTol (see SolveGeneralCtx) so
+// the per-solve cap additionally tracks PriceTol (see SolveGeneralInto) so
 // tight price searches get a proportionally quiet noise floor.
 const looseTolCap = 1e-5
 
@@ -465,11 +465,17 @@ func (st *generalState) stage2(ctx context.Context, workers int, pm, tolF float6
 	return pd, e, nil
 }
 
-// SolveGeneral runs the full backward induction with numerical stages for an
-// arbitrary seller loss function: for each candidate p^M the broker's best
-// p^D is found by golden search over the numerical Stage-3 reaction, and the
-// buyer's best p^M by golden search over that. The result is the SNE of the
-// generalized game.
+// SolveGeneralInto runs the full backward induction with numerical stages
+// for an arbitrary seller loss function and writes the equilibrium into dst,
+// reusing dst's vectors as EvaluateProfileInto does; dst is written only on
+// success. For each candidate p^M the broker's best p^D is found by golden
+// search over the numerical Stage-3 reaction, and the buyer's best p^M by
+// golden search over that. The result is the SNE of the generalized game.
+//
+// ctx is checked at every Stage-3 solve (inner sweeps included via
+// nash.SolveCtx) and between the nested golden-section phases; a mid-search
+// cancellation surfaces as the context's error, never as a fabricated
+// profile.
 //
 // Cost: O(log²(1/tol)) Stage-3 solves, each O(m · sweeps) thanks to the
 // incremental payoff contract, warm-started from its nearest probed
@@ -477,26 +483,6 @@ func (st *generalState) stage2(ctx context.Context, workers int, pm, tolF float6
 // m = 100 the whole cascade lands in a few milliseconds (BENCH_PR8.json) —
 // interactive, though the closed-form Solve remains ~10³× faster for the
 // paper's quadratic loss.
-func (g *Game) SolveGeneral(opt GeneralOptions) (*Profile, error) {
-	return g.SolveGeneralCtx(context.Background(), opt)
-}
-
-// SolveGeneralCtx is SolveGeneral under a cancellation context, checked at
-// every Stage-3 solve (inner sweeps included via nash.SolveCtx) and between
-// the nested golden-section phases; a mid-search cancellation surfaces as
-// the context's error, never as a fabricated profile. With a background
-// context results are bit-identical to SolveGeneral.
-func (g *Game) SolveGeneralCtx(ctx context.Context, opt GeneralOptions) (*Profile, error) {
-	p := new(Profile)
-	if err := g.SolveGeneralInto(ctx, opt, p); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// SolveGeneralInto is SolveGeneralCtx writing the equilibrium into dst,
-// reusing dst's vectors as EvaluateProfileInto does; dst is written only on
-// success.
 func (g *Game) SolveGeneralInto(ctx context.Context, opt GeneralOptions, dst *Profile) error {
 	if err := g.Validate(); err != nil {
 		return err

@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"testing"
-
-	"share/internal/nash"
 )
 
 func TestGeneralSellerProfitMatchesQuadratic(t *testing.T) {
@@ -75,18 +73,11 @@ func TestSolveGeneralCubicLossIsEquilibrium(t *testing.T) {
 	if !(p.PM > 0) || !(p.PD > 0) {
 		t.Fatalf("degenerate prices: %+v", p)
 	}
-	ng := &nash.Game{
-		Players: g.M(),
-		Payoff: func(i int, x float64, s []float64) float64 {
-			tau := append([]float64(nil), s...)
-			tau[i] = x
-			return g.GeneralSellerProfit(i, p.PD, tau, loss)
-		},
-	}
-	resid, err := ng.VerifyEquilibrium(p.Tau)
-	if err != nil {
-		t.Fatalf("VerifyEquilibrium: %v", err)
-	}
+	resid := deviationGain(g.M(), func(i int, x float64, s []float64) float64 {
+		tau := append([]float64(nil), s...)
+		tau[i] = x
+		return g.GeneralSellerProfit(i, p.PD, tau, loss)
+	}, p.Tau)
 	if resid > 1e-6 {
 		t.Errorf("cubic-loss Stage 3 leaves deviation gain %v", resid)
 	}

@@ -15,13 +15,6 @@ import (
 // Eq. 24) solved as a coupled fixed point ("direct derivation" comparator),
 // and the Theorem 5.1 error bounds with the ω-scaling precondition.
 
-// MFSellerProfit evaluates seller i's profit under the alternative loss form
-// (Eq. 22): Ψᵢ = p^D·χᵢτᵢ − λᵢ·χᵢ·τᵢ², with χᵢ from the allocation rule.
-func (g *Game) MFSellerProfit(i int, pD float64, tau []float64) float64 {
-	chi := g.Allocation(tau)
-	return pD*chi[i]*tau[i] - g.Sellers.Lambda[i]*chi[i]*tau[i]*tau[i]
-}
-
 // MeanFieldTau returns the sellers' approximate Nash equilibrium under the
 // alternative loss, treating the weighted mean fidelity τ̄ = Σωⱼτⱼ/m as an
 // exogenous mean-field state (Eq. 23): τᵢ* = 2p^D/(3λᵢ), clamped to [0, 1].
@@ -113,20 +106,6 @@ func (g *Game) DirectTauMF(pD, tol float64, maxIter int) ([]float64, error) {
 		}
 	}
 	return nil, errors.New("core: mean-field direct derivation did not converge")
-}
-
-// MeanFieldError compares the exact ("direct derivation") and mean-field
-// equilibria under the alternative loss at data price pD, returning the
-// signed error τ̄^DD − τ̄^MF of Theorem 5.1 along with both aggregates.
-func (g *Game) MeanFieldError(pD float64) (err, ddBar, mfBar float64, solveErr error) {
-	dd, solveErr := g.DirectTauMF(pD, 0, 0)
-	if solveErr != nil {
-		return 0, 0, 0, solveErr
-	}
-	mf := g.MeanFieldTau(pD)
-	ddBar = g.MeanFieldState(dd)
-	mfBar = g.MeanFieldState(mf)
-	return ddBar - mfBar, ddBar, mfBar, nil
 }
 
 // Theorem51Bounds returns the error interval of Theorem 5.1 for m sellers:

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"share/internal/nash"
 	"share/internal/stat"
 )
 
@@ -52,18 +51,11 @@ func TestDirectTauMFIsNashEquilibrium(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DirectTauMF: %v", err)
 	}
-	ng := &nash.Game{
-		Players: g.M(),
-		Payoff: func(i int, x float64, s []float64) float64 {
-			tau := append([]float64(nil), s...)
-			tau[i] = x
-			return g.MFSellerProfit(i, pd, tau)
-		},
-	}
-	resid, err := ng.VerifyEquilibrium(dd)
-	if err != nil {
-		t.Fatalf("VerifyEquilibrium: %v", err)
-	}
+	resid := deviationGain(g.M(), func(i int, x float64, s []float64) float64 {
+		tau := append([]float64(nil), s...)
+		tau[i] = x
+		return g.MFSellerProfit(i, pd, tau)
+	}, dd)
 	if resid > 1e-6 {
 		t.Errorf("Eq. 24 fixed point leaves deviation gain %v", resid)
 	}

@@ -68,14 +68,6 @@ func (g *Game) BrokerProfit(pM, pD float64, tau []float64) float64 {
 	return pM*g.ProductQuality(qD) - g.ManufacturingCost() - pD*qD
 }
 
-// PrivacyLoss returns seller i's loss L_i(τᵢ) = λᵢ·(χᵢτᵢ)² (Eq. 11), taking
-// the allocation χᵢ implied by the full fidelity profile.
-func (g *Game) PrivacyLoss(i int, tau []float64) float64 {
-	chi := g.Allocation(tau)
-	q := SellerQuality(chi[i], tau[i])
-	return g.Sellers.Lambda[i] * q * q
-}
-
 // SellerProfit evaluates Ψᵢ(p^D, τ) = p^D·q^D_i − λᵢ(χᵢτᵢ)² (Eq. 12) for
 // seller i under an arbitrary fidelity profile. The profile couples sellers
 // through the allocation rule: raising τᵢ wins seller i a larger χᵢ at the
@@ -115,16 +107,4 @@ func (g *Game) DeviationProfits(pM, pD float64, tau []float64, sellerProfits []f
 	}
 	qM := g.ProductQuality(qD)
 	return g.Utility(qD) - pM*qM, pM*qM - g.ManufacturingCost() - pD*qD
-}
-
-// SellerProfits evaluates every seller's profit in one pass (one allocation
-// computation instead of m).
-func (g *Game) SellerProfits(pD float64, tau []float64) []float64 {
-	chi := g.Allocation(tau)
-	out := make([]float64, len(tau))
-	for i, t := range tau {
-		q := SellerQuality(chi[i], t)
-		out[i] = pD*q - g.Sellers.Lambda[i]*q*q
-	}
-	return out
 }

@@ -75,16 +75,6 @@ func (g *Game) StageCoefficients() (c1, c2 float64) {
 	return c1, c2
 }
 
-// ReducedBuyerProfit evaluates the buyer's profit as a function of p^M alone,
-// with the broker and sellers already at their optimal reactions — the
-// objective Stage 1 maximizes.
-func (g *Game) ReducedBuyerProfit(pM float64) float64 {
-	c1, c2 := g.StageCoefficients()
-	return g.Buyer.Theta1*math.Log(1+c1*pM) +
-		g.Buyer.Theta2*math.Log(1+g.Buyer.Rho2*g.Buyer.V) -
-		c2*g.Buyer.Theta1/2*pM*pM
-}
-
 // Stage1PM returns the buyer's optimal unit product price (Eq. 27), the
 // positive root of c₁c₂·(p^M)² + c₂·p^M − c₁ = 0:
 //
@@ -147,6 +137,40 @@ type Profile struct {
 	// profile came from the general backend; nil for closed-form solves.
 	// It is telemetry, not part of the equilibrium, and never serialized.
 	Effort *GeneralStats `json:"-"`
+}
+
+// ErrNotFinite marks an equilibrium with a NaN or infinite price, fidelity,
+// allocation, quality or profit: the demand or the game's parameters pushed
+// the closed forms past float64's range, so the profile can be neither
+// served nor traded on.
+var ErrNotFinite = errors.New("core: equilibrium is not finite")
+
+// CheckFinite returns an error wrapping ErrNotFinite that names the first
+// field of p that is NaN or infinite, or nil when every price, fidelity,
+// allocation, quality and profit is finite. It allocates only to report a
+// failure.
+func (p *Profile) CheckFinite() error {
+	scalars := [...]struct {
+		name string
+		v    float64
+	}{{"p^M", p.PM}, {"p^D", p.PD}, {"q^D", p.QD}, {"q^M", p.QM}, {"buyer profit", p.BuyerProfit}, {"broker profit", p.BrokerProfit}}
+	for _, s := range scalars {
+		if math.IsNaN(s.v) || math.IsInf(s.v, 0) {
+			return fmt.Errorf("%w: %s = %g", ErrNotFinite, s.name, s.v)
+		}
+	}
+	vectors := [...]struct {
+		name string
+		v    []float64
+	}{{"τ", p.Tau}, {"χ", p.Chi}, {"seller profit", p.SellerProfits}}
+	for _, vec := range vectors {
+		for i, x := range vec.v {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return fmt.Errorf("%w: %s[%d] = %g", ErrNotFinite, vec.name, i, x)
+			}
+		}
+	}
+	return nil
 }
 
 // EvaluateProfile computes allocations, qualities and all profits for an

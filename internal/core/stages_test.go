@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -247,5 +249,39 @@ func TestSolveWellFormedProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCheckFinite: CheckFinite passes a solved profile without allocating
+// and names the first NaN or infinite field of a broken one.
+func TestCheckFinite(t *testing.T) {
+	g := PaperGame(8, stat.NewRand(3))
+	p, err := g.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.CheckFinite(); err != nil {
+		t.Fatalf("solved profile: %v", err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = p.CheckFinite() }); allocs != 0 {
+		t.Errorf("CheckFinite allocated %v times per call", allocs)
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(q *Profile)
+	}{
+		{"p^D", func(q *Profile) { q.PD = math.NaN() }},
+		{"broker profit", func(q *Profile) { q.BrokerProfit = math.Inf(-1) }},
+		{"χ[2]", func(q *Profile) { q.Chi[2] = math.Inf(1) }},
+		{"seller profit[7]", func(q *Profile) { q.SellerProfits[7] = math.NaN() }},
+	} {
+		q := *p
+		q.Chi = append([]float64(nil), p.Chi...)
+		q.SellerProfits = append([]float64(nil), p.SellerProfits...)
+		tc.corrupt(&q)
+		err := q.CheckFinite()
+		if !errors.Is(err, ErrNotFinite) || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("%s broken: error %v, want ErrNotFinite naming it", tc.name, err)
+		}
 	}
 }

@@ -57,13 +57,6 @@ func (g *Game) SensitivityRho1() PriceSensitivity {
 	return PriceSensitivity{DPM: dPM, DPD: g.Buyer.V / 2 * dPM}
 }
 
-// SensitivityRho2 returns the derivatives with respect to ρ₂ (Fig. 6).
-// Neither c₁ nor c₂ involves ρ₂, so both derivatives are identically zero —
-// the analytic statement of Fig. 6's flat strategy curves.
-func (g *Game) SensitivityRho2() PriceSensitivity {
-	return PriceSensitivity{}
-}
-
 // SensitivityV returns the derivatives with respect to the demanded
 // performance v. c₁ ∝ v and c₂ ∝ v²; p^D* = v·p^M*/2 picks up the direct
 // term p^M*/2 as well.
@@ -93,36 +86,6 @@ func (g *Game) SensitivityLambda(i int) (PriceSensitivity, error) {
 	dS := -1 / (li * li)
 	dPM := (dc1*(c1/s) + dc2*(c2/s)) * dS
 	return PriceSensitivity{DPM: dPM, DPD: g.Buyer.V / 2 * dPM}, nil
-}
-
-// SensitivityWeight returns the derivatives with respect to any ωᵢ: zero,
-// since the weights never enter Stages 1–2 (Fig. 7's flat price curves).
-func (g *Game) SensitivityWeight() PriceSensitivity {
-	return PriceSensitivity{}
-}
-
-// TauSensitivityOwnLambda returns ∂τᵢ*/∂λᵢ at the current equilibrium,
-// holding p^D fixed (the follower-stage effect in Fig. 8; the full effect
-// adds the small price channel). From Eq. 20, τᵢ* = K·(ωᵢλᵢ)^(−1/2) + K′
-// where the Σ√(ωⱼ/λⱼ) aggregate also contains the i-th term:
-//
-//	τᵢ* = p^D/(2N)·[ Σ_{j≠i}√(ωⱼ/λⱼ)/√(ωᵢλᵢ) + 1/λᵢ ].
-func (g *Game) TauSensitivityOwnLambda(i int, pD float64) (float64, error) {
-	if i < 0 || i >= g.M() {
-		return 0, fmt.Errorf("core: seller index %d out of range", i)
-	}
-	wi, li := g.Broker.Weights[i], g.Sellers.Lambda[i]
-	var rest float64
-	for j, wj := range g.Broker.Weights {
-		if j == i {
-			continue
-		}
-		rest += math.Sqrt(wj / g.Sellers.Lambda[j])
-	}
-	// d/dλᵢ [ rest·(ωᵢλᵢ)^(−1/2) + λᵢ^(−1) ]
-	//   = rest·(−1/2)·ωᵢ·(ωᵢλᵢ)^(−3/2) − λᵢ^(−2).
-	d := rest*(-0.5)*wi*math.Pow(wi*li, -1.5) - 1/(li*li)
-	return pD / (2 * g.Buyer.N) * d, nil
 }
 
 // Elasticity converts a derivative into an elasticity (x/y)·(dy/dx) at the

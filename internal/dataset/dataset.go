@@ -1,8 +1,8 @@
 // Package dataset provides the data substrate of Share: a tabular Dataset
-// type, CSV input/output, the synthetic Combined Cycle Power Plant (CCPP)
-// generator standing in for the UCI dataset the paper evaluates on, the
-// ×100 + Gaussian-noise augmentation used for the 1M-row efficiency
-// experiments, quality-based ordering, and partitioning across sellers.
+// type, the synthetic Combined Cycle Power Plant (CCPP) generator standing
+// in for the UCI dataset the paper evaluates on, the ×100 + Gaussian-noise
+// augmentation used for the 1M-row efficiency experiments, quality-based
+// ordering, and equal partitioning across sellers.
 //
 // Substitution note (see DESIGN.md §2): the module is built offline, so the
 // real UCI CCPP file is unavailable. SyntheticCCPP generates rows with the
@@ -15,14 +15,10 @@
 package dataset
 
 import (
-	"encoding/csv"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"math/rand"
 	"sort"
-	"strconv"
 
 	"share/internal/stat"
 )
@@ -214,19 +210,6 @@ func ConcatInto(dst *Dataset, parts ...*Dataset) error {
 	return nil
 }
 
-// Shuffle permutes the rows of d in place using rng.
-func (d *Dataset) Shuffle(rng *rand.Rand) {
-	k := d.NumFeatures()
-	for i := d.Len() - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
-		ri, rj := d.X[i*k:(i+1)*k], d.X[j*k:(j+1)*k]
-		for c := range ri {
-			ri[c], rj[c] = rj[c], ri[c]
-		}
-		d.Y[i], d.Y[j] = d.Y[j], d.Y[i]
-	}
-}
-
 // Split partitions d into a training set of the first n rows and a test set
 // of the remainder. Both are views sharing d's blocks; the training view's
 // capacity ends at row n, so appending to it never overwrites the test rows.
@@ -286,87 +269,6 @@ func PartitionEqual(d *Dataset, m int) ([]*Dataset, error) {
 	return parts, nil
 }
 
-// PartitionProportional splits d into contiguous chunks sized proportionally
-// to shares (which need not be normalized). Every share must be positive and
-// every chunk gets at least one row; rounding remainders go to the largest
-// shares. Use this for markets whose sellers hold differently-sized datasets
-// (the paper's equal split is the shares-all-equal special case).
-func PartitionProportional(d *Dataset, shares []float64) ([]*Dataset, error) {
-	sizes, err := apportion(d.Len(), shares)
-	if err != nil {
-		return nil, err
-	}
-	parts := make([]*Dataset, len(sizes))
-	offset := 0
-	for k, size := range sizes {
-		idx := make([]int, size)
-		for j := range idx {
-			idx[j] = offset + j
-		}
-		parts[k] = d.Subset(idx)
-		offset += size
-	}
-	return parts, nil
-}
-
-// apportion sizes PartitionProportional's chunks: n rows over len(shares)
-// chunks by largest remainder, with a floor of one row each.
-func apportion(n int, shares []float64) ([]int, error) {
-	m := len(shares)
-	if m == 0 {
-		return nil, errors.New("dataset: no shares")
-	}
-	var total float64
-	for i, s := range shares {
-		if !(s > 0) {
-			return nil, fmt.Errorf("dataset: share %d must be positive, got %g", i, s)
-		}
-		total += s
-	}
-	if n < m {
-		return nil, fmt.Errorf("dataset: %d rows cannot fill %d chunks", n, m)
-	}
-	sizes := make([]int, m)
-	fracs := make([]float64, m)
-	assigned := 0
-	for i, s := range shares {
-		exact := s / total * float64(n)
-		sizes[i] = int(math.Floor(exact))
-		if sizes[i] < 1 {
-			sizes[i] = 1
-		}
-		fracs[i] = exact - math.Floor(exact)
-		assigned += sizes[i]
-	}
-	// Distribute leftovers (or claw back overshoot from the floor rule).
-	for assigned < n {
-		best := 0
-		for i := 1; i < m; i++ {
-			if fracs[i] > fracs[best] {
-				best = i
-			}
-		}
-		sizes[best]++
-		fracs[best] = -1
-		assigned++
-	}
-	for assigned > n {
-		// Shrink the largest chunk above one row.
-		big := -1
-		for i := 0; i < m; i++ {
-			if sizes[i] > 1 && (big < 0 || sizes[i] > sizes[big]) {
-				big = i
-			}
-		}
-		if big < 0 {
-			return nil, fmt.Errorf("dataset: cannot apportion %d rows over %d chunks", n, m)
-		}
-		sizes[big]--
-		assigned--
-	}
-	return sizes, nil
-}
-
 // Augment replicates d `times` times and adds N(0, sigma²) noise to every
 // feature and target, reproducing the paper's synthetic 1,000,000-row corpus
 // (CCPP ×100 with N(0, 0.1²) noise).
@@ -387,68 +289,4 @@ func Augment(d *Dataset, times int, sigma float64, rng *rand.Rand) *Dataset {
 		}
 	}
 	return out
-}
-
-// WriteCSV writes the dataset with a header row (feature names then target).
-func (d *Dataset) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := append(append([]string{}, d.Features...), d.Target)
-	if err := cw.Write(header); err != nil {
-		return fmt.Errorf("dataset: writing header: %w", err)
-	}
-	rec := make([]string, d.NumFeatures()+1)
-	for i := range d.Y {
-		for j, v := range d.Row(i) {
-			rec[j] = strconv.FormatFloat(v, 'g', -1, 64)
-		}
-		rec[len(rec)-1] = strconv.FormatFloat(d.Y[i], 'g', -1, 64)
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("dataset: writing row %d: %w", i, err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV reads a dataset written by WriteCSV (or any CSV whose last column
-// is the numeric target and preceding columns are numeric features), with a
-// header row.
-func ReadCSV(r io.Reader) (*Dataset, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("dataset: reading header: %w", err)
-	}
-	if len(header) < 2 {
-		return nil, fmt.Errorf("dataset: need at least one feature and one target column, got %d columns", len(header))
-	}
-	d := &Dataset{
-		Features: header[:len(header)-1],
-		Target:   header[len(header)-1],
-	}
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: reading line %d: %w", line, err)
-		}
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("dataset: line %d has %d fields, want %d", line, len(rec), len(header))
-		}
-		for j, field := range rec[:len(rec)-1] {
-			v, err := strconv.ParseFloat(field, 64)
-			if err != nil {
-				return nil, fmt.Errorf("dataset: line %d field %d: %w", line, j, err)
-			}
-			d.X = append(d.X, v)
-		}
-		y, err := strconv.ParseFloat(rec[len(rec)-1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d target: %w", line, err)
-		}
-		d.Y = append(d.Y, y)
-	}
-	return d, nil
 }

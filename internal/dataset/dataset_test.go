@@ -1,9 +1,7 @@
 package dataset
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -264,59 +262,6 @@ func TestAugmentSizeAndNoise(t *testing.T) {
 	}
 }
 
-func TestShuffleKeepsRowsPaired(t *testing.T) {
-	rng := stat.NewRand(4)
-	d := SyntheticCCPP(50, rng)
-	// Tag targets so we can verify pairing: Y = f(X) originally; use AT.
-	orig := map[float64]float64{}
-	for i := range d.Y {
-		orig[d.Row(i)[0]] = d.Y[i]
-	}
-	d.Shuffle(rng)
-	for i := range d.Y {
-		if orig[d.Row(i)[0]] != d.Y[i] {
-			t.Fatal("Shuffle broke X/Y pairing")
-		}
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	d := sample()
-	var buf bytes.Buffer
-	if err := d.WriteCSV(&buf); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	back, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatalf("ReadCSV: %v", err)
-	}
-	if back.Len() != d.Len() || back.Target != "y" || back.Features[1] != "b" {
-		t.Fatalf("round trip lost structure: %+v", back)
-	}
-	for i := range d.Y {
-		if back.Y[i] != d.Y[i] {
-			t.Errorf("Y[%d] = %v, want %v", i, back.Y[i], d.Y[i])
-		}
-		for j, v := range d.Row(i) {
-			if back.Row(i)[j] != v {
-				t.Errorf("X[%d][%d] = %v, want %v", i, j, back.Row(i)[j], v)
-			}
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("only_one_col\n1\n")); err == nil {
-		t.Error("ReadCSV accepted a single-column file")
-	}
-	if _, err := ReadCSV(strings.NewReader("a,y\nnot_a_number,1\n")); err == nil {
-		t.Error("ReadCSV accepted a non-numeric feature")
-	}
-	if _, err := ReadCSV(strings.NewReader("a,y\n1,nan_text\n")); err == nil {
-		t.Error("ReadCSV accepted a non-numeric target")
-	}
-}
-
 func TestSyntheticCCPPRanges(t *testing.T) {
 	rng := stat.NewRand(5)
 	d := SyntheticCCPP(0, rng)
@@ -375,7 +320,13 @@ func TestSyntheticCCPPTargetDrivenByAT(t *testing.T) {
 }
 
 func correlation(a, b []float64) float64 {
-	ma, mb := stat.Mean(a), stat.Mean(b)
+	var ma, mb float64
+	for i := range a {
+		ma += a[i]
+		mb += b[i]
+	}
+	ma /= float64(len(a))
+	mb /= float64(len(b))
 	var num, da, db float64
 	for i := range a {
 		num += (a[i] - ma) * (b[i] - mb)
@@ -383,75 +334,4 @@ func correlation(a, b []float64) float64 {
 		db += (b[i] - mb) * (b[i] - mb)
 	}
 	return num / math.Sqrt(da*db)
-}
-
-func TestPartitionProportional(t *testing.T) {
-	rng := stat.NewRand(8)
-	d := SyntheticCCPP(100, rng)
-	parts, err := PartitionProportional(d, []float64{1, 2, 7})
-	if err != nil {
-		t.Fatalf("PartitionProportional: %v", err)
-	}
-	if len(parts) != 3 {
-		t.Fatalf("got %d parts", len(parts))
-	}
-	sizes := []int{parts[0].Len(), parts[1].Len(), parts[2].Len()}
-	if sizes[0] != 10 || sizes[1] != 20 || sizes[2] != 70 {
-		t.Errorf("sizes = %v, want [10 20 70]", sizes)
-	}
-	total := sizes[0] + sizes[1] + sizes[2]
-	if total != 100 {
-		t.Errorf("rows covered = %d", total)
-	}
-	// Chunks are contiguous and ordered.
-	if parts[1].Row(0)[0] != d.Row(10)[0] || parts[2].Row(0)[0] != d.Row(30)[0] {
-		t.Error("chunks not contiguous")
-	}
-	// Validation.
-	if _, err := PartitionProportional(d, nil); err == nil {
-		t.Error("accepted no shares")
-	}
-	if _, err := PartitionProportional(d, []float64{1, 0}); err == nil {
-		t.Error("accepted a zero share")
-	}
-	if _, err := PartitionProportional(d.Head(2), []float64{1, 1, 1}); err == nil {
-		t.Error("accepted more chunks than rows")
-	}
-}
-
-// Property: proportional partitions always cover every row exactly once,
-// give every chunk at least one row, and track the requested proportions to
-// within one row.
-func TestPartitionProportionalProperty(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := stat.NewRand(seed)
-		m := 1 + rng.Intn(8)
-		n := m + rng.Intn(300)
-		d := SyntheticCCPP(n, rng)
-		shares := make([]float64, m)
-		var total float64
-		for i := range shares {
-			shares[i] = 0.1 + rng.Float64()*5
-			total += shares[i]
-		}
-		parts, err := PartitionProportional(d, shares)
-		if err != nil {
-			return false
-		}
-		covered := 0
-		for i, p := range parts {
-			if p.Len() < 1 {
-				return false
-			}
-			covered += p.Len()
-			exact := shares[i] / total * float64(n)
-			if math.Abs(float64(p.Len())-exact) > float64(m)+1 {
-				return false
-			}
-		}
-		return covered == n
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
 }

@@ -51,11 +51,3 @@ func SyntheticMedical(n int, rng *rand.Rand) *Dataset {
 	}
 	return d
 }
-
-// MedicalBounds returns per-feature bounds for calibrating LDP mechanisms
-// over SyntheticMedical data (features only; append the 0..100 response
-// range for full-record perturbation).
-func MedicalBounds() (lo, hi []float64) {
-	return []float64{18, 16, 90, 120, 0},
-		[]float64{90, 45, 200, 320, 100}
-}

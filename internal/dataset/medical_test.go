@@ -12,7 +12,8 @@ func TestSyntheticMedicalRanges(t *testing.T) {
 	if d.Len() != 3000 || d.NumFeatures() != 5 {
 		t.Fatalf("shape = %dx%d", d.Len(), d.NumFeatures())
 	}
-	lo, hi := MedicalBounds()
+	lo := []float64{18, 16, 90, 120, 0}
+	hi := []float64{90, 45, 200, 320, 100}
 	for i := range d.Y {
 		for j, v := range d.Row(i) {
 			if v < lo[j] || v > hi[j] {

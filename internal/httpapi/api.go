@@ -214,10 +214,6 @@ func NewServer(opt Options) *Server {
 	return s
 }
 
-// Metrics exposes the server's observability registry (for embedding or
-// custom exporters).
-func (s *Server) Metrics() *obs.Registry { return s.metrics }
-
 // Pool exposes the underlying market pool (for embedding and lifecycle
 // hooks in cmd/share-server).
 func (s *Server) Pool() *pool.Pool { return s.pool }

@@ -131,12 +131,6 @@ func (c *Client) Markets(ctx context.Context) ([]MarketInfo, error) {
 	return out, c.do(ctx, http.MethodGet, "/v2/markets", nil, &out)
 }
 
-// Market fetches one market's state.
-func (c *Client) Market(ctx context.Context, id string) (MarketInfo, error) {
-	var out MarketInfo
-	return out, c.do(ctx, http.MethodGet, c.marketPath(id, ""), nil, &out)
-}
-
 // DeleteMarket drains and deletes a market. The server's default market
 // cannot be deleted (it backs the /v1 aliases).
 func (c *Client) DeleteMarket(ctx context.Context, id string) error {

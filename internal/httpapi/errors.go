@@ -161,6 +161,8 @@ func classifyError(err error) *Error {
 		return apiErrorf(http.StatusConflict, CodeSellerExists, "%v", err)
 	case errors.Is(err, pool.ErrSellerNotFound):
 		return &Error{Status: http.StatusNotFound, Code: CodeSellerNotFound, Field: "sid", Message: err.Error()}
+	case errors.Is(err, market.ErrPieces):
+		return &Error{Status: http.StatusBadRequest, Code: CodeInvalidDemand, Field: "n", Message: err.Error()}
 	case errors.Is(err, market.ErrDemand):
 		return apiErrorf(http.StatusBadRequest, CodeInvalidDemand, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded):

@@ -556,3 +556,9 @@ func TestMarketDurabilityField(t *testing.T) {
 		}
 	}
 }
+
+// Market fetches one market's state.
+func (c *Client) Market(ctx context.Context, id string) (MarketInfo, error) {
+	var out MarketInfo
+	return out, c.do(ctx, http.MethodGet, c.marketPath(id, ""), nil, &out)
+}

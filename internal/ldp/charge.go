@@ -26,9 +26,6 @@ func Metered(m Mechanism, hook ChargeHook) Mechanism {
 	return &metered{inner: m, hook: hook}
 }
 
-// Name implements Mechanism.
-func (w *metered) Name() string { return w.inner.Name() }
-
 // Attrs forwards the inner mechanism's calibration width when it has one;
 // -1 mirrors what callers infer for mechanisms without an Attrs method.
 func (w *metered) Attrs() int {

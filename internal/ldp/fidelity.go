@@ -1,39 +1,21 @@
 // Package ldp implements the local differential privacy substrate of Share:
-// the fidelity map between a seller's privacy budget ε and the data fidelity
-// τ she offers on the market (Eq. 10 of the paper), and the standard LDP
-// perturbation mechanisms (Laplace, Gaussian, randomized response, and the
-// exponential/index mechanism) each seller applies locally before handing
-// data to the broker.
+// the inverse of the fidelity map between a seller's privacy budget ε and
+// the data fidelity τ she offers on the market (Eq. 10 of the paper), and
+// the Laplace mechanism each seller applies locally before handing data to
+// the broker (§6.1). The Gaussian and piecewise mechanisms are alternatives
+// that no binary builds.
 //
 // In Share every seller is her own curator: she picks τᵢ as her Nash-game
 // strategy, converts it to a privacy budget εᵢ via EpsilonForFidelity, and
 // perturbs her χᵢ data pieces with an ε-LDP mechanism before sale.
 package ldp
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // MaxEpsilon caps the privacy budget produced by EpsilonForFidelity. The
 // fidelity map sends τ → 1 to ε → ∞ (no noise); budgets beyond this cap are
 // indistinguishable from no perturbation at float64 precision.
 const MaxEpsilon = 1e9
-
-// Fidelity returns τ = (2/π)·arcsec(ε+1) for ε >= 0 (Eq. 10). The map
-// satisfies the Inada-style conditions the paper requires: Fidelity(0) = 0,
-// it is strictly increasing, strictly concave, and approaches (but never
-// exceeds) 1 as ε → ∞.
-func Fidelity(eps float64) float64 {
-	if eps < 0 {
-		return 0
-	}
-	if math.IsInf(eps, 1) {
-		return 1
-	}
-	// arcsec(x) = arccos(1/x) for x >= 1.
-	return 2 / math.Pi * math.Acos(1/(eps+1))
-}
 
 // EpsilonForFidelity inverts Eq. 10: ε = sec(πτ/2) − 1 for τ in [0, 1).
 // τ = 1 means "no noise" per the paper; it maps to MaxEpsilon. Values outside
@@ -50,13 +32,4 @@ func EpsilonForFidelity(tau float64) float64 {
 		return MaxEpsilon
 	}
 	return eps
-}
-
-// ValidateEpsilon returns an error if eps is not a usable privacy budget
-// (negative, NaN, or infinite).
-func ValidateEpsilon(eps float64) error {
-	if math.IsNaN(eps) || math.IsInf(eps, 0) || eps < 0 {
-		return fmt.Errorf("ldp: invalid privacy budget ε = %v", eps)
-	}
-	return nil
 }

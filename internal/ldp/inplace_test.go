@@ -53,14 +53,17 @@ func TestPerturbInPlace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, inner := range []Mechanism{NewLaplace(b), gauss, NewPiecewise(b)} {
+		for _, tc := range []struct {
+			kind  string
+			inner Mechanism
+		}{{"laplace", NewLaplace(b)}, {"gaussian", gauss}, {"piecewise", NewPiecewise(b)}} {
 			for _, metered := range []bool{false, true} {
 				for _, eps := range []float64{0, 0.7, 5} {
-					name := fmt.Sprintf("%s/attrs=%d/metered=%v/eps=%g", inner.Name(), attrs, metered, eps)
+					name := fmt.Sprintf("%s/attrs=%d/metered=%v/eps=%g", tc.kind, attrs, metered, eps)
 					t.Run(name, func(t *testing.T) {
-						mech, calls := inner, 0
+						mech, calls := tc.inner, 0
 						if metered {
-							mech = Metered(inner, func(e float64, records int) {
+							mech = Metered(tc.inner, func(e float64, records int) {
 								if e != eps || records != 1 {
 									t.Errorf("hook saw (%g, %d), want (%g, 1)", e, records, eps)
 								}
@@ -76,7 +79,7 @@ func TestPerturbInPlace(t *testing.T) {
 							for j := range record {
 								record[j] = stat.Uniform(src, lo[j], hi[j])
 							}
-							want := copyingPerturb(inner.Name(), b, delta, ref, record, eps)
+							want := copyingPerturb(tc.kind, b, delta, ref, record, eps)
 							mech.Perturb(rng, record, eps)
 							for j := range record {
 								if math.Float64bits(record[j]) != math.Float64bits(want[j]) {

@@ -12,8 +12,6 @@ import (
 // privacy. Implementations are stateless; randomness comes from the supplied
 // rng so experiments stay reproducible.
 type Mechanism interface {
-	// Name identifies the mechanism in logs and experiment output.
-	Name() string
 	// Perturb privatizes the record in place under budget eps and
 	// allocates nothing. The record's values are assumed to lie within the
 	// bounds the mechanism was constructed with; a caller that needs the
@@ -60,9 +58,6 @@ type LaplaceMechanism struct {
 // NewLaplace constructs a Laplace mechanism calibrated to the given bounds.
 func NewLaplace(b Bounds) *LaplaceMechanism { return &LaplaceMechanism{bounds: b} }
 
-// Name implements Mechanism.
-func (l *LaplaceMechanism) Name() string { return "laplace" }
-
 // Attrs reports the attribute count the mechanism is calibrated for.
 func (l *LaplaceMechanism) Attrs() int { return l.bounds.Attrs() }
 
@@ -85,7 +80,7 @@ func (l *LaplaceMechanism) Perturb(rng *rand.Rand, record []float64, eps float64
 
 // GaussianMechanism adds N(0, σ²) noise with σ = Δ·√(2·ln(1.25/δ))/ε,
 // providing (ε, δ)-LDP per attribute. It is offered as an alternative
-// mechanism (§3.1 lists it among the widely used ones).
+// mechanism (§3.1 lists it among the widely used ones); no binary builds it.
 type GaussianMechanism struct {
 	bounds Bounds
 	delta  float64
@@ -99,9 +94,6 @@ func NewGaussian(b Bounds, delta float64) (*GaussianMechanism, error) {
 	}
 	return &GaussianMechanism{bounds: b, delta: delta}, nil
 }
-
-// Name implements Mechanism.
-func (g *GaussianMechanism) Name() string { return "gaussian" }
 
 // Attrs reports the attribute count the mechanism is calibrated for.
 func (g *GaussianMechanism) Attrs() int { return g.bounds.Attrs() }
@@ -125,16 +117,14 @@ func (g *GaussianMechanism) Perturb(rng *rand.Rand, record []float64, eps float6
 // PiecewiseMechanism implements the piecewise mechanism for one-dimensional
 // numeric values (Wang et al.), an ε-LDP mechanism with bounded output and
 // lower variance than Laplace at moderate ε. Values are normalized to [-1, 1]
-// per attribute before perturbation and de-normalized after.
+// per attribute before perturbation and de-normalized after. No binary
+// builds it.
 type PiecewiseMechanism struct {
 	bounds Bounds
 }
 
 // NewPiecewise constructs a piecewise mechanism over the given bounds.
 func NewPiecewise(b Bounds) *PiecewiseMechanism { return &PiecewiseMechanism{bounds: b} }
-
-// Name implements Mechanism.
-func (p *PiecewiseMechanism) Name() string { return "piecewise" }
 
 // Attrs reports the attribute count the mechanism is calibrated for.
 func (p *PiecewiseMechanism) Attrs() int { return p.bounds.Attrs() }
@@ -182,49 +172,4 @@ func perturbPiecewise(rng *rand.Rand, t, eps float64) float64 {
 		return stat.Uniform(rng, -c, l)
 	}
 	return stat.Uniform(rng, r, c)
-}
-
-// RandomizedResponse perturbs a single bit under ε-LDP: it reports the truth
-// with probability e^ε/(e^ε+1) and flips otherwise. It is exposed for
-// categorical payloads and for testing the LDP inequality directly.
-func RandomizedResponse(rng *rand.Rand, bit bool, eps float64) bool {
-	pTruth := math.Exp(eps) / (math.Exp(eps) + 1)
-	if rng.Float64() < pTruth {
-		return bit
-	}
-	return !bit
-}
-
-// Exponential selects an index from scores under the exponential (index)
-// mechanism with budget eps and utility sensitivity delta: index i is chosen
-// with probability proportional to exp(ε·uᵢ/(2Δ)).
-func Exponential(rng *rand.Rand, scores []float64, eps, delta float64) int {
-	if len(scores) == 0 {
-		return -1
-	}
-	if delta <= 0 {
-		delta = 1
-	}
-	// Subtract the max score for numerical stability.
-	maxS := scores[0]
-	for _, s := range scores[1:] {
-		if s > maxS {
-			maxS = s
-		}
-	}
-	weights := make([]float64, len(scores))
-	var total float64
-	for i, s := range scores {
-		w := math.Exp(eps * (s - maxS) / (2 * delta))
-		weights[i] = w
-		total += w
-	}
-	u := rng.Float64() * total
-	for i, w := range weights {
-		u -= w
-		if u <= 0 {
-			return i
-		}
-	}
-	return len(scores) - 1
 }

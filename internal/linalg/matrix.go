@@ -1,6 +1,6 @@
 // Package linalg implements the dense linear algebra Share needs to train
 // linear-regression data products and to fit translog cost parameters:
-// row-major dense matrices, matrix products, Cholesky and QR factorizations,
+// row-major dense matrices, Gram products, Cholesky and QR factorizations,
 // triangular solves, and an ordinary-least-squares driver.
 //
 // The implementation is deliberately simple (no blocking, no SIMD) but
@@ -9,7 +9,6 @@
 package linalg
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -27,22 +26,6 @@ func NewMatrix(r, c int) *Matrix {
 		panic(fmt.Sprintf("linalg: invalid dimensions %dx%d", r, c))
 	}
 	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
-}
-
-// FromRows builds a matrix from a slice of equally sized rows.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, errors.New("linalg: FromRows requires at least one non-empty row")
-	}
-	c := len(rows[0])
-	m := NewMatrix(len(rows), c)
-	for i, row := range rows {
-		if len(row) != c {
-			return nil, fmt.Errorf("linalg: ragged input: row %d has %d columns, want %d", i, len(row), c)
-		}
-		copy(m.Data[i*c:(i+1)*c], row)
-	}
-	return m, nil
 }
 
 // Reshape makes m an r×c matrix, reusing its storage when it has the
@@ -70,13 +53,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns a view (not a copy) of row i.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
 // T returns the transpose of m as a new matrix.
 func (m *Matrix) T() *Matrix {
 	out := NewMatrix(m.Cols, m.Rows)
@@ -86,29 +62,6 @@ func (m *Matrix) T() *Matrix {
 		}
 	}
 	return out
-}
-
-// Mul returns the matrix product a·b.
-func Mul(a, b *Matrix) (*Matrix, error) {
-	if a.Cols != b.Rows {
-		return nil, fmt.Errorf("linalg: dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	out := NewMatrix(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			aik := arow[k]
-			if aik == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j := range orow {
-				orow[j] += aik * brow[j]
-			}
-		}
-	}
-	return out, nil
 }
 
 // MulVec returns the matrix-vector product m·x.
@@ -150,15 +103,6 @@ func (m *Matrix) Gram() *Matrix {
 		}
 	}
 	return out
-}
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
 }
 
 // Norm2 returns the Euclidean norm of v, guarding against overflow by

@@ -163,19 +163,6 @@ type QR struct {
 	n int
 }
 
-// QRFactor computes the Householder QR factorization of a (m×n, m >= n).
-func QRFactor(a *Matrix) (*QR, error) {
-	m, n := a.Rows, a.Cols
-	if m < n {
-		return nil, fmt.Errorf("linalg: QRFactor requires rows >= cols, got %dx%d", m, n)
-	}
-	qr := &QR{v: make([]float64, m*n), r: NewMatrix(n, n), m: m, n: n}
-	if err := qr.factor(a.Clone(), make([]float64, m)); err != nil {
-		return nil, err
-	}
-	return qr, nil
-}
-
 // factor fills qr.v and qr.r from work, a copy of the m×n matrix being
 // factored, which it overwrites; col (len ≥ m) is scratch. Every entry of
 // qr.v and qr.r is written, so both can be reused across calls.
@@ -246,16 +233,8 @@ func (qr *QR) applyQT(b []float64) {
 	}
 }
 
-// Solve returns the least-squares solution x minimizing ‖a·x − b‖₂ using the
-// factorization.
-func (qr *QR) Solve(b []float64) ([]float64, error) {
-	if len(b) != qr.m {
-		return nil, fmt.Errorf("linalg: QR solve dimension mismatch: %d vs %d", qr.m, len(b))
-	}
-	return qr.solve(b, make([]float64, qr.m))
-}
-
-// solve is Solve with Qᵀb formed in the caller's qtb (len m).
+// solve returns the least-squares solution x minimizing ‖a·x − b‖₂ from
+// the factorization, forming Qᵀb in the caller's qtb (len m).
 func (qr *QR) solve(b, qtb []float64) ([]float64, error) {
 	copy(qtb, b)
 	qr.applyQT(qtb)
@@ -278,12 +257,12 @@ type lsWorkspace struct {
 
 var workspaces parallel.FreeList[lsWorkspace]
 
-// solveQR is QRFactor(a) then Solve(b), factored in the workspace: the
-// same operations in the same order, so the solution is bit-identical.
+// solveQR returns the least-squares solution of a·x = b by Householder QR,
+// factored in the workspace so repeated solves reuse its buffers.
 func (ws *lsWorkspace) solveQR(a *Matrix, b []float64) ([]float64, error) {
 	m, n := a.Rows, a.Cols
 	if m < n {
-		return nil, fmt.Errorf("linalg: QRFactor requires rows >= cols, got %dx%d", m, n)
+		return nil, fmt.Errorf("linalg: QR requires rows >= cols, got %dx%d", m, n)
 	}
 	ws.work.Reshape(m, n)
 	copy(ws.work.Data, a.Data)

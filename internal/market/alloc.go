@@ -1,9 +1,25 @@
 package market
 
 import (
+	"fmt"
 	"math"
 	"sort"
 )
+
+// MaxPieces caps the data pieces one trade buys. A round sizes its sale
+// buffers as pieces × features, so an unbounded demand would let one
+// request exhaust the process's memory; the cap admits Fig. 3's largest
+// sale, 1,000,000 pieces over 10,000 sellers. Quotes are not capped.
+const MaxPieces = 1_000_000
+
+// salePieces rounds a trade's demand n to whole data pieces: the one place
+// a round sizes its sale.
+func salePieces(n float64) (int, error) {
+	if !(n >= 0.5 && n < MaxPieces+0.5) {
+		return 0, fmt.Errorf("market: data transaction: %w: n = %g must round to 1..%d pieces", ErrPieces, n, MaxPieces)
+	}
+	return int(n + 0.5), nil
+}
 
 // IntegerAllocation converts the fractional allocation χ (Eq. 13) into whole
 // data-piece counts summing exactly to n, using the largest-remainder

@@ -14,6 +14,10 @@ import (
 // the usual context.Canceled / context.DeadlineExceeded sentinels.
 var ErrDemand = errors.New("invalid demand")
 
+// ErrPieces marks a trade whose demand n rounds to fewer than one data
+// piece or to more than MaxPieces. It wraps ErrDemand.
+var ErrPieces = fmt.Errorf("%w: trade size n out of range", ErrDemand)
+
 // RosterError reports a roster-consistency failure: a duplicate join, an
 // unknown or last-remaining seller on leave, a snapshot or WAL frame whose
 // roster disagrees with the live market, or a churn epoch that does not

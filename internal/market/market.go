@@ -20,7 +20,6 @@ import (
 	"share/internal/ldp"
 	"share/internal/parallel"
 	"share/internal/product"
-	"share/internal/shapley"
 	"share/internal/solve"
 	"share/internal/translog"
 	"share/internal/valuation"
@@ -379,21 +378,6 @@ func (m *Market) SetWeights(w []float64) error {
 	return nil
 }
 
-// Solver names the market's equilibrium backend.
-func (m *Market) Solver() string { return m.backend.Name() }
-
-// SetSolver switches the market's equilibrium backend, binding it to the
-// committed game. In-flight per-round overrides are unaffected. The game is
-// already validated, so the error is always nil.
-func (m *Market) SetSolver(b solve.Backend) error {
-	if b == nil {
-		b = solve.Analytic{}
-	}
-	m.backend = b
-	m.proto = b.Bind(m.proto.Game())
-	return nil
-}
-
 // Prototype returns the committed solver prototype: the market's backend
 // bound to the validated, precomputed game over the current sellers and
 // weights. It is shared, not copied: callers may solve it with SolveFor,
@@ -544,7 +528,11 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 		proto = backend.Bind(m.proto.Game())
 	}
 	profile := new(core.Profile)
-	if err := proto.SolveFor(ctx, buyer, profile); err != nil {
+	err := proto.SolveFor(ctx, buyer, profile)
+	if err == nil {
+		err = profile.CheckFinite()
+	}
+	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
 			return nil, fmt.Errorf("market: strategy decision canceled: %w", err)
 		}
@@ -568,7 +556,10 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 		return nil, fmt.Errorf("market: round canceled before data transaction: %w", err)
 	}
 	t0 = time.Now()
-	n := int(buyer.N + 0.5)
+	n, err := salePieces(buyer.N)
+	if err != nil {
+		return nil, err
+	}
 	tx.Pieces = IntegerAllocation(profile.Chi, n)
 	tx.Epsilons = make([]float64, m.M())
 	for i := range m.sellers {
@@ -683,7 +674,7 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 			}
 		}
 		tx.Shapley = sv
-		norm := shapley.Normalize(sv)
+		norm := valuation.Normalize(sv)
 		weights := m.proto.Game().Broker.Weights
 		newWeights = make([]float64, len(weights))
 		for i, w := range weights {

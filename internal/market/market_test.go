@@ -15,6 +15,12 @@ import (
 // testMarket builds a small CCPP-backed market with m sellers.
 func testMarket(t *testing.T, m int, update *WeightUpdate, seed int64) (*Market, core.Buyer) {
 	t.Helper()
+	return testMarketWith(t, m, seed, Config{Update: update})
+}
+
+// testMarketWith is testMarket with cfg's Cost, TestSet and Seed filled in.
+func testMarketWith(t *testing.T, m int, seed int64, cfg Config) (*Market, core.Buyer) {
+	t.Helper()
 	rng := stat.NewRand(seed)
 	full := dataset.SyntheticCCPP(m*60+500, rng)
 	train, test := full.Split(m * 60)
@@ -30,12 +36,8 @@ func testMarket(t *testing.T, m int, update *WeightUpdate, seed int64) (*Market,
 			Data:   chunks[i],
 		}
 	}
-	mkt, err := New(sellers, Config{
-		Cost:    translog.PaperDefaults(),
-		TestSet: test,
-		Update:  update,
-		Seed:    seed,
-	})
+	cfg.Cost, cfg.TestSet, cfg.Seed = translog.PaperDefaults(), test, seed
+	mkt, err := New(sellers, cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -354,5 +356,28 @@ func TestSellDataWithReplacementWhenAllocationExceedsData(t *testing.T) {
 	}
 	if tx.Pieces[0] != 50 {
 		t.Errorf("pieces = %d, want 50", tx.Pieces[0])
+	}
+}
+
+// TestTradeSizeBounds: a round refuses, with ErrPieces wrapping ErrDemand
+// and before it sizes any sale buffer, a demand n that rounds to no piece
+// or to more than MaxPieces, and still trades at both ends of the range.
+func TestTradeSizeBounds(t *testing.T) {
+	mkt, buyer := testMarket(t, 3, nil, 41)
+	for _, n := range []float64{0.1, 0.49, MaxPieces + 0.5, 1e12} {
+		buyer.N = n
+		_, err := mkt.RunRound(buyer)
+		if !errors.Is(err, ErrPieces) || !errors.Is(err, ErrDemand) {
+			t.Errorf("n=%g: error %v, want ErrPieces wrapping ErrDemand", n, err)
+		}
+	}
+	for _, n := range []float64{0.5, 90} {
+		buyer.N = n
+		if _, err := mkt.RunRound(buyer); err != nil {
+			t.Errorf("n=%g: %v", n, err)
+		}
+	}
+	if got := len(mkt.Ledger()); got != 2 {
+		t.Errorf("ledger holds %d rounds, want the 2 admitted ones", got)
 	}
 }

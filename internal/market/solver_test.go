@@ -20,10 +20,7 @@ func paperBuyerFor(m int) core.Buyer {
 func testMarketSolver(t *testing.T, m int, seed int64, backend solve.Backend) (*Market, *Market) {
 	t.Helper()
 	mkt, _ := testMarket(t, m, nil, seed)
-	withBackend, _ := testMarket(t, m, nil, seed)
-	if err := withBackend.SetSolver(backend); err != nil {
-		t.Fatalf("SetSolver(%s): %v", backend.Name(), err)
-	}
+	withBackend, _ := testMarketWith(t, m, seed, Config{Solver: backend})
 	return mkt, withBackend
 }
 
@@ -136,12 +133,5 @@ func TestSnapshotKeepsSolver(t *testing.T) {
 	}
 }
 
-func TestSetSolverNilMeansDefault(t *testing.T) {
-	_, mkt := testMarketSolver(t, 4, 34, solve.MeanField{})
-	if err := mkt.SetSolver(nil); err != nil {
-		t.Fatalf("SetSolver(nil): %v", err)
-	}
-	if mkt.Solver() != solve.DefaultName {
-		t.Errorf("SetSolver(nil) left backend %q, want the %s default", mkt.Solver(), solve.DefaultName)
-	}
-}
+// Solver names the market's equilibrium backend.
+func (m *Market) Solver() string { return m.backend.Name() }

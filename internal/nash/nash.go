@@ -62,8 +62,7 @@ type Game struct {
 	// Sweeper optionally replaces Payoff on the solver's hot path with the
 	// allocation-free contract above. When both are set they must agree on
 	// every (i, x, profile) up to floating-point association; when only
-	// Sweeper is set, Payoff-based entry points (VerifyEquilibrium) still
-	// work — they route through the sweeper.
+	// Sweeper is set, the solve and its final audit both route through it.
 	Sweeper SweepPayoff
 }
 
@@ -384,19 +383,4 @@ func (g *Game) audit(s, lo, hi []float64, innerTol float64, workers int) (payoff
 		}
 	}
 	return payoffs, residual
-}
-
-// VerifyEquilibrium reports the largest payoff any player could gain from a
-// unilateral deviation away from strategies — zero (up to tolerance) iff the
-// profile is a Nash equilibrium.
-func (g *Game) VerifyEquilibrium(strategies []float64) (float64, error) {
-	lo, hi, err := g.bounds()
-	if err != nil {
-		return 0, err
-	}
-	if len(strategies) != g.Players {
-		return 0, fmt.Errorf("nash: profile has %d entries for %d players", len(strategies), g.Players)
-	}
-	_, residual := g.audit(strategies, lo, hi, 1e-11, 1)
-	return residual, nil
 }

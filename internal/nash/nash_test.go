@@ -107,30 +107,6 @@ func TestBoundaryEquilibrium(t *testing.T) {
 	}
 }
 
-func TestVerifyEquilibrium(t *testing.T) {
-	g := &Game{
-		Players: 2,
-		Hi:      []float64{10, 10},
-		Payoff: func(i int, x float64, s []float64) float64 {
-			return -(x - 4) * (x - 4)
-		},
-	}
-	resid, err := g.VerifyEquilibrium([]float64{4, 4})
-	if err != nil {
-		t.Fatalf("VerifyEquilibrium: %v", err)
-	}
-	if resid > 1e-9 {
-		t.Errorf("true equilibrium has residual %v", resid)
-	}
-	resid, err = g.VerifyEquilibrium([]float64{0, 0})
-	if err != nil {
-		t.Fatalf("VerifyEquilibrium: %v", err)
-	}
-	if resid < 15 {
-		t.Errorf("non-equilibrium residual = %v, want ≈16", resid)
-	}
-}
-
 func TestSolveValidation(t *testing.T) {
 	if _, err := (&Game{Players: 0}).Solve(Options{}); err == nil {
 		t.Error("accepted zero players")

@@ -1,3 +1,12 @@
+// Package numeric provides the scalar numerical routines Share depends on:
+// one-dimensional maximization (golden-section and Brent's parabolic
+// search), numerical differentiation and evenly spaced grids. The Go
+// standard library ships no numerical toolkit, so this package implements
+// the classical algorithms from scratch on float64.
+//
+// All routines are deterministic and allocation-free on the hot path; the
+// generic Nash solver in internal/nash and the general equilibrium cascade
+// in internal/core use them as their inner best-response optimizers.
 package numeric
 
 import "math"
@@ -15,8 +24,8 @@ var invPhi = InvPhi
 // using golden-section search and returns the maximizing abscissa. The search
 // shrinks the bracket by the inverse golden ratio each step, needing one
 // function evaluation per iteration. tol is the absolute tolerance on the
-// bracket width; pass 0 for DefaultTol (note golden-section cannot do better
-// than ~sqrt(machine epsilon) in x, so tol is floored at 1e-10).
+// bracket width, floored at 1e-10 (golden-section cannot do better than
+// ~sqrt(machine epsilon) in x); pass 0 for the floor.
 func GoldenMax(f func(float64) float64, a, b, tol float64) float64 {
 	if tol <= 0 || tol < 1e-10 {
 		tol = 1e-10
@@ -39,12 +48,6 @@ func GoldenMax(f func(float64) float64, a, b, tol float64) float64 {
 		}
 	}
 	return (a + b) / 2
-}
-
-// GoldenMin minimizes a unimodal function on [a, b]; it is GoldenMax applied
-// to -f.
-func GoldenMin(f func(float64) float64, a, b, tol float64) float64 {
-	return GoldenMax(func(x float64) float64 { return -f(x) }, a, b, tol)
 }
 
 // GoldenMaxErr is GoldenMax with an error-returning objective: the first
@@ -249,15 +252,6 @@ func Derivative(f func(float64) float64, x, h float64) float64 {
 	return (f(x+h) - f(x-h)) / (2 * h)
 }
 
-// SecondDerivative estimates f”(x) by the three-point central stencil.
-// Pass h <= 0 for an automatic step (fourth root of machine epsilon).
-func SecondDerivative(f func(float64) float64, x, h float64) float64 {
-	if h <= 0 {
-		h = 1.221e-4 * (1 + math.Abs(x)) // eps^(1/4) ≈ 1.221e-4
-	}
-	return (f(x+h) - 2*f(x) + f(x-h)) / (h * h)
-}
-
 // Clamp limits x to the closed interval [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	switch {
@@ -302,15 +296,4 @@ func Logspace(a, b float64, n int) []float64 {
 		pts[n-1] = b
 	}
 	return pts
-}
-
-// AlmostEqual reports whether a and b are equal within absolute tolerance
-// absTol or relative tolerance relTol (whichever is looser).
-func AlmostEqual(a, b, absTol, relTol float64) bool {
-	diff := math.Abs(a - b)
-	if diff <= absTol {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= relTol*scale
 }

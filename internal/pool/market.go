@@ -492,7 +492,11 @@ func (m *Market) solveQuote(ctx context.Context, v *View, b core.Buyer, solverNa
 		return name, 0, err
 	}
 	t0 := time.Now()
-	if err := proto.SolveFor(ctx, b, dst); err != nil {
+	err = proto.SolveFor(ctx, b, dst)
+	if err == nil {
+		err = dst.CheckFinite()
+	}
+	if err != nil {
 		return name, 0, err
 	}
 	d := time.Since(t0)

@@ -351,16 +351,6 @@ func (p *Pool) observeStage3(st *core.GeneralStats) {
 	p.stage3Memo.Add(uint64(st.MemoHits))
 }
 
-// Workers reports the pool's shared worker budget (0 = GOMAXPROCS for
-// batch fan-out).
-func (p *Pool) Workers() int { return p.workers }
-
-// DefaultSolver names the backend new markets default to.
-func (p *Pool) DefaultSolver() string { return p.solver.Name() }
-
-// DefaultDurability names the persistence mode new markets default to.
-func (p *Pool) DefaultDurability() Durability { return p.durability }
-
 // ValidateID checks that id is usable as a market name, snapshot file stem
 // and metric-label segment.
 func ValidateID(id string) error {

@@ -530,8 +530,8 @@ func TestAccessorsAndErrorStrings(t *testing.T) {
 	opts := quietOptions()
 	opts.Workers = 3
 	p := New(opts)
-	if p.Metrics() == nil || p.Workers() != 3 || p.DefaultSolver() != "analytic" {
-		t.Fatalf("pool accessors: metrics=%v workers=%d solver=%q", p.Metrics(), p.Workers(), p.DefaultSolver())
+	if p.Metrics() == nil || p.workers != 3 || p.solver.Name() != "analytic" {
+		t.Fatalf("pool accessors: metrics=%v workers=%d solver=%q", p.Metrics(), p.workers, p.solver.Name())
 	}
 	m, err := p.Create(Spec{ID: "acc", Solver: "meanfield"})
 	if err != nil {

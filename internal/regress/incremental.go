@@ -36,17 +36,6 @@ func (s *gramStats) reset(k int) {
 	s.n = 0
 }
 
-// clone returns an independent copy of the statistics.
-func (s *gramStats) clone() gramStats {
-	return gramStats{
-		k:    s.k,
-		n:    s.n,
-		gram: s.gram.Clone(),
-		xty:  append([]float64(nil), s.xty...),
-		aug:  make([]float64, len(s.aug)),
-	}
-}
-
 // add absorbs one observation (x, y).
 func (s *gramStats) add(x []float64, y float64) {
 	// Augmented row is (1, x...), built in the reused buffer. We update the
@@ -92,9 +81,6 @@ func NewIncremental(k int) *Incremental {
 	inc.reset(k)
 	return inc
 }
-
-// N returns the number of rows absorbed so far.
-func (inc *Incremental) N() int { return inc.n }
 
 // Add absorbs one observation (x, y) without allocating.
 func (inc *Incremental) Add(x []float64, y float64) { inc.add(x, y) }

@@ -38,14 +38,6 @@ func (mo *Moments) Load(d *dataset.Dataset, k int) {
 	}
 }
 
-// Moments snapshots the accumulator's current sufficient statistics.
-func (inc *Incremental) Moments() *Moments {
-	return &Moments{inc.clone()}
-}
-
-// N returns the number of rows the moments summarize.
-func (mo *Moments) N() int { return mo.n }
-
 // K returns the feature count (excluding intercept).
 func (mo *Moments) K() int { return mo.k }
 
@@ -183,12 +175,6 @@ func (em *EvalMoments) residualStats(m *Model) (centeredSS, meanErr float64) {
 	return centeredSS, -(m.Intercept + delta - em.meanY)
 }
 
-// MSE returns the model's mean squared error on the cached test set.
-func (em *EvalMoments) MSE(m *Model) float64 {
-	ss, meanErr := em.residualStats(m)
-	return ss/em.n + meanErr*meanErr
-}
-
 // ExplainedVariance returns 1 − Var(y−ŷ)/Var(y) on the cached test set,
 // matching Evaluate's conventions: 0 for a constant-target test set and 0
 // for non-finite results (so Shapley prefix scans treat unscorable models as
@@ -204,9 +190,3 @@ func (em *EvalMoments) ExplainedVariance(m *Model) float64 {
 	}
 	return ev
 }
-
-// N returns the number of cached test rows.
-func (em *EvalMoments) N() int { return int(em.n) }
-
-// K returns the feature count the moments were built for.
-func (em *EvalMoments) K() int { return em.k }

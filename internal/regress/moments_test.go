@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"share/internal/dataset"
+	"share/internal/linalg"
 	"share/internal/stat"
 )
 
@@ -25,8 +26,8 @@ func TestAddMomentsMatchesAddDataset(t *testing.T) {
 		rows.AddDataset(c)
 		merged.AddMoments(DatasetMoments(c, k))
 	}
-	if rows.N() != merged.N() {
-		t.Fatalf("row counts diverge: %d vs %d", rows.N(), merged.N())
+	if rows.n != merged.n {
+		t.Fatalf("row counts diverge: %d vs %d", rows.n, merged.n)
 	}
 	mRows, err := rows.Solve()
 	if err != nil {
@@ -62,8 +63,8 @@ func TestAddMomentsEmptyChunkIsNoOp(t *testing.T) {
 	inc.Add([]float64{1, 2, 3}, 4)
 	before := inc.Moments()
 	inc.AddMoments(DatasetMoments(&dataset.Dataset{}, 3))
-	if inc.N() != 1 {
-		t.Errorf("empty merge changed row count to %d", inc.N())
+	if inc.n != 1 {
+		t.Errorf("empty merge changed row count to %d", inc.n)
 	}
 	after := inc.Moments()
 	for i := range before.gram.Data {
@@ -87,8 +88,8 @@ func TestMomentsSnapshotIsIndependent(t *testing.T) {
 	inc.Add([]float64{1, 2}, 3)
 	snap := inc.Moments()
 	inc.Add([]float64{4, 5}, 6)
-	if snap.N() != 1 {
-		t.Errorf("snapshot row count tracked the accumulator: %d", snap.N())
+	if snap.n != 1 {
+		t.Errorf("snapshot row count tracked the accumulator: %d", snap.n)
 	}
 	fresh := NewIncremental(2)
 	fresh.Add([]float64{1, 2}, 3)
@@ -152,5 +153,28 @@ func TestEvalMomentsRejectsEmptyTestSet(t *testing.T) {
 	}
 	if _, err := NewEvalMoments(nil); err == nil {
 		t.Error("accepted nil test set")
+	}
+}
+
+// MSE returns the model's mean squared error on the cached test set, from
+// the same residual statistics ExplainedVariance reads.
+func (em *EvalMoments) MSE(m *Model) float64 {
+	ss, meanErr := em.residualStats(m)
+	return ss/em.n + meanErr*meanErr
+}
+
+// Moments snapshots the accumulator's current sufficient statistics.
+func (inc *Incremental) Moments() *Moments {
+	return &Moments{inc.clone()}
+}
+
+// clone returns an independent copy of the statistics.
+func (s *gramStats) clone() gramStats {
+	return gramStats{
+		k:    s.k,
+		n:    s.n,
+		gram: &linalg.Matrix{Rows: s.gram.Rows, Cols: s.gram.Cols, Data: append([]float64(nil), s.gram.Data...)},
+		xty:  append([]float64(nil), s.xty...),
+		aug:  make([]float64, len(s.aug)),
 	}
 }

@@ -68,15 +68,6 @@ func (m *Model) Predict(x []float64) float64 {
 	return s
 }
 
-// PredictAll returns predictions for every row of d.
-func (m *Model) PredictAll(d *dataset.Dataset) []float64 {
-	out := make([]float64, d.Len())
-	for i := range out {
-		out[i] = m.Predict(d.Row(i))
-	}
-	return out
-}
-
 // Metrics summarizes model performance on a held-out set.
 type Metrics struct {
 	// ExplainedVariance is 1 − Var(y−ŷ)/Var(y), the paper's performance

@@ -61,20 +61,6 @@ func TestFitFewerRowsThanFeatures(t *testing.T) {
 	}
 }
 
-func TestPredictAll(t *testing.T) {
-	d := linearData(10, 2, 0)
-	m, _ := Fit(d)
-	preds := m.PredictAll(d)
-	if len(preds) != d.Len() {
-		t.Fatalf("PredictAll length = %d", len(preds))
-	}
-	for i := range preds {
-		if math.Abs(preds[i]-d.Y[i]) > 1e-6 {
-			t.Errorf("pred[%d] = %v, want %v", i, preds[i], d.Y[i])
-		}
-	}
-}
-
 func TestEvaluatePerfectFit(t *testing.T) {
 	d := linearData(200, 3, 0)
 	m, _ := Fit(d)
@@ -196,12 +182,12 @@ func TestIncrementalResetAndN(t *testing.T) {
 	}
 	inc.Add([]float64{1, 2}, 3)
 	inc.Add([]float64{2, 1}, 4)
-	if inc.N() != 2 {
-		t.Errorf("N = %d, want 2", inc.N())
+	if inc.n != 2 {
+		t.Errorf("N = %d, want 2", inc.n)
 	}
 	inc.Reset()
-	if inc.N() != 0 {
-		t.Errorf("N after reset = %d", inc.N())
+	if inc.n != 0 {
+		t.Errorf("N after reset = %d", inc.n)
 	}
 	if _, err := inc.Solve(); err == nil {
 		t.Error("Solve after reset should error")

@@ -13,7 +13,7 @@ import (
 // by the nash Jacobi iteration (fanned across Workers per the repo
 // determinism convention: results are bit-identical for every worker count)
 // and Stages 2 and 1 by nested golden-section search over the numerical
-// reactions, i.e. core.SolveGeneralCtx.
+// reactions, i.e. core.SolveGeneralInto.
 //
 // The zero value — the registered "general" backend — uses the paper's
 // quadratic loss, making it a numerical cross-check of the analytic path

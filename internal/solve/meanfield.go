@@ -83,7 +83,7 @@ func (p *meanFieldPrepared) SolveFor(ctx context.Context, b core.Buyer, dst *cor
 	// EvaluateProfileInto assumes the quadratic loss; the mean-field strategy
 	// is the optimum of the alternative form λᵢχτ² (Eq. 22), so seller
 	// profits are re-evaluated under it. The allocation χ is already in the
-	// profile and the expression matches MFSellerProfit term for term.
+	// profile and the expression is Eq. 22 term for term.
 	for i := range dst.SellerProfits {
 		chi, t := dst.Chi[i], dst.Tau[i]
 		dst.SellerProfits[i] = pd*chi*t - g.Sellers.Lambda[i]*chi*t*t

@@ -8,7 +8,7 @@
 // mean-field approximation (Eq. 23) trades exactness for O(m) solves with
 // the Theorem 5.1 error guarantee; and "complicated function forms" (§5.1.1)
 // with no closed form at all need the fully numerical cascade of
-// core.SolveGeneral. Before this layer existed only the first route was
+// core.SolveGeneralInto. Before this layer existed only the first route was
 // reachable from the market and the service. A Backend now packages each
 // route behind the same two-phase contract the PR 1 cache machinery
 // established:

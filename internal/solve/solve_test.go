@@ -227,10 +227,12 @@ func TestMeanFieldWithinTheoremBounds(t *testing.T) {
 			if !p.Approx.ConditionHolds {
 				t.Errorf("m=%d seed=%d: ω-scaling precondition reported false after ScaleWeightsForBound", m, seed)
 			}
-			errMF, ddBar, mfBar, err := g.MeanFieldError(p.PD)
+			dd, err := g.DirectTauMF(p.PD, 0, 0)
 			if err != nil {
-				t.Fatalf("m=%d seed=%d MeanFieldError: %v", m, seed, err)
+				t.Fatalf("m=%d seed=%d DirectTauMF: %v", m, seed, err)
 			}
+			ddBar, mfBar := g.MeanFieldState(dd), g.MeanFieldState(g.MeanFieldTau(p.PD))
+			errMF := ddBar - mfBar
 			if errMF <= lo || errMF >= hi {
 				t.Errorf("m=%d seed=%d: τ̄ error %v (DD %v, MF %v) outside Theorem 5.1 interval (%v, %v)",
 					m, seed, errMF, ddBar, mfBar, lo, hi)

@@ -1,7 +1,7 @@
-// Package stat provides the random sampling and summary statistics used
-// across Share: Laplace and Gaussian noise sources for the LDP mechanisms,
-// seeded uniform generators for reproducible experiments, and the usual
-// mean/variance/quantile helpers.
+// Package stat provides the random sampling used across Share: Laplace
+// noise for the LDP mechanism, Gaussian noise for the data augmentation,
+// and seeded uniform generators and permutations for reproducible
+// experiments.
 //
 // All randomness flows through *rand.Rand instances supplied by the caller so
 // that every experiment in the paper reproduction is deterministic under a
@@ -11,7 +11,6 @@ package stat
 import (
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // NewRand returns a seeded *rand.Rand. Centralizing construction here keeps
@@ -51,98 +50,6 @@ func UniformOpen(rng *rand.Rand, lo, hi float64) float64 {
 			return v
 		}
 	}
-}
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// WeightedMean returns Σwᵢxᵢ / Σwᵢ, or 0 when the weights sum to zero.
-func WeightedMean(xs, ws []float64) float64 {
-	var num, den float64
-	for i, x := range xs {
-		num += ws[i] * x
-		den += ws[i]
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// Variance returns the population variance of xs (denominator n).
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// MinMax returns the minimum and maximum of xs; it panics on an empty slice.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		panic("stat: MinMax of empty slice")
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
-// Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. It copies and sorts its input.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
 }
 
 // Shuffle permutes the ints in place using rng (Fisher-Yates).

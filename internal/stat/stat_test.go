@@ -80,72 +80,6 @@ func TestUniformOpenExcludesLowerEndpoint(t *testing.T) {
 	}
 }
 
-func TestMeanVarianceKnownValues(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(xs); got != 5 {
-		t.Errorf("Mean = %v, want 5", got)
-	}
-	if got := Variance(xs); got != 4 {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); got != 2 {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-	if Mean(nil) != 0 || Variance(nil) != 0 {
-		t.Error("empty-slice statistics should be 0")
-	}
-}
-
-func TestWeightedMean(t *testing.T) {
-	if got := WeightedMean([]float64{1, 3}, []float64{1, 1}); got != 2 {
-		t.Errorf("WeightedMean = %v, want 2", got)
-	}
-	if got := WeightedMean([]float64{1, 3}, []float64{3, 1}); got != 1.5 {
-		t.Errorf("WeightedMean = %v, want 1.5", got)
-	}
-	if got := WeightedMean([]float64{1, 3}, []float64{0, 0}); got != 0 {
-		t.Errorf("WeightedMean with zero weights = %v, want 0", got)
-	}
-}
-
-func TestSumMinMax(t *testing.T) {
-	if Sum([]float64{1, 2, 3}) != 6 {
-		t.Error("Sum wrong")
-	}
-	lo, hi := MinMax([]float64{3, -1, 7, 0})
-	if lo != -1 || hi != 7 {
-		t.Errorf("MinMax = %v, %v", lo, hi)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MinMax of empty slice should panic")
-		}
-	}()
-	MinMax(nil)
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); got != c.want {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	// Interpolation between order statistics.
-	if got := Quantile([]float64{0, 10}, 0.5); got != 5 {
-		t.Errorf("Quantile interpolation = %v, want 5", got)
-	}
-	// Input must not be mutated.
-	in := []float64{3, 1, 2}
-	Quantile(in, 0.5)
-	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
-		t.Error("Quantile mutated its input")
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	rng := NewRand(3)
 	prop := func(seed int64) bool {

@@ -66,13 +66,6 @@ func (p Params) MustCost(n, v float64) float64 {
 	return c
 }
 
-// ScaleElasticity returns ∂lnC/∂lnN at (N, v) — the cost elasticity with
-// respect to data size, a standard translog diagnostic (economies of scale
-// when it is below one).
-func (p Params) ScaleElasticity(n, v float64) float64 {
-	return p.Sigma1 + p.Sigma3*math.Log(n) + p.Sigma5*math.Log(v)
-}
-
 // Observation is one historical manufacturing record: the data size and
 // performance of a produced product and the cost the broker incurred.
 type Observation struct {

@@ -74,19 +74,6 @@ func TestCostAlwaysPositive(t *testing.T) {
 	}
 }
 
-func TestScaleElasticity(t *testing.T) {
-	// σ₁ = 1, σ₃ = σ₅ = 0 → elasticity is exactly 1 (constant returns).
-	p := Params{Sigma1: 1}
-	if got := p.ScaleElasticity(100, 2); got != 1 {
-		t.Errorf("elasticity = %v, want 1", got)
-	}
-	// σ₃ shifts elasticity with lnN.
-	p = Params{Sigma1: 1, Sigma3: 0.1}
-	if got := p.ScaleElasticity(math.E, 1); math.Abs(got-1.1) > 1e-12 {
-		t.Errorf("elasticity = %v, want 1.1", got)
-	}
-}
-
 func TestFitRecoversParameters(t *testing.T) {
 	truth := Params{Sigma0: 0.5, Sigma1: -1.5, Sigma2: -2.5, Sigma3: 0.02, Sigma4: 0.03, Sigma5: 0.01}
 	rng := stat.NewRand(13)

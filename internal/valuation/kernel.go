@@ -32,19 +32,10 @@ type momentKernel struct {
 	scratch []*kernelScratch // one per worker, see workerScratch
 }
 
-// newMomentKernel validates the inputs and precomputes all per-round
-// statistics. Empty chunks yield zero moments and merge as no-ops, matching
+// load validates the inputs and precomputes all per-round statistics into
+// an existing kernel, recomputing the per-chunk moments in their own
+// buffers. Empty chunks yield zero moments and merge as no-ops, matching
 // the row-streaming estimator's treatment of zero-allocation sellers.
-func newMomentKernel(chunks []*dataset.Dataset, test *dataset.Dataset) (*momentKernel, error) {
-	kn := new(momentKernel)
-	if err := kn.load(chunks, test); err != nil {
-		return nil, err
-	}
-	return kn, nil
-}
-
-// load is newMomentKernel into an existing kernel: the per-chunk moments
-// are recomputed in their own buffers.
 func (kn *momentKernel) load(chunks []*dataset.Dataset, test *dataset.Dataset) error {
 	m := len(chunks)
 	if m == 0 {

@@ -7,7 +7,6 @@ import (
 
 	"share/internal/dataset"
 	"share/internal/regress"
-	"share/internal/shapley"
 	"share/internal/stat"
 )
 
@@ -87,7 +86,7 @@ func SellerShapleyTMC(chunks []*dataset.Dataset, test *dataset.Dataset, permutat
 // scored on test. Coalition evaluations are memoized, since Monte Carlo
 // permutations revisit prefixes rarely but Exact revisits subsets never —
 // the memo mostly serves the grand/empty coalitions and tests.
-func ChunkUtility(chunks []*dataset.Dataset, test *dataset.Dataset) shapley.Utility {
+func ChunkUtility(chunks []*dataset.Dataset, test *dataset.Dataset) Utility {
 	memo := make(map[string]float64)
 	return func(coalition []int) float64 {
 		key := coalitionKey(coalition)

@@ -1,12 +1,109 @@
-package shapley
+package valuation
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"math/bits"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"share/internal/stat"
 )
+
+// The generic Shapley estimators below are reference implementations for
+// the tests: Exact enumerates every coalition, and MonteCarlo samples
+// permutations of an arbitrary utility. The production estimators in this
+// package are checked against them.
+
+// Utility evaluates a coalition, given as a set of player indices in
+// ascending order. Implementations must be deterministic for a fixed
+// coalition within one Shapley computation; the empty coalition must be
+// valid.
+type Utility func(coalition []int) float64
+
+// Exact computes exact Shapley values for m players by full subset
+// enumeration, evaluating the utility once per subset (2^m evaluations) and
+// distributing marginals per Def. 3.2. m must be at most 30.
+func Exact(m int, u Utility) ([]float64, error) {
+	if m <= 0 {
+		return nil, fmt.Errorf("shapley: invalid player count %d", m)
+	}
+	if m > 30 {
+		return nil, fmt.Errorf("shapley: %d players is too many for exact computation (max 30)", m)
+	}
+	// Cache every subset's utility keyed by bitmask.
+	vals := make([]float64, 1<<uint(m))
+	buf := make([]int, 0, m)
+	for mask := 0; mask < len(vals); mask++ {
+		buf = buf[:0]
+		for i := 0; i < m; i++ {
+			if mask&(1<<uint(i)) != 0 {
+				buf = append(buf, i)
+			}
+		}
+		vals[mask] = u(buf)
+	}
+	// SVᵢ = Σ_{S ∌ i} |S|!·(m−1−|S|)!/m! · (v(S∪{i}) − v(S)).
+	fact := make([]float64, m+1)
+	fact[0] = 1
+	for i := 1; i <= m; i++ {
+		fact[i] = fact[i-1] * float64(i)
+	}
+	sv := make([]float64, m)
+	for i := 0; i < m; i++ {
+		bit := 1 << uint(i)
+		for mask := 0; mask < len(vals); mask++ {
+			if mask&bit != 0 {
+				continue
+			}
+			s := bits.OnesCount(uint(mask))
+			w := fact[s] * fact[m-1-s] / fact[m]
+			sv[i] += w * (vals[mask|bit] - vals[mask])
+		}
+	}
+	return sv, nil
+}
+
+// MonteCarlo estimates Shapley values with the permutation-sampling
+// estimator: for each of `permutations` random orderings it scans players in
+// order, crediting each with the marginal utility of joining the running
+// coalition. The estimate is unbiased; its standard error shrinks as
+// 1/√permutations.
+func MonteCarlo(m int, u Utility, permutations int, rng *rand.Rand) ([]float64, error) {
+	if m <= 0 {
+		return nil, fmt.Errorf("shapley: invalid player count %d", m)
+	}
+	if permutations <= 0 {
+		return nil, fmt.Errorf("shapley: invalid permutation count %d", permutations)
+	}
+	if rng == nil {
+		return nil, errors.New("shapley: nil random source")
+	}
+	empty := u(nil)
+	sv := make([]float64, m)
+	coalition := make([]int, 0, m)
+	sorted := make([]int, 0, m)
+	for p := 0; p < permutations; p++ {
+		coalition = coalition[:0]
+		prev := empty
+		for _, player := range stat.Perm(rng, m) {
+			coalition = append(coalition, player)
+			sorted = append(sorted[:0], coalition...)
+			sort.Ints(sorted)
+			cur := u(sorted)
+			sv[player] += cur - prev
+			prev = cur
+		}
+	}
+	inv := 1 / float64(permutations)
+	for i := range sv {
+		sv[i] *= inv
+	}
+	return sv, nil
+}
 
 // additiveUtility returns a utility where each player contributes a fixed
 // amount independently — Shapley values equal the contributions exactly.
@@ -185,55 +282,6 @@ func TestMonteCarloValidation(t *testing.T) {
 	}
 	if _, err := MonteCarlo(1, u, 10, nil); err == nil {
 		t.Error("accepted nil rng")
-	}
-}
-
-func TestTruncatedMonteCarloSkipsTail(t *testing.T) {
-	// Utility saturates once any two players are present; truncation should
-	// cut most evaluations while matching plain MC closely.
-	rng := stat.NewRand(9)
-	var calls int
-	u := func(coalition []int) float64 {
-		calls++
-		if len(coalition) >= 2 {
-			return 1
-		}
-		return float64(len(coalition)) * 0.4
-	}
-	m := 30
-	calls = 0
-	if _, err := TruncatedMonteCarlo(m, u, 50, 1e-9, rng); err != nil {
-		t.Fatalf("TruncatedMonteCarlo: %v", err)
-	}
-	truncCalls := calls
-	calls = 0
-	if _, err := MonteCarlo(m, u, 50, rng); err != nil {
-		t.Fatalf("MonteCarlo: %v", err)
-	}
-	fullCalls := calls
-	if truncCalls >= fullCalls/2 {
-		t.Errorf("truncation saved too little: %d vs %d calls", truncCalls, fullCalls)
-	}
-}
-
-func TestTruncatedMatchesExactOnSaturatingGame(t *testing.T) {
-	rng := stat.NewRand(11)
-	u := func(coalition []int) float64 {
-		if len(coalition) >= 1 {
-			return 1
-		}
-		return 0
-	}
-	// Every player's SV is 1/m by symmetry.
-	m := 6
-	sv, err := TruncatedMonteCarlo(m, u, 5000, 1e-12, rng)
-	if err != nil {
-		t.Fatalf("TruncatedMonteCarlo: %v", err)
-	}
-	for i, v := range sv {
-		if math.Abs(v-1.0/6) > 0.03 {
-			t.Errorf("SV[%d] = %v, want 1/6", i, v)
-		}
 	}
 }
 

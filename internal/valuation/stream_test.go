@@ -165,3 +165,12 @@ func equalBits(a, b []float64) bool {
 	}
 	return len(a) == len(b)
 }
+
+// newMomentKernel is a fresh kernel loaded with chunks and test.
+func newMomentKernel(chunks []*dataset.Dataset, test *dataset.Dataset) (*momentKernel, error) {
+	kn := new(momentKernel)
+	if err := kn.load(chunks, test); err != nil {
+		return nil, err
+	}
+	return kn, nil
+}

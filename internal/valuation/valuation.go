@@ -1,7 +1,8 @@
 // Package valuation scores data for the market pipeline: point-level Shapley
 // values used to build the quality-sorted seller partition (§6.1), and
-// chunk-level (per-seller) Shapley utilities used by the broker to update
-// dataset weights after each transaction (§5.2).
+// chunk-level (per-seller) Shapley utilities that Normalize turns into the
+// weights the broker blends into its dataset weights after each
+// transaction (§5.2).
 //
 // Point-level valuation uses truncated Monte Carlo permutation sampling with
 // an incremental OLS accumulator, so scanning a 9,568-point permutation costs
@@ -143,4 +144,45 @@ func sortDescending(a []float64) {
 		}
 		a[j+1] = v
 	}
+}
+
+// Normalize converts Shapley values into market weights: positive, summing
+// to 1, and preserving the values' relative ordering and spread. It shifts
+// the values so the minimum lands at a small positive offset (1% of the
+// spread) rather than flooring, because near-equilibrium fidelities are low
+// and per-seller utilities cluster near zero — a hard floor would collapse
+// every round's valuation to the uniform distribution and freeze the
+// broker's weight learning (§5.2). Degenerate inputs (all equal, or empty)
+// yield the uniform distribution.
+func Normalize(sv []float64) []float64 {
+	if len(sv) == 0 {
+		return nil
+	}
+	lo, hi := sv[0], sv[0]
+	for _, v := range sv[1:] {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	out := make([]float64, len(sv))
+	spread := hi - lo
+	if spread <= 0 {
+		for i := range out {
+			out[i] = 1 / float64(len(out))
+		}
+		return out
+	}
+	offset := 0.01 * spread
+	var total float64
+	for i, v := range sv {
+		out[i] = v - lo + offset
+		total += out[i]
+	}
+	for i := range out {
+		out[i] /= total
+	}
+	return out
 }

@@ -7,7 +7,6 @@ import (
 
 	"share/internal/dataset"
 	"share/internal/regress"
-	"share/internal/shapley"
 	"share/internal/stat"
 )
 
@@ -163,7 +162,7 @@ func TestSellerShapleyTMCMatchesGeneric(t *testing.T) {
 	if err != nil {
 		t.Fatalf("PartitionEqual: %v", err)
 	}
-	generic, err := shapley.MonteCarlo(6, ChunkUtility(chunks, test), 400, stat.NewRand(13))
+	generic, err := MonteCarlo(6, ChunkUtility(chunks, test), 400, stat.NewRand(13))
 	if err != nil {
 		t.Fatalf("generic MC: %v", err)
 	}

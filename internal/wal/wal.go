@@ -61,7 +61,7 @@ const (
 	ModeAsync
 )
 
-// String names the mode as accepted by ParseMode.
+// String names the mode as pool.ParseDurability accepts it.
 func (m Mode) String() string {
 	switch m {
 	case ModeSync:
@@ -71,19 +71,6 @@ func (m Mode) String() string {
 	default:
 		return "group"
 	}
-}
-
-// ParseMode maps a mode name onto a Mode ("" → ModeGroup).
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "", "group":
-		return ModeGroup, nil
-	case "sync":
-		return ModeSync, nil
-	case "async":
-		return ModeAsync, nil
-	}
-	return 0, fmt.Errorf("wal: unknown mode %q (want sync, group or async)", s)
 }
 
 // Record is one logged entry: a sequence number, a caller-defined kind tag
@@ -585,6 +572,3 @@ func (l *Log) Records() int {
 	defer l.mu.Unlock()
 	return l.records
 }
-
-// Path returns the segment's file path.
-func (l *Log) Path() string { return l.path }

@@ -297,22 +297,6 @@ func TestReplayErrorAbortsOpen(t *testing.T) {
 	}
 }
 
-func TestParseMode(t *testing.T) {
-	cases := map[string]Mode{"": ModeGroup, "group": ModeGroup, "sync": ModeSync, "async": ModeAsync}
-	for in, want := range cases {
-		got, err := ParseMode(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseMode(%q) = %v, %v; want %v", in, got, err, want)
-		}
-		if in != "" && got.String() != in {
-			t.Fatalf("Mode(%q).String() = %q", in, got.String())
-		}
-	}
-	if _, err := ParseMode("bogus"); err == nil {
-		t.Fatal("ParseMode(bogus) succeeded")
-	}
-}
-
 func TestUnsyncedAsyncRecordsFlushOnClose(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "seg.wal")
 	l := openT(t, path, Options{Mode: ModeAsync})
