@@ -48,18 +48,24 @@ test:
 # profiles while churn republishes the view, what a persisted trade
 # allocates once each WAL record is encoded once, every view's backends
 # bound to the inner market's committed game, quotes that survive mid-life
-# leaves and a WAL-only reboot, and a market's spec surviving a reboot,
+# leaves and a WAL-only reboot, a market's spec surviving a reboot, and
+# compaction at the log-size trigger (snapshot output within 3× the log
+# over a generated history, every reboot reproducing the live state),
 # under the race detector (allocation bounds are checked only without it);
 # the httpapi pass pins cross-market overload isolation end to end and
 # that a quote's reused scratch never leaks into the next response; the
 # wal pass pins concurrent group commit, the torn-tail sweep, every frame
 # the in-place encoder writes to the marshal-twice framing it replaced,
+# replay's envelope parse to json.Unmarshal into Record,
 # and that a corrupt length makes replay allocate no more than the file,
 # then fuzzes Open over arbitrary bytes after intact frames for 10 s,
 # requiring every segment Open refuses to be reported as wal.ErrCorrupt;
-# the pool fuzz pass restores arbitrary bytes as a market's snapshot file
-# for 10 s, requiring every market that restores to answer a quote and a
-# trade within a watchdog's bound; and the serve-smoke end-to-end pass
+# the pool fuzz passes restore arbitrary bytes as a market's snapshot file
+# for 10 s, and as the data of one CRC-valid record after a traded
+# market's log for 10 s, requiring data the pool cannot decode to be
+# refused as wal.ErrCorrupt and every market that restores to answer a
+# quote and a trade within a watchdog's bound; and the serve-smoke
+# end-to-end pass
 # rides along so the gate also
 # exercises the live server lifecycle (boot, /v2 markets, trade, metrics,
 # saturation via share-loadgen, SIGTERM drain, -snapshot-dir restore,
@@ -68,11 +74,12 @@ race: vet
 	$(GO) test -race ./...
 	$(GO) test -race -run 'TestKernelEquivalence|TestPerWorkerStreamsMatchPerPermutationRngs|TestRunRoundShapleyIdenticalAcrossWorkers|TestRoundOutputsMatchParent|TestFreeListConcurrentOwnership|TestPerturbInPlace|TestLayoutMatchesRowSlices' -count=1 ./internal/valuation ./internal/market ./internal/parallel ./internal/ldp ./internal/dataset
 	$(GO) test -race -run 'TestGeneralMatchesAnalytic|TestGeneralDeterministicAcrossWorkers|TestMapDeterministicAcrossWorkers|TestMeanFieldWithinTheoremBounds|TestSolveGeneralTau|TestSolveForMatchesCloneSolve|TestBindMatchesPrecompute' -count=1 ./internal/solve ./internal/core
-	$(GO) test -race -run 'TestMarketsAreIsolated|TestDeleteDrainsInFlightRounds|TestBatchQuoteDeterminism|TestWALTortureRecovery|TestWALTortureBudgetRecovery|TestParentEraBudgetLogRestores|TestConcurrentTradesGroupCommit|TestAdmissionRejectsWhenQueueFull|TestAdmissionQueueWaitsForSlot|TestAdmissionQueuedTradeHonorsContext|TestCloseSealsPoolAgainstStragglers|TestAsyncCloseFlushesTail|TestChurnQuoteIsolation|TestChurnSurvivesCheckpoint|TestExhaustedTradesLeaveQuotesUndisturbed|TestPublishedViewStaysImmutable|TestSellerBytesOnDiskMatchParent|TestConcurrentQuotesDuringChurn|TestTradeBytesPerRound|TestViewsBindTheCommittedGame|TestLeaveQuotesSurviveReboot|TestSpecSurvivesReboot' -count=1 ./internal/pool
+	$(GO) test -race -run 'TestMarketsAreIsolated|TestDeleteDrainsInFlightRounds|TestBatchQuoteDeterminism|TestWALTortureRecovery|TestWALTortureBudgetRecovery|TestParentEraBudgetLogRestores|TestConcurrentTradesGroupCommit|TestAdmissionRejectsWhenQueueFull|TestAdmissionQueueWaitsForSlot|TestAdmissionQueuedTradeHonorsContext|TestCloseSealsPoolAgainstStragglers|TestAsyncCloseFlushesTail|TestChurnQuoteIsolation|TestChurnSurvivesCheckpoint|TestExhaustedTradesLeaveQuotesUndisturbed|TestPublishedViewStaysImmutable|TestSellerBytesOnDiskMatchParent|TestConcurrentQuotesDuringChurn|TestTradeBytesPerRound|TestViewsBindTheCommittedGame|TestLeaveQuotesSurviveReboot|TestSpecSurvivesReboot|TestWALCompaction|TestCompactionOutputBoundedByLog' -count=1 ./internal/pool
 	$(GO) test -race -run 'TestOverloadIsolationAcrossMarkets|TestDrainAnswers503|TestQuoteScratchDoesNotLeak' -count=1 ./internal/httpapi
-	$(GO) test -race -run 'TestConcurrentGroupCommit|TestTornTailTruncatedAtEveryOffset|TestAppendFramesMatchMarshal|TestCorruptLengthAllocatesOnlyTheFile' -count=1 ./internal/wal
+	$(GO) test -race -run 'TestConcurrentGroupCommit|TestTornTailTruncatedAtEveryOffset|TestAppendFramesMatchMarshal|TestEnvelopeMatchesUnmarshal|TestCorruptLengthAllocatesOnlyTheFile' -count=1 ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzRestoreSnapshot -fuzztime 10s ./internal/pool
+	$(GO) test -run '^$$' -fuzz FuzzReplayRecord -fuzztime 10s ./internal/pool
 	$(MAKE) serve-smoke
 
 # Statement coverage for every package, failing if internal/solve — the

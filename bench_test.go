@@ -16,6 +16,7 @@ import (
 	"share/internal/experiments"
 	"share/internal/ldp"
 	"share/internal/nash"
+	"share/internal/regress"
 	"share/internal/stat"
 	"share/internal/valuation"
 )
@@ -310,26 +311,26 @@ func BenchmarkBrokerLeadingSolve(b *testing.B) {
 // Parallel vs sequential Shapley valuation (the production weight-update
 // path at scale).
 func BenchmarkSellerShapleySequential(b *testing.B) {
-	chunks, test := shapleyBenchData(b)
+	chunks, eval := shapleyBenchData(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := valuation.SellerShapleyKernelCtx(context.Background(), chunks, test, 20, 0, 5, 1); err != nil {
+		if _, err := valuation.SellerShapleyKernelCtx(context.Background(), chunks, eval, 20, 0, 5, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkSellerShapleyParallel(b *testing.B) {
-	chunks, test := shapleyBenchData(b)
+	chunks, eval := shapleyBenchData(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := valuation.SellerShapleyKernelCtx(context.Background(), chunks, test, 20, 0, 5, 0); err != nil {
+		if _, err := valuation.SellerShapleyKernelCtx(context.Background(), chunks, eval, 20, 0, 5, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func shapleyBenchData(b *testing.B) ([]*dataset.Dataset, *dataset.Dataset) {
+func shapleyBenchData(b *testing.B) ([]*dataset.Dataset, *regress.EvalMoments) {
 	b.Helper()
 	rng := stat.NewRand(6)
 	full := dataset.SyntheticCCPP(4200, rng)
@@ -338,5 +339,9 @@ func shapleyBenchData(b *testing.B) ([]*dataset.Dataset, *dataset.Dataset) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return chunks, test
+	eval, err := regress.NewEvalMoments(test)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return chunks, eval
 }

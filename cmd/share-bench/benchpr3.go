@@ -13,6 +13,7 @@ import (
 	"share/internal/core"
 	"share/internal/dataset"
 	"share/internal/market"
+	"share/internal/regress"
 	"share/internal/stat"
 	"share/internal/translog"
 	"share/internal/valuation"
@@ -71,10 +72,14 @@ func writeBenchPR3(outDir string, workers int, seed int64) error {
 		if err != nil {
 			return err
 		}
+		eval, err := regress.NewEvalMoments(test)
+		if err != nil {
+			return err
+		}
 		record(fmt.Sprintf("shapley_kernel_m%d_rows%d", p.m, p.rows), 1, testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := valuation.SellerShapleyKernelCtx(context.Background(), chunks, test, p.perms, 0, seed, 1); err != nil {
+				if _, err := valuation.SellerShapleyKernelCtx(context.Background(), chunks, eval, p.perms, 0, seed, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

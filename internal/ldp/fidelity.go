@@ -2,8 +2,8 @@
 // the inverse of the fidelity map between a seller's privacy budget ε and
 // the data fidelity τ she offers on the market (Eq. 10 of the paper), and
 // the Laplace mechanism each seller applies locally before handing data to
-// the broker (§6.1). The Gaussian and piecewise mechanisms are alternatives
-// that no binary builds.
+// the broker (§6.1). The Gaussian mechanism is an alternative that no
+// binary builds.
 //
 // In Share every seller is her own curator: she picks τᵢ as her Nash-game
 // strategy, converts it to a privacy budget εᵢ via EpsilonForFidelity, and

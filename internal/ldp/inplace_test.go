@@ -27,10 +27,6 @@ func copyingPerturb(kind string, b Bounds, delta float64, rng *rand.Rand, record
 		case "gaussian":
 			c := math.Sqrt(2 * math.Log(1.25/delta))
 			out[j] = v + stat.Gaussian(rng, 0, b.Width(j)*c/perAttr)
-		case "piecewise":
-			lo, w := b.Lo[j], b.Width(j)
-			t := math.Max(-1, math.Min(1, 2*(v-lo)/w-1))
-			out[j] = lo + (perturbPiecewise(rng, t, perAttr)+1)*w/2
 		}
 	}
 	return out
@@ -56,7 +52,7 @@ func TestPerturbInPlace(t *testing.T) {
 		for _, tc := range []struct {
 			kind  string
 			inner Mechanism
-		}{{"laplace", NewLaplace(b)}, {"gaussian", gauss}, {"piecewise", NewPiecewise(b)}} {
+		}{{"laplace", NewLaplace(b)}, {"gaussian", gauss}} {
 			for _, metered := range []bool{false, true} {
 				for _, eps := range []float64{0, 0.7, 5} {
 					name := fmt.Sprintf("%s/attrs=%d/metered=%v/eps=%g", tc.kind, attrs, metered, eps)

@@ -181,30 +181,3 @@ func TestGaussianMechanism(t *testing.T) {
 		t.Errorf("Gaussian mechanism mean = %v, want 0.3", mean)
 	}
 }
-
-func TestPiecewiseMechanismUnbiasedAndBounded(t *testing.T) {
-	rng := stat.NewRand(21)
-	b, _ := NewBounds([]float64{0}, []float64{10})
-	mech := NewPiecewise(b)
-	const n = 200_000
-	eps := 2.0
-	truth := 7.0
-	var sum float64
-	expHalf := math.Exp(eps / 2)
-	c := (expHalf + 1) / (expHalf - 1)
-	// Output (normalized) lies in [-C, C] → denormalized in a known band.
-	loBand := 0 + (-c+1)*10/2
-	hiBand := 0 + (c+1)*10/2
-	for i := 0; i < n; i++ {
-		rec := []float64{truth}
-		mech.Perturb(rng, rec, eps)
-		out := rec[0]
-		if out < loBand-1e-9 || out > hiBand+1e-9 {
-			t.Fatalf("piecewise output %v outside [%v, %v]", out, loBand, hiBand)
-		}
-		sum += out
-	}
-	if mean := sum / n; math.Abs(mean-truth) > 0.15 {
-		t.Errorf("piecewise mean = %v, want %v (unbiased)", mean, truth)
-	}
-}

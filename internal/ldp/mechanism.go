@@ -113,63 +113,3 @@ func (g *GaussianMechanism) Perturb(rng *rand.Rand, record []float64, eps float6
 		record[j] = v + stat.Gaussian(rng, 0, sigma)
 	}
 }
-
-// PiecewiseMechanism implements the piecewise mechanism for one-dimensional
-// numeric values (Wang et al.), an ε-LDP mechanism with bounded output and
-// lower variance than Laplace at moderate ε. Values are normalized to [-1, 1]
-// per attribute before perturbation and de-normalized after. No binary
-// builds it.
-type PiecewiseMechanism struct {
-	bounds Bounds
-}
-
-// NewPiecewise constructs a piecewise mechanism over the given bounds.
-func NewPiecewise(b Bounds) *PiecewiseMechanism { return &PiecewiseMechanism{bounds: b} }
-
-// Attrs reports the attribute count the mechanism is calibrated for.
-func (p *PiecewiseMechanism) Attrs() int { return p.bounds.Attrs() }
-
-// Perturb implements Mechanism.
-func (p *PiecewiseMechanism) Perturb(rng *rand.Rand, record []float64, eps float64) {
-	if eps <= 0 {
-		for j := range record {
-			record[j] = stat.Uniform(rng, p.bounds.Lo[j], p.bounds.Hi[j])
-		}
-		return
-	}
-	perAttr := eps / float64(len(record))
-	for j, v := range record {
-		// Normalize to t ∈ [-1, 1].
-		lo, w := p.bounds.Lo[j], p.bounds.Width(j)
-		t := 2*(v-lo)/w - 1
-		t = math.Max(-1, math.Min(1, t))
-		tp := perturbPiecewise(rng, t, perAttr)
-		// De-normalize. tp lies in [-C, C] with C >= 1; keep it as-is so
-		// the output stays unbiased.
-		record[j] = lo + (tp+1)*w/2
-	}
-}
-
-// perturbPiecewise perturbs t ∈ [-1,1] under ε-LDP with the piecewise
-// mechanism, returning a value in [-C, C] where C = (e^{ε/2}+1)/(e^{ε/2}−1).
-func perturbPiecewise(rng *rand.Rand, t, eps float64) float64 {
-	expHalf := math.Exp(eps / 2)
-	c := (expHalf + 1) / (expHalf - 1)
-	l := (c+1)/2*t - (c-1)/2
-	r := l + c - 1
-	if rng.Float64() < expHalf/(expHalf+1) {
-		// High-probability region [l, r] around the true value.
-		return stat.Uniform(rng, l, r)
-	}
-	// Low-probability tails.
-	leftWidth := l + c
-	rightWidth := c - r
-	total := leftWidth + rightWidth
-	if total <= 0 {
-		return stat.Uniform(rng, -c, c)
-	}
-	if rng.Float64() < leftWidth/total {
-		return stat.Uniform(rng, -c, l)
-	}
-	return stat.Uniform(rng, r, c)
-}

@@ -20,6 +20,7 @@ import (
 	"share/internal/ldp"
 	"share/internal/parallel"
 	"share/internal/product"
+	"share/internal/regress"
 	"share/internal/solve"
 	"share/internal/translog"
 	"share/internal/valuation"
@@ -149,9 +150,13 @@ type Market struct {
 	product   product.Builder
 	mechanism ldp.Mechanism
 	testSet   *dataset.Dataset
-	update    *WeightUpdate
-	sellers   []*Seller
-	backend   solve.Backend
+	// eval caches testSet's evaluation moments for the OLS valuation
+	// kernel. The test set never changes, so the first OLS weight update
+	// computes them for every later round.
+	eval    *regress.EvalMoments
+	update  *WeightUpdate
+	sellers []*Seller
+	backend solve.Backend
 	// proto binds the backend to the committed game, the market's only
 	// copy of λ and ω (see Prototype); commits and churn replace it.
 	proto    solve.Prepared
@@ -639,6 +644,11 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 		}
 		seed := int64(tx.Round) * 1_000_003
 		_, isOLS := builder.(product.OLS)
+		if isOLS && m.eval == nil {
+			if m.eval, err = regress.NewEvalMoments(m.testSet); err != nil {
+				return nil, fmt.Errorf("market: Shapley weight update: caching test-set moments: %w", err)
+			}
+		}
 		switch {
 		case !isOLS:
 			sv, err = valuation.SellerShapleyBuilderParallelCtx(ctx, chunks, m.testSet, builder,
@@ -646,10 +656,10 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 		case m.discount != nil:
 			// Redundancy rides on the Gram statistics the kernel caches
 			// anyway — no extra pass over seller data.
-			sv, red, err = valuation.SellerShapleyKernelRedundancyCtx(ctx, chunks, m.testSet,
+			sv, red, err = valuation.SellerShapleyKernelRedundancyCtx(ctx, chunks, m.eval,
 				m.update.Permutations, m.update.TruncateTol, seed, workers)
 		default:
-			sv, err = valuation.SellerShapleyKernelCtx(ctx, chunks, m.testSet,
+			sv, err = valuation.SellerShapleyKernelCtx(ctx, chunks, m.eval,
 				m.update.Permutations, m.update.TruncateTol, seed, workers)
 		}
 		if err != nil {

@@ -449,7 +449,6 @@ func TestBudgetCompactionCarriesAccounts(t *testing.T) {
 	// snapshot carrying ledger accounts plus a replayed WAL tail whose trade
 	// record's spend cross-check would catch a zeroed or double-applied
 	// ledger.
-	opts.CompactRecords = 4
 	p := New(opts)
 	m, err := p.Create(Spec{ID: "bcomp"})
 	if err != nil {
@@ -462,6 +461,7 @@ func TestBudgetCompactionCarriesAccounts(t *testing.T) {
 	if _, err := m.TopUpBudget("s02", 1.5); err != nil {
 		t.Fatal(err)
 	}
+	compactNow(t, m) // the 4th record
 	if _, err := m.Trade(context.Background(), demoBuyer(100, 0.8), nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -795,7 +795,7 @@ func TestReplaySkipsMalformedTradeRecords(t *testing.T) {
 					t.Fatal(err)
 				}
 				spec.EpsilonBudget, spec.Composition = 0, ""
-				if err := writeSnapshotFile(filepath.Join(dir, "bad"+snapshotExt), spec); err != nil {
+				if _, err := writeSnapshotFile(filepath.Join(dir, "bad"+snapshotExt), spec); err != nil {
 					t.Fatal(err)
 				}
 			}

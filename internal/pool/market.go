@@ -69,6 +69,10 @@ type Market struct {
 	// itself happens outside the lock so fsyncs overlap the next round.
 	durability Durability
 	log        *wal.Log
+	// snapBytes is the size of the market's snapshot file as last written
+	// or restored; the log compacts once it is as large (and at least the
+	// pool's floor). Guarded by writeMu.
+	snapBytes int64
 
 	// ledger is the market's per-seller privacy-budget ledger (nil when
 	// budgeting is disabled). The inner market charges it at trade commit

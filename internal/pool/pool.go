@@ -18,10 +18,13 @@
 // (new requests stop routing immediately) and then drains in-flight rounds
 // under the caller's context. With a snapshot directory configured, every
 // market appends each mutation to its write-ahead log <dir>/<id>.wal and
-// compacts the log into <dir>/<id>.json (atomic write-temp-then-rename)
-// past a size threshold and on SaveAll (shutdown); RestoreAll rebuilds
-// every market from both on boot — a corrupt file is skipped with a logged
-// warning, never fatal.
+// compacts the log into <dir>/<id>.json (write temp, fsync, rename, fsync
+// the directory) on SaveAll (shutdown) and whenever the log has grown as
+// large as that snapshot, and at least 4 MiB: so a market's total snapshot
+// output stays within about twice its log bytes however long its history.
+// RestoreAll rebuilds every market from both on boot, decoding each part
+// of the history once — the snapshot, then the log records past it — and a
+// corrupt file is skipped with a logged warning, never fatal.
 package pool
 
 import (
@@ -85,12 +88,6 @@ type Options struct {
 	// (background flush). Unknown names fall back to the default with a log
 	// line, mirroring Solver.
 	Durability string
-	// CompactRecords triggers WAL compaction — snapshot plus truncate —
-	// once a market's segment holds this many records (0 → 256).
-	CompactRecords int
-	// CompactBytes triggers WAL compaction once a market's segment reaches
-	// this size (0 → 4 MiB).
-	CompactBytes int64
 	// EpsilonBudget is the default per-seller privacy budget (total ε a
 	// seller's data may absorb across rounds) for new markets. 0 disables
 	// budgeting; markets may override it at creation via
@@ -130,13 +127,14 @@ type Pool struct {
 	durability   Durability
 	logf         func(format string, args ...any)
 
-	compactRecords int
-	compactBytes   int64
-	tradeConc      int
-	tradeQueue     int
-	epsBudget      float64
-	composition    budget.Composition
-	discount       *market.DiscountConfig
+	// compactFloor is the smallest segment a market compacts
+	// (compactFloorBytes; in-package tests lower it).
+	compactFloor int64
+	tradeConc    int
+	tradeQueue   int
+	epsBudget    float64
+	composition  budget.Composition
+	discount     *market.DiscountConfig
 
 	metrics   *obs.Registry
 	valuation *obs.Endpoint            // Shapley weight-update latency, all markets
@@ -246,14 +244,6 @@ func New(opts Options) *Pool {
 		logf("pool: %v; falling back to %q", err, DurGroup)
 		durability = DurGroup
 	}
-	compactRecords := opts.CompactRecords
-	if compactRecords <= 0 {
-		compactRecords = 256
-	}
-	compactBytes := opts.CompactBytes
-	if compactBytes <= 0 {
-		compactBytes = 4 << 20
-	}
 	tradeConc := opts.TradeConcurrency
 	if tradeConc == 0 {
 		tradeConc = DefaultTradeConcurrency
@@ -294,30 +284,29 @@ func New(opts Options) *Pool {
 		metrics = obs.NewRegistry()
 	}
 	p := &Pool{
-		cost:           cost,
-		testRows:       testRows,
-		update:         upd,
-		workers:        opts.Workers,
-		solver:         backend,
-		seed:           opts.Seed,
-		tradeTimeout:   opts.TradeTimeout,
-		snapshotDir:    opts.SnapshotDir,
-		durability:     durability,
-		compactRecords: compactRecords,
-		compactBytes:   compactBytes,
-		tradeConc:      tradeConc,
-		tradeQueue:     tradeQueue,
-		epsBudget:      epsBudget,
-		composition:    composition,
-		discount:       discount,
-		logf:           logf,
-		metrics:        metrics,
-		valuation:      metrics.Endpoint("trade/valuation"),
-		solveObs:       make(map[string]*obs.Endpoint, len(solve.Names())),
-		stage3Obs:      metrics.Endpoint("solve/general/stage3"),
-		stage3Solves:   metrics.Counter("solve/general/stage3_solves"),
-		stage3Sweeps:   metrics.Counter("solve/general/stage3_sweeps"),
-		stage3Memo:     metrics.Counter("solve/general/memo_hits"),
+		cost:         cost,
+		testRows:     testRows,
+		update:       upd,
+		workers:      opts.Workers,
+		solver:       backend,
+		seed:         opts.Seed,
+		tradeTimeout: opts.TradeTimeout,
+		snapshotDir:  opts.SnapshotDir,
+		durability:   durability,
+		compactFloor: compactFloorBytes,
+		tradeConc:    tradeConc,
+		tradeQueue:   tradeQueue,
+		epsBudget:    epsBudget,
+		composition:  composition,
+		discount:     discount,
+		logf:         logf,
+		metrics:      metrics,
+		valuation:    metrics.Endpoint("trade/valuation"),
+		solveObs:     make(map[string]*obs.Endpoint, len(solve.Names())),
+		stage3Obs:    metrics.Endpoint("solve/general/stage3"),
+		stage3Solves: metrics.Counter("solve/general/stage3_solves"),
+		stage3Sweeps: metrics.Counter("solve/general/stage3_sweeps"),
+		stage3Memo:   metrics.Counter("solve/general/memo_hits"),
 		walMet: wal.Metrics{
 			Fsync:    metrics.Endpoint("wal/fsync"),
 			Fsyncs:   metrics.Counter("wal/fsyncs"),

@@ -33,15 +33,14 @@ const wantSnapshotSellersDigest = "6e6b462a05c4045ad392ab6e8c1f3efa8eb0169ed46d8
 
 // scriptSellerBytes drives one market through every path that persists
 // seller rows: synthetic and inline registrations, a trade, synthetic and
-// inline mid-life joins, and a second trade whose record crosses the
-// compaction threshold. It returns the register/join payload digests read
-// back from the log before the compaction, and the digest of the
-// compaction snapshot's sellers array.
+// inline mid-life joins, and a second trade, after whose record (the 8th:
+// 4 registrations, trade, 2 joins, trade) the market compacts. It returns
+// the register/join payload digests read back from the log before the
+// compaction, and the digest of the compaction snapshot's sellers array.
 func scriptSellerBytes(t *testing.T) ([]string, string) {
 	t.Helper()
 	dir := t.TempDir()
 	opts := fastWalOptions(dir)
-	opts.CompactRecords = 8 // 4 registrations, trade, 2 joins, trade
 	p := New(opts)
 	defer p.Close()
 	m, err := p.Create(Spec{ID: "bytes"})
@@ -92,6 +91,7 @@ func scriptSellerBytes(t *testing.T) ([]string, string) {
 	if _, err := m.Trade(context.Background(), demoBuyer(60, 0.8), nil, nil); err != nil {
 		t.Fatal(err)
 	}
+	compactNow(t, m)
 	raw, err := os.ReadFile(filepath.Join(dir, "bytes"+snapshotExt))
 	if err != nil {
 		t.Fatalf("reading compaction snapshot: %v", err)
@@ -158,7 +158,7 @@ func TestRestoreRefusesRowsOfTheWrongWidth(t *testing.T) {
 
 			if tc.snapshot {
 				snap := &MarketSnapshot{Version: snapshotVersion, ID: "legacy", Sellers: narrow}
-				if err := writeSnapshotFile(filepath.Join(dir, "legacy"+snapshotExt), snap); err != nil {
+				if _, err := writeSnapshotFile(filepath.Join(dir, "legacy"+snapshotExt), snap); err != nil {
 					t.Fatal(err)
 				}
 			} else {

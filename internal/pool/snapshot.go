@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -268,7 +269,8 @@ func (m *Market) RestoreSnapshot(snap *MarketSnapshot) error {
 // temp file in the same directory, synced, and renamed over the target, so
 // a crash mid-save never corrupts an existing snapshot.
 func (m *Market) Save(path string) error {
-	return writeSnapshotFile(path, m.Snapshot())
+	_, err := writeSnapshotFile(path, m.Snapshot())
+	return err
 }
 
 // snapshotPath is the market's snapshot file path under the pool's
@@ -282,27 +284,43 @@ func (m *Market) snapshotPath() string {
 // Failures log — a committed mutation must not be reported failed because
 // the disk was.
 func (m *Market) saveLocked() {
-	if err := writeSnapshotFile(m.snapshotPath(), m.snapshotLocked()); err != nil {
+	if err := m.writeSnapshotLocked(m.snapshotLocked()); err != nil {
 		m.p.logf("pool: market %q: saving snapshot: %v", m.id, err)
 	}
 }
 
-// writeSnapshotFile atomically writes one snapshot: temp file, sync,
-// rename. The snapshot is encoded as compact JSON in the encoder's pooled
-// buffer and written straight through to the temp file, with no separate
-// marshalled or indented copy.
-func writeSnapshotFile(path string, snap *MarketSnapshot) error {
+// writeSnapshotLocked writes snap as the market's snapshot file and
+// records its size for the compaction trigger (writeMu held).
+func (m *Market) writeSnapshotLocked(snap *MarketSnapshot) error {
+	n, err := writeSnapshotFile(m.snapshotPath(), snap)
+	if err == nil {
+		m.snapBytes = n
+	}
+	return err
+}
+
+// writeSnapshotFile atomically and durably writes one snapshot: temp file,
+// fsync, rename, fsync of the directory. It returns the file's size. The
+// snapshot is encoded as compact JSON in the encoder's pooled buffer and
+// written straight through to the temp file, with no separate marshalled or
+// indented copy. The directory fsync makes the rename durable before the
+// caller acts on it, such as truncating the log the snapshot covers.
+func writeSnapshotFile(path string, snap *MarketSnapshot) (int64, error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".share-snapshot-*")
 	if err != nil {
-		return fmt.Errorf("pool: creating snapshot temp file: %w", err)
+		return 0, fmt.Errorf("pool: creating snapshot temp file: %w", err)
 	}
 	tmpName := tmp.Name()
 	// Any failure from here on removes the temp file; the target is only
 	// ever replaced by a complete, synced rename.
+	var n int64
 	bw := bufio.NewWriter(tmp)
 	if err = json.NewEncoder(bw).Encode(snap); err == nil {
 		err = bw.Flush()
+	}
+	if err == nil {
+		n, err = tmp.Seek(0, io.SeekCurrent)
 	}
 	if err == nil {
 		err = tmp.Sync()
@@ -312,13 +330,30 @@ func writeSnapshotFile(path string, snap *MarketSnapshot) error {
 	}
 	if err != nil {
 		os.Remove(tmpName)
-		return fmt.Errorf("pool: writing snapshot: %w", err)
+		return 0, fmt.Errorf("pool: writing snapshot: %w", err)
 	}
 	if err := os.Rename(tmpName, path); err != nil {
 		os.Remove(tmpName)
-		return fmt.Errorf("pool: publishing snapshot: %w", err)
+		return 0, fmt.Errorf("pool: publishing snapshot: %w", err)
 	}
-	return nil
+	if err := syncDir(dir); err != nil {
+		return 0, fmt.Errorf("pool: syncing snapshot directory: %w", err)
+	}
+	return n, nil
+}
+
+// syncDir fsyncs a directory, making the names created or renamed in it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // ReadSnapshotFile loads one snapshot file written by Save or SaveAll.
@@ -362,7 +397,7 @@ func (p *Pool) SaveAll() error {
 	p.mu.RUnlock()
 	sort.Strings(ids)
 	for _, id := range ids {
-		if err := byID[id].checkpoint(filepath.Join(p.snapshotDir, id+snapshotExt)); err != nil {
+		if err := byID[id].checkpoint(); err != nil {
 			return fmt.Errorf("pool: saving market %q: %w", id, err)
 		}
 	}
@@ -386,6 +421,10 @@ func (p *Pool) SaveAll() error {
 // this release refuses, and a skipped market's next write would overwrite
 // them. RestoreAll still restores every other market, then returns an
 // error naming each such market and its files; the caller must not serve.
+//
+// Restoring attaches every market's segment, creating the ones absent, and
+// RestoreAll then syncs the directory once so each created name is durable
+// before the first record lands in it.
 //
 // Call RestoreAll before serving traffic: a market that appends to its WAL
 // segment before RestoreAll reaches it treats the segment's contents as
@@ -454,6 +493,11 @@ func (p *Pool) RestoreAll() ([]string, error) {
 		}
 		restored = append(restored, id)
 	}
+	if len(restored) > 0 {
+		if err := syncDir(p.snapshotDir); err != nil {
+			p.logf("pool: syncing snapshot directory after restore: %v", err)
+		}
+	}
 	return restored, errors.Join(refused...)
 }
 
@@ -462,12 +506,18 @@ func (p *Pool) RestoreAll() ([]string, error) {
 // torn down on failure.
 func (p *Pool) restoreOne(id, snapPath string) error {
 	var snap *MarketSnapshot
+	var snapBytes int64
 	if snapPath != "" {
 		var err error
 		snap, err = ReadSnapshotFile(snapPath)
 		if err != nil {
 			return err
 		}
+		fi, err := os.Stat(snapPath)
+		if err != nil {
+			return fmt.Errorf("pool: reading snapshot: %w", err)
+		}
+		snapBytes = fi.Size()
 	}
 	m, getErr := p.Get(id)
 	created := false
@@ -516,7 +566,7 @@ func (p *Pool) restoreOne(id, snapPath string) error {
 	// an empty one otherwise — so the restored market appends where the
 	// crashed process stopped. With no snapshot, the whole market rebuilds
 	// from the log, which requires a fresh target.
-	if err := m.attachLogReplay(walFloor, snap == nil); err != nil {
+	if err := m.attachLogReplay(walFloor, snapBytes, snap == nil); err != nil {
 		return teardown(err)
 	}
 	return nil

@@ -59,6 +59,13 @@ func (d Durability) walMode() wal.Mode {
 // snapshot directory.
 const walExt = ".wal"
 
+// compactFloorBytes is the smallest segment a market compacts. Above it a
+// segment compacts once it is as large as the market's snapshot file, so
+// each compaction writes at most about twice what the log gained since the
+// previous one, and a market's snapshot output stays within about twice
+// its log bytes however long its history grows.
+const compactFloorBytes = 4 << 20
+
 // WAL record kinds.
 const (
 	// recordRegister logs one pre-trade seller admission (payload:
@@ -124,7 +131,9 @@ func (m *Market) walPath() string {
 // held, snapshot directory configured). A leftover segment that still holds
 // records belongs to no live state — an orphan from a deleted same-named
 // market whose cleanup failed — and is truncated with a warning rather than
-// ever replayed into this market. Reports whether a usable log is attached;
+// ever replayed into this market. The segment's name is made durable, with
+// the directory fsync that publishes the spec snapshot or one of its own,
+// before any record is appended. Reports whether a usable log is attached;
 // when it is not, the caller saves the mutation as a full snapshot and the
 // next mutation tries the log again.
 func (m *Market) ensureLogLocked() bool {
@@ -154,11 +163,17 @@ func (m *Market) ensureLogLocked() bool {
 	// the market's spec before replaying — the roster itself replays from
 	// the log (every admission is a record). It holds budget configuration
 	// only, never accounts: the log holds the market's whole charge
-	// history, so replay rebuilds every spend from a zeroed ledger.
-	if _, err := os.Stat(m.snapshotPath()); errors.Is(err, os.ErrNotExist) {
-		if err := writeSnapshotFile(m.snapshotPath(), m.specSnapshot()); err != nil {
-			m.p.logf("pool: market %q: writing spec snapshot: %v", m.id, err)
-		}
+	// history, so replay rebuilds every spend from a zeroed ledger. Its
+	// directory fsync also covers the segment just created.
+	if _, err = os.Stat(m.snapshotPath()); errors.Is(err, os.ErrNotExist) {
+		err = m.writeSnapshotLocked(m.specSnapshot())
+	} else {
+		err = syncDir(m.p.snapshotDir)
+	}
+	if err != nil {
+		m.p.logf("pool: market %q: making the wal segment durable: %v; writing full snapshot instead", m.id, err)
+		l.Close()
+		return false
 	}
 	m.log = l
 	return true
@@ -166,10 +181,11 @@ func (m *Market) ensureLogLocked() bool {
 
 // attachLogReplay opens the market's WAL segment at restore time and
 // replays every record past the snapshot watermark into the market
-// (RestoreAll's boot path). requireFresh guards the no-snapshot case: a
+// (RestoreAll's boot path). snapBytes is the size of the snapshot file the
+// market was restored from. requireFresh guards the no-snapshot case: a
 // market that already holds state must not absorb a log replay on top of
-// it.
-func (m *Market) attachLogReplay(walFloor uint64, requireFresh bool) error {
+// it. The segment is created when absent; RestoreAll syncs the directory.
+func (m *Market) attachLogReplay(walFloor uint64, snapBytes int64, requireFresh bool) error {
 	m.writeMu.Lock()
 	defer m.writeMu.Unlock()
 	if m.log != nil {
@@ -204,7 +220,17 @@ func (m *Market) attachLogReplay(walFloor uint64, requireFresh bool) error {
 		}
 		m.p.logf("pool: market %q: replayed %d wal record(s) past snapshot seq %d", m.id, applied, walFloor)
 	}
-	m.log = l
+	m.log, m.snapBytes = l, snapBytes
+	return nil
+}
+
+// decodeRecord decodes a replayed record's data into v. The log hands the
+// data over unexamined, so this is the record's one decode, and data that
+// does not decode marks the segment corrupt.
+func decodeRecord(rec *wal.Record, v any) error {
+	if err := json.Unmarshal(rec.Data, v); err != nil {
+		return fmt.Errorf("pool: decoding %s record %d: %w: %w", rec.Kind, rec.Seq, wal.ErrCorrupt, err)
+	}
 	return nil
 }
 
@@ -217,8 +243,8 @@ func (m *Market) applyRecordLocked(rec *wal.Record) error {
 			return fmt.Errorf("pool: register record %d after trading began", rec.Seq)
 		}
 		var st StoredSeller
-		if err := json.Unmarshal(rec.Data, &st); err != nil {
-			return fmt.Errorf("pool: decoding register record %d: %w", rec.Seq, err)
+		if err := decodeRecord(rec, &st); err != nil {
+			return err
 		}
 		d, err := m.storedData(st.Rows, st.Targets)
 		if err != nil {
@@ -229,8 +255,8 @@ func (m *Market) applyRecordLocked(rec *wal.Record) error {
 		return nil
 	case recordTrade:
 		var tr tradeRecord
-		if err := json.Unmarshal(rec.Data, &tr); err != nil {
-			return fmt.Errorf("pool: decoding trade record %d: %w", rec.Seq, err)
+		if err := decodeRecord(rec, &tr); err != nil {
+			return err
 		}
 		if m.mkt == nil {
 			if len(m.sellers) == 0 {
@@ -249,8 +275,8 @@ func (m *Market) applyRecordLocked(rec *wal.Record) error {
 		return nil
 	case recordJoin:
 		var jr joinRecord
-		if err := json.Unmarshal(rec.Data, &jr); err != nil {
-			return fmt.Errorf("pool: decoding join record %d: %w", rec.Seq, err)
+		if err := decodeRecord(rec, &jr); err != nil {
+			return err
 		}
 		if m.mkt == nil {
 			return fmt.Errorf("pool: join record %d before trading began: %w", rec.Seq,
@@ -269,8 +295,8 @@ func (m *Market) applyRecordLocked(rec *wal.Record) error {
 		return nil
 	case recordBudget:
 		var br budgetRecord
-		if err := json.Unmarshal(rec.Data, &br); err != nil {
-			return fmt.Errorf("pool: decoding budget record %d: %w", rec.Seq, err)
+		if err := decodeRecord(rec, &br); err != nil {
+			return err
 		}
 		if m.ledger == nil {
 			return fmt.Errorf("pool: budget record %d replayed into a market without a privacy budget", rec.Seq)
@@ -291,8 +317,8 @@ func (m *Market) applyRecordLocked(rec *wal.Record) error {
 		return nil
 	case recordLeave:
 		var lr leaveRecord
-		if err := json.Unmarshal(rec.Data, &lr); err != nil {
-			return fmt.Errorf("pool: decoding leave record %d: %w", rec.Seq, err)
+		if err := decodeRecord(rec, &lr); err != nil {
+			return err
 		}
 		idx := -1
 		for i, sel := range m.sellers {
@@ -317,7 +343,7 @@ func (m *Market) applyRecordLocked(rec *wal.Record) error {
 		m.rosterEpoch = lr.Epoch
 		return nil
 	default:
-		return fmt.Errorf("pool: unknown wal record kind %q (record %d)", rec.Kind, rec.Seq)
+		return fmt.Errorf("pool: unknown wal record kind %q (record %d): %w", rec.Kind, rec.Seq, wal.ErrCorrupt)
 	}
 }
 
@@ -357,35 +383,29 @@ func (m *Market) commitWal(l *wal.Log, seq uint64) {
 }
 
 // maybeCompactLocked folds the WAL into a fresh snapshot and truncates the
-// segment once it crosses the pool's record-count or byte threshold
-// (writeMu held), bounding boot-time replay. The snapshot records the
-// covered watermark (WalSeq) so a reboot never replays compacted records.
+// segment once it is as large as the market's snapshot file and at least
+// the pool's floor (writeMu held). The trigger makes compaction cost
+// proportional to the log: the snapshot it writes is at most the previous
+// one plus what the log gained, so about twice that gain. The snapshot
+// records the covered watermark (WalSeq), so a reboot never replays
+// compacted records.
 func (m *Market) maybeCompactLocked() {
-	l := m.log
-	if l == nil {
+	if m.log == nil || m.log.Size() < max(m.p.compactFloor, m.snapBytes) {
 		return
 	}
-	if l.Records() < m.p.compactRecords && l.Size() < m.p.compactBytes {
+	if err := m.checkpointLocked(); err != nil {
+		m.p.logf("pool: market %q: compaction: %v", m.id, err)
 		return
 	}
-	if err := writeSnapshotFile(m.snapshotPath(), m.snapshotLocked()); err != nil {
-		m.p.logf("pool: market %q: compaction snapshot: %v", m.id, err)
-		return
-	}
-	if err := l.Reset(); err != nil {
-		m.p.logf("pool: market %q: truncating wal after compaction: %v", m.id, err)
-		return
-	}
-	m.p.logf("pool: market %q: compacted wal into snapshot (seq %d)", m.id, l.LastSeq())
+	m.p.logf("pool: market %q: compacted wal into snapshot (seq %d)", m.id, m.log.LastSeq())
 }
 
-// checkpoint persists the market's snapshot to path and truncates its WAL
-// under one write-lock hold, so no record committed between the two steps
-// can be lost to the truncation (SaveAll's shutdown path).
-func (m *Market) checkpoint(path string) error {
-	m.writeMu.Lock()
-	defer m.writeMu.Unlock()
-	if err := writeSnapshotFile(path, m.snapshotLocked()); err != nil {
+// checkpointLocked persists the market's snapshot and then truncates its
+// WAL (writeMu held), so no record committed between the two steps can be
+// lost to the truncation: compaction, and SaveAll's shutdown path. The
+// snapshot's rename is durable before the truncation starts.
+func (m *Market) checkpointLocked() error {
+	if err := m.writeSnapshotLocked(m.snapshotLocked()); err != nil {
 		return err
 	}
 	if m.log != nil {
@@ -394,6 +414,13 @@ func (m *Market) checkpoint(path string) error {
 		}
 	}
 	return nil
+}
+
+// checkpoint is checkpointLocked under the market's write lock.
+func (m *Market) checkpoint() error {
+	m.writeMu.Lock()
+	defer m.writeMu.Unlock()
+	return m.checkpointLocked()
 }
 
 // closeLog flushes and closes the market's WAL segment, if open.

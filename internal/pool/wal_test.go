@@ -16,15 +16,24 @@ import (
 )
 
 // fastWalOptions builds pool options tuned for WAL tests: persistence into
-// dir, a cheap weight update so trades take milliseconds, and compaction
-// pushed out of the way unless a test lowers it.
+// dir and a cheap weight update so trades take milliseconds. Their logs stay
+// far below the compaction floor, so a test compacts with compactNow.
 func fastWalOptions(dir string) Options {
 	opts := quietOptions()
 	opts.SnapshotDir = dir
 	opts.Update = &market.WeightUpdate{Retain: 0.2, Permutations: 2, TruncateTol: 0.005}
-	opts.CompactRecords = 1 << 20
-	opts.CompactBytes = 1 << 40
 	return opts
+}
+
+// compactNow runs m's compaction step — snapshot, then truncate the log —
+// at once, as crossing the trigger does.
+func compactNow(t *testing.T, m *Market) {
+	t.Helper()
+	m.writeMu.Lock()
+	defer m.writeMu.Unlock()
+	if err := m.checkpointLocked(); err != nil {
+		t.Fatalf("compacting market %q: %v", m.id, err)
+	}
 }
 
 // canonicalState renders everything a restored market must reproduce —
@@ -596,22 +605,27 @@ func TestDurabilityModes(t *testing.T) {
 	p2.Close()
 }
 
-// TestWALCompaction: crossing the record threshold folds the log into a
-// snapshot and truncates the segment, and the snapshot's watermark stops a
-// reboot from double-replaying compacted records.
+// TestWALCompaction: compaction folds the log into a snapshot and truncates
+// the segment, and the snapshot's watermark stops a reboot from
+// double-replaying compacted records.
 func TestWALCompaction(t *testing.T) {
 	dir := t.TempDir()
 	opts := fastWalOptions(dir)
-	opts.CompactRecords = 4
 	p := New(opts)
 	m, err := p.Create(Spec{ID: "cpt"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	register(t, m, 2)        // 2 records
-	for i := 0; i < 3; i++ { // crosses the 4-record threshold
+	register(t, m, 2) // 2 records
+	for i := 0; i < 3; i++ {
 		if _, err := m.Trade(context.Background(), demoBuyer(90+float64(i), 0.8), nil, nil); err != nil {
 			t.Fatal(err)
+		}
+		if i == 1 { // the 4th record
+			compactNow(t, m)
+			if n := m.log.Records(); n != 0 {
+				t.Fatalf("compaction left %d records in the segment", n)
+			}
 		}
 	}
 	want := canonicalState(t, m)

@@ -21,7 +21,7 @@ func TestSellerShapleyBuilderMatchesTMCForOLS(t *testing.T) {
 	if err != nil {
 		t.Fatalf("builder estimator: %v", err)
 	}
-	kernel, err := SellerShapleyKernelCtx(ctx, chunks, test, 400, 0, 3, 2)
+	kernel, err := SellerShapleyKernelCtx(ctx, chunks, evalMoments(t, test), 400, 0, 3, 2)
 	if err != nil {
 		t.Fatalf("kernel: %v", err)
 	}

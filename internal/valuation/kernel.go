@@ -17,10 +17,12 @@ import (
 
 // momentKernel is the moment-cached valuation engine for OLS products.
 // Loaded once per trading round, it precomputes every seller chunk's Gram
-// sufficient statistics and the test set's centered evaluation moments, so
-// one permutation-prefix step costs O(k²) to merge a chunk, O(k³) to refit,
-// and O(k²) to score — independent of chunk rows and test-set size. The
-// seed-era estimator paid O(rows·k²) per merge and O(n_test·k) per score.
+// sufficient statistics and scores coalitions against the test set's
+// centered evaluation moments, which the caller computes once per test set,
+// so one permutation-prefix step costs O(k²) to merge a chunk, O(k³) to
+// refit, and O(k²) to score — independent of chunk rows and test-set size.
+// The seed-era estimator paid O(rows·k²) per merge and O(n_test·k) per
+// score.
 //
 // A kernel is reusable: load refreshes it for a new round over the buffers
 // of the previous one, and the per-worker scratch survives with it.
@@ -36,7 +38,7 @@ type momentKernel struct {
 // an existing kernel, recomputing the per-chunk moments in their own
 // buffers. Empty chunks yield zero moments and merge as no-ops, matching
 // the row-streaming estimator's treatment of zero-allocation sellers.
-func (kn *momentKernel) load(chunks []*dataset.Dataset, test *dataset.Dataset) error {
+func (kn *momentKernel) load(chunks []*dataset.Dataset, eval *regress.EvalMoments) error {
 	m := len(chunks)
 	if m == 0 {
 		return errors.New("valuation: no seller chunks")
@@ -51,12 +53,8 @@ func (kn *momentKernel) load(chunks []*dataset.Dataset, test *dataset.Dataset) e
 	if k == 0 {
 		return errors.New("valuation: all seller chunks are empty")
 	}
-	if test.Len() == 0 {
-		return errors.New("valuation: empty test set")
-	}
-	eval, err := regress.NewEvalMoments(test)
-	if err != nil {
-		return fmt.Errorf("valuation: caching test-set moments: %w", err)
+	if eval == nil {
+		return errors.New("valuation: no test-set moments")
 	}
 	kn.eval, kn.m, kn.k = eval, m, k
 	kn.moments = grow(kn.moments, m)
@@ -174,13 +172,15 @@ func (kn *momentKernel) scan(sc *kernelScratch, perm []int, credit []float64, gr
 // SellerShapleyKernelCtx is the trade-round estimator for OLS products: the
 // moment-cached kernel's permutation scan run through the seeded fan-out, so
 // the result depends only on (seed, permutations), bit-identically for
-// every worker count. permutations ≤ 0 uses the paper's 100; workers ≤ 0
-// uses GOMAXPROCS. Cancellation follows fanout.run.
-func SellerShapleyKernelCtx(ctx context.Context, chunks []*dataset.Dataset, test *dataset.Dataset, permutations int, truncateTol float64, seed int64, workers int) ([]float64, error) {
+// every worker count. eval holds the test set's moments
+// (regress.NewEvalMoments), which a market computes once for its fixed test
+// set. permutations ≤ 0 uses the paper's 100; workers ≤ 0 uses GOMAXPROCS.
+// Cancellation follows fanout.run.
+func SellerShapleyKernelCtx(ctx context.Context, chunks []*dataset.Dataset, eval *regress.EvalMoments, permutations int, truncateTol float64, seed int64, workers int) ([]float64, error) {
 	st := fanouts.Get()
 	defer st.release()
 	kn := &st.kernel
-	if err := kn.load(chunks, test); err != nil {
+	if err := kn.load(chunks, eval); err != nil {
 		return nil, err
 	}
 	return kn.shapley(ctx, st, permutations, truncateTol, seed, workers)
@@ -190,11 +190,11 @@ func SellerShapleyKernelCtx(ctx context.Context, chunks []*dataset.Dataset, test
 // returns each seller's pairwise redundancy computed from the very Gram
 // sufficient statistics the kernel already cached for the round — the
 // similarity signal costs no extra pass over seller data.
-func SellerShapleyKernelRedundancyCtx(ctx context.Context, chunks []*dataset.Dataset, test *dataset.Dataset, permutations int, truncateTol float64, seed int64, workers int) (sv, redundancy []float64, err error) {
+func SellerShapleyKernelRedundancyCtx(ctx context.Context, chunks []*dataset.Dataset, eval *regress.EvalMoments, permutations int, truncateTol float64, seed int64, workers int) (sv, redundancy []float64, err error) {
 	st := fanouts.Get()
 	defer st.release()
 	kn := &st.kernel
-	if err := kn.load(chunks, test); err != nil {
+	if err := kn.load(chunks, eval); err != nil {
 		return nil, nil, err
 	}
 	sv, err = kn.shapley(ctx, st, permutations, truncateTol, seed, workers)

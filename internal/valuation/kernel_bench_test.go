@@ -46,9 +46,10 @@ func BenchmarkSellerShapley(b *testing.B) {
 			}
 		})
 		b.Run("kernel/"+label, func(b *testing.B) {
+			eval := evalMoments(b, test)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := SellerShapleyKernelCtx(context.Background(), chunks, test, p.perms, 0, 1, 1); err != nil {
+				if _, err := SellerShapleyKernelCtx(context.Background(), chunks, eval, p.perms, 0, 1, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -61,11 +62,12 @@ func BenchmarkSellerShapley(b *testing.B) {
 // host all widths coincide; the outputs are bitwise identical regardless.
 func BenchmarkSellerShapleyWorkers(b *testing.B) {
 	chunks, test := benchChunks(b, 100, 60)
+	eval := evalMoments(b, test)
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := SellerShapleyKernelCtx(context.Background(), chunks, test, 100, 0, 1, w); err != nil {
+				if _, err := SellerShapleyKernelCtx(context.Background(), chunks, eval, 100, 0, 1, w); err != nil {
 					b.Fatal(err)
 				}
 			}

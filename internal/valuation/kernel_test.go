@@ -7,6 +7,7 @@ import (
 
 	"share/internal/dataset"
 	"share/internal/product"
+	"share/internal/regress"
 	"share/internal/stat"
 )
 
@@ -54,7 +55,7 @@ func requireKernelMatchesSeedPath(t *testing.T, chunks []*dataset.Dataset, test 
 	want := seedPathOracle(t, chunks, test, perms, tol, seed)
 	var first []float64
 	for _, workers := range []int{1, 2, 8} {
-		sv, err := SellerShapleyKernelCtx(context.Background(), chunks, test, perms, tol, seed, workers)
+		sv, err := SellerShapleyKernelCtx(context.Background(), chunks, evalMoments(t, test), perms, tol, seed, workers)
 		if err != nil {
 			t.Fatalf("kernel workers=%d: %v", workers, err)
 		}
@@ -115,7 +116,7 @@ func TestKernelCancellation(t *testing.T) {
 	chunks, test := kernelFixture(t, 8, 20, 100, 22)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SellerShapleyKernelCtx(ctx, chunks, test, 200, 0, 1, 4); err == nil {
+	if _, err := SellerShapleyKernelCtx(ctx, chunks, evalMoments(t, test), 200, 0, 1, 4); err == nil {
 		t.Error("canceled kernel returned no error")
 	}
 	if _, err := SellerShapleyBuilderParallelCtx(ctx, chunks, test, product.OLS{}, 200, 0, 1, 4); err == nil {
@@ -125,13 +126,13 @@ func TestKernelCancellation(t *testing.T) {
 
 func TestKernelValidation(t *testing.T) {
 	chunks, test := kernelFixture(t, 4, 10, 50, 23)
-	if _, err := SellerShapleyKernelCtx(context.Background(), nil, test, 10, 0, 1, 2); err == nil {
+	if _, err := SellerShapleyKernelCtx(context.Background(), nil, evalMoments(t, test), 10, 0, 1, 2); err == nil {
 		t.Error("accepted no chunks")
 	}
-	if _, err := SellerShapleyKernelCtx(context.Background(), chunks, &dataset.Dataset{}, 10, 0, 1, 2); err == nil {
-		t.Error("accepted empty test set")
+	if _, err := SellerShapleyKernelCtx(context.Background(), chunks, nil, 10, 0, 1, 2); err == nil {
+		t.Error("accepted no test-set moments")
 	}
-	if _, err := SellerShapleyKernelCtx(context.Background(), []*dataset.Dataset{{}, {}}, test, 10, 0, 1, 2); err == nil {
+	if _, err := SellerShapleyKernelCtx(context.Background(), []*dataset.Dataset{{}, {}}, evalMoments(t, test), 10, 0, 1, 2); err == nil {
 		t.Error("accepted all-empty chunks")
 	}
 }
@@ -186,7 +187,7 @@ func TestParallelDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	var first []float64
 	for _, workers := range []int{1, 2, 4, 16} {
-		sv, err := SellerShapleyKernelCtx(context.Background(), chunks, test, 40, 0, 77, workers)
+		sv, err := SellerShapleyKernelCtx(context.Background(), chunks, evalMoments(t, test), 40, 0, 77, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -210,7 +211,7 @@ func TestParallelMatchesSequentialEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SellerShapleyKernelCtx(context.Background(), chunks, test, 400, 0, 3, 4)
+	par, err := SellerShapleyKernelCtx(context.Background(), chunks, evalMoments(t, test), 400, 0, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestParallelTruncationStillRanks(t *testing.T) {
 		t.Fatal(err)
 	}
 	chunks := append([]*dataset.Dataset{clean}, parts...)
-	sv, err := SellerShapleyKernelCtx(context.Background(), chunks, test, 60, 0.01, 9, 0)
+	sv, err := SellerShapleyKernelCtx(context.Background(), chunks, evalMoments(t, test), 60, 0.01, 9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,16 +249,17 @@ func TestParallelValidation(t *testing.T) {
 	_, test := cleanAndNoisy(5, 0, 54)
 	train, _ := cleanAndNoisy(4, 0, 55)
 	chunks, _ := dataset.PartitionEqual(train, 2)
+	eval := evalMoments(t, test)
 	for _, tc := range []struct {
 		name   string
 		chunks []*dataset.Dataset
-		test   *dataset.Dataset
+		eval   *regress.EvalMoments
 	}{
-		{"no chunks", nil, test},
-		{"empty test set", chunks, &dataset.Dataset{}},
-		{"all-empty chunks", []*dataset.Dataset{{}, {}}, test},
+		{"no chunks", nil, eval},
+		{"no test-set moments", chunks, nil},
+		{"all-empty chunks", []*dataset.Dataset{{}, {}}, eval},
 	} {
-		sv, red, err := SellerShapleyKernelRedundancyCtx(context.Background(), tc.chunks, tc.test, 10, 0, 1, 2)
+		sv, red, err := SellerShapleyKernelRedundancyCtx(context.Background(), tc.chunks, tc.eval, 10, 0, 1, 2)
 		if err == nil {
 			t.Errorf("accepted %s", tc.name)
 		}

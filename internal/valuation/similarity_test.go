@@ -128,11 +128,11 @@ func TestKernelRedundancyMatchesShapley(t *testing.T) {
 	test := rowsDataset(x[90:], y[90:])
 
 	const seed, perms = 42, 16
-	sv, err := SellerShapleyKernelCtx(context.Background(), chunks, test, perms, 0, seed, 2)
+	sv, err := SellerShapleyKernelCtx(context.Background(), chunks, evalMoments(t, test), perms, 0, seed, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv2, red, err := SellerShapleyKernelRedundancyCtx(context.Background(), chunks, test, perms, 0, seed, 2)
+	sv2, red, err := SellerShapleyKernelRedundancyCtx(context.Background(), chunks, evalMoments(t, test), perms, 0, seed, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"share/internal/dataset"
 	"share/internal/product"
+	"share/internal/regress"
 	"share/internal/stat"
 )
 
@@ -137,12 +138,12 @@ func TestPerWorkerStreamsMatchPerPermutationRngs(t *testing.T) {
 			}
 			ctx := context.Background()
 			for _, workers := range []int{1, 2, 8} {
-				sv, err := SellerShapleyKernelCtx(ctx, chunks, test, perms, tc.kernelTol, seed, workers)
+				sv, err := SellerShapleyKernelCtx(ctx, chunks, evalMoments(t, test), perms, tc.kernelTol, seed, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
 				requireBitIdentical(t, "SellerShapleyKernelCtx", sv, kernelWant)
-				sv, _, err = SellerShapleyKernelRedundancyCtx(ctx, chunks, test, perms, tc.kernelTol, seed, workers)
+				sv, _, err = SellerShapleyKernelRedundancyCtx(ctx, chunks, evalMoments(t, test), perms, tc.kernelTol, seed, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -166,11 +167,26 @@ func equalBits(a, b []float64) bool {
 	return len(a) == len(b)
 }
 
-// newMomentKernel is a fresh kernel loaded with chunks and test.
+// newMomentKernel is a fresh kernel loaded with chunks and test's moments.
 func newMomentKernel(chunks []*dataset.Dataset, test *dataset.Dataset) (*momentKernel, error) {
+	eval, err := regress.NewEvalMoments(test)
+	if err != nil {
+		return nil, err
+	}
 	kn := new(momentKernel)
-	if err := kn.load(chunks, test); err != nil {
+	if err := kn.load(chunks, eval); err != nil {
 		return nil, err
 	}
 	return kn, nil
+}
+
+// evalMoments returns test's evaluation moments, failing the test when it
+// has none.
+func evalMoments(tb testing.TB, test *dataset.Dataset) *regress.EvalMoments {
+	tb.Helper()
+	eval, err := regress.NewEvalMoments(test)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return eval
 }

@@ -145,7 +145,7 @@ func TestSellerShapleyIdentifiesGoodSeller(t *testing.T) {
 		t.Fatalf("PartitionEqual: %v", err)
 	}
 	chunks = append(chunks, parts...)
-	sv, err := SellerShapleyKernelCtx(context.Background(), chunks, test, 40, 0, 11, 1)
+	sv, err := SellerShapleyKernelCtx(context.Background(), chunks, evalMoments(t, test), 40, 0, 11, 1)
 	if err != nil {
 		t.Fatalf("SellerShapleyKernelCtx: %v", err)
 	}

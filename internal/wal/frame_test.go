@@ -203,6 +203,86 @@ func TestAppendFramesMatchMarshal(t *testing.T) {
 	}
 }
 
+// TestEnvelopeMatchesUnmarshal pins replay's envelope parse to
+// json.Unmarshal into Record, over generated records and every one-byte
+// deletion, insertion and replacement of a few of them. Whenever Unmarshal
+// reads a payload that re-marshals to itself with a kind Append accepts —
+// the only payloads Append writes — the envelope parse accepts it and
+// agrees on seq, kind and data.
+// Whenever the parse accepts a payload whose VALUE is valid JSON, Unmarshal
+// agrees too. Any other payload the parse refuses is a layout Append never
+// writes, and a VALUE that is not JSON is the consumer's to refuse.
+func TestEnvelopeMatchesUnmarshal(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	kinds := append([]string{"", "A-z_0.9 ~!#$%'()*+,/:;=?@[]^`{|}"}, poolKinds...)
+	seqs := []uint64{1, 9, 10, 42, 1 << 32, math.MaxUint64}
+	check := func(p []byte) (accepted bool) {
+		t.Helper()
+		seq, kind, data, ok := envelope(p)
+		var rec Record
+		err := json.Unmarshal(p, &rec)
+		if err == nil && !ok && plainKind(rec.Kind) {
+			if again, _ := json.Marshal(rec); bytes.Equal(again, p) {
+				t.Fatalf("envelope refused %q, which Unmarshal reads and re-marshals unchanged", p)
+			}
+		}
+		if !ok || !json.Valid(data) {
+			return ok
+		}
+		if err != nil {
+			t.Fatalf("envelope accepted %q, which Unmarshal refuses: %v", p, err)
+		}
+		if rec.Seq != seq || rec.Kind != string(kind) || !bytes.Equal(rec.Data, data) {
+			t.Fatalf("envelope read %q as %d %q %q, Unmarshal as %d %q %q", p, seq, kind, data, rec.Seq, rec.Kind, rec.Data)
+		}
+		return true
+	}
+	var bases [][]byte
+	for i := 0; i < 600; i++ {
+		data, err := json.Marshal(genPayload(rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := json.Marshal(Record{Seq: seqs[i%len(seqs)], Kind: kinds[i%len(kinds)], Data: data})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !check(p) {
+			t.Fatalf("envelope refused the marshaled record %q", p)
+		}
+		if len(bases) < 4 && len(p) < 300 {
+			bases = append(bases, p)
+		}
+	}
+	bases = append(bases, []byte(`{"seq":7,"kind":"p","data":{"n":1,"s":"x"}}`), []byte(`{"seq":100,"kind":"trade","data":null}`))
+	inserts := []byte(` 0-"\\{}[],:.ex`)
+	mutants, accepted := 0, 0
+	for _, base := range bases {
+		for i := 0; i <= len(base); i++ {
+			var variants [][]byte
+			if i < len(base) {
+				variants = append(variants, append(append([]byte(nil), base[:i]...), base[i+1:]...))
+			}
+			for _, c := range inserts {
+				ins := append(append(append([]byte(nil), base[:i]...), c), base[i:]...)
+				variants = append(variants, ins)
+				if i < len(base) && base[i] != c {
+					rep := append([]byte(nil), base...)
+					rep[i] = c
+					variants = append(variants, rep)
+				}
+			}
+			for _, v := range variants {
+				mutants++
+				if check(v) {
+					accepted++
+				}
+			}
+		}
+	}
+	t.Logf("%d mutants, %d accepted by the envelope parse", mutants, accepted)
+}
+
 // TestAppendRefusesEscapedKind: the record prefix is written by hand, so a
 // kind JSON would escape, like a value JSON cannot encode, is refused
 // before anything reaches the segment.

@@ -7,13 +7,22 @@
 //
 //	[4B little-endian payload length][4B little-endian CRC32-IEEE][payload]
 //
-// where payload is the JSON encoding of Record. The CRC covers the payload
-// only; a record whose length or checksum does not verify marks the end of
-// the readable prefix. Open truncates everything past that prefix — the
-// torn-final-record case after a crash mid-append — so replay always sees a
-// clean sequence of fully committed records. A length that runs past the
-// end of the file is such a torn tail too, so replay reads every frame into
-// one buffer no larger than the file's largest record.
+// where payload is the JSON encoding of Record, always in the one layout
+// Append writes: {"seq":N,"kind":"K","data":VALUE}. The CRC covers the
+// payload only; a record whose length or checksum does not verify marks the
+// end of the readable prefix. Open truncates everything past that prefix —
+// the torn-final-record case after a crash mid-append — so replay always
+// sees a clean sequence of fully committed records. A length that runs past
+// the end of the file is such a torn tail too, so replay reads every frame
+// into one buffer no larger than the file's largest record.
+//
+// Replay. A checksummed frame is read, not decoded: replay takes seq and
+// kind straight from the payload's envelope and hands VALUE to the caller
+// as Record.Data, copied out of the frame buffer but never run through
+// encoding/json. A payload in any other layout, or a seq that does not
+// increase, is ErrCorrupt. Whether VALUE is valid JSON, and whether it
+// decodes into the kind's payload, is the caller's check: its one decode
+// is the only one a record gets.
 //
 // Group commit. Append encodes the value once, straight into the frame it
 // buffers — the payload is assembled around the encoded value, never
@@ -33,12 +42,14 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"sync"
@@ -124,8 +135,9 @@ const maxRecordBytes = 64 << 20
 var ErrClosed = errors.New("wal: log closed")
 
 // ErrCorrupt marks a segment whose checksummed frames are not a valid log:
-// a record that does not decode, or a sequence number that does not
-// increase. Open and Scan wrap it; a torn tail is not corruption.
+// a payload outside the record layout, or a sequence number that does not
+// increase. Open and Scan wrap it; a torn tail is not corruption. A Replay
+// callback that cannot decode a record's data wraps it too.
 var ErrCorrupt = errors.New("wal: corrupt segment")
 
 // Log is one append-only segment file. Safe for concurrent use.
@@ -160,7 +172,10 @@ type Log struct {
 
 // Open opens (creating if absent) the segment at path, replays every intact
 // record through opts.Replay, truncates any torn tail, and starts the
-// syncer goroutine. The caller must Close the returned log.
+// syncer goroutine. The caller must Close the returned log. Open does not
+// sync the segment's directory: a caller that may have created the file
+// syncs the directory before it relies on a commit, so the file's name
+// survives a crash as its records do.
 func Open(path string, opts Options) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -221,9 +236,11 @@ func Open(path string, opts Options) (*Log, error) {
 // frame that is incomplete or fails its checksum, returning the clean
 // prefix length. A length prefix past the bytes left in the file is such an
 // incomplete frame, so the one payload buffer every frame is read into
-// never outgrows the file. A CRC-valid record that does not decode, or one
-// whose sequence number does not increase, is a format error, not a torn
-// tail: the error wraps ErrCorrupt.
+// never outgrows the file. A CRC-valid payload outside the record layout,
+// or one whose sequence number does not increase, is a format error, not a
+// torn tail: the error wraps ErrCorrupt. Each record's Data is a copy of
+// its VALUE bytes, so fn may keep the record while the payload buffer is
+// reused for the next frame.
 func scan(f *os.File, fn func(*Record, int64) error) (lastSeq uint64, clean int64, err error) {
 	fi, err := f.Stat()
 	if err != nil {
@@ -236,6 +253,7 @@ func scan(f *os.File, fn func(*Record, int64) error) (lastSeq uint64, clean int6
 	r := bufio.NewReader(f)
 	var hdr [headerSize]byte
 	var payload []byte
+	var kindStr string // the last record's kind, kept while kinds repeat
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
@@ -261,24 +279,69 @@ func scan(f *os.File, fn func(*Record, int64) error) (lastSeq uint64, clean int6
 		if crc32.ChecksumIEEE(payload) != sum {
 			return lastSeq, clean, nil // corrupt record: end of trusted prefix
 		}
-		// Unmarshal copies Data and Kind out of payload, so the next frame
-		// may reuse the buffer.
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return lastSeq, clean, fmt.Errorf("%w: record at offset %d: %w", ErrCorrupt, clean, err)
+		seq, kind, data, ok := envelope(payload)
+		if !ok {
+			return lastSeq, clean, fmt.Errorf("%w: record at offset %d is not {\"seq\":N,\"kind\":\"K\",\"data\":VALUE}", ErrCorrupt, clean)
 		}
-		if rec.Seq <= lastSeq {
-			return lastSeq, clean, fmt.Errorf("%w: record at offset %d: sequence %d not above %d", ErrCorrupt, clean, rec.Seq, lastSeq)
+		if seq <= lastSeq {
+			return lastSeq, clean, fmt.Errorf("%w: record at offset %d: sequence %d not above %d", ErrCorrupt, clean, seq, lastSeq)
+		}
+		if string(kind) != kindStr {
+			kindStr = string(kind)
 		}
 		end := clean + headerSize + ln
 		if fn != nil {
-			if err := fn(&rec, end); err != nil {
+			if err := fn(&Record{Seq: seq, Kind: kindStr, Data: bytes.Clone(data)}, end); err != nil {
 				return lastSeq, clean, err
 			}
 		}
-		lastSeq = rec.Seq
+		lastSeq = seq
 		clean = end
 	}
+}
+
+// envelope splits a record payload in the layout framer writes,
+// {"seq":N,"kind":"K","data":VALUE}, into its sequence number, kind and
+// VALUE bytes. N is a decimal uint64 as JSON writes it, K a kind Append
+// accepts, and VALUE non-empty without surrounding whitespace; VALUE itself
+// is not examined. ok is false for any other payload.
+func envelope(p []byte) (seq uint64, kind, data []byte, ok bool) {
+	rest, found := bytes.CutPrefix(p, []byte(`{"seq":`))
+	if !found {
+		return 0, nil, nil, false
+	}
+	i := 0
+	for ; i < len(rest) && '0' <= rest[i] && rest[i] <= '9'; i++ {
+		d := uint64(rest[i] - '0')
+		if seq > (math.MaxUint64-d)/10 {
+			return 0, nil, nil, false
+		}
+		seq = seq*10 + d
+	}
+	if i == 0 || (i > 1 && rest[0] == '0') {
+		return 0, nil, nil, false
+	}
+	if rest, found = bytes.CutPrefix(rest[i:], []byte(`,"kind":"`)); !found {
+		return 0, nil, nil, false
+	}
+	end := bytes.IndexByte(rest, '"')
+	if end < 0 || !plainKind(string(rest[:end])) {
+		return 0, nil, nil, false
+	}
+	kind = rest[:end]
+	if rest, found = bytes.CutPrefix(rest[end:], []byte(`","data":`)); !found {
+		return 0, nil, nil, false
+	}
+	if data, found = bytes.CutSuffix(rest, closing); !found || len(data) == 0 ||
+		jsonSpace(data[0]) || jsonSpace(data[len(data)-1]) {
+		return 0, nil, nil, false
+	}
+	return seq, kind, data, true
+}
+
+// jsonSpace reports whether c is whitespace JSON allows between tokens.
+func jsonSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
 }
 
 // Scan reads every intact record of the segment at path without opening it
