@@ -28,7 +28,7 @@ test:
 # reused (also with two markets trading interleaved and concurrently, and
 # with rounds alternating per-round solver overrides), the
 # free list that hands that scratch between goroutines, the in-place
-# LDP mechanisms to the copying loop they replaced, and every row-major
+# Laplace mechanism to the copying loop it replaced, and every row-major
 # Dataset operation to the one-slice-per-row layout it replaced, under the
 # race detector; the solver-backend pass pins cross-backend
 # agreement, the Jacobi determinism guarantee and the Stage-3 τ-boundary
@@ -64,7 +64,9 @@ test:
 # for 10 s, and as the data of one CRC-valid record after a traded
 # market's log for 10 s, requiring data the pool cannot decode to be
 # refused as wal.ErrCorrupt and every market that restores to answer a
-# quote and a trade within a watchdog's bound; and the serve-smoke
+# quote and a trade within a watchdog's bound (each fuzz pass spends at
+# most 1 s minimizing a new input, not Go's default 60 s, so it keeps
+# fuzzing for its 10 s); and the serve-smoke
 # end-to-end pass
 # rides along so the gate also
 # exercises the live server lifecycle (boot, /v2 markets, trade, metrics,
@@ -77,9 +79,9 @@ race: vet
 	$(GO) test -race -run 'TestMarketsAreIsolated|TestDeleteDrainsInFlightRounds|TestBatchQuoteDeterminism|TestWALTortureRecovery|TestWALTortureBudgetRecovery|TestParentEraBudgetLogRestores|TestConcurrentTradesGroupCommit|TestAdmissionRejectsWhenQueueFull|TestAdmissionQueueWaitsForSlot|TestAdmissionQueuedTradeHonorsContext|TestCloseSealsPoolAgainstStragglers|TestAsyncCloseFlushesTail|TestChurnQuoteIsolation|TestChurnSurvivesCheckpoint|TestExhaustedTradesLeaveQuotesUndisturbed|TestPublishedViewStaysImmutable|TestSellerBytesOnDiskMatchParent|TestConcurrentQuotesDuringChurn|TestTradeBytesPerRound|TestViewsBindTheCommittedGame|TestLeaveQuotesSurviveReboot|TestSpecSurvivesReboot|TestWALCompaction|TestCompactionOutputBoundedByLog' -count=1 ./internal/pool
 	$(GO) test -race -run 'TestOverloadIsolationAcrossMarkets|TestDrainAnswers503|TestQuoteScratchDoesNotLeak' -count=1 ./internal/httpapi
 	$(GO) test -race -run 'TestConcurrentGroupCommit|TestTornTailTruncatedAtEveryOffset|TestAppendFramesMatchMarshal|TestEnvelopeMatchesUnmarshal|TestCorruptLengthAllocatesOnlyTheFile' -count=1 ./internal/wal
-	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 10s ./internal/wal
-	$(GO) test -run '^$$' -fuzz FuzzRestoreSnapshot -fuzztime 10s ./internal/pool
-	$(GO) test -run '^$$' -fuzz FuzzReplayRecord -fuzztime 10s ./internal/pool
+	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
+	$(GO) test -run '^$$' -fuzz FuzzRestoreSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/pool
+	$(GO) test -run '^$$' -fuzz FuzzReplayRecord -fuzztime 10s -fuzzminimizetime 1s ./internal/pool
 	$(MAKE) serve-smoke
 
 # Statement coverage for every package, failing if internal/solve — the
@@ -96,30 +98,24 @@ cover:
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
-# Go benchmarks (figures, ablations, valuation kernel, trade rounds,
-# solvers) plus the machine-readable reports, all under bench_out/:
-# BENCH_PR3.json (the moment-cached Shapley kernel in isolation and through
-# a full trade round; the seed-era estimator's rows in the committed file
-# are no longer re-measured — `go test -bench BenchmarkSellerShapley
-# ./internal/valuation` still times it against the kernel), BENCH_PR4.json
-# (per-round solve latency of the analytic, mean-field and general
-# backends), BENCH_PR6.json (trade throughput and commit latency of the
-# sync / group-commit / async WAL) and BENCH_PR8.json (the general
-# backend's cold and warm-chained cascade across loss functions, against
-# the committed BENCH_PR4.json numbers).
+# Go benchmarks: figures, ablations, the valuation kernel, trade rounds and
+# solvers. The per-PR probe reports these replaced are kept, values
+# unchanged, in bench_out/history.json; served numbers come from sharebench/.
 bench:
 	$(GO) test -bench=. -benchmem ./...
-	$(GO) run ./cmd/share-bench -fig none -out bench_out -bench-pr3 -bench-pr4 -bench-pr6 -bench-pr8
 
-# Re-run the general-backend probes and fail on a >25% regression against
-# the committed bench_out/BENCH_PR8.json trajectory.
+# The same-binary ratio benchmarks: the general cascade against its
+# pre-optimization oracle (internal/core), incremental roster re-preparation
+# against a fresh Precompute (internal/solve) and a budgeted trade against
+# a budget-free twin (internal/pool). Each runs both sides in one process,
+# takes the min of several runs and fails when its ratio misses its bound,
+# so the gate does not depend on the machine's absolute speed.
 bench-compare:
-	sh scripts/bench_compare.sh
+	$(GO) test -run '^$$' -bench '^BenchmarkRatio' -benchtime 1x ./internal/core ./internal/solve ./internal/pool
 
-# Regenerate every evaluation figure (full scale, ~30 s) into bench_out_full/,
-# plus BENCH.json with the solver/sweep performance probes.
+# Regenerate every evaluation figure (full scale, ~30 s) into bench_out_full/.
 figures:
-	$(GO) run ./cmd/share-bench -out bench_out_full -report -bench
+	$(GO) run ./cmd/share-bench -out bench_out_full -report
 
 # Fast smoke regeneration (~5 s) into bench_out/.
 figures-quick:

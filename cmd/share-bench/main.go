@@ -13,32 +13,16 @@
 //
 // Usage:
 //
-//	share-bench [-out DIR] [-fig NAME] [-seed N] [-m N] [-workers N] [-quick] [-plot] [-bench]
+//	share-bench [-out DIR] [-fig NAME] [-seed N] [-m N] [-workers N] [-quick] [-plot]
 //
 // -fig selects a single figure ("2a", "3", "7", "mf", "ablation", "vcg",
-// "welfare", "2c-emp", "avn"); the default "all" regenerates everything and
-// "none" nothing. An unknown name exits 2 with the accepted list.
+// "welfare", "2c-emp", "avn"); the default "all" regenerates everything.
+// An unknown name exits 2 with the accepted list.
 // -quick shrinks the Fig. 3 corpus and m sweep for a fast smoke run;
 // -plot additionally renders each figure as an ASCII chart.
 // -workers sets the sweep fan-out (0 = GOMAXPROCS, 1 = sequential); every
 // figure CSV is byte-identical regardless of the setting — workers only
-// change wall-clock. -bench additionally runs the performance probes and
-// writes BENCH.json (ns/op, allocs/op and headline speedups for the cached
-// solver, the parallel sweep engine and the Jacobi Nash sweep).
-// -bench-pr3 runs the valuation-kernel probes and writes BENCH_PR3.json
-// (the moment-cached Shapley kernel in isolation, plus the kernel
-// end-to-end through a trade round); combine with -fig none to skip figure
-// regeneration.
-// -bench-pr4 runs the solve-backend probes and writes BENCH_PR4.json
-// (per-round equilibrium latency of the analytic, mean-field and general
-// backends at m ∈ {100, 1000}).
-// -bench-pr6 runs the durability probes and writes BENCH_PR6.json (trade
-// throughput and commit latency of the write-ahead log in sync,
-// group-commit and async modes, at m ∈ {20, 100}).
-// -bench-pr8 runs the general-backend probes and writes BENCH_PR8.json
-// (per-round latency of the numerical cascade, cold and warm-chained, for
-// the quadratic, alternative and cubic losses at m ∈ {100, 1000}, against
-// the committed BENCH_PR4.json numbers).
+// change wall-clock.
 // -solver re-renders the sensitivity sweeps (Figs. 4–8) under a different
 // equilibrium backend (analytic | meanfield | general); the default analytic
 // backend reproduces every CSV byte-for-byte.
@@ -66,7 +50,7 @@ func main() {
 
 	var (
 		outDir  = flag.String("out", "bench_out", "output directory for CSV files")
-		fig     = flag.String("fig", "all", "figure to regenerate (2a,2b,2c,3,3a,3b,4..8,mf,ablation,avn,all; none = no figures)")
+		fig     = flag.String("fig", "all", "figure to regenerate (2a,2b,2c,3,3a,3b,4..8,mf,ablation,avn,all)")
 		seed    = flag.Int64("seed", experiments.DefaultSeed, "random seed")
 		m       = flag.Int("m", core.PaperM, "number of sellers for the analytic figures")
 		quick   = flag.Bool("quick", false, "shrink the efficiency sweep for a fast run")
@@ -74,11 +58,6 @@ func main() {
 		plots   = flag.Bool("plot", false, "render each figure as an ASCII chart on stdout")
 		report  = flag.Bool("report", false, "also write REPORT.md embedding every figure as an ASCII chart")
 		workers = flag.Int("workers", 0, "sweep fan-out width (0 = GOMAXPROCS, 1 = sequential; output is identical)")
-		bench   = flag.Bool("bench", false, "run performance probes and write BENCH.json")
-		bench3  = flag.Bool("bench-pr3", false, "run valuation-kernel probes and write BENCH_PR3.json")
-		bench4  = flag.Bool("bench-pr4", false, "run solve-backend probes and write BENCH_PR4.json")
-		bench6  = flag.Bool("bench-pr6", false, "run durability-mode probes and write BENCH_PR6.json")
-		bench8  = flag.Bool("bench-pr8", false, "run general-backend probes and write BENCH_PR8.json")
 		solver  = flag.String("solver", "", "equilibrium backend for the sensitivity sweeps: analytic | meanfield | general (empty = analytic)")
 	)
 	flag.Parse()
@@ -98,38 +77,12 @@ func main() {
 	if err := run(*outDir, figure, *seed, *m, *workers, *quick, *warm, *plots, *report); err != nil {
 		log.Fatal(err)
 	}
-	if *bench {
-		if err := writeBenchJSON(*outDir, *workers, *seed); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *bench3 {
-		if err := writeBenchPR3(*outDir, *workers, *seed); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *bench4 {
-		if err := writeBenchPR4(*outDir, *workers, *seed); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *bench6 {
-		if err := writeBenchPR6(*outDir, *seed); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *bench8 {
-		if err := writeBenchPR8(*outDir, *workers, *seed); err != nil {
-			log.Fatal(err)
-		}
-	}
 }
 
 // figureNames lists every -fig value run regenerates something for, plus
-// "all" and "none" (no figures, for runs that only write probe reports).
-// Keep it in step with the want calls in run.
+// "all". Keep it in step with the want calls in run.
 var figureNames = []string{
-	"all", "none",
+	"all",
 	"2", "fig2", "2a", "2b", "2c",
 	"3", "fig3", "3a", "3b",
 	"4", "fig4", "5", "fig5", "6", "fig6", "7", "fig7", "8", "fig8",

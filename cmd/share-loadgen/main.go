@@ -19,7 +19,7 @@
 //	share-loadgen [-addr URL] [-out DIR] [-markets N] [-sellers N]
 //	              [-quote-workers N] [-trade-workers N] [-churn N]
 //	              [-duration D] [-quote-rate R] [-batch N] [-trade-queue N]
-//	              [-trade-concurrency N] [-seed N] [-bench-pr9] [-bench-pr10]
+//	              [-trade-concurrency N] [-seed N]
 //
 // With no -addr the tool self-hosts an in-process server on a loopback
 // listener (with a cheap weight update so trades are fast); point -addr at
@@ -30,22 +30,7 @@
 // tight loop, so the quote percentiles are measured against a roster that
 // never stops moving. Results — per-phase latency percentiles, throughput,
 // trade rejection rates, churn counts, the quote-p99 degradation ratio and
-// the server's own admission counters — are written to DIR/BENCH_PR7.json.
-//
-// -bench-pr9 runs a different experiment entirely: in-process probes of the
-// incremental roster re-preparation (Prepared.Reprepare) against a fresh
-// from-scratch Precompute at m = 100 and m = 1000, written to
-// DIR/BENCH_PR9.json. The run exits non-zero unless the incremental path is
-// at least 10x faster at m = 1000 and the post-churn prices agree with the
-// fresh solve to 1e-9.
-//
-// -bench-pr10 probes the per-seller privacy-budget ledger: identical trade
-// scripts against a budget-free market and a generously budgeted twin
-// (pinned seeds, so the rounds do identical work) measure the ledger's
-// check-and-charge overhead on the trade path, and an ε-starved market
-// proves the exhaustion refusal engages. Results go to DIR/BENCH_PR10.json;
-// the run exits non-zero if the overhead exceeds 5% or any starved trade
-// slips through.
+// the server's own admission counters — are written to DIR/loadgen.json.
 package main
 
 import (
@@ -73,7 +58,7 @@ func main() {
 
 	var (
 		addr      = flag.String("addr", "", "server base URL (empty = self-host an in-process server)")
-		outDir    = flag.String("out", "bench_out", "output directory for BENCH_PR7.json")
+		outDir    = flag.String("out", "bench_out", "output directory for loadgen.json")
 		markets   = flag.Int("markets", 4, "number of markets to create and load")
 		sellers   = flag.Int("sellers", 4, "sellers registered per market")
 		rows      = flag.Int("rows", 1500, "synthetic rows per seller (sets per-trade cost)")
@@ -90,22 +75,8 @@ func main() {
 		conc      = flag.Int("trade-concurrency", 1, "per-market in-flight trade cap (spec override)")
 		churnW    = flag.Int("churn", 1, "roster-churn workers per market (loaded phase; 0 disables)")
 		seed      = flag.Int64("seed", 1, "server seed (self-hosted only)")
-		benchPR9  = flag.Bool("bench-pr9", false, "run the incremental-vs-fresh re-precompute probes and write BENCH_PR9.json instead of the load phases")
-		benchPR10 = flag.Bool("bench-pr10", false, "run the privacy-budget ledger overhead and exhaustion probes and write BENCH_PR10.json instead of the load phases")
 	)
 	flag.Parse()
-	if *benchPR9 {
-		if err := runBenchPR9(*outDir); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *benchPR10 {
-		if err := runBenchPR10(*outDir); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	if *markets < 1 || *sellers < 1 || *quoteW < 1 || *tradeW < 1 || *burst < 1 {
 		log.Fatal("-markets, -sellers, -quote-workers, -trade-workers and -trade-burst must all be at least 1")
 	}
@@ -148,7 +119,7 @@ func main() {
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		log.Fatalf("creating %s: %v", *outDir, err)
 	}
-	path := filepath.Join(*outDir, "BENCH_PR7.json")
+	path := filepath.Join(*outDir, "loadgen.json")
 	f, err := os.Create(path)
 	if err != nil {
 		log.Fatal(err)
@@ -265,7 +236,7 @@ type marketCounters struct {
 	Rejected uint64 `json:"trades_rejected"`
 }
 
-// report is the BENCH_PR7.json document.
+// report is the loadgen.json document.
 type report struct {
 	GoMaxProcs int                       `json:"gomaxprocs"`
 	Config     config                    `json:"config"`

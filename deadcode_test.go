@@ -15,10 +15,10 @@ import (
 // unreachedExports lists the exported functions and methods under internal/
 // that no non-test file references, each with the reason it stays. Test
 // helpers that another package's tests call must live in a non-test file,
-// because a _test.go file cannot export to another package. The Gaussian
-// LDP mechanism is dead code still waiting for deletion.
+// because a _test.go file cannot export to another package.
 var unreachedExports = map[string]string{
-	"internal/ldp.NewGaussian":                "unreached; ROADMAP item 11 deletes it with its tests",
+	"internal/core.(*Game).AlternativeLoss":   "solve's TestStage3GameNilLossMatchesSellerProfit builds a loss-form Stage-3 game with it",
+	"internal/core.(*Game).CubicLoss":         "solve's TestGeneralWarmChainConsistent gives the general backend a non-quadratic loss with it",
 	"internal/core.(*Game).FirstOrder":        "the root integration test checks the first-order conditions with it",
 	"internal/experiments.(*Series).ArgMaxX":  "the root integration test reads figure optima with it",
 	"internal/market.Load":                    "the root integration test round-trips Market.Save through it",

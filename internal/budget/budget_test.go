@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -258,5 +259,133 @@ func TestSpentOfUnknownSeller(t *testing.T) {
 	}
 	if l.Spent("nobody") != 0 || l.Budget("nobody") != 2.5 {
 		t.Fatalf("unknown seller spent/budget = %v/%v", l.Spent("nobody"), l.Budget("nobody"))
+	}
+}
+
+// TestCompositionProperty drives generated charge sequences through both
+// rules, under the default and an explicit δ′, and holds the ledger to a
+// model that recomputes each seller's composed total from the ε it was
+// charged. Each sequence either charges only the rounds Check admits, as
+// a trade does, or charges every round verbatim, as replay does. Draws
+// cover ε = 0, negatives (skipped), micro-ε (what a served trade spends),
+// the paper's scale and values whose ε·(e^ε − 1) term passes ampCap.
+func TestCompositionProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	draw := func() float64 {
+		switch rng.Intn(6) {
+		case 0:
+			return 0
+		case 1:
+			return -5 * rng.Float64()
+		case 2:
+			return 1e-6 * rng.Float64()
+		case 3:
+			return 5 * rng.Float64()
+		case 4:
+			return 40 + 1e3*rng.Float64()
+		default:
+			return 1e9
+		}
+	}
+	ids := []string{"a", "b", "c", "d"}
+	for trial := 0; trial < 400; trial++ {
+		cfg := Config{
+			Epsilon:     []float64{1e-6, 1e-3, 0.5, 5, 100}[rng.Intn(5)],
+			Composition: []Composition{"", Basic, Advanced}[rng.Intn(3)],
+			Delta:       []float64{0, 1e-9, 1e-3, 0.5}[rng.Intn(4)],
+		}
+		admitted := rng.Intn(2) == 0
+		l, err := NewLedger(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta := cfg.Delta
+		if delta == 0 {
+			delta = DefaultDelta
+		}
+		// The model: running sums in charge order, and whether any drift
+		// term has reached ampCap.
+		type sums struct {
+			eps, sq, amp float64
+			capped       bool
+		}
+		model := map[string]sums{}
+		add := func(s sums, eps float64) sums {
+			if eps > 0 {
+				s.eps += eps
+				s.sq += eps * eps
+				s.amp += min(eps*math.Expm1(eps), ampCap)
+				s.capped = s.capped || eps*math.Expm1(eps) >= ampCap
+			}
+			return s
+		}
+		composed := func(s sums) float64 {
+			if cfg.Composition == Advanced {
+				return math.Sqrt(2*math.Log(1/delta)*s.sq) + s.amp
+			}
+			return s.eps
+		}
+		for round := 0; round < 40; round++ {
+			batch := rng.Perm(len(ids))[:1+rng.Intn(len(ids))]
+			rIDs := make([]string, len(batch))
+			rEps := make([]float64, len(batch))
+			for i, j := range batch {
+				rIDs[i], rEps[i] = ids[j], draw()
+				if rng.Intn(8) == 0 {
+					// The basic rule's exact headroom: spending the budget
+					// to the last bit is admitted.
+					rEps[i] = cfg.Epsilon - model[ids[j]].eps
+				}
+			}
+			before := map[string]float64{}
+			for _, id := range ids {
+				before[id] = l.Spent(id)
+			}
+
+			refused := ""
+			for i, id := range rIDs {
+				if rEps[i] > 0 && composed(add(model[id], rEps[i])) > cfg.Epsilon {
+					refused = id
+					break
+				}
+			}
+			err := l.Check(rIDs, rEps)
+			var ee *ExhaustedError
+			switch {
+			case refused == "" && err != nil:
+				t.Fatalf("trial %d round %d: Check(%v, %v) = %v, model admits", trial, round, rIDs, rEps, err)
+			case refused != "" && (!errors.As(err, &ee) || ee.SellerID != refused):
+				t.Fatalf("trial %d round %d: Check(%v, %v) = %v, model refuses %s", trial, round, rIDs, rEps, err, refused)
+			}
+			if admitted && err != nil {
+				continue
+			}
+			l.Charge(rIDs, rEps)
+			for i, id := range rIDs {
+				model[id] = add(model[id], rEps[i])
+			}
+
+			for _, id := range ids {
+				got, s := l.Spent(id), model[id]
+				if math.IsNaN(got) || math.IsInf(got, 0) || got < 0 || got < before[id] {
+					t.Fatalf("trial %d round %d: seller %s spent %v after %v", trial, round, id, got, before[id])
+				}
+				if admitted && got > l.Budget(id) {
+					t.Fatalf("trial %d round %d: seller %s spent %v past its budget %v", trial, round, id, got, l.Budget(id))
+				}
+				switch {
+				case cfg.Composition != Advanced:
+					if got != s.eps {
+						t.Fatalf("trial %d round %d: seller %s spent %v, running sum %v", trial, round, id, got, s.eps)
+					}
+				case !s.capped:
+					// Uncapped, composed(s) is the closed form itself.
+					want := composed(s)
+					if math.Abs(got-want) > 1e-12*want {
+						t.Fatalf("trial %d round %d: seller %s spent %v, closed form %v", trial, round, id, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"share/internal/nash"
 	"share/internal/numeric"
@@ -216,5 +217,56 @@ func TestSolveGeneralStatsPopulated(t *testing.T) {
 	}
 	if stats.Stage3Solves <= 0 || stats.Stage3Sweeps < stats.Stage3Solves || stats.Stage3Time <= 0 {
 		t.Fatalf("implausible stats: %+v", stats)
+	}
+}
+
+// BenchmarkRatioGeneralVsBaseline gates the general cascade's speed-up over
+// solveGeneralBaseline at the paper's m = 100 (quadratic loss, PriceTol
+// 1e-4, default sequential Stage-3 sweeps). The two run alternately in one
+// process, so the ratio of their fastest runs does not drift with the
+// machine's speed as absolute ns/op do. Its floor is the 143x recorded at
+// m = 100 (bench_out/history.json, BENCH_PR8.json) divided by 1.25.
+func BenchmarkRatioGeneralVsBaseline(b *testing.B) {
+	const (
+		priceTol = 1e-4
+		pairs    = 3
+		fastRuns = 5 // per pair: the cascade is ~150x cheaper than the oracle
+		floor    = 114.0
+	)
+	g := PaperGame(100, stat.NewRand(20240601))
+	opt := GeneralOptions{Loss: g.QuadraticLoss(), PriceTol: priceTol}
+	pm, err := g.Stage1PM()
+	if err != nil {
+		b.Fatal(err)
+	}
+	timed := func(solve func() (*Profile, error)) time.Duration {
+		t0 := time.Now()
+		if _, err := solve(); err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(t0)
+	}
+	fast := func() (*Profile, error) { return g.SolveGeneral(opt) }
+	slow := func() (*Profile, error) {
+		return g.solveGeneralBaseline(context.Background(), opt, 4*pm, priceTol)
+	}
+	var minFast, minSlow time.Duration
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < pairs; k++ {
+			for r := 0; r < fastRuns; r++ {
+				if d := timed(fast); minFast == 0 || d < minFast {
+					minFast = d
+				}
+			}
+			if d := timed(slow); minSlow == 0 || d < minSlow {
+				minSlow = d
+			}
+		}
+	}
+	ratio := float64(minSlow) / float64(minFast)
+	b.ReportMetric(0, "ns/op")
+	b.ReportMetric(ratio, "speedup")
+	if ratio < floor {
+		b.Fatalf("general cascade %v vs baseline %v: %.1fx, want >= %.0fx", minFast, minSlow, ratio, floor)
 	}
 }

@@ -156,28 +156,3 @@ func TestLaplaceMechanismZeroEpsilonIsUniform(t *testing.T) {
 		}
 	}
 }
-
-func TestGaussianMechanism(t *testing.T) {
-	b, _ := NewBounds([]float64{0}, []float64{1})
-	if _, err := NewGaussian(b, 0); err == nil {
-		t.Error("NewGaussian accepted δ=0")
-	}
-	if _, err := NewGaussian(b, 1); err == nil {
-		t.Error("NewGaussian accepted δ=1")
-	}
-	mech, err := NewGaussian(b, 1e-5)
-	if err != nil {
-		t.Fatalf("NewGaussian: %v", err)
-	}
-	rng := stat.NewRand(3)
-	var sum float64
-	const n = 50_000
-	for i := 0; i < n; i++ {
-		out := []float64{0.3}
-		mech.Perturb(rng, out, 4)
-		sum += out[0]
-	}
-	if mean := sum / n; math.Abs(mean-0.3) > 0.05 {
-		t.Errorf("Gaussian mechanism mean = %v, want 0.3", mean)
-	}
-}

@@ -2,7 +2,6 @@ package ldp
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"share/internal/stat"
@@ -75,41 +74,5 @@ func (l *LaplaceMechanism) Perturb(rng *rand.Rand, record []float64, eps float64
 	for j, v := range record {
 		scale := l.bounds.Width(j) / perAttr
 		record[j] = v + stat.Laplace(rng, 0, scale)
-	}
-}
-
-// GaussianMechanism adds N(0, σ²) noise with σ = Δ·√(2·ln(1.25/δ))/ε,
-// providing (ε, δ)-LDP per attribute. It is offered as an alternative
-// mechanism (§3.1 lists it among the widely used ones); no binary builds it.
-type GaussianMechanism struct {
-	bounds Bounds
-	delta  float64
-}
-
-// NewGaussian constructs a Gaussian mechanism with failure probability delta
-// in (0, 1).
-func NewGaussian(b Bounds, delta float64) (*GaussianMechanism, error) {
-	if delta <= 0 || delta >= 1 {
-		return nil, fmt.Errorf("ldp: delta must be in (0,1), got %g", delta)
-	}
-	return &GaussianMechanism{bounds: b, delta: delta}, nil
-}
-
-// Attrs reports the attribute count the mechanism is calibrated for.
-func (g *GaussianMechanism) Attrs() int { return g.bounds.Attrs() }
-
-// Perturb implements Mechanism.
-func (g *GaussianMechanism) Perturb(rng *rand.Rand, record []float64, eps float64) {
-	if eps <= 0 {
-		for j := range record {
-			record[j] = stat.Uniform(rng, g.bounds.Lo[j], g.bounds.Hi[j])
-		}
-		return
-	}
-	perAttr := eps / float64(len(record))
-	c := math.Sqrt(2 * math.Log(1.25/g.delta))
-	for j, v := range record {
-		sigma := g.bounds.Width(j) * c / perAttr
-		record[j] = v + stat.Gaussian(rng, 0, sigma)
 	}
 }

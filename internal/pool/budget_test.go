@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"share/internal/budget"
 	"share/internal/market"
@@ -859,5 +860,70 @@ func TestReplaySkipsMalformedTradeRecords(t *testing.T) {
 				t.Fatalf("no warning names %s: %q", record, warnings)
 			}
 		})
+	}
+}
+
+// BenchmarkRatioBudgetOverhead gates what the per-seller ε ledger adds to
+// a trade: 400 trades alternate between a budget-free market and a twin
+// whose 1e18 budget never refuses. The twins share a seed and a roster,
+// and budget accounting draws no randomness, so both run the same rounds
+// and differ only by the ledger's check and charge. The fastest budgeted
+// trade may be at most 5% slower than the fastest budget-free one; the
+// minimum is immune to the GC pauses and preemptions a mean would carry.
+func BenchmarkRatioBudgetOverhead(b *testing.B) {
+	const (
+		sellers  = 4
+		rows     = 200
+		warmup   = 5
+		pairs    = 400
+		limitPct = 5.0
+	)
+	p := New(quietOptions())
+	defer p.Close()
+	seed := int64(7)
+	twin := func(spec Spec) *Market {
+		spec.Seed = &seed
+		m, err := p.Create(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for s := 0; s < sellers; s++ {
+			reg := Registration{ID: fmt.Sprintf("s%02d", s), Lambda: 0.25 + 0.1*float64(s), SyntheticRows: rows}
+			if _, err := m.RegisterSeller(reg); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return m
+	}
+	off := twin(Spec{ID: "off"})
+	on := twin(Spec{ID: "on", EpsilonBudget: fptr(1e18)})
+	buyer := demoBuyer(90, 0.8)
+	trade := func(m *Market) time.Duration {
+		t0 := time.Now()
+		if _, err := m.Trade(context.Background(), buyer, nil, nil); err != nil {
+			b.Fatalf("%s trade: %v", m.ID(), err)
+		}
+		return time.Since(t0)
+	}
+	for i := 0; i < warmup; i++ {
+		trade(off)
+		trade(on)
+	}
+	var minOff, minOn time.Duration
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < pairs; k++ {
+			if d := trade(off); minOff == 0 || d < minOff {
+				minOff = d
+			}
+			if d := trade(on); minOn == 0 || d < minOn {
+				minOn = d
+			}
+		}
+	}
+	overhead := (float64(minOn)/float64(minOff) - 1) * 100
+	b.ReportMetric(0, "ns/op")
+	b.ReportMetric(overhead, "overhead-%")
+	if overhead > limitPct {
+		b.Fatalf("budgeted trade %v vs budget-free %v: %+.2f%%, want <= %.0f%%", minOn, minOff, overhead, limitPct)
 	}
 }

@@ -151,10 +151,10 @@ echo "serve-smoke: running share-loadgen saturation phase"
 go run ./cmd/share-loadgen -out "$WORK/bench" -markets 2 -sellers 3 -rows 300 \
     -product ols -trade-n 800 -trade-burst 1 -trade-pause 100ms -duration 1s \
     >"$LOG" 2>&1 || fail "share-loadgen run failed (SLO or transport)"
-[ -s "$WORK/bench/BENCH_PR7.json" ] || fail "share-loadgen wrote no report"
-grep -q '"within_2x": true' "$WORK/bench/BENCH_PR7.json" \
+[ -s "$WORK/bench/loadgen.json" ] || fail "share-loadgen wrote no report"
+grep -q '"within_2x": true' "$WORK/bench/loadgen.json" \
     || fail "share-loadgen report missing SLO verdict"
-grep -q '"server_admission"' "$WORK/bench/BENCH_PR7.json" \
+grep -q '"server_admission"' "$WORK/bench/loadgen.json" \
     || fail "share-loadgen report missing admission counters"
 
 echo "serve-smoke: OK (quote, trade, metrics, v2 lifecycle, graceful shutdown, snapshot-dir restore, kill -9 WAL replay, loadgen saturation)"
