@@ -26,7 +26,9 @@ test:
 # every product's trade rounds to one result for every worker count, every
 # round's transactions to the digests recorded before round scratch was
 # reused (also with two markets trading interleaved and concurrently, and
-# with rounds alternating per-round solver overrides), the
+# with rounds alternating per-round solver overrides), every backend on a
+# churned market's committed game to a fresh Precompute of its roster, bit
+# for bit, over generated join/leave scripts, the
 # free list that hands that scratch between goroutines, the in-place
 # Laplace mechanism to the copying loop it replaced, and every row-major
 # Dataset operation to the one-slice-per-row layout it replaced, under the
@@ -37,7 +39,7 @@ test:
 # shared precomputed game to a Precompute of its own; the pool pass pins
 # per-market isolation, the delete-drain race, batch-quote determinism, the
 # WAL crash-recovery torture sweeps (trade-only, roster-churn and budgeted
-# histories, each now comparing the market's Info too), the
+# histories, each comparing the market's Info and served quotes too), the
 # restore of a log that paired each trade with a charge record, concurrent
 # group commit, the admission gate (reject / queue / cancel),
 # the terminal-close seal, the churn-vs-quote isolation of the
@@ -48,7 +50,8 @@ test:
 # profiles while churn republishes the view, what a persisted trade
 # allocates once each WAL record is encoded once, every view's backends
 # bound to the inner market's committed game, quotes that survive mid-life
-# leaves and a WAL-only reboot, a market's spec surviving a reboot, and
+# leaves and a reboot from the log, a SaveAll or a compaction, a market's
+# spec surviving a reboot, and
 # compaction at the log-size trigger (snapshot output within 3× the log
 # over a generated history, every reboot reproducing the live state),
 # under the race detector (allocation bounds are checked only without it);
@@ -74,7 +77,7 @@ test:
 # kill -9 WAL replay).
 race: vet
 	$(GO) test -race ./...
-	$(GO) test -race -run 'TestKernelEquivalence|TestPerWorkerStreamsMatchPerPermutationRngs|TestRunRoundShapleyIdenticalAcrossWorkers|TestRoundOutputsMatchParent|TestFreeListConcurrentOwnership|TestPerturbInPlace|TestLayoutMatchesRowSlices' -count=1 ./internal/valuation ./internal/market ./internal/parallel ./internal/ldp ./internal/dataset
+	$(GO) test -race -run 'TestKernelEquivalence|TestPerWorkerStreamsMatchPerPermutationRngs|TestRunRoundShapleyIdenticalAcrossWorkers|TestRoundOutputsMatchParent|TestChurnedMarketMatchesFreshMarket|TestFreeListConcurrentOwnership|TestPerturbInPlace|TestLayoutMatchesRowSlices' -count=1 ./internal/valuation ./internal/market ./internal/parallel ./internal/ldp ./internal/dataset
 	$(GO) test -race -run 'TestGeneralMatchesAnalytic|TestGeneralDeterministicAcrossWorkers|TestMapDeterministicAcrossWorkers|TestMeanFieldWithinTheoremBounds|TestSolveGeneralTau|TestSolveForMatchesCloneSolve|TestBindMatchesPrecompute' -count=1 ./internal/solve ./internal/core
 	$(GO) test -race -run 'TestMarketsAreIsolated|TestDeleteDrainsInFlightRounds|TestBatchQuoteDeterminism|TestWALTortureRecovery|TestWALTortureBudgetRecovery|TestParentEraBudgetLogRestores|TestConcurrentTradesGroupCommit|TestAdmissionRejectsWhenQueueFull|TestAdmissionQueueWaitsForSlot|TestAdmissionQueuedTradeHonorsContext|TestCloseSealsPoolAgainstStragglers|TestAsyncCloseFlushesTail|TestChurnQuoteIsolation|TestChurnSurvivesCheckpoint|TestExhaustedTradesLeaveQuotesUndisturbed|TestPublishedViewStaysImmutable|TestSellerBytesOnDiskMatchParent|TestConcurrentQuotesDuringChurn|TestTradeBytesPerRound|TestViewsBindTheCommittedGame|TestLeaveQuotesSurviveReboot|TestSpecSurvivesReboot|TestWALCompaction|TestCompactionOutputBoundedByLog' -count=1 ./internal/pool
 	$(GO) test -race -run 'TestOverloadIsolationAcrossMarkets|TestDrainAnswers503|TestQuoteScratchDoesNotLeak' -count=1 ./internal/httpapi
@@ -105,13 +108,12 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # The same-binary ratio benchmarks: the general cascade against its
-# pre-optimization oracle (internal/core), incremental roster re-preparation
-# against a fresh Precompute (internal/solve) and a budgeted trade against
-# a budget-free twin (internal/pool). Each runs both sides in one process,
+# pre-optimization oracle (internal/core) and a budgeted trade against a
+# budget-free twin (internal/pool). Each runs both sides in one process,
 # takes the min of several runs and fails when its ratio misses its bound,
 # so the gate does not depend on the machine's absolute speed.
 bench-compare:
-	$(GO) test -run '^$$' -bench '^BenchmarkRatio' -benchtime 1x ./internal/core ./internal/solve ./internal/pool
+	$(GO) test -run '^$$' -bench '^BenchmarkRatio' -benchtime 1x ./internal/core ./internal/pool
 
 # Regenerate every evaluation figure (full scale, ~30 s) into bench_out_full/.
 figures:

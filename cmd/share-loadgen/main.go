@@ -446,7 +446,7 @@ func runPhase(c *httpapi.Client, cfg config, phaseLen time.Duration, loaded bool
 
 // churnWorker cycles one transient seller through its market until the
 // deadline: join, breathe, leave, breathe. Against a trading market each
-// cycle drives the incremental Reprepare path twice while quote workers
+// cycle precomputes the game for a new roster twice while quote workers
 // read the copy-on-write views — the churn-vs-quote isolation story under
 // real HTTP load. Seller IDs carry the global worker index, so concurrent
 // churners in one market never collide.

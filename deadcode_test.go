@@ -18,7 +18,7 @@ import (
 // because a _test.go file cannot export to another package.
 var unreachedExports = map[string]string{
 	"internal/core.(*Game).AlternativeLoss":   "solve's TestStage3GameNilLossMatchesSellerProfit builds a loss-form Stage-3 game with it",
-	"internal/core.(*Game).CubicLoss":         "solve's TestGeneralWarmChainConsistent gives the general backend a non-quadratic loss with it",
+	"internal/core.(*Game).CubicLoss":         "core's general-cascade tests solve a non-quadratic loss with it",
 	"internal/core.(*Game).FirstOrder":        "the root integration test checks the first-order conditions with it",
 	"internal/experiments.(*Series).ArgMaxX":  "the root integration test reads figure optima with it",
 	"internal/market.Load":                    "the root integration test round-trips Market.Save through it",

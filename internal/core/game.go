@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"share/internal/translog"
 )
@@ -129,23 +128,7 @@ type sellerAgg struct {
 
 	sumInvLambda float64   // Σ 1/λᵢ
 	sumSqrtWL    float64   // Σ √(ωⱼ/λⱼ)
-	sqrtWL       []float64 // √(ωᵢλᵢ); sharing discipline governed by sqrtShared
-
-	// sqrtShared marks the sqrtWL backing array as visible to more than one
-	// game: Clone flips it (atomically — prototypes are cloned concurrently)
-	// and both parties keep the same flag. Roster churn splices an
-	// exclusively owned vector in place — the amortized-O(1) fast path — and
-	// falls back to copy-on-write with a fresh flag the moment the array is
-	// shared, so no clone ever observes another's mutation.
-	sqrtShared *atomic.Bool
-
-	// Roster-churn drift bookkeeping (see roster.go): churn counts the
-	// incremental join/leave adjustments applied since the last full
-	// aggregation, peakInv/peakSqrt the largest magnitude each running sum
-	// reached along the way — together they bound the accumulated rounding
-	// error of the incremental path.
-	churn             int
-	peakInv, peakSqrt float64
+	sqrtWL       []float64 // √(ωᵢλᵢ); written only by Precompute, then read-only
 }
 
 // Precompute validates the game and snapshots the seller-side aggregates,
@@ -164,11 +147,10 @@ func (g *Game) Precompute() error {
 	}
 	m := g.M()
 	a := &sellerAgg{
-		lambdaPtr:  &g.Sellers.Lambda[0],
-		weightPtr:  &g.Broker.Weights[0],
-		m:          m,
-		sqrtWL:     make([]float64, m),
-		sqrtShared: new(atomic.Bool),
+		lambdaPtr: &g.Sellers.Lambda[0],
+		weightPtr: &g.Broker.Weights[0],
+		m:         m,
+		sqrtWL:    make([]float64, m),
 	}
 	for _, l := range g.Sellers.Lambda {
 		a.sumInvLambda += 1 / l
@@ -177,7 +159,6 @@ func (g *Game) Precompute() error {
 		a.sumSqrtWL += math.Sqrt(w / g.Sellers.Lambda[j])
 		a.sqrtWL[j] = math.Sqrt(w * g.Sellers.Lambda[j])
 	}
-	a.peakInv, a.peakSqrt = a.sumInvLambda, a.sumSqrtWL
 	g.agg = a
 	return nil
 }
@@ -240,10 +221,8 @@ func (g *Game) Validate() error {
 // Clone returns a deep copy of the game (weights and sensitivities copied).
 // A valid Precompute snapshot carries over — the clone's seller data is
 // identical — which is what makes cloned sweeps over buyer parameters O(1)
-// per solve. The sqrtWL vector is shared read-only between the two games
-// (the shared flag keeps roster churn from splicing it under anyone — see
-// roster.go); mutating the clone's sellers through SetLambda/SetWeight
-// detaches it.
+// per solve. The sqrtWL vector is shared read-only between the two games;
+// mutating the clone's sellers through SetLambda/SetWeight detaches it.
 func (g *Game) Clone() *Game {
 	c := &Game{
 		Buyer: g.Buyer,
@@ -254,7 +233,6 @@ func (g *Game) Clone() *Game {
 		Sellers: Sellers{Lambda: append([]float64(nil), g.Sellers.Lambda...)},
 	}
 	if a := g.cached(); a != nil {
-		a.sqrtShared.Store(true)
 		ac := *a
 		ac.lambdaPtr = &c.Sellers.Lambda[0]
 		ac.weightPtr = &c.Broker.Weights[0]

@@ -111,14 +111,6 @@ type GeneralOptions struct {
 	// tolerances — intermediate probes run coarser per the bracket-width
 	// schedule and only the refits at the located prices pay full price.
 	Nash nash.Options
-	// WarmTau optionally seeds the first Stage-3 solve with an equilibrium
-	// profile from a previous round, solved at data price WarmPD. Golden
-	// probes are nested, so successive rounds' prices are close and the
-	// carried profile is usually within a sweep or two of the answer.
-	WarmTau []float64
-	// WarmPD is the data price WarmTau was solved at (required with
-	// WarmTau; the warm profile is rescaled by the price ratio).
-	WarmPD float64
 	// Stats, when non-nil, receives the solve's effort counters.
 	Stats *GeneralStats
 }
@@ -208,9 +200,6 @@ type generalState struct {
 	lastPM  float64
 	predErr float64
 
-	warmPD  float64
-	warmTau []float64
-
 	entries []*stage3Entry
 	pmEvals int
 	stats   GeneralStats
@@ -268,13 +257,12 @@ func (st *generalState) lookup(pd, tol float64, frozen int) *stage3Entry {
 }
 
 // startFor builds the warm-start profile for a Stage-3 solve at pd: the
-// τ-profile of the nearest previously probed price — the carried previous
-// round's profile counts as probe zero — rescaled by the price ratio
-// (exact for the quadratic loss, whose Eq. 20 fidelities are linear in
-// p^D below the clamp), else the quadratic closed form.
+// τ-profile of the nearest previously probed price, rescaled by the price
+// ratio (exact for the quadratic loss, whose Eq. 20 fidelities are linear
+// in p^D below the clamp), else the quadratic closed form.
 func (st *generalState) startFor(pd float64, frozen int) []float64 {
-	bestPD := st.warmPD
-	bestTau := st.warmTau
+	var bestPD float64
+	var bestTau []float64
 	for _, e := range st.entries[:frozen] {
 		if bestTau == nil || math.Abs(e.pd-pd) < math.Abs(bestPD-pd) {
 			bestPD, bestTau = e.pd, e.tau
@@ -533,11 +521,6 @@ func (g *Game) SolveGeneralInto(ctx context.Context, opt GeneralOptions, dst *Pr
 		loose:    loose,
 		mc:       g.ManufacturingCost(),
 		predErr:  math.Inf(1),
-		warmPD:   opt.WarmPD,
-		warmTau:  opt.WarmTau,
-	}
-	if st.warmTau != nil && len(st.warmTau) != g.M() {
-		return fmt.Errorf("core: warm-start profile has %d entries for %d sellers", len(st.warmTau), g.M())
 	}
 	workers := nopt.Workers
 

@@ -173,40 +173,6 @@ func (g *Game) solveGeneralBaseline(ctx context.Context, opt GeneralOptions, pmH
 	return p, nil
 }
 
-// Warm-starting from a neighboring round's profile must not move the
-// answer beyond the price-localization scatter, and must not cost extra
-// Stage-3 sweeps. The cubic loss is the interesting case: its closed-form
-// cold start is only approximate, so the carried profile genuinely
-// replaces iteration work (for the quadratic loss Stage3Tau is exact and
-// warm starts have nothing to improve).
-func TestSolveGeneralWarmStartAgreesWithCold(t *testing.T) {
-	g := PaperGame(10, stat.NewRand(5))
-	loss := g.CubicLoss()
-	var coldStats, warmStats GeneralStats
-	cold, err := g.SolveGeneral(GeneralOptions{Loss: loss, PriceTol: 1e-6, Stats: &coldStats})
-	if err != nil {
-		t.Fatalf("cold solve: %v", err)
-	}
-	warm, err := g.SolveGeneral(GeneralOptions{
-		Loss: loss, PriceTol: 1e-6,
-		WarmPD: cold.PD, WarmTau: cold.Tau,
-		Stats: &warmStats,
-	})
-	if err != nil {
-		t.Fatalf("warm solve: %v", err)
-	}
-	if d := math.Abs(warm.PM - cold.PM); d > 0.05*cold.PM {
-		t.Errorf("p^M moved by %g under warm start (cold %g)", d, cold.PM)
-	}
-	if d := math.Abs(warm.PD - cold.PD); d > 0.05*cold.PD {
-		t.Errorf("p^D moved by %g under warm start (cold %g)", d, cold.PD)
-	}
-	if warmStats.Stage3Sweeps > coldStats.Stage3Sweeps {
-		t.Errorf("warm start swept %d times vs cold's %d; want no more",
-			warmStats.Stage3Sweeps, coldStats.Stage3Sweeps)
-	}
-}
-
 // The stats sink must report the cascade's effort; a fresh solve performs
 // hundreds of Stage-3 solves, each at least one sweep.
 func TestSolveGeneralStatsPopulated(t *testing.T) {

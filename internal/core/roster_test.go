@@ -2,19 +2,38 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"share/internal/stat"
 )
 
-// freshTwin rebuilds a game from g's current slices and precomputes it from
-// scratch — the reference every incremental churn result is held against.
+// nextRoster builds the game for the roster after one change the way a
+// market does — a join appends (λ, ω) to capacity-capped slices, so the
+// append copies; a leave deletes seller idx from copies — and precomputes
+// it from scratch. g is left as it was. The game is returned with
+// Precompute's error, unprecomputed when that error is not nil.
+func nextRoster(g *Game, join bool, idx int, lambda, weight float64) (*Game, error) {
+	n := g.M()
+	next := &Game{Buyer: g.Buyer, Broker: Broker{Cost: g.Broker.Cost}}
+	if join {
+		next.Sellers.Lambda = append(g.Sellers.Lambda[:n:n], lambda)
+		next.Broker.Weights = append(g.Broker.Weights[:n:n], weight)
+	} else {
+		next.Sellers.Lambda = slices.Delete(slices.Clone(g.Sellers.Lambda), idx, idx+1)
+		next.Broker.Weights = slices.Delete(slices.Clone(g.Broker.Weights), idx, idx+1)
+	}
+	return next, next.Precompute()
+}
+
+// freshTwin rebuilds a game from copies of g's slices and precomputes it
+// from scratch — the reference every churned game is held against.
 func freshTwin(t *testing.T, g *Game) *Game {
 	t.Helper()
 	f := &Game{
 		Buyer:   g.Buyer,
-		Broker:  Broker{Cost: g.Broker.Cost, Weights: append([]float64(nil), g.Broker.Weights...)},
-		Sellers: Sellers{Lambda: append([]float64(nil), g.Sellers.Lambda...)},
+		Broker:  Broker{Cost: g.Broker.Cost, Weights: slices.Clone(g.Broker.Weights)},
+		Sellers: Sellers{Lambda: slices.Clone(g.Sellers.Lambda)},
 	}
 	if err := f.Precompute(); err != nil {
 		t.Fatalf("precomputing fresh twin: %v", err)
@@ -22,36 +41,51 @@ func freshTwin(t *testing.T, g *Game) *Game {
 	return f
 }
 
-func assertAgreesWithFresh(t *testing.T, g *Game, tol float64) {
+// sameProfile reports whether a and b agree bit for bit in PM, PD and τ.
+func sameProfile(a, b *Profile) bool {
+	if math.Float64bits(a.PM) != math.Float64bits(b.PM) ||
+		math.Float64bits(a.PD) != math.Float64bits(b.PD) || len(a.Tau) != len(b.Tau) {
+		return false
+	}
+	for i := range a.Tau {
+		if math.Float64bits(a.Tau[i]) != math.Float64bits(b.Tau[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func mustSolve(t *testing.T, g *Game, what string) *Profile {
+	t.Helper()
+	p, err := g.Solve()
+	if err != nil {
+		t.Fatalf("solving %s: %v", what, err)
+	}
+	return p
+}
+
+// assertAgreesWithFresh requires g's aggregates and equilibrium to equal
+// its fresh twin's bit for bit.
+func assertAgreesWithFresh(t *testing.T, g *Game) {
 	t.Helper()
 	f := freshTwin(t, g)
-	if d := math.Abs(g.SumInvLambda() - f.SumInvLambda()); d > tol*f.SumInvLambda() {
-		t.Fatalf("SumInvLambda drifted by %g (incremental %g, fresh %g)", d, g.SumInvLambda(), f.SumInvLambda())
+	if a, b := g.SumInvLambda(), f.SumInvLambda(); math.Float64bits(a) != math.Float64bits(b) {
+		t.Fatalf("SumInvLambda: churned %v, fresh %v", a, b)
 	}
-	if d := math.Abs(g.SumSqrtWeightOverLambda() - f.SumSqrtWeightOverLambda()); d > tol*f.SumSqrtWeightOverLambda() {
-		t.Fatalf("SumSqrtWeightOverLambda drifted by %g", d)
+	if a, b := g.SumSqrtWeightOverLambda(), f.SumSqrtWeightOverLambda(); math.Float64bits(a) != math.Float64bits(b) {
+		t.Fatalf("SumSqrtWeightOverLambda: churned %v, fresh %v", a, b)
 	}
-	gp, err := g.Solve()
-	if err != nil {
-		t.Fatalf("solving churned game: %v", err)
-	}
-	fp, err := f.Solve()
-	if err != nil {
-		t.Fatalf("solving fresh twin: %v", err)
-	}
-	if d := math.Abs(gp.PM - fp.PM); d > tol*math.Abs(fp.PM) {
-		t.Fatalf("PM disagrees after churn: incremental %g, fresh %g", gp.PM, fp.PM)
-	}
-	if d := math.Abs(gp.PD - fp.PD); d > tol*math.Abs(fp.PD) {
-		t.Fatalf("PD disagrees after churn: incremental %g, fresh %g", gp.PD, fp.PD)
-	}
-	for i := range gp.Tau {
-		if d := math.Abs(gp.Tau[i] - fp.Tau[i]); d > tol {
-			t.Fatalf("Tau[%d] disagrees after churn: incremental %g, fresh %g", i, gp.Tau[i], fp.Tau[i])
-		}
+	gp, fp := mustSolve(t, g, "churned game"), mustSolve(t, f, "fresh twin")
+	if !sameProfile(gp, fp) {
+		t.Fatalf("churned equilibrium (PM %v, PD %v) differs from fresh (PM %v, PD %v) or in τ", gp.PM, gp.PD, fp.PM, fp.PD)
 	}
 }
 
+// TestRosterChurnMatchesFreshPrecompute runs 200 random joins and leaves
+// from a 40-seller game. After every step the game for the new roster must
+// equal a fresh Precompute of copies of its slices bit for bit, and the
+// game it was built from, and a clone of that game sharing its precomputed
+// √(ωλ) vector, must still solve as they did before the step.
 func TestRosterChurnMatchesFreshPrecompute(t *testing.T) {
 	g := paperTestGame(t, 40, 11)
 	if err := g.Precompute(); err != nil {
@@ -59,118 +93,75 @@ func TestRosterChurnMatchesFreshPrecompute(t *testing.T) {
 	}
 	rng := stat.NewRand(23)
 	for step := 0; step < 200; step++ {
+		clone := g.Clone()
+		before := mustSolve(t, g, "the previous roster")
+		var next *Game
+		var err error
 		if g.M() > 2 && rng.Float64() < 0.4 {
-			if err := g.RemoveSellerAt(rng.Intn(g.M())); err != nil {
-				t.Fatalf("step %d: remove: %v", step, err)
-			}
+			next, err = nextRoster(g, false, rng.Intn(g.M()), 0, 0)
 		} else {
-			if err := g.AppendSeller(0.2+rng.Float64(), 0.5+rng.Float64()); err != nil {
-				t.Fatalf("step %d: append: %v", step, err)
-			}
+			next, err = nextRoster(g, true, 0, 0.2+rng.Float64(), 0.5+rng.Float64())
 		}
-		if !g.Precomputed() {
-			t.Fatalf("step %d: churn dropped the snapshot", step)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
-	}
-	assertAgreesWithFresh(t, g, 1e-9)
-}
-
-func TestRosterChurnWithoutSnapshot(t *testing.T) {
-	g := paperTestGame(t, 5, 3)
-	if err := g.AppendSeller(0.7, 1.2); err != nil {
-		t.Fatalf("append: %v", err)
-	}
-	if err := g.RemoveSellerAt(0); err != nil {
-		t.Fatalf("remove: %v", err)
-	}
-	if g.M() != 5 || len(g.Broker.Weights) != 5 {
-		t.Fatalf("roster size after churn: %d sellers, %d weights", g.M(), len(g.Broker.Weights))
-	}
-	if g.Precomputed() {
-		t.Fatal("churn on an un-precomputed game must not mint a snapshot")
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatalf("churned game invalid: %v", err)
+		if !next.Precomputed() {
+			t.Fatalf("step %d: the new roster's game has no snapshot", step)
+		}
+		assertAgreesWithFresh(t, next)
+		if !sameProfile(mustSolve(t, g, "the previous roster"), before) {
+			t.Fatalf("step %d: the roster change disturbed the previous game", step)
+		}
+		if !sameProfile(mustSolve(t, clone, "a clone of the previous roster"), before) {
+			t.Fatalf("step %d: the roster change disturbed a clone of the previous game", step)
+		}
+		g = next
 	}
 }
 
-func TestRosterChurnPreservesClones(t *testing.T) {
-	g := paperTestGame(t, 10, 7)
-	if err := g.Precompute(); err != nil {
-		t.Fatalf("precompute: %v", err)
-	}
-	clone := g.Clone()
-	before, err := clone.Solve()
-	if err != nil {
-		t.Fatalf("clone solve: %v", err)
-	}
-	if err := g.AppendSeller(0.9, 1.1); err != nil {
-		t.Fatalf("append: %v", err)
-	}
-	if err := g.RemoveSellerAt(2); err != nil {
-		t.Fatalf("remove: %v", err)
-	}
-	after, err := clone.Solve()
-	if err != nil {
-		t.Fatalf("clone solve after ancestor churn: %v", err)
-	}
-	if before.PM != after.PM || before.PD != after.PD {
-		t.Fatalf("ancestor churn disturbed a clone: PM %g→%g, PD %g→%g", before.PM, after.PM, before.PD, after.PD)
-	}
-	for i := range before.Tau {
-		if before.Tau[i] != after.Tau[i] {
-			t.Fatalf("ancestor churn disturbed clone Tau[%d]: %g→%g", i, before.Tau[i], after.Tau[i])
-		}
-	}
-}
-
+// TestRosterChurnRejectsBadInput: a roster change to an invalid roster — a
+// join with λ = 0, λ = +Inf or NaN, or ω = +Inf, or the last seller
+// leaving — is refused by the new game's Precompute, which leaves that game
+// without a snapshot and the game it was built from as it was.
 func TestRosterChurnRejectsBadInput(t *testing.T) {
 	g := paperTestGame(t, 3, 1)
 	if err := g.Precompute(); err != nil {
 		t.Fatalf("precompute: %v", err)
 	}
-	if err := g.AppendSeller(0, 1); err == nil {
-		t.Error("append with λ=0 accepted")
+	before := mustSolve(t, g, "the roster")
+	joins := []struct {
+		name           string
+		lambda, weight float64
+	}{
+		{"λ=0", 0, 1},
+		{"λ=+Inf", math.Inf(1), 1},
+		{"λ=NaN", math.NaN(), 1},
+		{"ω=+Inf", 1, math.Inf(1)},
 	}
-	if err := g.AppendSeller(1, math.Inf(1)); err == nil {
-		t.Error("append with ω=+Inf accepted")
+	for _, j := range joins {
+		next, err := nextRoster(g, true, 0, j.lambda, j.weight)
+		if err == nil {
+			t.Errorf("join with %s accepted", j.name)
+		}
+		if next.Precomputed() {
+			t.Errorf("join with %s left a snapshot on the refused game", j.name)
+		}
 	}
-	if err := g.RemoveSellerAt(-1); err == nil {
-		t.Error("remove at -1 accepted")
+	if g.M() != 3 || !g.Precomputed() || !sameProfile(mustSolve(t, g, "the roster"), before) {
+		t.Fatalf("refused joins disturbed the roster: m=%d, precomputed=%v", g.M(), g.Precomputed())
 	}
-	if err := g.RemoveSellerAt(3); err == nil {
-		t.Error("remove past the roster accepted")
+	last := g
+	for last.M() > 1 {
+		next, err := nextRoster(last, false, 0, 0, 0)
+		if err != nil {
+			t.Fatalf("leave at m=%d: %v", last.M(), err)
+		}
+		last = next
 	}
-	if g.M() != 3 {
-		t.Fatalf("rejected ops mutated the roster: m=%d", g.M())
-	}
-	if err := g.RemoveSellerAt(0); err != nil {
-		t.Fatalf("remove: %v", err)
-	}
-	if err := g.RemoveSellerAt(0); err != nil {
-		t.Fatalf("remove: %v", err)
-	}
-	if err := g.RemoveSellerAt(0); err == nil {
+	if _, err := nextRoster(last, false, 0, 0, 0); err == nil {
 		t.Error("removing the last seller accepted")
 	}
-}
-
-func TestRosterDriftFallbackRebuildsAggregates(t *testing.T) {
-	g := paperTestGame(t, 8, 5)
-	if err := g.Precompute(); err != nil {
-		t.Fatalf("precompute: %v", err)
+	if last.M() != 1 || !last.Precomputed() {
+		t.Fatalf("the refused leave disturbed the one-seller roster: m=%d, precomputed=%v", last.M(), last.Precomputed())
 	}
-	// Force the drift estimate over the tolerance: a churn counter this
-	// large makes est·peak exceed tol·sum for any realistic aggregates.
-	g.agg.churn = 1 << 40
-	if err := g.AppendSeller(0.8, 1.0); err != nil {
-		t.Fatalf("append: %v", err)
-	}
-	if g.agg == nil {
-		t.Fatal("drift fallback dropped the snapshot instead of rebuilding it")
-	}
-	if g.agg.churn != 0 {
-		t.Fatalf("drift fallback did not run a full Precompute: churn=%d", g.agg.churn)
-	}
-	assertAgreesWithFresh(t, g, 0) // a rebuilt snapshot is bit-identical
 }

@@ -147,7 +147,7 @@ func (c *Client) RegisterSellerIn(ctx context.Context, marketID string, reg Sell
 
 // RemoveSellerIn releases a seller from the named market's roster. Before
 // the market's first trade the seller is simply unregistered; mid-life the
-// market applies the incremental leave (the last seller cannot be removed).
+// market applies the leave (the last seller cannot be removed).
 func (c *Client) RemoveSellerIn(ctx context.Context, marketID, sellerID string) error {
 	return c.do(ctx, http.MethodDelete, c.marketPath(marketID, "/sellers/"+url.PathEscape(sellerID)), nil, nil)
 }

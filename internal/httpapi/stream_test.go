@@ -55,7 +55,7 @@ func TestRemoveSellerEndpoint(t *testing.T) {
 		t.Errorf("unknown seller envelope = %+v", e)
 	}
 
-	// Mid-life: trade, then release one of the survivors incrementally.
+	// Mid-life: trade, then release one of the survivors.
 	if resp, body := postJSON(t, ts.URL+"/v1/trades", Demand{N: 60, V: 0.8}); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("trade: %d (%s)", resp.StatusCode, body)
 	}

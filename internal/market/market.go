@@ -387,9 +387,9 @@ func (m *Market) SetWeights(w []float64) error {
 // bound to the validated, precomputed game over the current sellers and
 // weights. It is shared, not copied: callers may solve it with SolveFor,
 // Clone it, read its Game and Bind other backends to that game, but must
-// never call SetBuyer, Solve or Reprepare on it or write to the game. A
-// later round or roster change replaces the prototype instead of mutating
-// it, so a game handed out here stays valid for as long as it is held.
+// never call SetBuyer or Solve on it or write to the game. A later round or
+// roster change replaces the prototype instead of mutating it, so a game
+// handed out here stays valid for as long as it is held.
 func (m *Market) Prototype() solve.Prepared { return m.proto }
 
 // Ledger returns the recorded transactions in order. Every entry is a deep
@@ -457,12 +457,13 @@ func (m *Market) CostObservations() []translog.Observation {
 }
 
 // prototype builds the game over the given λ and weight vectors, keeping
-// both without a copy (the caller hands weights over; λ may be the
-// committed game's, which no game writes), precomputes it in place and
-// binds the market's backend to it. The game carries a placeholder buyer —
-// each round solves it for its own buyer with Prepared.SolveFor — and the
-// seller aggregates, so a round neither re-assembles and re-validates the
-// λ and ω slices nor copies the game.
+// both without a copy (the caller hands them over, or passes the committed
+// game's λ, which no game writes), precomputes it in place and binds the
+// market's backend to it. New, SetWeights, every round's commit and every
+// roster change prepare their game here. The game carries a placeholder
+// buyer — each round solves it for its own buyer with Prepared.SolveFor —
+// and the seller aggregates, so a round neither re-assembles and
+// re-validates the λ and ω slices nor copies the game.
 func (m *Market) prototype(lambdas, weights []float64) (solve.Prepared, error) {
 	g := &core.Game{
 		Buyer:   core.PaperBuyer(),

@@ -2,16 +2,16 @@ package market
 
 import (
 	"fmt"
-
-	"share/internal/solve"
+	"slices"
 )
 
-// Roster churn. A live market admits and releases sellers between rounds
-// without a from-scratch rebuild: each mutation stages a clone of the solver
-// prototype, re-prepares it incrementally (solve.RosterDelta — a rank-1
-// adjustment of the cached seller aggregates), and only on success swaps the
-// clone in together with the roster slices. A failed churn therefore leaves
-// the market byte-identical to before the call.
+// Roster churn. A live market admits and releases sellers between rounds:
+// each mutation builds the game for the next roster and precomputes it from
+// scratch (prototype), exactly as New and SetWeights do, and only on
+// success swaps it in together with the roster slices. A failed churn
+// therefore leaves the market byte-identical to before the call, and a
+// market restored over the same roster and weights serves the same quotes
+// bit for bit.
 //
 // Every mutation bumps the market's roster epoch. Transactions and snapshots
 // are stamped with the epoch they were written under, and the replay path
@@ -114,33 +114,28 @@ func (m *Market) checkEpoch(epoch uint64) error {
 	return nil
 }
 
-// applyJoin stages the incremental re-preparation and commits the roster
-// change at the given epoch.
+// applyJoin precomputes the game with s appended at the given weight and
+// commits the roster change at the given epoch.
 func (m *Market) applyJoin(s *Seller, weight float64, epoch uint64) error {
 	for _, have := range m.sellers {
 		if have.ID == s.ID {
 			return &RosterError{SellerID: s.ID, Msg: "already registered"}
 		}
 	}
-	staged := m.proto.Clone()
-	err := staged.Reprepare(solve.RosterDelta{
-		Epoch:  epoch,
-		Join:   true,
-		Index:  len(m.sellers),
-		Lambda: s.Lambda,
-		Weight: weight,
-	})
+	g := m.proto.Game()
+	n := len(m.sellers)
+	proto, err := m.prototype(append(g.Sellers.Lambda[:n:n], s.Lambda), append(g.Broker.Weights[:n:n], weight))
 	if err != nil {
-		return &RosterError{SellerID: s.ID, Msg: fmt.Sprintf("re-preparing solver: %v", err)}
+		return &RosterError{SellerID: s.ID, Msg: fmt.Sprintf("precomputing solver prototype: %v", err)}
 	}
 	m.sellers = append(m.sellers, s)
-	m.proto = staged
+	m.proto = proto
 	m.epoch = epoch
 	return nil
 }
 
-// applyLeave stages the incremental re-preparation and commits the removal
-// at the given epoch.
+// applyLeave precomputes the game without the identified seller and commits
+// the removal at the given epoch.
 func (m *Market) applyLeave(id string, epoch uint64) error {
 	idx := -1
 	for i, s := range m.sellers {
@@ -155,12 +150,14 @@ func (m *Market) applyLeave(id string, epoch uint64) error {
 	if len(m.sellers) == 1 {
 		return &RosterError{SellerID: id, Msg: "cannot remove the last seller"}
 	}
-	staged := m.proto.Clone()
-	if err := staged.Reprepare(solve.RosterDelta{Epoch: epoch, Index: idx}); err != nil {
-		return &RosterError{SellerID: id, Msg: fmt.Sprintf("re-preparing solver: %v", err)}
+	g := m.proto.Game()
+	lambdas := slices.Delete(slices.Clone(g.Sellers.Lambda), idx, idx+1)
+	proto, err := m.prototype(lambdas, slices.Delete(slices.Clone(g.Broker.Weights), idx, idx+1))
+	if err != nil {
+		return &RosterError{SellerID: id, Msg: fmt.Sprintf("precomputing solver prototype: %v", err)}
 	}
 	m.sellers = append(m.sellers[:idx:idx], m.sellers[idx+1:]...)
-	m.proto = staged
+	m.proto = proto
 	m.epoch = epoch
 	return nil
 }

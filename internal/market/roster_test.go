@@ -1,11 +1,15 @@
 package market
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
+	"share/internal/core"
 	"share/internal/dataset"
+	"share/internal/solve"
 	"share/internal/stat"
 	"share/internal/translog"
 )
@@ -17,10 +21,18 @@ func joiner(t *testing.T, id string, lambda float64, seed int64) *Seller {
 	return &Seller{ID: id, Lambda: lambda, Data: dataset.SyntheticCCPP(60, stat.NewRand(seed))}
 }
 
-// TestChurnedMarketMatchesFreshMarket is the PR's acceptance bound: after a
-// join and a leave, a quote from the churned market must agree with one from
-// a market freshly constructed over the identical roster (and weights) to
-// 1e-9 relative.
+// TestChurnedMarketMatchesFreshMarket: a churned market serves exactly what
+// a market built afresh over its roster and weights would. After a join and
+// a leave, a round must agree bit for bit with one from a market freshly
+// constructed over the identical roster and weights. Then generated scripts
+// of joins at random λ (live at the mean weight, or replayed at a random
+// one) and leaves at random indices run on rosters of 2–12 sellers; after
+// every step each backend bound to the committed game must solve bit for
+// bit like a Precompute of a game built from copies of the roster's λ and
+// weights (the general backend, a thousand times slower, at each script's
+// last step). Churn once adjusted the cached sums by one seller's terms, which
+// left them a few bits off a fresh build, so a market restored from a
+// snapshot served different prices than the live one.
 func TestChurnedMarketMatchesFreshMarket(t *testing.T) {
 	mkt, buyer := testMarket(t, 6, nil, 42)
 
@@ -67,22 +79,104 @@ func TestChurnedMarketMatchesFreshMarket(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fresh round: %v", err)
 	}
+	if d := diffPrices(tx.Profile, want.Profile); d != "" {
+		t.Errorf("round: churned vs fresh market: %s", d)
+	}
 
-	if d := math.Abs(tx.Profile.PM - want.Profile.PM); d > 1e-9*math.Abs(want.Profile.PM) {
-		t.Errorf("PM: churned %g vs fresh %g (Δ%g)", tx.Profile.PM, want.Profile.PM, d)
-	}
-	if d := math.Abs(tx.Profile.PD - want.Profile.PD); d > 1e-9*math.Abs(want.Profile.PD) {
-		t.Errorf("PD: churned %g vs fresh %g (Δ%g)", tx.Profile.PD, want.Profile.PD, d)
-	}
-	for i := range tx.Profile.Tau {
-		if d := math.Abs(tx.Profile.Tau[i] - want.Profile.Tau[i]); d > 1e-9 {
-			t.Errorf("Tau[%d]: churned %g vs fresh %g", i, tx.Profile.Tau[i], want.Profile.Tau[i])
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := stat.NewRand(seed)
+		mkt, buyer := testMarket(t, 2+rng.Intn(11), nil, seed)
+		w := make([]float64, mkt.M())
+		for i := range w {
+			w[i] = 0.2 + 1.8*rng.Float64()
+		}
+		if err := mkt.SetWeights(w); err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 12; step++ {
+			var err error
+			if n := mkt.M(); n > 2 && (n == 12 || rng.Intn(2) == 0) {
+				err = mkt.RemoveSeller(mkt.sellers[rng.Intn(n)].ID)
+			} else {
+				s := joiner(t, fmt.Sprintf("J%d", step), stat.UniformOpen(rng, 0, 1), 100*seed+int64(step))
+				if rng.Intn(2) == 0 {
+					_, err = mkt.AddSeller(s)
+				} else {
+					err = mkt.ApplyJoin(s, 0.2+1.8*rng.Float64(), mkt.Epoch()+1)
+				}
+			}
+			if err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			backends := []string{"analytic", "meanfield"}
+			if step == 11 {
+				backends = solve.Names()
+			}
+			assertServesFreshGame(t, mkt, buyer, backends, fmt.Sprintf("seed %d step %d (m=%d)", seed, step, mkt.M()))
 		}
 	}
 }
 
+// assertServesFreshGame solves buyer with each named backend bound to the
+// market's committed game and with a Precompute of a game built from copies
+// of the roster's λ and the market's weights, and requires PM, PD and τ to
+// agree bit for bit.
+func assertServesFreshGame(t *testing.T, mkt *Market, buyer core.Buyer, backends []string, what string) {
+	t.Helper()
+	lambdas := make([]float64, mkt.M())
+	for i, s := range mkt.sellers {
+		lambdas[i] = s.Lambda
+	}
+	fresh := &core.Game{
+		Buyer:   core.PaperBuyer(),
+		Broker:  core.Broker{Cost: mkt.cost, Weights: mkt.Weights()},
+		Sellers: core.Sellers{Lambda: lambdas},
+	}
+	ctx := context.Background()
+	for _, name := range backends {
+		b, err := solve.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := b.Precompute(fresh)
+		if err != nil {
+			t.Fatalf("%s: %s: Precompute of the fresh game: %v", what, name, err)
+		}
+		var want, got core.Profile
+		if err := ref.SolveFor(ctx, buyer, &want); err != nil {
+			t.Fatalf("%s: %s: fresh SolveFor: %v", what, name, err)
+		}
+		if err := b.Bind(mkt.Prototype().Game()).SolveFor(ctx, buyer, &got); err != nil {
+			t.Fatalf("%s: %s: committed SolveFor: %v", what, name, err)
+		}
+		if d := diffPrices(&got, &want); d != "" {
+			t.Errorf("%s: %s: churned vs fresh game: %s", what, name, d)
+		}
+	}
+}
+
+// diffPrices reports the first of PM, PD and τ where got and want differ
+// bit for bit, or "" when they are identical.
+func diffPrices(got, want *core.Profile) string {
+	switch {
+	case math.Float64bits(got.PM) != math.Float64bits(want.PM):
+		return fmt.Sprintf("PM %v, want %v", got.PM, want.PM)
+	case math.Float64bits(got.PD) != math.Float64bits(want.PD):
+		return fmt.Sprintf("PD %v, want %v", got.PD, want.PD)
+	case len(got.Tau) != len(want.Tau):
+		return fmt.Sprintf("%d fidelities, want %d", len(got.Tau), len(want.Tau))
+	}
+	for i := range got.Tau {
+		if math.Float64bits(got.Tau[i]) != math.Float64bits(want.Tau[i]) {
+			return fmt.Sprintf("Tau[%d] %v, want %v", i, got.Tau[i], want.Tau[i])
+		}
+	}
+	return ""
+}
+
 // TestRosterValidation pins every churn rejection onto *RosterError with the
-// market left untouched.
+// market left untouched. An infinite λ or weight passes the admission
+// checks and is refused by the precompute of the next roster's game.
 func TestRosterValidation(t *testing.T) {
 	mkt, _ := testMarket(t, 3, nil, 7)
 	short, err := dataset.FromRows([][]float64{{1, 2}}, []float64{3})
@@ -109,6 +203,8 @@ func TestRosterValidation(t *testing.T) {
 		{"unknown leave", func() error { return mkt.RemoveSeller("nobody") }},
 		{"stale join epoch", func() error { return mkt.ApplyJoin(joiner(t, "x", 0.5, 1), 1.0, 5) }},
 		{"stale leave epoch", func() error { return mkt.ApplyLeave("S1", 0) }},
+		{"live join with an infinite lambda", func() error { _, err := mkt.AddSeller(joiner(t, "x", math.Inf(1), 1)); return err }},
+		{"replayed join with an infinite weight", func() error { return mkt.ApplyJoin(joiner(t, "x", 0.5, 1), math.Inf(1), 1) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -78,7 +78,7 @@ func TestSweeperMatchesPayoffOracle(t *testing.T) {
 
 // Warm-starting from a previous equilibrium must (1) give the same answer,
 // (2) in fewer sweeps, and (3) stay bit-identical across worker counts —
-// the contract the general cascade's warm-start chaining relies on.
+// the contract the general cascade's warm starts rely on.
 func TestSweeperWarmStartDeterminism(t *testing.T) {
 	const m = 8
 	cold, err := cournotGame(m, true).Solve(Options{Sweep: Jacobi, Workers: 1})

@@ -86,7 +86,7 @@ type Market struct {
 
 	quoteObs  *obs.Endpoint // per-market equilibrium-quote latency
 	tradeObs  *obs.Endpoint // per-market full-round latency
-	reprepObs *obs.Endpoint // incremental re-preparation latency on churn
+	reprepObs *obs.Endpoint // view publication latency on churn
 
 	rosterGauge *obs.Gauge   // current roster size
 	subGauge    *obs.Gauge   // live stream subscribers
@@ -108,7 +108,7 @@ type View struct {
 	// has begun, the inner market's committed game itself. Quotes solve the
 	// requested backend's prototype with SolveFor, which never writes to
 	// it, so every concurrent quote shares it without a copy. Readers may
-	// SolveFor and Clone a prototype, never SetBuyer, Solve or Reprepare it.
+	// SolveFor and Clone a prototype, never SetBuyer or Solve it.
 	Protos map[string]solve.Prepared
 	// Sellers is the roster with current weights.
 	Sellers []SellerState
@@ -311,8 +311,8 @@ func (m *Market) RegisterSeller(reg Registration) (SellerState, error) {
 }
 
 // registerLocked is RegisterSeller's write-lock section: admission checks,
-// roster append (or mid-life join through the inner market's incremental
-// churn path), view publication and the WAL append.
+// roster append (or mid-life join through the inner market's churn path),
+// view publication and the WAL append.
 func (m *Market) registerLocked(reg Registration) (SellerState, *wal.Log, uint64, error) {
 	m.writeMu.Lock()
 	defer m.writeMu.Unlock()
@@ -333,9 +333,9 @@ func (m *Market) registerLocked(reg Registration) (SellerState, *wal.Log, uint64
 	}
 	sel := &market.Seller{ID: reg.ID, Lambda: reg.Lambda, Data: data}
 	if m.mkt != nil {
-		// Mid-life join: the inner market stages an incremental solver
-		// re-preparation (rank-1 aggregate adjustment) and commits it with
-		// the roster in one step; the new view binds to the re-prepared game.
+		// Mid-life join: the inner market precomputes the game for the new
+		// roster and commits it with the roster in one step; the new view
+		// binds to that game.
 		weight, err := m.mkt.AddSeller(sel)
 		if err != nil {
 			return SellerState{}, nil, 0, err

@@ -12,10 +12,10 @@ import (
 
 // Pool-level roster churn and the live event stream. A market's roster is
 // mutable over its whole life: RegisterSeller admits sellers mid-trading
-// through the inner market's incremental churn path, RemoveSeller releases
-// them, and both swap the published View copy-on-write — quotes running
-// against the old view finish undisturbed, quotes arriving after the swap
-// see the new roster. Subscribers opened with Subscribe receive an Event
+// through the inner market's churn path, RemoveSeller releases them, and
+// both swap the published View copy-on-write — quotes running against the
+// old view finish undisturbed, quotes arriving after the swap see the new
+// roster. Subscribers opened with Subscribe receive an Event
 // after every committed roster change and trade.
 
 // Event is one entry of a market's live stream.
@@ -45,8 +45,8 @@ type Event struct {
 
 // RemoveSeller releases the identified seller from the roster. Before the
 // first trade the seller is simply unregistered (down to an empty roster);
-// mid-life the inner market applies the incremental leave (the last seller
-// cannot be removed). Unknown IDs return a *market.RosterError. The removal
+// mid-life the inner market applies the leave (the last seller cannot be
+// removed). Unknown IDs return a *market.RosterError. The removal
 // is logged to the WAL like any other roster mutation, so replay reproduces
 // the exact roster history.
 func (m *Market) RemoveSeller(id string) error {
@@ -102,9 +102,9 @@ func (m *Market) removeLocked(id string) (*wal.Log, uint64, error) {
 
 // publishChurnView swaps the view after a mid-life roster change, timing
 // the publication under market/<id>/reprepare. The inner market has
-// already re-prepared its game incrementally; the new view binds every
-// backend to it, so a restart that replays the same churn serves the same
-// quotes. Must be called with writeMu held.
+// already precomputed the game for the new roster; the new view binds
+// every backend to it, so a restart serves the same quotes. Must be called
+// with writeMu held.
 func (m *Market) publishChurnView() {
 	t0 := time.Now()
 	if err := m.publishView(); err != nil {

@@ -73,10 +73,11 @@ func randomSpec(rng *rand.Rand, id string) Spec {
 
 // TestSpecSurvivesReboot: a market comes back from Close + RestoreAll with
 // the spec it was created with, whatever the defaults of the pool that
-// wrote it and of the pool that restores it. Each generated spec runs on
-// both restore paths: a WAL-only market, whose only snapshot is the spec
-// snapshot written with its log, and one compacted by SaveAll; each is then
-// restored once more into a market the pool already holds. Snapshots once
+// wrote it and of the pool that restores it, and serves the same quotes.
+// Each generated spec runs on both restore paths: a WAL-only market, whose
+// only snapshot is the spec snapshot written with its log, and one
+// compacted by SaveAll; each is then restored once more into a market the
+// pool already holds. Snapshots once
 // left out the admission fields and an explicit zero budget, so such a
 // market came back with the restoring pool's defaults.
 func TestSpecSurvivesReboot(t *testing.T) {
@@ -100,7 +101,7 @@ func TestSpecSurvivesReboot(t *testing.T) {
 			if _, err := m.Trade(ctx, demoBuyer(60, 0.8), nil, nil); err != nil {
 				t.Fatalf("trial %d: trade: %v", trial, err)
 			}
-			want := m.Info()
+			want, wantQuotes := m.Info(), canonicalQuotes(m.View())
 			if compact {
 				if err := p.SaveAll(); err != nil {
 					t.Fatal(err)
@@ -119,6 +120,9 @@ func TestSpecSurvivesReboot(t *testing.T) {
 			if got := m2.Info(); got != want {
 				t.Errorf("trial %d (compacted %v): Info after reboot\n got: %+v\nwant: %+v", trial, compact, got, want)
 			}
+			if got := canonicalQuotes(m2.View()); got != wantQuotes {
+				t.Errorf("trial %d (compacted %v): quotes after reboot\n got:%s\nwant:%s", trial, compact, got, wantQuotes)
+			}
 			p2.Close()
 
 			// A market the restoring pool already holds restores into
@@ -136,6 +140,9 @@ func TestSpecSurvivesReboot(t *testing.T) {
 			held.TradeConcurrency, held.TradeQueue = m3.Info().TradeConcurrency, m3.Info().TradeQueue
 			if got := m3.Info(); got != held {
 				t.Errorf("trial %d (compacted %v): Info after a reboot into a held market\n got: %+v\nwant: %+v", trial, compact, got, held)
+			}
+			if got := canonicalQuotes(m3.View()); got != wantQuotes {
+				t.Errorf("trial %d (compacted %v): quotes after a reboot into a held market\n got:%s\nwant:%s", trial, compact, got, wantQuotes)
 			}
 			p3.Close()
 		}
@@ -161,60 +168,77 @@ func quoteWords(t *testing.T, m *Market, solvers []string, demands []core.Buyer)
 	return words
 }
 
-// TestLeaveQuotesSurviveReboot: after mid-life leaves, a WAL-only reboot
-// serves the same quotes bit for bit. A 7-seller market trades 3 times and
-// loses 2 sellers, for every pair of leavers. The live view once
-// re-prepared each backend by subtracting the leavers' terms while replay
-// rebuilt it with a full precompute, and for 8 of the 21 pairs the two
-// disagreed in the last bits; both now bind to the inner market's game,
-// which replay re-prepares through the same leaves.
+// TestLeaveQuotesSurviveReboot: after mid-life leaves, a reboot serves the
+// same quotes bit for bit, whether the market restores from its log alone,
+// from a SaveAll snapshot or from a compaction snapshot. A 7-seller market
+// trades 3 times and loses 2 sellers, for every pair of leavers. A leave
+// once subtracted the leaver's terms from the cached sums, while a restore
+// from a snapshot precomputed the post-leave game from scratch: after a
+// SaveAll or a compaction, 8 of the 21 pairs served different last bits.
+// Every roster change now precomputes the next roster's game from scratch,
+// as a restore does.
 func TestLeaveQuotesSurviveReboot(t *testing.T) {
 	solvers := []string{"analytic", "meanfield"}
 	demands := []core.Buyer{demoBuyer(60, 0.7), demoBuyer(90, 0.8), demoBuyer(150, 0.9)}
 	ctx := context.Background()
-	for a := 1; a <= 7; a++ {
-		for b := a + 1; b <= 7; b++ {
-			dir := t.TempDir()
-			p := New(fastWalOptions(dir))
-			m, err := p.Create(Spec{ID: "leave"})
-			if err != nil {
+	cuts := []struct {
+		name string
+		cut  func(*testing.T, *Pool, *Market)
+	}{
+		{"WAL-only", func(*testing.T, *Pool, *Market) {}},
+		{"SaveAll", func(t *testing.T, p *Pool, _ *Market) {
+			if err := p.SaveAll(); err != nil {
 				t.Fatal(err)
 			}
-			register(t, m, 7)
-			for i := 0; i < 3; i++ {
-				if _, err := m.Trade(ctx, demoBuyer(80+10*float64(i), 0.8), nil, nil); err != nil {
+		}},
+		{"compaction", func(t *testing.T, _ *Pool, m *Market) { compactNow(t, m) }},
+	}
+	for _, c := range cuts {
+		for a := 1; a <= 7; a++ {
+			for b := a + 1; b <= 7; b++ {
+				dir := t.TempDir()
+				p := New(fastWalOptions(dir))
+				m, err := p.Create(Spec{ID: "leave"})
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			for _, id := range []string{fmt.Sprintf("s%02d", a), fmt.Sprintf("s%02d", b)} {
-				if err := m.RemoveSeller(id); err != nil {
-					t.Fatal(err)
+				register(t, m, 7)
+				for i := 0; i < 3; i++ {
+					if _, err := m.Trade(ctx, demoBuyer(80+10*float64(i), 0.8), nil, nil); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-			live := quoteWords(t, m, solvers, demands)
-			p.Close()
+				for _, id := range []string{fmt.Sprintf("s%02d", a), fmt.Sprintf("s%02d", b)} {
+					if err := m.RemoveSeller(id); err != nil {
+						t.Fatal(err)
+					}
+				}
+				live := quoteWords(t, m, solvers, demands)
+				c.cut(t, p, m)
+				p.Close()
 
-			p2 := New(fastWalOptions(dir))
-			if _, err := p2.RestoreAll(); err != nil {
-				t.Fatal(err)
-			}
-			m2, err := p2.Get("leave")
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := quoteWords(t, m2, solvers, demands)
-			p2.Close()
-			if len(got) != len(live) {
-				t.Fatalf("leavers s%02d, s%02d: restored quotes hold %d words, live %d", a, b, len(got), len(live))
-			}
-			differ := 0
-			for i := range live {
-				if math.Float64bits(got[i]) != math.Float64bits(live[i]) {
-					differ++
+				p2 := New(fastWalOptions(dir))
+				if _, err := p2.RestoreAll(); err != nil {
+					t.Fatal(err)
 				}
-			}
-			if differ > 0 {
-				t.Errorf("leavers s%02d, s%02d: %d of %d quote words differ after a WAL-only reboot", a, b, differ, len(live))
+				m2, err := p2.Get("leave")
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := quoteWords(t, m2, solvers, demands)
+				p2.Close()
+				if len(got) != len(live) {
+					t.Fatalf("%s, leavers s%02d, s%02d: restored quotes hold %d words, live %d", c.name, a, b, len(got), len(live))
+				}
+				differ := 0
+				for i := range live {
+					if math.Float64bits(got[i]) != math.Float64bits(live[i]) {
+						differ++
+					}
+				}
+				if differ > 0 {
+					t.Errorf("%s, leavers s%02d, s%02d: %d of %d quote words differ after a reboot", c.name, a, b, differ, len(live))
+				}
 			}
 		}
 	}

@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"share/internal/core"
 	"share/internal/market"
 	"share/internal/wal"
 )
@@ -38,16 +40,44 @@ func compactNow(t *testing.T, m *Market) {
 
 // canonicalState renders everything a restored market must reproduce —
 // its Info (the spec and counters), then the view's roster epoch, roster,
-// weights, ledger and trading flag — as canonical JSON. Both the reference
-// and the replayed state pass through one marshal/unmarshal round trip,
-// so float formatting is identical on both sides.
+// weights, ledger and trading flag as canonical JSON, then the quotes the
+// view serves. Both the reference and the replayed state pass through one
+// marshal/unmarshal round trip, so float formatting is identical on both
+// sides.
 func canonicalState(t *testing.T, m *Market) string {
 	t.Helper()
 	info, err := json.Marshal(m.Info())
 	if err != nil {
 		t.Fatalf("marshaling market info: %v", err)
 	}
-	return canonicalJSON(t, info) + canonicalView(t, m.View())
+	v := m.View()
+	return canonicalJSON(t, info) + canonicalView(t, v) + canonicalQuotes(v)
+}
+
+// canonicalQuotes renders the bits of the analytic and mean-field SolveFor
+// answers on the view's prototypes at two fixed demands — PM, PD, buyer
+// profit and τ — or the error a prototype answers with. A view without
+// sellers renders nothing.
+func canonicalQuotes(v *View) string {
+	var sb strings.Builder
+	for _, name := range []string{"analytic", "meanfield"} {
+		proto, ok := v.Protos[name]
+		if !ok {
+			continue
+		}
+		for _, b := range []core.Buyer{demoBuyer(60, 0.7), demoBuyer(150, 0.9)} {
+			var prof core.Profile
+			if err := proto.SolveFor(context.Background(), b, &prof); err != nil {
+				fmt.Fprintf(&sb, " %s N=%g: %v", name, b.N, err)
+				continue
+			}
+			fmt.Fprintf(&sb, " %s N=%g:", name, b.N)
+			for _, w := range append([]float64{prof.PM, prof.PD, prof.BuyerProfit}, prof.Tau...) {
+				fmt.Fprintf(&sb, " %016x", math.Float64bits(w))
+			}
+		}
+	}
+	return sb.String()
 }
 
 // canonicalView is canonicalState's rendering of one published view.

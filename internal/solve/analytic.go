@@ -23,26 +23,13 @@ func (a Analytic) Precompute(g *core.Game) (Prepared, error) { return precompute
 func (Analytic) Bind(g *core.Game) Prepared { return &analyticPrepared{g: g} }
 
 type analyticPrepared struct {
-	g     *core.Game
-	epoch uint64
+	g *core.Game
 }
 
 func (p *analyticPrepared) Backend() Backend      { return Analytic{} }
 func (p *analyticPrepared) Game() *core.Game      { return p.g }
 func (p *analyticPrepared) SetBuyer(b core.Buyer) { p.g.Buyer = b }
-func (p *analyticPrepared) Clone() Prepared       { return &analyticPrepared{g: p.g.Clone(), epoch: p.epoch} }
-func (p *analyticPrepared) Epoch() uint64         { return p.epoch }
-
-// Reprepare applies one roster change through the core incremental path —
-// O(1) aggregate arithmetic plus a copy-on-write of the per-seller Stage-3
-// vector, never a from-scratch Precompute.
-func (p *analyticPrepared) Reprepare(d RosterDelta) error {
-	if err := applyDelta(p.g, d); err != nil {
-		return err
-	}
-	p.epoch = d.Epoch
-	return nil
-}
+func (p *analyticPrepared) Clone() Prepared       { return &analyticPrepared{g: p.g.Clone()} }
 
 // Solve runs the cached closed-form backward induction for the Prepared's
 // own buyer. With a live Precompute snapshot only the buyer parameters are

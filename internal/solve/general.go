@@ -20,16 +20,8 @@ import (
 // (they agree to well under 1e-6, which the test suite enforces). Custom
 // losses plug in through LossFor.
 //
-// Successive Solve calls on one Prepared chain warm starts: the equilibrium
-// τ-profile of round k seeds round k+1's first Stage-3 solve (prices drift
-// little between rounds, so the carried profile converges in a sweep or
-// two). Clone copies the carried profile, so a cloned Prepared solves
-// identically whether its ancestor had warmed up or not is NOT guaranteed —
-// what is guaranteed, and tested, is that the warm-started answer matches
-// the cold one to the solver tolerances and that any fixed call sequence is
-// bit-identical across worker counts. SolveFor starts from the chain but
-// never advances it, so every quote against one prototype sees the same
-// chain state.
+// Every solve starts cold from the Eq. 20 closed form; within one solve,
+// each Stage-3 probe warm-starts from the nearest price already probed.
 type General struct {
 	// LossFor builds the seller loss for a prepared game; nil selects the
 	// quadratic loss (Eq. 11). It is called at each solve against the game
@@ -52,88 +44,27 @@ func (General) Name() string { return "general" }
 // closed form used to bracket p^M and to warm-start every Stage-3 iteration.
 func (b General) Precompute(g *core.Game) (Prepared, error) { return precompute(b, g) }
 
-// Bind implements Backend. The bound Prepared starts with no warm-start
-// chain, as a fresh Precompute does.
+// Bind implements Backend.
 func (b General) Bind(g *core.Game) Prepared { return &generalPrepared{b: b, g: g} }
 
 type generalPrepared struct {
-	b     General
-	g     *core.Game
-	epoch uint64
-
-	// Warm-start chain: the previous Solve's equilibrium profile and the
-	// data price it was solved at, carried into the next Solve's Stage-3
-	// seeding. Nil until the first Solve.
-	warmPD  float64
-	warmTau []float64
+	b General
+	g *core.Game
 }
 
 func (p *generalPrepared) Backend() Backend      { return p.b }
 func (p *generalPrepared) Game() *core.Game      { return p.g }
 func (p *generalPrepared) SetBuyer(b core.Buyer) { p.g.Buyer = b }
-func (p *generalPrepared) Epoch() uint64         { return p.epoch }
-
-// Reprepare applies one roster change incrementally and resizes the carried
-// warm-start profile to the new roster instead of throwing it away: a
-// leaving seller's τ entry is spliced out, a joiner is seeded at the
-// carried profile's mean (prices drift little on single-seller churn, so
-// the resized profile still lands within a sweep or two of the new
-// equilibrium — the PR 8 warm-start payoff survives churn).
-func (p *generalPrepared) Reprepare(d RosterDelta) error {
-	if err := applyDelta(p.g, d); err != nil {
-		return err
-	}
-	if old := p.warmTau; old != nil {
-		switch {
-		case d.Join && len(old) > 0:
-			nt := make([]float64, len(old)+1)
-			copy(nt, old)
-			var s float64
-			for _, t := range old {
-				s += t
-			}
-			nt[len(old)] = s / float64(len(old))
-			p.warmTau = nt
-		case !d.Join && d.Index < len(old):
-			nt := make([]float64, 0, len(old)-1)
-			p.warmTau = append(append(nt, old[:d.Index]...), old[d.Index+1:]...)
-		default:
-			p.warmTau = nil // chain no longer describes the roster; cold start
-		}
-	}
-	p.epoch = d.Epoch
-	return nil
-}
-
-// Clone carries the warm-start chain: clones solve from wherever their
-// ancestor's chain had converged to. Batch consumers clone each request from
-// the same prototype, so every batch item still sees identical state.
-func (p *generalPrepared) Clone() Prepared {
-	return &generalPrepared{
-		b:       p.b,
-		g:       p.g.Clone(),
-		epoch:   p.epoch,
-		warmPD:  p.warmPD,
-		warmTau: p.warmTau, // read-only by contract; never mutated in place
-	}
-}
+func (p *generalPrepared) Clone() Prepared       { return &generalPrepared{b: p.b, g: p.g.Clone()} }
 
 // Solve runs the numerical backward induction under the backend's loss for
-// the Prepared's own buyer, then advances the warm-start chain to the
-// solved profile.
+// the Prepared's own buyer.
 func (p *generalPrepared) Solve(ctx context.Context) (*core.Profile, error) {
-	prof, err := solveFresh(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	p.warmPD = prof.PD
-	p.warmTau = append([]float64(nil), prof.Tau...)
-	return prof, nil
+	return solveFresh(ctx, p)
 }
 
-// SolveFor solves a private copy of the game header carrying b, seeded from
-// the warm-start chain but never advancing it, and reports the cascade's
-// effort on dst.Effort.
+// SolveFor solves a private copy of the game header carrying b and reports
+// the cascade's effort on dst.Effort.
 func (p *generalPrepared) SolveFor(ctx context.Context, b core.Buyer, dst *core.Profile) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -144,10 +75,6 @@ func (p *generalPrepared) SolveFor(ctx context.Context, b core.Buyer, dst *core.
 	if p.b.LossFor != nil {
 		loss = p.b.LossFor(&g)
 	}
-	warmTau := p.warmTau
-	if warmTau != nil && len(warmTau) != g.M() {
-		warmTau = nil // population changed since the last round; cold start
-	}
 	effort := new(core.GeneralStats)
 	err := g.SolveGeneralInto(ctx, core.GeneralOptions{
 		Loss:     loss,
@@ -156,9 +83,7 @@ func (p *generalPrepared) SolveFor(ctx context.Context, b core.Buyer, dst *core.
 			Sweep:   nash.Jacobi,
 			Workers: p.b.Workers,
 		},
-		WarmPD:  p.warmPD,
-		WarmTau: warmTau,
-		Stats:   effort,
+		Stats: effort,
 	}, dst)
 	if err != nil {
 		return err

@@ -27,29 +27,13 @@ func (mf MeanField) Precompute(g *core.Game) (Prepared, error) { return precompu
 func (MeanField) Bind(g *core.Game) Prepared { return &meanFieldPrepared{g: g} }
 
 type meanFieldPrepared struct {
-	g     *core.Game
-	epoch uint64
+	g *core.Game
 }
 
 func (p *meanFieldPrepared) Backend() Backend      { return MeanField{} }
 func (p *meanFieldPrepared) Game() *core.Game      { return p.g }
 func (p *meanFieldPrepared) SetBuyer(b core.Buyer) { p.g.Buyer = b }
-func (p *meanFieldPrepared) Clone() Prepared {
-	return &meanFieldPrepared{g: p.g.Clone(), epoch: p.epoch}
-}
-func (p *meanFieldPrepared) Epoch() uint64 { return p.epoch }
-
-// Reprepare applies one roster change incrementally. The mean-field solve
-// reads only the cached aggregate S = Σ1/λᵢ and the Eq. 23 per-seller
-// strategy, both of which the core incremental path maintains, so churn
-// costs the same O(1) adjustment the analytic backend pays.
-func (p *meanFieldPrepared) Reprepare(d RosterDelta) error {
-	if err := applyDelta(p.g, d); err != nil {
-		return err
-	}
-	p.epoch = d.Epoch
-	return nil
-}
+func (p *meanFieldPrepared) Clone() Prepared       { return &meanFieldPrepared{g: p.g.Clone()} }
 
 // Solve runs backward induction with the mean-field Stage 3 for the
 // Prepared's own buyer and attaches the Theorem 5.1 bound.

@@ -2,72 +2,102 @@ package solve
 
 import (
 	"context"
-	"math"
+	"slices"
 	"testing"
-	"time"
 
 	"share/internal/core"
 	"share/internal/stat"
 )
 
-// churnSequence drives a fixed join/leave script against a prepared game and
-// returns the final epoch. The script exercises both directions and a leave
-// at index 0 (the pointer-rebinding edge).
-func churnSequence(t *testing.T, p Prepared) uint64 {
-	t.Helper()
-	epoch := p.Epoch()
-	apply := func(d RosterDelta) {
-		t.Helper()
-		epoch++
-		d.Epoch = epoch
-		if err := p.Reprepare(d); err != nil {
-			t.Fatalf("reprepare (join=%v idx=%d): %v", d.Join, d.Index, err)
-		}
-		if p.Epoch() != epoch {
-			t.Fatalf("epoch not stamped: have %d, want %d", p.Epoch(), epoch)
-		}
+// reprepare re-prepares p for the roster after one change, the way a
+// market does: it builds the next roster's game from p's λ and ω — a join
+// appends to capacity-capped slices, so the append copies; a leave deletes
+// seller idx from copies — precomputes it from scratch and binds p's
+// backend to it. p and its game are left as they were.
+func reprepare(tb testing.TB, p Prepared, join bool, idx int, lambda, weight float64) Prepared {
+	tb.Helper()
+	g := p.Game()
+	n := g.M()
+	next := &core.Game{Buyer: g.Buyer, Broker: core.Broker{Cost: g.Broker.Cost}}
+	if join {
+		next.Sellers.Lambda = append(g.Sellers.Lambda[:n:n], lambda)
+		next.Broker.Weights = append(g.Broker.Weights[:n:n], weight)
+	} else {
+		next.Sellers.Lambda = slices.Delete(slices.Clone(g.Sellers.Lambda), idx, idx+1)
+		next.Broker.Weights = slices.Delete(slices.Clone(g.Broker.Weights), idx, idx+1)
 	}
-	apply(RosterDelta{Join: true, Index: p.Game().M(), Lambda: 0.6, Weight: 1.3})
-	apply(RosterDelta{Index: 0})
-	apply(RosterDelta{Join: true, Index: p.Game().M(), Lambda: 1.1, Weight: 0.7})
-	apply(RosterDelta{Index: p.Game().M() - 2})
-	return epoch
+	if err := next.Precompute(); err != nil {
+		tb.Fatalf("precomputing the roster after (join=%v idx=%d): %v", join, idx, err)
+	}
+	return p.Backend().Bind(next)
 }
 
-// alternatingChurn applies steps roster deltas to a game prepared with m
+// solvePaperBuyer solves the paper's buyer on p through SolveFor.
+func solvePaperBuyer(tb testing.TB, p Prepared) *core.Profile {
+	tb.Helper()
+	prof := new(core.Profile)
+	if err := p.SolveFor(context.Background(), core.PaperBuyer(), prof); err != nil {
+		tb.Fatalf("m=%d %s: SolveFor: %v", p.Game().M(), p.Backend().Name(), err)
+	}
+	return prof
+}
+
+// churnSequence drives a fixed join/leave script from p and returns the
+// last roster's Prepared. The script exercises both directions and a leave
+// at index 0. After every step the Prepared it came from must still solve
+// bit for bit as before it: the next game shares no state with it.
+func churnSequence(t *testing.T, p Prepared) Prepared {
+	t.Helper()
+	step := func(join bool, idx int, lambda, weight float64) {
+		t.Helper()
+		before := solvePaperBuyer(t, p)
+		next := reprepare(t, p, join, idx, lambda, weight)
+		if d := diffProfile(solvePaperBuyer(t, p), before); d != "" {
+			t.Fatalf("(join=%v idx=%d) disturbed the previous roster's Prepared: %s", join, idx, d)
+		}
+		p = next
+	}
+	step(true, 0, 0.6, 1.3)
+	step(false, 0, 0, 0)
+	step(true, 0, 1.1, 0.7)
+	step(false, p.Game().M()-2, 0, 0)
+	return p
+}
+
+// alternatingChurn applies steps roster changes to p, prepared with m
 // sellers, alternating joins (a spread of λ, weight 1/m) and leaves (a
 // stride of 13 through the roster), so the roster stays within one seller
-// of m.
-func alternatingChurn(tb testing.TB, p Prepared, m, steps int) {
-	epoch := p.Epoch()
+// of m, and returns the last roster's Prepared.
+func alternatingChurn(tb testing.TB, p Prepared, m, steps int) Prepared {
 	for k := 0; k < steps; k++ {
-		epoch++
-		d := RosterDelta{Epoch: epoch, Index: (k * 13) % p.Game().M()}
 		if k%2 == 0 {
-			d = RosterDelta{Epoch: epoch, Join: true, Index: p.Game().M(), Lambda: 0.2 + 0.6*float64(k%7)/7, Weight: 1 / float64(m)}
-		}
-		if err := p.Reprepare(d); err != nil {
-			tb.Fatalf("reprepare step %d: %v", k, err)
+			p = reprepare(tb, p, true, 0, 0.2+0.6*float64(k%7)/7, 1/float64(m))
+		} else {
+			p = reprepare(tb, p, false, (k*13)%p.Game().M(), 0, 0)
 		}
 	}
+	return p
 }
 
-// TestReprepareMatchesFreshPrecompute holds every backend's incremental
-// re-preparation against a from-scratch Precompute over the post-churn
-// roster: prices must agree to 1e-9 and strategies to the same budget.
-// The general backend runs only the short script: after a long one its
-// prices agree only to its price tolerance.
+// TestReprepareMatchesFreshPrecompute holds every backend's re-preparation
+// after roster changes to a from-scratch Precompute over copies of the
+// post-churn roster: PM, PD, τ and the rest of the profile must agree bit
+// for bit, and the roster the script started from must still solve as it
+// did. A roster change precomputes the next game whole, so nothing may
+// carry over from one roster to the next; the long scripts at m = 100 and
+// m = 1000 check that over hundreds of changes. The general backend runs
+// only the short script: one general solve at m = 1000 costs seconds.
 func TestReprepareMatchesFreshPrecompute(t *testing.T) {
 	scripts := []struct {
 		name  string
 		m     int
 		seed  int64
 		long  bool
-		churn func(*testing.T, Prepared)
+		churn func(*testing.T, Prepared) Prepared
 	}{
-		{"four-steps-m12", 12, 31, false, func(t *testing.T, p Prepared) { churnSequence(t, p) }},
-		{"alternating-m100", 100, 107, true, func(t *testing.T, p Prepared) { alternatingChurn(t, p, 100, 200) }},
-		{"alternating-m1000", 1000, 1007, true, func(t *testing.T, p Prepared) { alternatingChurn(t, p, 1000, 100) }},
+		{"four-steps-m12", 12, 31, false, churnSequence},
+		{"alternating-m100", 100, 107, true, func(t *testing.T, p Prepared) Prepared { return alternatingChurn(t, p, 100, 200) }},
+		{"alternating-m1000", 1000, 1007, true, func(t *testing.T, p Prepared) Prepared { return alternatingChurn(t, p, 1000, 100) }},
 	}
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
@@ -80,207 +110,34 @@ func TestReprepareMatchesFreshPrecompute(t *testing.T) {
 					continue
 				}
 				t.Run(sc.name, func(t *testing.T) {
-					p, err := b.Precompute(core.PaperGame(sc.m, stat.NewRand(sc.seed)))
+					start, err := b.Precompute(core.PaperGame(sc.m, stat.NewRand(sc.seed)))
 					if err != nil {
 						t.Fatalf("precompute: %v", err)
 					}
-					sc.churn(t, p)
+					before := solvePaperBuyer(t, start)
+					churned := sc.churn(t, start)
 
-					fresh, err := b.Precompute(p.Game().Clone())
+					g := churned.Game()
+					fresh, err := b.Precompute(&core.Game{
+						Buyer:   g.Buyer,
+						Broker:  core.Broker{Cost: g.Broker.Cost, Weights: slices.Clone(g.Broker.Weights)},
+						Sellers: core.Sellers{Lambda: slices.Clone(g.Sellers.Lambda)},
+					})
 					if err != nil {
 						t.Fatalf("fresh precompute over churned roster: %v", err)
 					}
-					buyer := core.PaperBuyer()
-					p.SetBuyer(buyer)
-					fresh.SetBuyer(buyer)
-					got, err := p.Solve(context.Background())
-					if err != nil {
-						t.Fatalf("churned solve: %v", err)
-					}
-					want, err := fresh.Solve(context.Background())
-					if err != nil {
-						t.Fatalf("fresh solve: %v", err)
-					}
-					if d := math.Abs(got.PM - want.PM); d > 1e-9*math.Abs(want.PM) {
-						t.Errorf("PM: incremental %g vs fresh %g (Δ%g)", got.PM, want.PM, d)
-					}
-					if d := math.Abs(got.PD - want.PD); d > 1e-9*math.Abs(want.PD) {
-						t.Errorf("PD: incremental %g vs fresh %g (Δ%g)", got.PD, want.PD, d)
-					}
+					got, want := solvePaperBuyer(t, churned), solvePaperBuyer(t, fresh)
 					if len(got.Tau) != len(want.Tau) {
-						t.Fatalf("roster size: incremental %d vs fresh %d", len(got.Tau), len(want.Tau))
+						t.Fatalf("roster size: churned %d vs fresh %d", len(got.Tau), len(want.Tau))
 					}
-					for i := range got.Tau {
-						if d := math.Abs(got.Tau[i] - want.Tau[i]); d > 1e-6 {
-							t.Errorf("Tau[%d]: incremental %g vs fresh %g", i, got.Tau[i], want.Tau[i])
-						}
+					if d := diffProfile(got, want); d != "" {
+						t.Errorf("churned vs fresh Precompute: %s", d)
+					}
+					if d := diffProfile(solvePaperBuyer(t, start), before); d != "" {
+						t.Errorf("churn disturbed the starting roster's Prepared: %s", d)
 					}
 				})
 			}
 		})
-	}
-}
-
-// BenchmarkRatioReprepareVsPrecompute gates the analytic backend's
-// incremental roster path at m = 1000: alternatingChurn's 100 steps
-// through Reprepare against 100 fresh Precomputes of the final roster, the
-// cost each step displaces. The two loops stay apart: cloning the game
-// mid-script, as interleaving them would, marks the cached per-seller
-// vector shared and pushes every later step onto the copy-on-write path,
-// which measures the clone instead of the step. Runs alternate the two
-// loops, and the ratio of their fastest runs must stay at or above 10.
-func BenchmarkRatioReprepareVsPrecompute(b *testing.B) {
-	const (
-		m     = 1000
-		steps = 100
-		runs  = 10
-		floor = 10.0
-	)
-	var be Analytic
-	var minInc, minFresh time.Duration
-	for i := 0; i < b.N; i++ {
-		for r := 0; r < runs; r++ {
-			p, err := be.Precompute(core.PaperGame(m, stat.NewRand(7+m)))
-			if err != nil {
-				b.Fatal(err)
-			}
-			t0 := time.Now()
-			alternatingChurn(b, p, m, steps)
-			if d := time.Since(t0); minInc == 0 || d < minInc {
-				minInc = d
-			}
-			// The clone stays outside the timer; the deep clone inside
-			// Precompute is part of the fresh path's cost and stays in.
-			snap := p.Game().Clone()
-			t0 = time.Now()
-			for k := 0; k < steps; k++ {
-				if _, err := be.Precompute(snap); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if d := time.Since(t0); minFresh == 0 || d < minFresh {
-				minFresh = d
-			}
-		}
-	}
-	ratio := float64(minFresh) / float64(minInc)
-	b.ReportMetric(0, "ns/op")
-	b.ReportMetric(ratio, "speedup")
-	if ratio < floor {
-		b.Fatalf("%d Reprepare steps %v vs %d fresh Precomputes %v: %.1fx, want >= %.0fx", steps, minInc, steps, minFresh, ratio, floor)
-	}
-}
-
-// TestReprepareCloneIsolation pins the staging pattern every consumer uses:
-// Reprepare on a clone must leave the ancestor — roster, cache, epoch —
-// untouched.
-func TestReprepareCloneIsolation(t *testing.T) {
-	b := Analytic{}
-	p, err := b.Precompute(core.PaperGame(8, stat.NewRand(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.SetBuyer(core.PaperBuyer())
-	before, err := p.Solve(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	staged := p.Clone()
-	if err := staged.Reprepare(RosterDelta{Epoch: 1, Join: true, Index: 8, Lambda: 0.9, Weight: 1.0}); err != nil {
-		t.Fatalf("staged reprepare: %v", err)
-	}
-	if staged.Game().M() != 9 || p.Game().M() != 8 {
-		t.Fatalf("clone churn leaked: staged m=%d, ancestor m=%d", staged.Game().M(), p.Game().M())
-	}
-	if p.Epoch() != 0 || staged.Epoch() != 1 {
-		t.Fatalf("epochs: ancestor %d (want 0), staged %d (want 1)", p.Epoch(), staged.Epoch())
-	}
-	after, err := p.Solve(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before.PM != after.PM || before.PD != after.PD {
-		t.Fatalf("ancestor prices moved after staged churn: PM %g→%g, PD %g→%g", before.PM, after.PM, before.PD, after.PD)
-	}
-}
-
-// TestGeneralWarmStartSurvivesChurn verifies the general backend's carried
-// τ-profile is resized rather than discarded, and that the warm-started
-// post-churn answer matches a cold solve over the same roster.
-func TestGeneralWarmStartSurvivesChurn(t *testing.T) {
-	b := General{Workers: 1}
-	p, err := b.Precompute(core.PaperGame(5, stat.NewRand(17)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.SetBuyer(core.PaperBuyer())
-	if _, err := p.Solve(context.Background()); err != nil {
-		t.Fatalf("warm-up solve: %v", err)
-	}
-	gp := p.(*generalPrepared)
-	if gp.warmTau == nil {
-		t.Fatal("no warm-start chain after first solve")
-	}
-	if err := p.Reprepare(RosterDelta{Epoch: 1, Join: true, Index: 5, Lambda: 0.8, Weight: 1.2}); err != nil {
-		t.Fatalf("reprepare join: %v", err)
-	}
-	if len(gp.warmTau) != 6 {
-		t.Fatalf("warm chain not resized on join: len=%d, want 6", len(gp.warmTau))
-	}
-	if err := p.Reprepare(RosterDelta{Epoch: 2, Index: 1}); err != nil {
-		t.Fatalf("reprepare leave: %v", err)
-	}
-	if len(gp.warmTau) != 5 {
-		t.Fatalf("warm chain not resized on leave: len=%d, want 5", len(gp.warmTau))
-	}
-	warm, err := p.Solve(context.Background())
-	if err != nil {
-		t.Fatalf("warm post-churn solve: %v", err)
-	}
-	cold, err := b.Precompute(p.Game().Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold.SetBuyer(core.PaperBuyer())
-	want, err := cold.Solve(context.Background())
-	if err != nil {
-		t.Fatalf("cold post-churn solve: %v", err)
-	}
-	// Buyer profit is flat near the optimum, so the golden price search
-	// guarantees profit — not price — to its tolerance: compare profits
-	// tightly and prices loosely, the repo's cross-backend convention.
-	if d := math.Abs(warm.BuyerProfit - want.BuyerProfit); d > 1e-5*math.Max(1, math.Abs(want.BuyerProfit)) {
-		t.Errorf("warm buyer profit %g vs cold %g (Δ%g)", warm.BuyerProfit, want.BuyerProfit, d)
-	}
-	if d := math.Abs(warm.PM - want.PM); d > 1e-2*math.Abs(want.PM) {
-		t.Errorf("warm PM %g vs cold %g (Δ%g)", warm.PM, want.PM, d)
-	}
-	if d := math.Abs(warm.PD - want.PD); d > 1e-2*math.Abs(want.PD) {
-		t.Errorf("warm PD %g vs cold %g (Δ%g)", warm.PD, want.PD, d)
-	}
-}
-
-// TestReprepareRejectsBadDelta pins the failure contract: a rejected delta
-// returns an error without stamping the epoch.
-func TestReprepareRejectsBadDelta(t *testing.T) {
-	p, err := Analytic{}.Precompute(core.PaperGame(3, stat.NewRand(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []RosterDelta{
-		{Epoch: 1, Join: true, Index: 0, Lambda: 1, Weight: 1},  // join must append
-		{Epoch: 1, Join: true, Index: 3, Lambda: -1, Weight: 1}, // bad λ
-		{Epoch: 1, Index: 7}, // leave out of range
-	}
-	for i, d := range cases {
-		if err := p.Reprepare(d); err == nil {
-			t.Errorf("case %d: bad delta accepted", i)
-		}
-	}
-	if p.Epoch() != 0 {
-		t.Fatalf("failed reprepare stamped epoch %d", p.Epoch())
-	}
-	if p.Game().M() != 3 {
-		t.Fatalf("failed reprepare mutated the roster: m=%d", p.Game().M())
 	}
 }

@@ -21,9 +21,10 @@
 // concurrent quote and every trade round, and it refills the caller's
 // profile in place, so a caller that keeps its profile solves the closed
 // forms without allocating. Bind lets every backend of one market state
-// share one precomputed game. Clone is for callers that mutate the game or
-// advance state between solves — sweeps over λ/ω, roster churn staged on a
-// copy:
+// share one precomputed game. A roster change builds and precomputes the
+// game for the new roster, so every game is prepared the one way. Clone is
+// for callers that mutate the game between solves — sweeps over λ/ω or the
+// buyer:
 //
 //	Prepared.Clone()  →  Prepared     (O(m) copy, cache carried)
 //	SetBuyer + Solve  →  *Profile     (Solve = SolveFor on the own buyer)
@@ -59,19 +60,17 @@ type Backend interface {
 	// Bind wraps g without copying it. g should already be validated and
 	// precomputed; the Prepared shares it with the caller and with every
 	// other Prepared bound to it, so it may be used only through SolveFor
-	// and Clone (and read through Game) — SetBuyer, Solve and Reprepare
-	// write to g. The caller must not mutate g while such a Prepared is in
-	// use. This is how one precomputed game serves every backend of a
-	// market state.
+	// and Clone (and read through Game) — SetBuyer and Solve write to g.
+	// The caller must not mutate g while such a Prepared is in use. This is
+	// how one precomputed game serves every backend of a market state.
 	Bind(g *core.Game) Prepared
 }
 
 // Prepared is a game bound to a backend, ready to solve. Any number of
 // SolveFor calls may share one Prepared while nothing mutates it. SetBuyer,
-// Solve, Reprepare and writes through Game mutate it, so a Prepared that is
-// mutated is NOT safe for concurrent use — Clone one per goroutine (sweeps,
-// rounds, churn staging). A Prepared from Bind shares its game and must
-// never be mutated at all.
+// Solve and writes through Game mutate it, so a Prepared that is mutated is
+// NOT safe for concurrent use — Clone one per goroutine (sweeps). A
+// Prepared from Bind shares its game and must never be mutated at all.
 type Prepared interface {
 	// Backend returns the backend that built this Prepared.
 	Backend() Backend
@@ -84,8 +83,7 @@ type Prepared interface {
 	// precomputed seller aggregates, so this is O(1) and cache-preserving.
 	SetBuyer(b core.Buyer)
 	// Solve computes the equilibrium profile for the Prepared's own buyer:
-	// SolveFor into a fresh profile. The general backend then advances its
-	// warm-start chain to the solved profile.
+	// SolveFor into a fresh profile.
 	Solve(ctx context.Context) (*core.Profile, error)
 	// SolveFor computes the equilibrium profile for buyer b into dst,
 	// reusing dst's vectors when their capacity suffices and writing every
@@ -98,55 +96,6 @@ type Prepared interface {
 	// Clone returns an independent copy sharing no mutable state, carrying
 	// any precomputed caches.
 	Clone() Prepared
-	// Epoch reports the roster epoch this Prepared last re-prepared at: 0
-	// as built by Precompute, then whatever the latest Reprepare stamped.
-	// Clones carry the epoch.
-	Epoch() uint64
-	// Reprepare applies one roster change — a seller joining or leaving —
-	// in place, adjusting the precomputed seller aggregates incrementally
-	// (rank-1 style, see core.Game.AppendSeller/RemoveSellerAt) instead of
-	// rebuilding them from scratch. On success the Prepared solves the
-	// post-churn roster and Epoch reports d.Epoch; on error the Prepared
-	// must be discarded (callers stage Reprepare on a Clone and swap).
-	Reprepare(d RosterDelta) error
-}
-
-// RosterDelta describes one seller joining or leaving a prepared game's
-// roster — the unit of incremental re-preparation.
-type RosterDelta struct {
-	// Epoch is the roster epoch after the change; Prepared.Epoch reports it
-	// once the delta is applied.
-	Epoch uint64
-	// Join is true for a seller joining, false for one leaving.
-	Join bool
-	// Index locates the change: a join appends (Index must equal the
-	// pre-change seller count), a leave removes the Index-th seller.
-	Index int
-	// Lambda and Weight are the joining seller's privacy sensitivity and
-	// dataset weight (ignored on leave).
-	Lambda, Weight float64
-}
-
-// applyDelta mutates a prepared game's roster per d, keeping the Precompute
-// snapshot live: the core layer adjusts its aggregates incrementally, and a
-// dropped snapshot (a game that was never precomputed, or a failed guard)
-// falls back to one full Precompute so the post-churn Prepared always
-// carries a valid cache.
-func applyDelta(g *core.Game, d RosterDelta) error {
-	if d.Join {
-		if d.Index != g.M() {
-			return fmt.Errorf("solve: join at index %d of a %d-seller roster (joins append)", d.Index, g.M())
-		}
-		if err := g.AppendSeller(d.Lambda, d.Weight); err != nil {
-			return err
-		}
-	} else if err := g.RemoveSellerAt(d.Index); err != nil {
-		return err
-	}
-	if !g.Precomputed() {
-		return g.Precompute()
-	}
-	return nil
 }
 
 // precompute is every backend's Precompute: one clone of g, precomputed in

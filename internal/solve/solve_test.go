@@ -313,58 +313,3 @@ func TestStage3GameNilLossMatchesSellerProfit(t *testing.T) {
 		}
 	}
 }
-
-// TestGeneralWarmChainConsistent pins the warm-start chaining contract of
-// the general backend: successive Solve calls on one Prepared reuse the
-// previous round's equilibrium profile, which must not move the answer
-// beyond the price-localization scatter and must not cost extra Stage-3
-// sweeps. The cubic loss makes the chain do real work — its closed-form
-// cold start is only approximate.
-func TestGeneralWarmChainConsistent(t *testing.T) {
-	g := core.PaperGame(10, stat.NewRand(5))
-	b := General{LossFor: func(g *core.Game) core.LossFunc { return g.CubicLoss() }, PriceTol: 1e-4}
-	proto, err := b.Precompute(g)
-	if err != nil {
-		t.Fatalf("Precompute: %v", err)
-	}
-	prep := proto.Clone()
-	prep.SetBuyer(g.Buyer)
-	first, err := prep.Solve(context.Background())
-	if err != nil {
-		t.Fatalf("first Solve: %v", err)
-	}
-	cold := *first.Effort
-	// Clone now, so the clone carries exactly the chain state the second
-	// solve starts from.
-	clone := prep.Clone()
-	second, err := prep.Solve(context.Background())
-	if err != nil {
-		t.Fatalf("second Solve: %v", err)
-	}
-	warm := *second.Effort
-	if d := math.Abs(second.PM - first.PM); d > 0.05*first.PM {
-		t.Errorf("p^M drifted %g across the warm chain (first %g)", d, first.PM)
-	}
-	if d := math.Abs(second.PD - first.PD); d > 0.05*first.PD {
-		t.Errorf("p^D drifted %g across the warm chain (first %g)", d, first.PD)
-	}
-	if warm.Stage3Sweeps > cold.Stage3Sweeps {
-		t.Errorf("warm round swept %d vs cold round's %d; the chain must not add work",
-			warm.Stage3Sweeps, cold.Stage3Sweeps)
-	}
-	// A clone of the warmed Prepared carries the chain: starting from the
-	// same chain state, it must replay the second solve bit for bit.
-	clone.SetBuyer(g.Buyer)
-	third, err := clone.Solve(context.Background())
-	if err != nil {
-		t.Fatalf("cloned Solve: %v", err)
-	}
-	cloned := *third.Effort
-	if third.PM != second.PM || third.PD != second.PD {
-		t.Errorf("clone of a warmed Prepared solved to (%g, %g), original to (%g, %g); identical state must solve identically",
-			third.PM, third.PD, second.PM, second.PD)
-	}
-	if cloned.Stage3Sweeps != warm.Stage3Sweeps {
-		t.Errorf("clone swept %d vs original's %d from identical warm state", cloned.Stage3Sweeps, warm.Stage3Sweeps)
-	}
-}

@@ -45,27 +45,16 @@ type protoState struct {
 	buyer          core.Buyer
 	lambda, weight []float64
 	lambda0        *float64
-	warmPD         float64
-	warmTau        []float64
-	warmTau0       *float64
 }
 
 func captureProto(p Prepared) protoState {
 	g := p.Game()
-	st := protoState{
+	return protoState{
 		buyer:   g.Buyer,
 		lambda:  append([]float64(nil), g.Sellers.Lambda...),
 		weight:  append([]float64(nil), g.Broker.Weights...),
 		lambda0: &g.Sellers.Lambda[0],
 	}
-	if gp, ok := p.(*generalPrepared); ok {
-		st.warmPD = gp.warmPD
-		st.warmTau = append([]float64(nil), gp.warmTau...)
-		if len(gp.warmTau) > 0 {
-			st.warmTau0 = &gp.warmTau[0]
-		}
-	}
-	return st
 }
 
 func sameBits(a, b []float64) bool {
@@ -130,8 +119,7 @@ func diffProfile(got, want *core.Profile) string {
 // Solve path it replaces on the quote path: for every backend, over
 // generated games and buyers, SolveFor into a fresh profile and into one
 // left dirty by a different roster size or backend must agree bit for bit,
-// and must leave the prototype's game and the general warm chain as they
-// were.
+// and must leave the prototype's game as it was.
 func TestSolveForMatchesCloneSolve(t *testing.T) {
 	ctx := context.Background()
 	rng := stat.NewRand(18)
@@ -146,11 +134,6 @@ func TestSolveForMatchesCloneSolve(t *testing.T) {
 			proto, err := b.Precompute(g)
 			if err != nil {
 				t.Fatalf("m=%d %s: Precompute: %v", m, name, err)
-			}
-			// Warm the general chain, so SolveFor starts from a carried
-			// profile, as it does on a market's prototypes after a round.
-			if _, err := proto.Solve(ctx); err != nil {
-				t.Fatalf("m=%d %s: warm-up Solve: %v", m, name, err)
 			}
 			before := captureProto(proto)
 			for k := 0; k < 2; k++ {
@@ -183,10 +166,6 @@ func TestSolveForMatchesCloneSolve(t *testing.T) {
 			if !proto.Game().Precomputed() {
 				t.Errorf("m=%d %s: SolveFor dropped the prototype's Precompute snapshot", m, name)
 			}
-			if math.Float64bits(after.warmPD) != math.Float64bits(before.warmPD) ||
-				!sameBits(after.warmTau, before.warmTau) || after.warmTau0 != before.warmTau0 {
-				t.Errorf("m=%d %s: SolveFor advanced the warm-start chain", m, name)
-			}
 		}
 	}
 }
@@ -195,9 +174,8 @@ func TestSolveForMatchesCloneSolve(t *testing.T) {
 // in place of: for every backend, over generated games, a Prepared bound
 // to one precomputed game must solve every buyer bit for bit like a
 // Precompute of the same game, through SolveFor and through a Clone, and
-// leave the shared game as it was. A general Prepared whose game another
-// Prepared's warm chain rides on must leave that chain alone and start
-// cold, as a fresh Precompute does.
+// leave the shared game as it was, also when the game is another
+// Prepared's own.
 func TestBindMatchesPrecompute(t *testing.T) {
 	ctx := context.Background()
 	rng := stat.NewRand(21)
@@ -216,20 +194,14 @@ func TestBindMatchesPrecompute(t *testing.T) {
 			if err != nil {
 				t.Fatalf("m=%d %s: Precompute: %v", m, name, err)
 			}
-			// warm holds a warm chain over its own game; bound shares that
-			// game, and must neither advance the chain nor start from it.
-			warm, err := b.Precompute(g)
+			owner, err := b.Precompute(g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := warm.Solve(ctx); err != nil {
-				t.Fatalf("m=%d %s: warm-up Solve: %v", m, name, err)
-			}
-			warmBefore := captureProto(warm)
 			for _, c := range []struct {
 				what  string
 				proto Prepared
-			}{{"bound", b.Bind(shared)}, {"bound to a warmed game", b.Bind(warm.Game())}} {
+			}{{"bound", b.Bind(shared)}, {"bound to another Prepared's game", b.Bind(owner.Game())}} {
 				before := captureProto(c.proto)
 				for k := 0; k < 2; k++ {
 					buyer := randomBuyer(rng)
@@ -259,11 +231,6 @@ func TestBindMatchesPrecompute(t *testing.T) {
 					!c.proto.Game().Precomputed() {
 					t.Errorf("m=%d %s %s: solving wrote to the shared game", m, name, c.what)
 				}
-			}
-			warmAfter := captureProto(warm)
-			if math.Float64bits(warmAfter.warmPD) != math.Float64bits(warmBefore.warmPD) ||
-				!sameBits(warmAfter.warmTau, warmBefore.warmTau) || warmAfter.warmTau0 != warmBefore.warmTau0 {
-				t.Errorf("m=%d %s: a Prepared bound to its game moved the warm-start chain", m, name)
 			}
 		}
 		if shared.Buyer != g.Buyer || !sameBits(shared.Sellers.Lambda, g.Sellers.Lambda) ||
