@@ -56,8 +56,9 @@ test:
 # over a generated history, every reboot reproducing the live state),
 # under the race detector (allocation bounds are checked only without it);
 # the httpapi pass pins cross-market overload isolation end to end and
-# that a quote's reused scratch never leaks into the next response; the
-# wal pass pins concurrent group commit, the torn-tail sweep, every frame
+# that a request's reused scratch never leaks into the next response
+# (quotes, batches and trades, one at a time and from four goroutines at
+# once); the wal pass pins concurrent group commit, the torn-tail sweep, every frame
 # the in-place encoder writes to the marshal-twice framing it replaced,
 # replay's envelope parse to json.Unmarshal into Record,
 # and that a corrupt length makes replay allocate no more than the file,
@@ -67,7 +68,11 @@ test:
 # for 10 s, and as the data of one CRC-valid record after a traded
 # market's log for 10 s, requiring data the pool cannot decode to be
 # refused as wal.ErrCorrupt and every market that restores to answer a
-# quote and a trade within a watchdog's bound (each fuzz pass spends at
+# quote and a trade within a watchdog's bound; the httpapi fuzz pass
+# decodes arbitrary bytes as each request body for 10 s, requiring the
+# strict json.Decoder's verdict, error text and value from the reused
+# scratch's decode and no 5xx from the quote, batch, create-market and
+# top-up routes (each fuzz pass spends at
 # most 1 s minimizing a new input, not Go's default 60 s, so it keeps
 # fuzzing for its 10 s); and the serve-smoke
 # end-to-end pass
@@ -85,6 +90,7 @@ race: vet
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzRestoreSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/pool
 	$(GO) test -run '^$$' -fuzz FuzzReplayRecord -fuzztime 10s -fuzzminimizetime 1s ./internal/pool
+	$(GO) test -run '^$$' -fuzz FuzzDecodeBody -fuzztime 10s -fuzzminimizetime 1s ./internal/httpapi
 	$(MAKE) serve-smoke
 
 # Statement coverage for every package, failing if internal/solve — the

@@ -81,9 +81,9 @@ type Server struct {
 	maxBody int64
 	reqSeq  atomic.Uint64
 
-	// quotes keeps the quote handlers' per-request scratch between
-	// requests (see quoteScratch).
-	quotes parallel.FreeList[quoteScratch]
+	// scratch keeps the per-request scratch between requests (see
+	// requestScratch).
+	scratch parallel.FreeList[requestScratch]
 
 	// testHookTradeBuilder, when set, replaces the resolved product builder
 	// on every trade. Tests use it to inject blocking or failing builders;
@@ -553,7 +553,7 @@ type TradeResult struct {
 
 func (s *Server) handleCreateMarket(w http.ResponseWriter, r *http.Request) {
 	var spec MarketSpec
-	if err := decodeJSON(r, &spec); err != nil {
+	if err := s.decode(r, &spec); err != nil {
 		writeDecodeError(w, err)
 		return
 	}
@@ -618,7 +618,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRegisterSeller(w http.ResponseWriter, r *http.Request, m *pool.Market) {
 	var reg SellerRegistration
-	if err := decodeJSON(r, &reg); err != nil {
+	if err := s.decode(r, &reg); err != nil {
 		writeDecodeError(w, err)
 		return
 	}
@@ -657,7 +657,7 @@ func (s *Server) handleGetSeller(w http.ResponseWriter, r *http.Request, m *pool
 // resource is returned.
 func (s *Server) handleTopUpBudget(w http.ResponseWriter, r *http.Request, m *pool.Market) {
 	var req TopUpRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := s.decode(r, &req); err != nil {
 		writeDecodeError(w, err)
 		return
 	}
@@ -729,26 +729,52 @@ func quoteFromProfile(q *Quote, p *core.Profile, solver string) {
 // demands and a response hundreds of megabytes long.
 const maxBatchDemands = 1024
 
-// quoteScratch is one quote request's working memory: the solved profiles,
-// their response bodies and the batch's demand and name slices. The quote
-// handlers take one from Server.quotes and return it once the body is
-// written, so a steady stream of quotes refills the same vectors instead
-// of allocating them per request.
-type quoteScratch struct {
-	prof  core.Profile // a single quote's profile
-	quote Quote        // and its response
+// requestScratch is one request's working memory: the body it was read
+// into and decoded from, the decoded demand or batch, the solved profiles
+// and the response bodies rendered from them. The quote, batch and trade
+// handlers take one from Server.scratch and return it once the response is
+// written, and the other body-decoding handlers borrow one for the decode
+// alone, so a steady stream of requests refills the same memory instead of
+// allocating it per request.
+type requestScratch struct {
+	body []byte // the request body (see decode)
 
+	demand Demand       // a single quote's or a trade's demand
+	prof   core.Profile // a single quote's profile
+	quote  Quote        // and its response
+	trade  TradeResult  // a trade's response
+
+	batchReq QuoteBatchRequest
 	demands  []pool.BatchDemand
 	profiles []core.Profile
 	names    []string
 	batch    QuoteBatchResult
 }
 
-// releaseQuoteScratch returns sc to the server's free list with its
-// footprint, so that the scratch of an unusually large batch is dropped
+// freshDemand returns the scratch's demand, zeroed: the JSON decoder keeps
+// every field a body leaves out, so a demand decoded into the previous
+// request's would inherit its θ, ρ and solver.
+func (sc *requestScratch) freshDemand() *Demand {
+	sc.demand = Demand{}
+	return &sc.demand
+}
+
+// freshBatch returns the scratch's batch request with no demands and every
+// demand within the slice's capacity zeroed: the JSON decoder fills those
+// elements in place and keeps every field a body leaves out.
+func (sc *requestScratch) freshBatch() *QuoteBatchRequest {
+	d := sc.batchReq.Demands
+	clear(d[:cap(d)])
+	sc.batchReq.Demands = d[:0]
+	return &sc.batchReq
+}
+
+// releaseScratch returns sc to the server's free list with its footprint,
+// so that the scratch of an unusually large body or batch is dropped
 // rather than kept.
-func (s *Server) releaseQuoteScratch(sc *quoteScratch) {
-	bytes := profileBytes(&sc.prof) +
+func (s *Server) releaseScratch(sc *requestScratch) {
+	bytes := cap(sc.body) + profileBytes(&sc.prof) +
+		cap(sc.batchReq.Demands)*int(unsafe.Sizeof(Demand{})) +
 		cap(sc.demands)*int(unsafe.Sizeof(pool.BatchDemand{})) +
 		cap(sc.profiles)*int(unsafe.Sizeof(core.Profile{})) +
 		cap(sc.names)*int(unsafe.Sizeof("")) +
@@ -757,7 +783,15 @@ func (s *Server) releaseQuoteScratch(sc *quoteScratch) {
 	for i := range all {
 		bytes += profileBytes(&all[i])
 	}
-	s.quotes.Put(sc, bytes)
+	s.scratch.Put(sc, bytes)
+}
+
+// decode decodes r's body into v through a borrowed scratch's body buffer,
+// returned before decode returns: nothing decoded aliases it.
+func (s *Server) decode(r *http.Request, v any) error {
+	sc := s.scratch.Get()
+	defer s.releaseScratch(sc)
+	return sc.decode(r, v)
 }
 
 // profileBytes is the size of a profile's vectors.
@@ -789,8 +823,10 @@ func solveError(err error) error {
 // handleQuote solves one demand against the market's published view — no
 // locks, so quotes stay responsive while a trade holds the write path.
 func (s *Server) handleQuote(w http.ResponseWriter, r *http.Request, m *pool.Market) {
-	var d Demand
-	if err := decodeJSON(r, &d); err != nil {
+	sc := s.scratch.Get()
+	defer s.releaseScratch(sc)
+	d := sc.freshDemand()
+	if err := sc.decode(r, d); err != nil {
 		writeDecodeError(w, err)
 		return
 	}
@@ -799,8 +835,6 @@ func (s *Server) handleQuote(w http.ResponseWriter, r *http.Request, m *pool.Mar
 		writeError(w, err)
 		return
 	}
-	sc := s.quotes.Get()
-	defer s.releaseQuoteScratch(sc)
 	name, err := m.QuoteInto(r.Context(), b, d.Solver, &sc.prof)
 	if err != nil {
 		var fe *pool.FieldError
@@ -819,8 +853,10 @@ func (s *Server) handleQuote(w http.ResponseWriter, r *http.Request, m *pool.Mar
 // consistent view snapshot, fanned across the pool's shared worker budget.
 // The response is byte-identical for every worker count.
 func (s *Server) handleQuoteBatch(w http.ResponseWriter, r *http.Request, m *pool.Market) {
-	var req QuoteBatchRequest
-	if err := decodeJSON(r, &req); err != nil {
+	sc := s.scratch.Get()
+	defer s.releaseScratch(sc)
+	req := sc.freshBatch()
+	if err := sc.decode(r, req); err != nil {
 		writeDecodeError(w, err)
 		return
 	}
@@ -833,8 +869,6 @@ func (s *Server) handleQuoteBatch(w http.ResponseWriter, r *http.Request, m *poo
 		writeError(w, fieldErrorf("demands", "at most %d demands per batch, got %d", maxBatchDemands, n))
 		return
 	}
-	sc := s.quotes.Get()
-	defer s.releaseQuoteScratch(sc)
 	sc.demands = resize(sc.demands, n)
 	for i, d := range req.Demands {
 		b, err := d.buyer()
@@ -865,8 +899,10 @@ func (s *Server) handleQuoteBatch(w http.ResponseWriter, r *http.Request, m *poo
 }
 
 func (s *Server) handleTrade(w http.ResponseWriter, r *http.Request, m *pool.Market) {
-	var d Demand
-	if err := decodeJSON(r, &d); err != nil {
+	sc := s.scratch.Get()
+	defer s.releaseScratch(sc)
+	d := sc.freshDemand()
+	if err := sc.decode(r, d); err != nil {
 		writeDecodeError(w, err)
 		return
 	}
@@ -896,11 +932,16 @@ func (s *Server) handleTrade(w http.ResponseWriter, r *http.Request, m *pool.Mar
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, tradeResult(tx))
+	tradeResult(&sc.trade, tx)
+	writeJSON(w, http.StatusCreated, &sc.trade)
+	// Drop the transaction's vectors, so an idle scratch does not pin it.
+	sc.trade = TradeResult{Quote: Quote{Approx: sc.trade.Quote.Approx}}
 }
 
-func tradeResult(tx *market.Transaction) TradeResult {
-	res := TradeResult{
+// tradeResult renders tx into res. The vectors are shared with tx, and
+// res's ApproxInfo is reused when tx's profile carries a bound.
+func tradeResult(res *TradeResult, tx *market.Transaction) {
+	*res = TradeResult{
 		Round:             tx.Round,
 		Product:           tx.Product,
 		Solver:            tx.Solver,
@@ -913,9 +954,9 @@ func tradeResult(tx *market.Transaction) TradeResult {
 		RMSE:              tx.Metrics.Detail["rmse"],
 		Weights:           tx.Weights,
 		TotalSeconds:      tx.Timings.Total.Seconds(),
+		Quote:             Quote{Approx: res.Quote.Approx},
 	}
 	quoteFromProfile(&res.Quote, tx.Profile, tx.Solver)
-	return res
 }
 
 func (s *Server) handleListTrades(w http.ResponseWriter, r *http.Request, m *pool.Market) {
@@ -925,9 +966,9 @@ func (s *Server) handleListTrades(w http.ResponseWriter, r *http.Request, m *poo
 		writeError(w, err)
 		return
 	}
-	out := make([]TradeResult, 0, hi-lo)
-	for _, tx := range v.Trades[lo:hi] {
-		out = append(out, tradeResult(tx))
+	out := make([]TradeResult, hi-lo)
+	for i, tx := range v.Trades[lo:hi] {
+		tradeResult(&out[i], tx)
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -1046,24 +1087,6 @@ func paginate(w http.ResponseWriter, r *http.Request, total int) (lo, hi int, er
 	}
 	w.Header().Set("X-Total-Count", strconv.Itoa(total))
 	return lo, hi, nil
-}
-
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("invalid request body: %w", err)
-	}
-	// Drain past the value: rejects trailing garbage and ensures an
-	// oversized body trips the MaxBytesReader cap even when the leading
-	// JSON value itself was small.
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		if err == nil {
-			return errors.New("invalid request body: unexpected trailing data")
-		}
-		return fmt.Errorf("invalid request body: %w", err)
-	}
-	return nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -51,8 +51,10 @@ func (m *Market) ApplyCommitted(tx *Transaction, obs translog.Observation) error
 		return fmt.Errorf("market: replaying round %d: %w", tx.Round, err)
 	}
 	if charged {
-		var sc roundScratch
+		// Charge keeps neither slice, so the scratch goes back at once.
+		sc := roundScratches.Get()
 		m.budget.Charge(sc.charges(m.sellers, tx.Epsilons, tx.Pieces))
+		sc.release()
 		for i, s := range m.sellers {
 			if got := m.budget.Spent(s.ID); got != tx.BudgetSpent[i] {
 				return fmt.Errorf("market: replaying round %d: seller %q has spent ε=%v, the transaction records %v",

@@ -13,7 +13,7 @@
 # — the product fits and test-set moments that read those rows —
 # internal/core — the game, its closed forms and the in-place solves every
 # quote writes through — and internal/httpapi — the wire layer, its request
-# caps and the quote handlers' reused scratch.
+# caps, its body decoding and the handlers' reused request scratch.
 set -eu
 
 FLOOR=80.0
