@@ -51,7 +51,8 @@ test:
 # allocates once each WAL record is encoded once, every view's backends
 # bound to the inner market's committed game, quotes that survive mid-life
 # leaves and a reboot from the log, a SaveAll or a compaction, a market's
-# spec surviving a reboot, and
+# spec surviving a reboot, each committed older snapshot layout restoring
+# to its recorded state, alone and in place of a held default market, and
 # compaction at the log-size trigger (snapshot output within 3× the log
 # over a generated history, every reboot reproducing the live state),
 # under the race detector (allocation bounds are checked only without it);
@@ -79,12 +80,12 @@ test:
 # rides along so the gate also
 # exercises the live server lifecycle (boot, /v2 markets, trade, metrics,
 # saturation via share-loadgen, SIGTERM drain, -snapshot-dir restore,
-# kill -9 WAL replay).
+# kill -9 WAL replay, the default market's info unchanged across both).
 race: vet
 	$(GO) test -race ./...
 	$(GO) test -race -run 'TestKernelEquivalence|TestPerWorkerStreamsMatchPerPermutationRngs|TestRunRoundShapleyIdenticalAcrossWorkers|TestRoundOutputsMatchParent|TestChurnedMarketMatchesFreshMarket|TestFreeListConcurrentOwnership|TestPerturbInPlace|TestLayoutMatchesRowSlices' -count=1 ./internal/valuation ./internal/market ./internal/parallel ./internal/ldp ./internal/dataset
 	$(GO) test -race -run 'TestGeneralMatchesAnalytic|TestGeneralDeterministicAcrossWorkers|TestMapDeterministicAcrossWorkers|TestMeanFieldWithinTheoremBounds|TestSolveGeneralTau|TestSolveForMatchesCloneSolve|TestBindMatchesPrecompute' -count=1 ./internal/solve ./internal/core
-	$(GO) test -race -run 'TestMarketsAreIsolated|TestDeleteDrainsInFlightRounds|TestBatchQuoteDeterminism|TestWALTortureRecovery|TestWALTortureBudgetRecovery|TestParentEraBudgetLogRestores|TestConcurrentTradesGroupCommit|TestAdmissionRejectsWhenQueueFull|TestAdmissionQueueWaitsForSlot|TestAdmissionQueuedTradeHonorsContext|TestCloseSealsPoolAgainstStragglers|TestAsyncCloseFlushesTail|TestChurnQuoteIsolation|TestChurnSurvivesCheckpoint|TestExhaustedTradesLeaveQuotesUndisturbed|TestPublishedViewStaysImmutable|TestSellerBytesOnDiskMatchParent|TestConcurrentQuotesDuringChurn|TestTradeBytesPerRound|TestViewsBindTheCommittedGame|TestLeaveQuotesSurviveReboot|TestSpecSurvivesReboot|TestWALCompaction|TestCompactionOutputBoundedByLog' -count=1 ./internal/pool
+	$(GO) test -race -run 'TestMarketsAreIsolated|TestDeleteDrainsInFlightRounds|TestBatchQuoteDeterminism|TestWALTortureRecovery|TestWALTortureBudgetRecovery|TestParentEraBudgetLogRestores|TestConcurrentTradesGroupCommit|TestAdmissionRejectsWhenQueueFull|TestAdmissionQueueWaitsForSlot|TestAdmissionQueuedTradeHonorsContext|TestCloseSealsPoolAgainstStragglers|TestAsyncCloseFlushesTail|TestChurnQuoteIsolation|TestChurnSurvivesCheckpoint|TestExhaustedTradesLeaveQuotesUndisturbed|TestPublishedViewStaysImmutable|TestSellerBytesOnDiskMatchParent|TestConcurrentQuotesDuringChurn|TestTradeBytesPerRound|TestViewsBindTheCommittedGame|TestLeaveQuotesSurviveReboot|TestSpecSurvivesReboot|TestLegacySnapshotRestores|TestSnapshotSeedOverride|TestWALCompaction|TestCompactionOutputBoundedByLog' -count=1 ./internal/pool
 	$(GO) test -race -run 'TestOverloadIsolationAcrossMarkets|TestDrainAnswers503|TestQuoteScratchDoesNotLeak' -count=1 ./internal/httpapi
 	$(GO) test -race -run 'TestConcurrentGroupCommit|TestTornTailTruncatedAtEveryOffset|TestAppendFramesMatchMarshal|TestEnvelopeMatchesUnmarshal|TestCorruptLengthAllocatesOnlyTheFile' -count=1 ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
@@ -103,7 +104,8 @@ cover:
 # Boot share-server, run a register/quote/trade/metrics sequence over HTTP
 # plus the /v2 market lifecycle (create, batch quote, trade, delete) and
 # SIGTERM it; then boot it over a -snapshot-dir and check that every market
-# survives a graceful shutdown and, through WAL replay, a kill -9.
+# survives a graceful shutdown and, through WAL replay, a kill -9, and that
+# each reboot serves the default market's info as before the shutdown.
 serve-smoke:
 	sh scripts/serve_smoke.sh
 

@@ -228,7 +228,8 @@ func (l *Ledger) Charge(ids []string, eps []float64) {
 }
 
 // TopUp credits add extra budget to one seller and returns its new total
-// budget. The amount must be positive and finite.
+// budget. The amount must be positive and finite. Replay applies every
+// logged grant with TopUp, as written; a new grant goes through Grant.
 func (l *Ledger) TopUp(id string, add float64) (float64, error) {
 	if math.IsNaN(add) || math.IsInf(add, 0) || add <= 0 {
 		return 0, fmt.Errorf("budget: top-up must be positive and finite, got %v", add)
@@ -236,6 +237,20 @@ func (l *Ledger) TopUp(id string, add float64) (float64, error) {
 	a := l.account(id)
 	a.Extra += add
 	return l.cfg.Epsilon + a.Extra, nil
+}
+
+// Grant is TopUp for a new grant, which must also leave the seller's total
+// budget finite: no response or snapshot can render an infinite one. A
+// grant that would not is refused and changes nothing.
+func (l *Ledger) Grant(id string, add float64) (float64, error) {
+	extra := add
+	if a := l.acct[id]; a != nil {
+		extra += a.Extra
+	}
+	if math.IsInf(l.cfg.Epsilon+extra, 0) {
+		return 0, fmt.Errorf("budget: a top-up of %v would make the budget infinite", add)
+	}
+	return l.TopUp(id, add)
 }
 
 // Accounts returns a deep copy of every non-empty account, keyed by seller

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -193,5 +194,43 @@ func TestCreateMarketBudgetValidation(t *testing.T) {
 	getJSON(t, ts.URL+"/v2/markets/adv", &info)
 	if info.EpsilonBudget != 5 || info.Composition != "advanced" {
 		t.Errorf("advanced market info = %+v", info)
+	}
+}
+
+// TestTopUpKeepsBudgetFinite: a top-up that would make a seller's budget
+// infinite answers a field-level 400 and changes nothing, so every response
+// rendering the seller still has a body and the market still saves. Each
+// grant was once checked alone: two grants of 1e308 made the budget +Inf,
+// after which GET on the seller answered an empty 200 and SaveAll failed.
+func TestTopUpKeepsBudgetFinite(t *testing.T) {
+	srv := NewServer(Options{Seed: 1, Logf: func(string, ...any) {}, SnapshotDir: t.TempDir()})
+	t.Cleanup(srv.Pool().Close)
+	if code, body := serve(t, srv, http.MethodPost, "/v2/markets", `{"id":"b","epsilon_budget":5}`); code != http.StatusCreated {
+		t.Fatalf("create market = %d (%s)", code, body)
+	}
+	if code, body := serve(t, srv, http.MethodPost, "/v2/markets/b/sellers", `{"id":"S0","lambda":0.4,"synthetic_rows":20}`); code != http.StatusCreated {
+		t.Fatalf("register seller = %d (%s)", code, body)
+	}
+	const grant = `{"add":1e308}`
+	if code, body := serve(t, srv, http.MethodPost, "/v2/markets/b/sellers/S0/budget", grant); code != http.StatusOK {
+		t.Fatalf("first top-up = %d (%s), want 200", code, body)
+	}
+	code, body := serve(t, srv, http.MethodPost, "/v2/markets/b/sellers/S0/budget", grant)
+	if code != http.StatusBadRequest {
+		t.Fatalf("second top-up = %d (%s), want 400", code, body)
+	}
+	if e := decodeErrorEnvelope(t, body); e.Code != CodeInvalidField || e.Field != "add" {
+		t.Errorf("second top-up envelope = %+v, want invalid_field on add", e)
+	}
+	code, body = serve(t, srv, http.MethodGet, "/v2/markets/b/sellers/S0", "")
+	var st SellerInfo
+	if code != http.StatusOK || json.Unmarshal(body, &st) != nil {
+		t.Fatalf("GET seller = %d (%q), want 200 with a seller", code, body)
+	}
+	if st.EpsilonBudget != 5+1e308 {
+		t.Errorf("budget after the refused grant = %g, want %g", st.EpsilonBudget, 5+1e308)
+	}
+	if err := srv.Pool().SaveAll(); err != nil {
+		t.Fatalf("SaveAll: %v", err)
 	}
 }

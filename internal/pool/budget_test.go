@@ -795,7 +795,7 @@ func TestReplaySkipsMalformedTradeRecords(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				spec.EpsilonBudget, spec.Composition = 0, ""
+				spec.Spec.EpsilonBudget = fptr(0)
 				if _, err := writeSnapshotFile(filepath.Join(dir, "bad"+snapshotExt), spec); err != nil {
 					t.Fatal(err)
 				}

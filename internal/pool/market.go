@@ -30,10 +30,8 @@ import (
 // the atomically published View. stateMu guards only the admission gate
 // (closed flag + in-flight counter) used by Delete's drain.
 type Market struct {
-	id     string
-	p      *Pool
-	seed   int64
-	solver solve.Backend
+	id string
+	p  *Pool
 
 	stateMu  sync.Mutex
 	closeErr error         // nil while open; the begin-rejection reason once closing
@@ -46,6 +44,9 @@ type Market struct {
 
 	writeMu sync.Mutex
 	view    atomic.Pointer[View]
+	// cfg holds the market's one copy of its seed, solver and budget
+	// ledger (nil without a budget); build sets it, and after that only
+	// the ledger's accounts change, under writeMu.
 	cfg     market.Config
 	sellers []*market.Seller // guarded by writeMu
 	mkt     *market.Market   // guarded by writeMu
@@ -74,13 +75,11 @@ type Market struct {
 	// pool's floor). Guarded by writeMu.
 	snapBytes int64
 
-	// ledger is the market's per-seller privacy-budget ledger (nil when
-	// budgeting is disabled). The inner market charges it at trade commit
-	// and again when it replays the trade record, which carries the
-	// charges; top-ups are budget_charge WAL records, and snapshots carry
-	// the accounts. Guarded by writeMu like the rest of the trading state;
-	// epsBudget and composition are immutable after creation.
-	ledger      *budget.Ledger
+	// epsBudget and composition are the market's privacy-budget settings,
+	// immutable after creation. The ledger itself is cfg.Budget: the inner
+	// market charges it at trade commit and again when it replays the
+	// trade record, which carries the charges; top-ups are budget_charge
+	// WAL records, and snapshots carry the accounts.
 	epsBudget   float64
 	composition budget.Composition
 
@@ -161,36 +160,80 @@ type BatchDemand struct {
 	Solver string
 }
 
-// newMarket builds an empty market with a published empty view. The
-// market's synthetic test set derives from its seed exactly as the
-// single-market server's did, so the pool's default market is
-// bit-compatible with the pre-pool service.
-func (p *Pool) newMarket(id string, backend solve.Backend, seed int64, durability Durability, concurrency, queue int, epsBudget float64, composition budget.Composition) *Market {
-	var ledger *budget.Ledger
-	if epsBudget > 0 {
-		l, err := budget.NewLedger(budget.Config{Epsilon: epsBudget, Composition: composition})
+// build validates spec, resolving every field it leaves unset to the pool
+// default, and constructs the empty market it names, with a published empty
+// view. It is the one place a market's settings are set; the market is in
+// no pool until add puts it there.
+func (p *Pool) build(spec Spec) (*Market, error) {
+	if err := ValidateID(spec.ID); err != nil {
+		return nil, err
+	}
+	backend := p.solver
+	if spec.Solver != "" {
+		b, err := solve.Lookup(spec.Solver)
 		if err != nil {
-			// Create validated the config; this is unreachable short of a
-			// programming error, and disabling beats refusing the market.
-			p.logf("pool: market %q: budget ledger: %v; disabling budgets", id, err)
-			epsBudget = 0
-		} else {
-			ledger = l
+			return nil, &FieldError{Field: "solver", Msg: err.Error()}
+		}
+		backend = b
+	}
+	durability := p.durability
+	if spec.Durability != "" {
+		d, err := ParseDurability(spec.Durability)
+		if err != nil {
+			return nil, &FieldError{Field: "durability", Msg: err.Error()}
+		}
+		durability = d
+	}
+	seed := p.deriveSeed(spec.ID)
+	if spec.Seed != nil {
+		seed = *spec.Seed
+	}
+	conc := p.tradeConc
+	if spec.TradeConcurrency != nil {
+		if *spec.TradeConcurrency < 1 {
+			return nil, &FieldError{Field: "trade_concurrency", Msg: fmt.Sprintf("must be at least 1, got %d", *spec.TradeConcurrency)}
+		}
+		conc = *spec.TradeConcurrency
+	}
+	queue := p.tradeQueue
+	if spec.TradeQueue != nil {
+		if *spec.TradeQueue < 0 {
+			return nil, &FieldError{Field: "trade_queue", Msg: fmt.Sprintf("must be non-negative, got %d", *spec.TradeQueue)}
+		}
+		queue = *spec.TradeQueue
+	}
+	composition := p.composition
+	if spec.Composition != "" {
+		c, err := budget.ParseComposition(spec.Composition)
+		if err != nil {
+			return nil, &FieldError{Field: "composition", Msg: err.Error()}
+		}
+		composition = c
+	}
+	epsBudget := p.epsBudget
+	if spec.EpsilonBudget != nil {
+		epsBudget = *spec.EpsilonBudget
+	}
+	var ledger *budget.Ledger
+	if epsBudget != 0 {
+		var err error
+		if ledger, err = budget.NewLedger(budget.Config{Epsilon: epsBudget, Composition: composition}); err != nil {
+			return nil, &FieldError{Field: "epsilon_budget", Msg: err.Error()}
 		}
 	}
+	id := spec.ID
 	m := &Market{
 		id:          id,
 		p:           p,
-		seed:        seed,
-		solver:      backend,
 		closing:     make(chan struct{}),
-		adm:         newGate(p.metrics, id, concurrency, queue),
+		adm:         newGate(p.metrics, id, conc, queue),
 		durability:  durability,
-		ledger:      ledger,
 		epsBudget:   epsBudget,
 		composition: composition,
 		cfg: market.Config{
-			Cost:     p.cost,
+			Cost: p.cost,
+			// Derived from the seed as the single-market server's was, so
+			// the default market is bit-compatible with the pre-pool service.
 			TestSet:  dataset.SyntheticCCPP(p.testRows, stat.NewRand(seed+7)),
 			Update:   p.update,
 			Solver:   backend,
@@ -209,17 +252,17 @@ func (p *Pool) newMarket(id string, backend solve.Backend, seed int64, durabilit
 		m.exhaustedC = p.metrics.Counter("market/" + id + "/budget_exhausted")
 	}
 	m.view.Store(&View{Weights: core.UniformWeights(1)})
-	return m
+	return m, nil
 }
 
 // ID returns the market's pool-unique name.
 func (m *Market) ID() string { return m.id }
 
 // Seed returns the market's random seed.
-func (m *Market) Seed() int64 { return m.seed }
+func (m *Market) Seed() int64 { return m.cfg.Seed }
 
 // Solver names the market's default equilibrium backend.
-func (m *Market) Solver() string { return m.solver.Name() }
+func (m *Market) Solver() string { return m.cfg.Solver.Name() }
 
 // TestSet exposes the market's held-out scoring dataset (the reference
 // data product builders calibrate against).
@@ -233,8 +276,8 @@ func (m *Market) Info() Info {
 	v := m.view.Load()
 	return Info{
 		ID:               m.id,
-		Solver:           m.solver.Name(),
-		Seed:             m.seed,
+		Solver:           m.cfg.Solver.Name(),
+		Seed:             m.cfg.Seed,
 		Durability:       string(m.durability),
 		TradeConcurrency: cap(m.adm.slots),
 		TradeQueue:       m.adm.queueCap,
@@ -250,7 +293,7 @@ func (m *Market) Info() Info {
 // compositionName reports the market's ε-composition rule, empty when
 // budgeting is disabled (so Info and snapshots omit it).
 func (m *Market) compositionName() string {
-	if m.ledger == nil {
+	if m.cfg.Budget == nil {
 		return ""
 	}
 	return string(m.composition)
@@ -406,7 +449,7 @@ func (m *Market) sellerData(reg Registration) (*dataset.Dataset, error) {
 func (m *Market) resolveProto(v *View, requested string) (string, solve.Prepared, error) {
 	name := requested
 	if name == "" {
-		name = m.solver.Name()
+		name = m.cfg.Solver.Name()
 	}
 	proto, ok := v.Protos[name]
 	if !ok {
@@ -558,16 +601,9 @@ func (m *Market) tradeLocked(ctx context.Context, release func(), b core.Buyer, 
 	defer release()
 	m.writeMu.Lock()
 	defer m.writeMu.Unlock()
-	if m.mkt == nil {
-		if len(m.sellers) == 0 {
-			return nil, nil, 0, fmt.Errorf("market %q: %w", m.id, ErrNoSellers)
-		}
-		mkt, err := market.New(m.sellers, m.cfg)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("market %q: building market: %w", m.id, err)
-		}
-		mkt.SetEpoch(m.rosterEpoch)
-		m.mkt = mkt
+	mkt, err := m.tradingLocked()
+	if err != nil {
+		return nil, nil, 0, err
 	}
 	if m.p.tradeTimeout > 0 {
 		var cancel context.CancelFunc
@@ -575,7 +611,7 @@ func (m *Market) tradeLocked(ctx context.Context, release func(), b core.Buyer, 
 		defer cancel()
 	}
 	start := time.Now()
-	tx, err := m.mkt.RunRoundBackend(ctx, b, builder, backend)
+	tx, err := mkt.RunRoundBackend(ctx, b, builder, backend)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -596,6 +632,24 @@ func (m *Market) tradeLocked(ctx context.Context, release func(), b core.Buyer, 
 	m.p.logf("pool: market %q trade %d executed (p^M=%g, p^D=%g, EV=%.4f)",
 		m.id, tx.Round, tx.Profile.PM, tx.Profile.PD, tx.Metrics.Performance)
 	return tx, l, seq, nil
+}
+
+// tradingLocked returns the inner market, building it over the registered
+// roster at the market's first trade, live or replayed (writeMu held).
+func (m *Market) tradingLocked() (*market.Market, error) {
+	if m.mkt != nil {
+		return m.mkt, nil
+	}
+	if len(m.sellers) == 0 {
+		return nil, fmt.Errorf("market %q: %w", m.id, ErrNoSellers)
+	}
+	mkt, err := market.New(m.sellers, m.cfg)
+	if err != nil {
+		return nil, fmt.Errorf("market %q: building market: %w", m.id, err)
+	}
+	mkt.SetEpoch(m.rosterEpoch)
+	m.mkt = mkt
+	return mkt, nil
 }
 
 // buildView renders the market's mutable state into a fresh immutable
@@ -654,9 +708,9 @@ func (m *Market) sellerStates(weights []float64, trades []*market.Transaction) [
 	out := make([]SellerState, len(m.sellers))
 	for i, sel := range m.sellers {
 		st := SellerState{ID: sel.ID, Lambda: sel.Lambda, Rows: sel.Data.Len(), Weight: weights[i]}
-		if m.ledger != nil {
-			st.Budget = m.ledger.Budget(sel.ID)
-			st.Spent = m.ledger.Spent(sel.ID)
+		if led := m.cfg.Budget; led != nil {
+			st.Budget = led.Budget(sel.ID)
+			st.Spent = led.Spent(sel.ID)
 		}
 		if m.cfg.Discount != nil {
 			st.Discount = 1
@@ -686,7 +740,7 @@ func (m *Market) publishView() error {
 // registry is integer-valued) after a view publish (writeMu held). A no-op
 // without a ledger.
 func (m *Market) updateBudgetGauges(v *View) {
-	if m.ledger == nil {
+	if m.cfg.Budget == nil {
 		return
 	}
 	if m.epsGauges == nil {
@@ -717,8 +771,9 @@ func (m *Market) Seller(id string) (SellerState, uint64, error) {
 // TopUpBudget raises one seller's privacy budget by add (ε). The grant is
 // persisted as a budget_charge WAL record — it must survive a reboot with
 // the same exactness as the charges the trade records carry — and the
-// refreshed view is published before returning. Markets without a ledger
-// refuse with a field-level error; unknown sellers with ErrSellerNotFound.
+// refreshed view is published before returning. Markets without a ledger,
+// and a grant that would make the seller's budget infinite, refuse with a
+// field-level error; unknown sellers with ErrSellerNotFound.
 func (m *Market) TopUpBudget(id string, add float64) (SellerState, error) {
 	if err := m.begin(); err != nil {
 		return SellerState{}, err
@@ -736,7 +791,8 @@ func (m *Market) TopUpBudget(id string, add float64) (SellerState, error) {
 func (m *Market) topUpLocked(id string, add float64) (SellerState, *wal.Log, uint64, error) {
 	m.writeMu.Lock()
 	defer m.writeMu.Unlock()
-	if m.ledger == nil {
+	led := m.cfg.Budget
+	if led == nil {
 		return SellerState{}, nil, 0, &FieldError{Field: "add", Msg: "market has no privacy budget configured"}
 	}
 	found := false
@@ -749,7 +805,7 @@ func (m *Market) topUpLocked(id string, add float64) (SellerState, *wal.Log, uin
 	if !found {
 		return SellerState{}, nil, 0, fmt.Errorf("seller %q: %w", id, ErrSellerNotFound)
 	}
-	if _, err := m.ledger.TopUp(id, add); err != nil {
+	if _, err := led.Grant(id, add); err != nil {
 		return SellerState{}, nil, 0, &FieldError{Field: "add", Msg: err.Error()}
 	}
 	if err := m.publishView(); err != nil {
@@ -760,7 +816,7 @@ func (m *Market) topUpLocked(id string, add float64) (SellerState, *wal.Log, uin
 		TopUpSeller: id,
 		TopUpAmount: add,
 	})
-	m.p.logf("pool: market %q: seller %q budget topped up by ε=%g (total %g)", m.id, id, add, m.ledger.Budget(id))
+	m.p.logf("pool: market %q: seller %q budget topped up by ε=%g (total %g)", m.id, id, add, led.Budget(id))
 	st, _, err := m.Seller(id)
 	return st, l, seq, err
 }

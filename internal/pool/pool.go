@@ -157,7 +157,9 @@ type Pool struct {
 
 // Spec names and configures one market to create. Snapshots store a
 // market's resolved spec — every field set, zeros included — under the
-// JSON names below, and a restore creates the market from it.
+// JSON names below, and a restore builds the market from it. Older
+// snapshots kept their settings at top level under the same names, which
+// is how ReadSnapshotFile reads them, so the names must not change.
 type Spec struct {
 	// ID is the market's name: 1–64 characters from [A-Za-z0-9._-],
 	// starting with a letter or digit (it doubles as the snapshot file
@@ -372,71 +374,29 @@ func (p *Pool) deriveSeed(id string) int64 {
 
 // Create admits a new empty market under spec.ID.
 func (p *Pool) Create(spec Spec) (*Market, error) {
-	if err := ValidateID(spec.ID); err != nil {
+	m, err := p.build(spec)
+	if err != nil {
 		return nil, err
 	}
-	backend := p.solver
-	if spec.Solver != "" {
-		b, err := solve.Lookup(spec.Solver)
-		if err != nil {
-			return nil, &FieldError{Field: "solver", Msg: err.Error()}
-		}
-		backend = b
+	if err := p.add(m, nil); err != nil {
+		return nil, err
 	}
-	durability := p.durability
-	if spec.Durability != "" {
-		d, err := ParseDurability(spec.Durability)
-		if err != nil {
-			return nil, &FieldError{Field: "durability", Msg: err.Error()}
-		}
-		durability = d
-	}
-	seed := p.deriveSeed(spec.ID)
-	if spec.Seed != nil {
-		seed = *spec.Seed
-	}
-	conc := p.tradeConc
-	if spec.TradeConcurrency != nil {
-		if *spec.TradeConcurrency < 1 {
-			return nil, &FieldError{Field: "trade_concurrency", Msg: fmt.Sprintf("must be at least 1, got %d", *spec.TradeConcurrency)}
-		}
-		conc = *spec.TradeConcurrency
-	}
-	queue := p.tradeQueue
-	if spec.TradeQueue != nil {
-		if *spec.TradeQueue < 0 {
-			return nil, &FieldError{Field: "trade_queue", Msg: fmt.Sprintf("must be non-negative, got %d", *spec.TradeQueue)}
-		}
-		queue = *spec.TradeQueue
-	}
-	composition := p.composition
-	if spec.Composition != "" {
-		c, err := budget.ParseComposition(spec.Composition)
-		if err != nil {
-			return nil, &FieldError{Field: "composition", Msg: err.Error()}
-		}
-		composition = c
-	}
-	epsBudget := p.epsBudget
-	if spec.EpsilonBudget != nil {
-		epsBudget = *spec.EpsilonBudget
-	}
-	if epsBudget != 0 {
-		if err := (budget.Config{Epsilon: epsBudget, Composition: composition}).Validate(); err != nil {
-			return nil, &FieldError{Field: "epsilon_budget", Msg: err.Error()}
-		}
-	}
-	m := p.newMarket(spec.ID, backend, seed, durability, conc, queue, epsBudget, composition)
+	return m, nil
+}
+
+// add puts m in the pool in place of old, the market the pool holds under
+// m's ID (nil: the ID must be free).
+func (p *Pool) add(m, old *Market) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.draining {
-		return nil, fmt.Errorf("market %q: %w", spec.ID, ErrDraining)
+		return fmt.Errorf("market %q: %w", m.id, ErrDraining)
 	}
-	if _, ok := p.markets[spec.ID]; ok {
-		return nil, fmt.Errorf("market %q: %w", spec.ID, ErrMarketExists)
+	if p.markets[m.id] != old {
+		return fmt.Errorf("market %q: %w", m.id, ErrMarketExists)
 	}
-	p.markets[spec.ID] = m
-	return m, nil
+	p.markets[m.id] = m
+	return nil
 }
 
 // Get returns the named market or ErrMarketNotFound.

@@ -491,38 +491,6 @@ func TestRestoreAllSkipsCorruptSnapshot(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotRestores: a pre-pool single-market snapshot (no
-// id/solver/seed fields) restores into a market unchanged.
-func TestLegacySnapshotRestores(t *testing.T) {
-	p := New(quietOptions())
-	src, err := p.Create(Spec{ID: "src"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	register(t, src, 2)
-	snap := src.Snapshot()
-	// Strip the pool-era fields to mimic a legacy file.
-	snap.ID, snap.Solver, snap.Seed = "", "", nil
-	raw, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var legacy MarketSnapshot
-	if err := json.Unmarshal(raw, &legacy); err != nil {
-		t.Fatal(err)
-	}
-	dst, err := p.Create(Spec{ID: "dst"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.RestoreSnapshot(&legacy); err != nil {
-		t.Fatalf("restoring legacy snapshot: %v", err)
-	}
-	if got := len(dst.View().Sellers); got != 2 {
-		t.Fatalf("restored %d sellers, want 2", got)
-	}
-}
-
 // TestAccessorsAndErrorStrings sweeps the small surface the other tests
 // reach only implicitly: accessors, error rendering, and registration
 // validation branches.
@@ -681,32 +649,5 @@ func TestRestoreSnapshotRejections(t *testing.T) {
 	ids, err := New(opts).RestoreAll()
 	if err != nil || ids != nil {
 		t.Fatalf("RestoreAll on missing dir = (%v, %v), want (nil, nil)", ids, err)
-	}
-}
-
-// TestSnapshotSeedOverride: restoring a snapshot with a different stored
-// seed rebuilds the market's test set and sampling stream so post-restore
-// behavior matches the saving process.
-func TestSnapshotSeedOverride(t *testing.T) {
-	p := New(quietOptions())
-	src, err := p.Create(Spec{ID: "src"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	register(t, src, 2)
-	snap := src.Snapshot()
-	snap.ID = "" // legacy-style file restored under a different name
-	dst, err := p.Create(Spec{ID: "dst"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dst.Seed() == src.Seed() {
-		t.Fatal("test premise broken: derived seeds collide")
-	}
-	if err := dst.RestoreSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
-	if dst.Seed() != src.Seed() {
-		t.Fatalf("restored seed %d, want the stored %d", dst.Seed(), src.Seed())
 	}
 }

@@ -179,7 +179,7 @@ func (m *Market) emitRoster(action, seller string) {
 	ev := m.snapshotEvent("roster")
 	ev.Action = action
 	ev.Seller = seller
-	if proto, ok := m.view.Load().Protos[m.solver.Name()]; ok {
+	if proto, ok := m.view.Load().Protos[m.cfg.Solver.Name()]; ok {
 		var prof core.Profile
 		if err := proto.SolveFor(context.Background(), core.PaperBuyer(), &prof); err == nil {
 			ev.PM, ev.PD = prof.PM, prof.PD

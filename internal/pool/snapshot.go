@@ -2,6 +2,7 @@ package pool
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,36 +13,27 @@ import (
 	"strings"
 
 	"share/internal/budget"
-	"share/internal/dataset"
 	"share/internal/market"
-	"share/internal/solve"
-	"share/internal/stat"
 )
 
-// MarketSnapshot is the crash-safe persisted state of one market: the full
-// seller roster (the market.Snapshot alone deliberately omits seller data —
-// the pool owns the registrations, so it persists them) plus the market's
-// learned weights, ledger and cost log. A market restored from a snapshot
-// quotes and trades exactly as the one that saved it.
+// MarketSnapshot is the crash-safe persisted state of one market: its
+// resolved spec, the full seller roster (the market.Snapshot alone
+// deliberately omits seller data — the pool owns the registrations, so it
+// persists them) plus the market's budget accounts, learned weights, ledger
+// and cost log. A restore builds the market from the spec and loads the
+// rest into it, so it quotes and trades exactly as the one that saved it.
 //
-// The format is a strict superset of the single-market server's historical
-// snapshot file (version 1): the ID, Solver and Seed fields are omitted by
-// old writers and optional for readers, so every pre-pool snapshot still
-// restores.
+// The spec is the one record of the market's settings. Older layouts — the
+// single-market server's file (version 1, no id), and pool files written
+// before snapshots stored the spec, which carried some settings at top
+// level — are read by ReadSnapshotFile alone, which turns their settings
+// into a partial Spec.
 type MarketSnapshot struct {
 	// Version guards the wire format.
 	Version int `json:"version"`
 	// ID names the market the snapshot belongs to ("" in legacy
 	// single-market files).
 	ID string `json:"id,omitempty"`
-	// Solver names the market's default equilibrium backend ("" keeps the
-	// restoring market's default).
-	Solver string `json:"solver,omitempty"`
-	// Seed pins the market seed (nil keeps the restoring market's seed).
-	Seed *int64 `json:"seed,omitempty"`
-	// Durability names the market's persistence mode ("" — including every
-	// pre-WAL file — keeps the restoring pool's default).
-	Durability string `json:"durability,omitempty"`
 	// WalSeq is the highest WAL sequence number this snapshot reflects
 	// (0 in pre-WAL files and for markets without WAL activity). Replay
 	// skips records at or below it.
@@ -52,16 +44,10 @@ type MarketSnapshot struct {
 	// extends. 0 in pre-churn files, whose epoch replay re-derives from the
 	// register records.
 	RosterEpoch uint64 `json:"roster_epoch,omitempty"`
-	// EpsilonBudget and Composition carry the market's privacy-budget
-	// configuration (0/"" — including every pre-budget file — disables,
-	// or keeps the restoring market's configuration).
-	EpsilonBudget float64 `json:"epsilon_budget,omitempty"`
-	Composition   string  `json:"composition,omitempty"`
 	// Spec is the market's resolved spec, every field explicit: a restore
-	// creates the market from it whole, whatever the restoring pool's
-	// defaults. nil in files written before snapshots stored it; those
-	// restore by the fields above, each one absent meaning the pool
-	// default.
+	// builds the market from it whole, whatever the restoring pool's
+	// defaults. For a file written before snapshots stored it,
+	// ReadSnapshotFile fills in the partial spec its older fields name.
 	Spec *Spec `json:"spec,omitempty"`
 	// BudgetAccounts is each seller's ledger account at save time, keyed
 	// by seller ID; sellers who never charged are omitted. Restored
@@ -99,30 +85,37 @@ func (m *Market) Snapshot() *MarketSnapshot {
 	return m.snapshotLocked()
 }
 
+// spec returns the market's resolved spec, every field explicit.
+func (m *Market) spec() Spec {
+	seed, conc, queue, eps := m.cfg.Seed, cap(m.adm.slots), m.adm.queueCap, m.epsBudget
+	return Spec{
+		ID:               m.id,
+		Solver:           m.cfg.Solver.Name(),
+		Seed:             &seed,
+		Durability:       string(m.durability),
+		TradeConcurrency: &conc,
+		TradeQueue:       &queue,
+		EpsilonBudget:    &eps,
+		Composition:      string(m.composition),
+	}
+}
+
+// over returns s with base's admission settings, and base's value for
+// every other field s leaves unset.
+func (s Spec) over(base Spec) Spec {
+	s.Solver, s.Seed, s.Durability = cmp.Or(s.Solver, base.Solver), cmp.Or(s.Seed, base.Seed), cmp.Or(s.Durability, base.Durability)
+	s.EpsilonBudget, s.Composition = cmp.Or(s.EpsilonBudget, base.EpsilonBudget), cmp.Or(s.Composition, base.Composition)
+	s.TradeConcurrency, s.TradeQueue = base.TradeConcurrency, base.TradeQueue
+	return s
+}
+
 // specSnapshot is the roster-free head of every snapshot: the market's
-// identity and its resolved spec, every field explicit so Create rebuilds
+// identity and its resolved spec, every field explicit so a restore builds
 // the market from it whatever the pool's defaults. On its own it is the
 // spec snapshot written beside a new WAL segment.
 func (m *Market) specSnapshot() *MarketSnapshot {
-	seed, conc, queue, eps := m.seed, cap(m.adm.slots), m.adm.queueCap, m.epsBudget
-	return &MarketSnapshot{
-		Version:       snapshotVersion,
-		ID:            m.id,
-		Solver:        m.solver.Name(),
-		Seed:          &seed,
-		Durability:    string(m.durability),
-		EpsilonBudget: eps,
-		Composition:   m.compositionName(),
-		Spec: &Spec{
-			Solver:           m.solver.Name(),
-			Seed:             &seed,
-			Durability:       string(m.durability),
-			TradeConcurrency: &conc,
-			TradeQueue:       &queue,
-			EpsilonBudget:    &eps,
-			Composition:      string(m.composition),
-		},
-	}
+	spec := m.spec()
+	return &MarketSnapshot{Version: snapshotVersion, ID: m.id, Spec: &spec}
 }
 
 // snapshotLocked is Snapshot with writeMu already held. The sellers' rows
@@ -134,8 +127,8 @@ func (m *Market) snapshotLocked() *MarketSnapshot {
 		snap.WalSeq = m.log.LastSeq()
 	}
 	snap.RosterEpoch = m.rosterEpoch
-	if m.ledger != nil {
-		snap.BudgetAccounts = m.ledger.Accounts()
+	if m.cfg.Budget != nil {
+		snap.BudgetAccounts = m.cfg.Budget.Accounts()
 	}
 	n := 0
 	for _, sel := range m.sellers {
@@ -158,12 +151,12 @@ func (m *Market) snapshotLocked() *MarketSnapshot {
 	return snap
 }
 
-// RestoreSnapshot loads a snapshot into a fresh market (no registrations,
-// no trades). The roster is re-registered from the stored data and, when
-// the snapshot was trading, the inner market is rebuilt with its weights,
-// ledger and cost log. A stored seed different from the market's rebuilds
-// the market's test set and sampling stream so post-restore behavior
-// matches the saving process, not the restoring one.
+// RestoreSnapshot loads a snapshot's state into a fresh market (no
+// registrations, no trades): the budget accounts, the roster re-registered
+// from the stored data and, when the snapshot was trading, the inner market
+// rebuilt with its weights, ledger and cost log. It applies none of the
+// snapshot's settings — restoreOne builds the market from the stored spec
+// first — and a market it fails on must be discarded.
 func (m *Market) RestoreSnapshot(snap *MarketSnapshot) error {
 	if snap == nil {
 		return errors.New("pool: nil snapshot")
@@ -179,54 +172,9 @@ func (m *Market) RestoreSnapshot(snap *MarketSnapshot) error {
 	if len(m.sellers) > 0 || m.mkt != nil {
 		return errors.New("pool: snapshot restore requires a fresh market")
 	}
-	if snap.Seed != nil && *snap.Seed != m.seed {
-		m.seed = *snap.Seed
-		m.cfg.Seed = *snap.Seed
-		m.cfg.TestSet = dataset.SyntheticCCPP(m.p.testRows, stat.NewRand(*snap.Seed+7))
-	}
-	if snap.Solver != "" && snap.Solver != m.solver.Name() {
-		// Legacy files never carry Solver, so this only fires for
-		// pool-written snapshots, whose backend was validated at save time.
-		b, err := solve.Lookup(snap.Solver)
-		if err != nil {
-			return fmt.Errorf("pool: restoring solver: %w", err)
-		}
-		m.solver = b
-		m.cfg.Solver = b
-	}
-	if snap.Durability != "" {
-		// Same rule as Solver: legacy files never carry Durability, so a
-		// bare file keeps the restoring pool's default.
-		d, err := ParseDurability(snap.Durability)
-		if err != nil {
-			return fmt.Errorf("pool: restoring durability: %w", err)
-		}
-		m.durability = d
-	}
-	if snap.EpsilonBudget != 0 || snap.Spec != nil {
-		// Budget config follows the Solver/Durability rule (absent keeps
-		// the restoring market's configuration), except that a file with a
-		// stored spec names it even when it is zero: disabled. The ledger
-		// itself is rebuilt before the inner market so trades wire to it,
-		// and the saved accounts restore the composed spend exactly.
-		var led *budget.Ledger
-		comp := m.composition
-		if snap.EpsilonBudget != 0 {
-			var err error
-			if comp, err = budget.ParseComposition(snap.Composition); err != nil {
-				return fmt.Errorf("pool: restoring composition: %w", err)
-			}
-			if led, err = budget.NewLedger(budget.Config{Epsilon: snap.EpsilonBudget, Composition: comp}); err != nil {
-				return fmt.Errorf("pool: restoring privacy budget: %w", err)
-			}
-			if m.exhaustedC == nil {
-				m.exhaustedC = m.p.metrics.Counter("market/" + m.id + "/budget_exhausted")
-			}
-		}
-		m.ledger, m.epsBudget, m.composition, m.cfg.Budget = led, snap.EpsilonBudget, comp, led
-	}
-	if m.ledger != nil {
-		m.ledger.Restore(snap.BudgetAccounts)
+	if m.cfg.Budget != nil {
+		// The saved accounts restore the composed spend exactly.
+		m.cfg.Budget.Restore(snap.BudgetAccounts)
 	}
 	sellers := make([]*market.Seller, len(snap.Sellers))
 	for i, st := range snap.Sellers {
@@ -247,19 +195,15 @@ func (m *Market) RestoreSnapshot(snap *MarketSnapshot) error {
 			return err
 		}
 	}
-	m.sellers = sellers
-	m.mkt = mkt
-	m.rosterEpoch = snap.RosterEpoch
-	if mkt != nil && snap.Market != nil && snap.Market.Epoch != snap.RosterEpoch {
+	if mkt != nil && snap.Market.Epoch != snap.RosterEpoch {
 		// Pool and market snapshots are written together, so their epochs
 		// agree for every pool-written file; legacy files carry neither
 		// (both read back 0). A mismatch means the file pair was spliced.
-		m.sellers, m.mkt, m.rosterEpoch = nil, nil, 0
 		return fmt.Errorf("pool: snapshot state rejected: %w", &market.RosterError{Msg: fmt.Sprintf(
 			"market snapshot at epoch %d, pool snapshot at epoch %d", snap.Market.Epoch, snap.RosterEpoch)})
 	}
+	m.sellers, m.mkt, m.rosterEpoch = sellers, mkt, snap.RosterEpoch
 	if err := m.publishView(); err != nil {
-		m.sellers, m.mkt, m.rosterEpoch = nil, nil, 0
 		return fmt.Errorf("pool: snapshot state rejected: %w", err)
 	}
 	return nil
@@ -356,23 +300,39 @@ func syncDir(dir string) error {
 	return err
 }
 
-// ReadSnapshotFile loads one snapshot file written by Save or SaveAll.
+// ReadSnapshotFile loads one snapshot file written by Save or SaveAll, in
+// this layout or an older one, and is the one reader of older layouts: the
+// returned snapshot always has a Spec. A file without one — the
+// single-market server's, or a pool file written before snapshots stored
+// the spec — kept its settings at top level under the spec's own names:
+// solver, seed, durability, and a non-zero ε budget with its composition
+// ("" is basic there). They make a partial spec; a setting the file leaves
+// unset, or the retired "snapshot" durability, stays unset, so the
+// restoring pool or the market it holds supplies it.
 func ReadSnapshotFile(path string) (*MarketSnapshot, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("pool: reading snapshot: %w", err)
 	}
-	var snap MarketSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
+	var file struct {
+		MarketSnapshot
+		Spec // the top-level settings of an older layout
+	}
+	if err := json.Unmarshal(raw, &file); err != nil {
 		return nil, fmt.Errorf("pool: decoding snapshot %s: %w", path, err)
 	}
-	if snap.Durability == "snapshot" {
-		// Files written before the WAL became the only persistence path
-		// may name the retired full-snapshot-per-trade mode; such a market
-		// restores under the pool default.
-		snap.Durability = ""
+	snap, old := &file.MarketSnapshot, file.Spec
+	if snap.Spec == nil {
+		spec := Spec{Solver: old.Solver, Seed: old.Seed}
+		if old.Durability != "snapshot" {
+			spec.Durability = old.Durability
+		}
+		if old.EpsilonBudget != nil && *old.EpsilonBudget != 0 {
+			spec.EpsilonBudget, spec.Composition = old.EpsilonBudget, cmp.Or(old.Composition, string(budget.Basic))
+		}
+		snap.Spec = &spec
 	}
-	return &snap, nil
+	return snap, nil
 }
 
 // SaveAll persists every hosted market under the snapshot directory (the
@@ -411,10 +371,15 @@ func (p *Pool) SaveAll() error {
 // survive a crash. A market with a WAL segment but no snapshot (crashed
 // before its first compaction) rebuilds from the log alone. A file that
 // fails to decode or replay is skipped with a logged warning; the
-// remaining markets still restore. A snapshot whose market already exists
-// in the pool restores into it when that market is still fresh (the server
-// pre-creates its default market) and is skipped otherwise. Returns the
-// restored IDs in directory order.
+// remaining markets still restore. Returns the restored IDs in directory
+// order.
+//
+// Each market is built once, from its stored spec, and enters the pool only
+// once its state is loaded (restoreOne). A market the pool already holds
+// under that ID (the server pre-creates its default market) is replaced
+// when it is still fresh, and the restore of that ID is skipped otherwise.
+// A replaced market's pointer goes stale: it keeps its empty state and
+// refuses writes with ErrMarketClosed, and Get returns the restored market.
 //
 // Stored seller rows whose width differs from the test set are the
 // exception: earlier releases admitted them, so the files are intact state
@@ -428,7 +393,8 @@ func (p *Pool) SaveAll() error {
 //
 // Call RestoreAll before serving traffic: a market that appends to its WAL
 // segment before RestoreAll reaches it treats the segment's contents as
-// orphaned and truncates them.
+// orphaned and truncates them, and a request that resolved a held market
+// before its replacement writes into the stale one.
 func (p *Pool) RestoreAll() ([]string, error) {
 	if p.snapshotDir == "" {
 		return nil, errors.New("pool: no snapshot directory configured")
@@ -501,73 +467,65 @@ func (p *Pool) RestoreAll() ([]string, error) {
 	return restored, errors.Join(refused...)
 }
 
-// restoreOne loads one market from its snapshot file and/or WAL segment,
-// creating the market if it does not exist yet. A half-created market is
-// torn down on failure.
+// restoreOne builds one market from its snapshot file and/or WAL segment
+// and then puts it in the pool. build — Create's validation and
+// constructor — makes the market from the stored spec (ReadSnapshotFile's
+// partial spec for an older file, an empty one for a market whose log is
+// its only file), and the market loads its roster, budget accounts, inner
+// market and log tail while no other code can reach it. A fresh market the pool holds under id supplies
+// the admission settings and every setting the spec leaves unset, and is
+// replaced; without one, unset settings take the pool defaults. A held
+// market that has changed its roster or opened its log stays, and the
+// restore is refused.
 func (p *Pool) restoreOne(id, snapPath string) error {
 	var snap *MarketSnapshot
 	var snapBytes int64
+	var spec Spec
 	if snapPath != "" {
 		var err error
-		snap, err = ReadSnapshotFile(snapPath)
-		if err != nil {
+		if snap, err = ReadSnapshotFile(snapPath); err != nil {
 			return err
 		}
 		fi, err := os.Stat(snapPath)
 		if err != nil {
 			return fmt.Errorf("pool: reading snapshot: %w", err)
 		}
-		snapBytes = fi.Size()
+		snapBytes, spec = fi.Size(), *snap.Spec
 	}
-	m, getErr := p.Get(id)
-	created := false
-	if getErr != nil {
-		spec := Spec{ID: id}
-		switch {
-		case snap == nil:
-		case snap.Spec != nil:
-			spec = *snap.Spec // the resolved spec, whole
-			spec.ID = id
-		default:
-			// Written before snapshots stored the spec: the fields it names
-			// apply, and every other one takes the pool default.
-			spec.Solver = snap.Solver
-			spec.Seed = snap.Seed
-			spec.Durability = snap.Durability
-			if snap.EpsilonBudget != 0 {
-				eb := snap.EpsilonBudget
-				spec.EpsilonBudget = &eb
-				spec.Composition = snap.Composition
-			}
+	spec.ID = id
+	held, _ := p.Get(id) // nil when the pool holds no market under id
+	if held != nil {
+		held.writeMu.Lock()
+		fresh := held.rosterEpoch == 0 && held.log == nil
+		held.writeMu.Unlock()
+		if !fresh {
+			return fmt.Errorf("pool: market %q already holds state; refusing to restore over it", id)
 		}
-		var err error
-		m, err = p.Create(spec)
-		if err != nil {
-			return err
-		}
-		created = true
+		spec = spec.over(held.spec())
 	}
-	teardown := func(err error) error {
-		if created {
-			p.mu.Lock()
-			delete(p.markets, id)
-			p.mu.Unlock()
-		}
+	m, err := p.build(spec)
+	if err != nil {
 		return err
 	}
 	var walFloor uint64
 	if snap != nil {
 		if err := m.RestoreSnapshot(snap); err != nil {
-			return teardown(err)
+			return err
 		}
 		walFloor = snap.WalSeq
 	}
 	// Attach the WAL — replaying its tail when a segment exists, creating
 	// an empty one otherwise — so the restored market appends where the
-	// crashed process stopped. With no snapshot, the whole market rebuilds
-	// from the log, which requires a fresh target.
-	if err := m.attachLogReplay(walFloor, snapBytes, snap == nil); err != nil {
-		return teardown(err)
+	// crashed process stopped.
+	if err := m.attachLogReplay(walFloor, snapBytes); err != nil {
+		return err
+	}
+	if err := p.add(m, held); err != nil {
+		m.closeLog()
+		return err
+	}
+	if held != nil {
+		held.close(ErrMarketClosed)
 	}
 	return nil
 }

@@ -125,16 +125,20 @@ func TestSpecSurvivesReboot(t *testing.T) {
 			}
 			p2.Close()
 
-			// A market the restoring pool already holds restores into
-			// itself: it keeps its own admission settings and takes the
-			// rest of the stored spec, a zero budget included.
+			// A market the restoring pool already holds is replaced by the
+			// restored one, which keeps the held market's admission
+			// settings and takes the rest of the stored spec, a zero budget
+			// included.
 			p3 := New(randomDefaults(rng, dir))
-			m3, err := p3.Create(Spec{ID: spec.ID})
-			if err != nil {
+			if _, err := p3.Create(Spec{ID: spec.ID}); err != nil {
 				t.Fatal(err)
 			}
 			if restored, err := p3.RestoreAll(); err != nil || len(restored) != 1 {
 				t.Fatalf("trial %d: RestoreAll into a held market = %v, %v", trial, restored, err)
+			}
+			m3, err := p3.Get(spec.ID)
+			if err != nil {
+				t.Fatal(err)
 			}
 			held := want
 			held.TradeConcurrency, held.TradeQueue = m3.Info().TradeConcurrency, m3.Info().TradeQueue

@@ -181,19 +181,13 @@ func (m *Market) ensureLogLocked() bool {
 
 // attachLogReplay opens the market's WAL segment at restore time and
 // replays every record past the snapshot watermark into the market
-// (RestoreAll's boot path). snapBytes is the size of the snapshot file the
-// market was restored from. requireFresh guards the no-snapshot case: a
-// market that already holds state must not absorb a log replay on top of
-// it. The segment is created when absent; RestoreAll syncs the directory.
-func (m *Market) attachLogReplay(walFloor uint64, snapBytes int64, requireFresh bool) error {
+// (RestoreAll's boot path, on a market restoreOne has just built and not
+// yet put in the pool). snapBytes is the size of the snapshot file the
+// market was restored from. The segment is created when absent; RestoreAll
+// syncs the directory.
+func (m *Market) attachLogReplay(walFloor uint64, snapBytes int64) error {
 	m.writeMu.Lock()
 	defer m.writeMu.Unlock()
-	if m.log != nil {
-		return fmt.Errorf("pool: market %q already has an open wal segment", m.id)
-	}
-	if requireFresh && (len(m.sellers) > 0 || m.mkt != nil) {
-		return fmt.Errorf("pool: market %q is not fresh; refusing wal replay", m.id)
-	}
 	applied := 0
 	l, err := wal.Open(m.walPath(), wal.Options{
 		Mode:    m.durability.walMode(),
@@ -258,18 +252,11 @@ func (m *Market) applyRecordLocked(rec *wal.Record) error {
 		if err := decodeRecord(rec, &tr); err != nil {
 			return err
 		}
-		if m.mkt == nil {
-			if len(m.sellers) == 0 {
-				return fmt.Errorf("pool: trade record %d with an empty roster", rec.Seq)
-			}
-			mkt, err := market.New(m.sellers, m.cfg)
-			if err != nil {
-				return fmt.Errorf("pool: rebuilding market for wal replay: %w", err)
-			}
-			mkt.SetEpoch(m.rosterEpoch)
-			m.mkt = mkt
+		mkt, err := m.tradingLocked()
+		if err != nil {
+			return fmt.Errorf("pool: trade record %d: %w", rec.Seq, err)
 		}
-		if err := m.mkt.ApplyCommitted(tr.Tx, tr.Obs); err != nil {
+		if err := mkt.ApplyCommitted(tr.Tx, tr.Obs); err != nil {
 			return fmt.Errorf("pool: trade record %d: %w", rec.Seq, err)
 		}
 		return nil
@@ -298,7 +285,7 @@ func (m *Market) applyRecordLocked(rec *wal.Record) error {
 		if err := decodeRecord(rec, &br); err != nil {
 			return err
 		}
-		if m.ledger == nil {
+		if m.cfg.Budget == nil {
 			return fmt.Errorf("pool: budget record %d replayed into a market without a privacy budget", rec.Seq)
 		}
 		// Ledger mutations never advance the epoch, so the record must sit
@@ -311,7 +298,7 @@ func (m *Market) applyRecordLocked(rec *wal.Record) error {
 		if br.TopUpSeller == "" {
 			return nil // an earlier release's trade charge
 		}
-		if _, err := m.ledger.TopUp(br.TopUpSeller, br.TopUpAmount); err != nil {
+		if _, err := m.cfg.Budget.TopUp(br.TopUpSeller, br.TopUpAmount); err != nil {
 			return fmt.Errorf("pool: budget record %d: replaying top-up: %w", rec.Seq, err)
 		}
 		return nil

@@ -2,8 +2,9 @@
 # serve_smoke.sh — boot share-server, exercise the full service surface
 # (register, quote, trade, metrics, the /v2 market lifecycle), then SIGTERM
 # it to verify graceful shutdown; reboot it over a -snapshot-dir to verify
-# persistence on graceful shutdown and WAL replay after kill -9. Run via
-# `make serve-smoke`.
+# persistence on graceful shutdown and WAL replay after kill -9, each
+# reboot serving the default market's info as it was before the shutdown.
+# Run via `make serve-smoke`.
 set -eu
 
 ADDR="${SMOKE_ADDR:-127.0.0.1:18080}"
@@ -105,6 +106,14 @@ curl -fs "$BASE/v2/markets/beta/sellers" -d '{"id":"b1","lambda":0.5,"synthetic_
     || fail "dir-mode registration failed"
 curl -fs "$BASE/v2/markets/beta/trades" -d '{"n":90,"v":0.8}' >/dev/null || fail "dir-mode trade failed"
 curl -fs "$BASE/v1/trades" -d '{"n":120,"v":0.8}' >/dev/null || fail "dir-mode default trade failed"
+# The default market must come back with the same spec and state, not just
+# the same rounds: read its info before each shutdown, compare after reboot.
+default_info() { curl -fs "$BASE/v2/markets/default" || fail "default market info failed"; }
+same_default() {
+    got=$(default_info)
+    [ "$got" = "$DEFAULT_INFO" ] || fail "default market after $1: $got, want $DEFAULT_INFO"
+}
+DEFAULT_INFO=$(default_info)
 kill -TERM "$PID"
 wait "$PID" || fail "dir-mode server exited non-zero on SIGTERM"
 PID=""
@@ -119,6 +128,7 @@ curl -fs "$BASE/v2/markets/beta/trades" | grep -q '"round": *1' \
     || fail "beta ledger lost across dir-mode restart"
 curl -fs "$BASE/v1/trades" | grep -q '"round": *1' \
     || fail "default ledger lost across dir-mode restart"
+same_default "the SIGTERM reboot"
 
 # Crash recovery: trade again so the newest round lives only in the
 # write-ahead log (the snapshot on disk still ends at round 1), verify the
@@ -128,6 +138,7 @@ curl -fs "$BASE/v2/markets/beta/trades" -d '{"n":110,"v":0.8}' | grep -q '"round
     || fail "pre-crash beta trade failed"
 curl -fs "$BASE/v1/metrics" | grep -q '"wal/fsyncs"' || fail "metrics missing wal/fsyncs counter"
 [ -s "$SNAPDIR/beta.wal" ] || fail "no WAL segment for beta before crash"
+DEFAULT_INFO=$(default_info)
 kill -KILL "$PID"
 wait "$PID" 2>/dev/null || true
 PID=""
@@ -139,6 +150,7 @@ curl -fs "$BASE/v2/markets/beta/trades" | grep -q '"round": *2' \
     || fail "WAL replay lost the post-snapshot round after kill -9"
 curl -fs "$BASE/v1/trades" | grep -q '"round": *1' \
     || fail "default ledger lost across crash reboot"
+same_default "the kill -9 reboot"
 kill -TERM "$PID"
 wait "$PID" || fail "crash-recovered server exited non-zero on SIGTERM"
 PID=""
@@ -157,4 +169,4 @@ grep -q '"within_2x": true' "$WORK/bench/loadgen.json" \
 grep -q '"server_admission"' "$WORK/bench/loadgen.json" \
     || fail "share-loadgen report missing admission counters"
 
-echo "serve-smoke: OK (quote, trade, metrics, v2 lifecycle, graceful shutdown, snapshot-dir restore, kill -9 WAL replay, loadgen saturation)"
+echo "serve-smoke: OK (quote, trade, metrics, v2 lifecycle, graceful shutdown, snapshot-dir restore, kill -9 WAL replay, default market unchanged across both reboots, loadgen saturation)"
