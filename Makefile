@@ -28,7 +28,9 @@ test:
 # reused (also with two markets trading interleaved and concurrently, and
 # with rounds alternating per-round solver overrides), every backend on a
 # churned market's committed game to a fresh Precompute of its roster, bit
-# for bit, over generated join/leave scripts, the
+# for bit, over generated join/leave scripts, the live round's ε charges to
+# the LDP applications it ran (a counting mechanism against a shadow
+# ledger charged from Pieces, as replay charges), the
 # free list that hands that scratch between goroutines, the in-place
 # Laplace mechanism to the copying loop it replaced, and every row-major
 # Dataset operation to the one-slice-per-row layout it replaced, under the
@@ -45,7 +47,9 @@ test:
 # the terminal-close seal, the churn-vs-quote isolation of the
 # copy-on-write view swap, the churned-checkpoint round trip, the
 # budget-exhaustion-vs-quote isolation, the immutability of published
-# views that share the committed ledger, the on-disk bytes of seller
+# views that share the committed ledger, views read for the first time
+# after later mutations (or by four goroutines at once) rendering what
+# they rendered at publication, the on-disk bytes of seller
 # rows in WAL records and compaction snapshots, quotes into reused
 # profiles while churn republishes the view, what a persisted trade
 # allocates once each WAL record is encoded once, every view's backends
@@ -83,9 +87,9 @@ test:
 # kill -9 WAL replay, the default market's info unchanged across both).
 race: vet
 	$(GO) test -race ./...
-	$(GO) test -race -run 'TestKernelEquivalence|TestPerWorkerStreamsMatchPerPermutationRngs|TestRunRoundShapleyIdenticalAcrossWorkers|TestRoundOutputsMatchParent|TestChurnedMarketMatchesFreshMarket|TestFreeListConcurrentOwnership|TestPerturbInPlace|TestLayoutMatchesRowSlices' -count=1 ./internal/valuation ./internal/market ./internal/parallel ./internal/ldp ./internal/dataset
+	$(GO) test -race -run 'TestKernelEquivalence|TestPerWorkerStreamsMatchPerPermutationRngs|TestRunRoundShapleyIdenticalAcrossWorkers|TestRoundOutputsMatchParent|TestChurnedMarketMatchesFreshMarket|TestLiveChargesMatchPieces|TestFreeListConcurrentOwnership|TestPerturbInPlace|TestLayoutMatchesRowSlices' -count=1 ./internal/valuation ./internal/market ./internal/parallel ./internal/ldp ./internal/dataset
 	$(GO) test -race -run 'TestGeneralMatchesAnalytic|TestGeneralDeterministicAcrossWorkers|TestMapDeterministicAcrossWorkers|TestMeanFieldWithinTheoremBounds|TestSolveGeneralTau|TestSolveForMatchesCloneSolve|TestBindMatchesPrecompute' -count=1 ./internal/solve ./internal/core
-	$(GO) test -race -run 'TestMarketsAreIsolated|TestDeleteDrainsInFlightRounds|TestBatchQuoteDeterminism|TestWALTortureRecovery|TestWALTortureBudgetRecovery|TestParentEraBudgetLogRestores|TestConcurrentTradesGroupCommit|TestAdmissionRejectsWhenQueueFull|TestAdmissionQueueWaitsForSlot|TestAdmissionQueuedTradeHonorsContext|TestCloseSealsPoolAgainstStragglers|TestAsyncCloseFlushesTail|TestChurnQuoteIsolation|TestChurnSurvivesCheckpoint|TestExhaustedTradesLeaveQuotesUndisturbed|TestPublishedViewStaysImmutable|TestSellerBytesOnDiskMatchParent|TestConcurrentQuotesDuringChurn|TestTradeBytesPerRound|TestViewsBindTheCommittedGame|TestLeaveQuotesSurviveReboot|TestSpecSurvivesReboot|TestLegacySnapshotRestores|TestSnapshotSeedOverride|TestWALCompaction|TestCompactionOutputBoundedByLog' -count=1 ./internal/pool
+	$(GO) test -race -run 'TestMarketsAreIsolated|TestDeleteDrainsInFlightRounds|TestBatchQuoteDeterminism|TestWALTortureRecovery|TestWALTortureBudgetRecovery|TestParentEraBudgetLogRestores|TestConcurrentTradesGroupCommit|TestAdmissionRejectsWhenQueueFull|TestAdmissionQueueWaitsForSlot|TestAdmissionQueuedTradeHonorsContext|TestCloseSealsPoolAgainstStragglers|TestAsyncCloseFlushesTail|TestChurnQuoteIsolation|TestChurnSurvivesCheckpoint|TestExhaustedTradesLeaveQuotesUndisturbed|TestPublishedViewStaysImmutable|TestLateFirstReadsRenderAsPublished|TestSellerBytesOnDiskMatchParent|TestConcurrentQuotesDuringChurn|TestTradeBytesPerRound|TestViewsBindTheCommittedGame|TestLeaveQuotesSurviveReboot|TestSpecSurvivesReboot|TestLegacySnapshotRestores|TestSnapshotSeedOverride|TestWALCompaction|TestCompactionOutputBoundedByLog' -count=1 ./internal/pool
 	$(GO) test -race -run 'TestOverloadIsolationAcrossMarkets|TestDrainAnswers503|TestQuoteScratchDoesNotLeak' -count=1 ./internal/httpapi
 	$(GO) test -race -run 'TestConcurrentGroupCommit|TestTornTailTruncatedAtEveryOffset|TestAppendFramesMatchMarshal|TestEnvelopeMatchesUnmarshal|TestCorruptLengthAllocatesOnlyTheFile' -count=1 ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 10s -fuzzminimizetime 1s ./internal/wal

@@ -3,7 +3,7 @@ package market
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // MaxPieces caps the data pieces one trade buys. A round sizes its sale
@@ -29,8 +29,25 @@ func salePieces(n float64) (int, error) {
 // nothing.
 func IntegerAllocation(chi []float64, n int) []int {
 	out := make([]int, len(chi))
+	allocatePieces(out, chi, n, nil)
+	return out
+}
+
+// remainder is one positive-χ seller's fractional share in the
+// largest-remainder pass.
+type remainder struct {
+	idx  int
+	frac float64
+}
+
+// allocatePieces is IntegerAllocation into out, which must hold len(chi)
+// entries (every one is written). The remainder pass works in rems, whose
+// contents are irrelevant; the slice is returned, grown as needed, for the
+// next call.
+func allocatePieces(out []int, chi []float64, n int, rems []remainder) []remainder {
+	clear(out)
 	if n <= 0 || len(chi) == 0 {
-		return out
+		return rems
 	}
 	var total float64
 	for _, c := range chi {
@@ -39,13 +56,9 @@ func IntegerAllocation(chi []float64, n int) []int {
 		}
 	}
 	if total <= 0 {
-		return out
+		return rems
 	}
-	type rem struct {
-		idx  int
-		frac float64
-	}
-	rems := make([]rem, 0, len(chi))
+	rems = rems[:0]
 	assigned := 0
 	for i, c := range chi {
 		if c <= 0 {
@@ -57,9 +70,9 @@ func IntegerAllocation(chi []float64, n int) []int {
 		fl := math.Floor(scaled)
 		out[i] = int(fl)
 		assigned += out[i]
-		rems = append(rems, rem{idx: i, frac: scaled - fl})
+		rems = append(rems, remainder{idx: i, frac: scaled - fl})
 	}
-	sort.SliceStable(rems, func(a, b int) bool { return rems[a].frac > rems[b].frac })
+	slices.SortStableFunc(rems, largerFrac)
 	for k := 0; assigned < n && k < len(rems); k++ {
 		out[rems[k].idx]++
 		assigned++
@@ -70,5 +83,18 @@ func IntegerAllocation(chi []float64, n int) []int {
 		out[rems[i].idx]++
 		assigned++
 	}
-	return out
+	return rems
+}
+
+// largerFrac orders remainders by descending fractional part, ties kept in
+// seller order by the stable sort. The sort consults only whether the
+// result is negative, which is exactly when a.frac > b.frac, NaN included.
+func largerFrac(a, b remainder) int {
+	switch {
+	case a.frac > b.frac:
+		return -1
+	case b.frac > a.frac:
+		return 1
+	}
+	return 0
 }

@@ -2,6 +2,8 @@ package market
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -82,5 +84,93 @@ func TestIntegerAllocationProperties(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// sliceStableAllocation is IntegerAllocation as it was written before its
+// remainder pass moved into round scratch: a fresh remainder slice ordered
+// by sort.SliceStable. It is the oracle for the scratch form.
+func sliceStableAllocation(chi []float64, n int) []int {
+	out := make([]int, len(chi))
+	if n <= 0 || len(chi) == 0 {
+		return out
+	}
+	var total float64
+	for _, c := range chi {
+		if c > 0 {
+			total += c
+		}
+	}
+	if total <= 0 {
+		return out
+	}
+	type rem struct {
+		idx  int
+		frac float64
+	}
+	rems := make([]rem, 0, len(chi))
+	assigned := 0
+	for i, c := range chi {
+		if c <= 0 {
+			continue
+		}
+		scaled := c * float64(n) / total
+		fl := math.Floor(scaled)
+		out[i] = int(fl)
+		assigned += out[i]
+		rems = append(rems, rem{idx: i, frac: scaled - fl})
+	}
+	sort.SliceStable(rems, func(a, b int) bool { return rems[a].frac > rems[b].frac })
+	for k := 0; assigned < n && k < len(rems); k++ {
+		out[rems[k].idx]++
+		assigned++
+	}
+	for i := 0; assigned < n && len(rems) > 0; i = (i + 1) % len(rems) {
+		out[rems[i].idx]++
+		assigned++
+	}
+	return out
+}
+
+// TestAllocatePiecesMatchesSliceStable: the scratch remainder pass, run
+// into a reused output and remainder slice, gives exactly what the
+// sort.SliceStable form gave, over generated χ full of exact ties (values
+// drawn from a few multiples of a quarter, so many fractional parts are
+// equal), zeros and negatives, at n from 0 up.
+func TestAllocatePiecesMatchesSliceStable(t *testing.T) {
+	rng := stat.NewRand(30)
+	var rems []remainder
+	out := make([]int, 0, 64)
+	for trial := 0; trial < 5000; trial++ {
+		m := rng.Intn(40)
+		chi := make([]float64, m)
+		for i := range chi {
+			switch r := rng.Intn(10); {
+			case r == 0:
+				chi[i] = 0
+			case r == 1:
+				chi[i] = -float64(rng.Intn(8)) / 4
+			case r < 7:
+				chi[i] = float64(1+rng.Intn(12)) / 4
+			default:
+				chi[i] = rng.Float64() * 50
+			}
+		}
+		n := rng.Intn(3 * (m + 1))
+		if trial%5 == 0 {
+			n = rng.Intn(100_000)
+		}
+		want := sliceStableAllocation(chi, n)
+		out = out[:m]
+		for i := range out {
+			out[i] = -7 // every entry must be written
+		}
+		rems = allocatePieces(out, chi, n, rems)
+		if !slices.Equal(out, want) {
+			t.Fatalf("trial %d: χ=%v n=%d: scratch pass %v, sort.SliceStable form %v", trial, chi, n, out, want)
+		}
+		if got := IntegerAllocation(chi, n); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: χ=%v n=%d: IntegerAllocation %v, sort.SliceStable form %v", trial, chi, n, got, want)
+		}
 	}
 }

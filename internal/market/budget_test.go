@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"share/internal/budget"
@@ -53,8 +54,8 @@ func budgetMarket(t *testing.T, m int, eps float64, update *WeightUpdate, seed i
 
 // TestBudgetDisabledRoundIsBitIdentical: a market with a generous budget
 // produces the same numeric round as a budget-free market on the same seed —
-// the metered mechanism and the split ε loop draw no extra randomness, so
-// enabling budgets only adds the spent vector.
+// the budget check and charge draw no randomness, so enabling budgets only
+// adds the spent vector.
 func TestBudgetDisabledRoundIsBitIdentical(t *testing.T) {
 	plain, buyer := testMarket(t, 6, &WeightUpdate{Retain: 0.2, Permutations: 8}, 21)
 	budgeted, _, _ := budgetMarket(t, 6, 1e12, &WeightUpdate{Retain: 0.2, Permutations: 8}, 21)
@@ -311,5 +312,115 @@ func TestDiscountConfigValidation(t *testing.T) {
 	full := DiscountConfig{Factor: 1, Threshold: 0}
 	if got := full.factor(1); got != 0 {
 		t.Errorf("full discount factor(1) = %v", got)
+	}
+}
+
+// countingMechanism perturbs nothing and counts its applications per
+// seller, telling sellers apart by their rows: every seller's data is
+// drawn from a stream of its own, so a record's first feature and target
+// name the seller whose row it copies. It keeps the ε each seller's
+// records were perturbed under, and flags a record that no seller holds
+// and a seller perturbed under two ε in one round.
+type countingMechanism struct {
+	owner  map[[2]uint64]int
+	counts []int
+	eps    []float64
+	bad    string
+}
+
+func (c *countingMechanism) Perturb(_ *rand.Rand, record []float64, eps float64) {
+	i, ok := c.owner[[2]uint64{math.Float64bits(record[0]), math.Float64bits(record[len(record)-1])}]
+	switch {
+	case !ok:
+		c.bad = fmt.Sprintf("perturbed a record no seller holds: %v", record)
+	case c.counts[i] > 0 && eps != c.eps[i]:
+		c.bad = fmt.Sprintf("seller %d perturbed under ε=%v and ε=%v", i, c.eps[i], eps)
+	default:
+		c.counts[i]++
+		c.eps[i] = eps
+	}
+}
+
+// TestLiveChargesMatchPieces: the live round charges the privacy ledger
+// from the transaction's Pieces, as replay does, so Pieces must be the LDP
+// applications the round ran. Over generated rosters (a seller with fewer
+// rows than her allocation is sampled with replacement), demands and both
+// composition rules, a counting mechanism set through Config.Mechanism must
+// see exactly Pieces[i] applications per seller, and the ledger's spend
+// must equal, bit for bit, a shadow ledger charged from Pieces alone.
+func TestLiveChargesMatchPieces(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := stat.NewRand(seed)
+		m := 2 + rng.Intn(6)
+		sellers := make([]*Seller, m)
+		mech := &countingMechanism{owner: map[[2]uint64]int{}, counts: make([]int, m), eps: make([]float64, m)}
+		for i := range sellers {
+			rows := 20 + rng.Intn(120)
+			if i == 0 {
+				rows = 3 + rng.Intn(5) // fewer rows than any allocation she gets
+			}
+			d := dataset.SyntheticCCPP(rows, stat.NewRand(seed*100+int64(i)))
+			for r := 0; r < d.Len(); r++ {
+				mech.owner[[2]uint64{math.Float64bits(d.Row(r)[0]), math.Float64bits(d.Y[r])}] = i
+			}
+			sellers[i] = &Seller{ID: fmt.Sprintf("S%d", i), Lambda: stat.UniformOpen(rng, 0, 1), Data: d}
+		}
+		cfg := budget.Config{Epsilon: 1e18}
+		if seed%2 == 0 {
+			cfg.Composition = budget.Advanced
+		}
+		led, err := budget.NewLedger(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shadow, err := budget.NewLedger(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mkt, err := New(sellers, Config{
+			Cost:      translog.PaperDefaults(),
+			Mechanism: mech,
+			TestSet:   dataset.SyntheticCCPP(200, stat.NewRand(seed+7)),
+			Update:    &WeightUpdate{Retain: 0.2, Permutations: 4},
+			Seed:      seed,
+			Budget:    led,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 1; round <= 4; round++ {
+			buyer := core.PaperBuyer()
+			buyer.N = float64(10 + rng.Intn(40*m))
+			buyer.V = 0.5 + 0.45*rng.Float64()
+			clear(mech.counts)
+			tx, err := mkt.RunRound(buyer)
+			if err != nil {
+				t.Fatalf("seed %d round %d: %v", seed, round, err)
+			}
+			if mech.bad != "" {
+				t.Fatalf("seed %d round %d: %s", seed, round, mech.bad)
+			}
+			var ids []string
+			var eps []float64
+			for i, s := range sellers {
+				if mech.counts[i] != tx.Pieces[i] {
+					t.Fatalf("seed %d round %d: seller %s had %d LDP applications, Pieces says %d", seed, round, s.ID, mech.counts[i], tx.Pieces[i])
+				}
+				if mech.counts[i] > 0 && mech.eps[i] != tx.Epsilons[i] {
+					t.Fatalf("seed %d round %d: seller %s perturbed under ε=%v, the transaction records %v", seed, round, s.ID, mech.eps[i], tx.Epsilons[i])
+				}
+				if tx.Pieces[i] > 0 && tx.Epsilons[i] > 0 {
+					ids, eps = append(ids, s.ID), append(eps, tx.Epsilons[i])
+				}
+			}
+			shadow.Charge(ids, eps)
+			for i, s := range sellers {
+				got, want := led.Spent(s.ID), shadow.Spent(s.ID)
+				if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(tx.BudgetSpent[i]) != math.Float64bits(want) {
+					t.Fatalf("seed %d round %d: seller %s spent ε=%v (transaction: %v), the shadow ledger charged from Pieces %v",
+						seed, round, s.ID, got, tx.BudgetSpent[i], want)
+				}
+			}
+		}
 	}
 }

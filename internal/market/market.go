@@ -566,47 +566,38 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 	if err != nil {
 		return nil, err
 	}
-	tx.Pieces = IntegerAllocation(profile.Chi, n)
+	sc := roundScratches.Get()
+	defer sc.release()
+	tx.Pieces = make([]int, m.M())
+	sc.rems = allocatePieces(tx.Pieces, profile.Chi, n, sc.rems)
 	tx.Epsilons = make([]float64, m.M())
 	for i := range m.sellers {
 		tx.Epsilons[i] = ldp.EpsilonForFidelity(profile.Tau[i])
 	}
-	sc := roundScratches.Get()
-	defer sc.release()
 	// Budget admission: the round's per-seller ε charges are checked before
 	// any record is perturbed, so a refused round has spent nothing — no
 	// privacy, no rng draws, no ledger writes. Exhaustion excludes the
 	// seller by aborting the round with the typed error; the caller decides
 	// whether to retry without the seller, top up, or surface the refusal.
-	mech := m.mechanism
-	var applied []int
-	cur := -1
+	// The charges are derived from Pieces, as replay derives them: sellData
+	// perturbs exactly Pieces[i] records of seller i, so they are the LDP
+	// applications the round runs, and the commit charges them unchanged.
+	var chargeIDs []string
+	var chargeEps []float64
 	if m.budget != nil {
-		ids, eps := sc.charges(m.sellers, tx.Epsilons, tx.Pieces)
-		if err := m.budget.Check(ids, eps); err != nil {
+		chargeIDs, chargeEps = sc.charges(m.sellers, tx.Epsilons, tx.Pieces)
+		if err := m.budget.Check(chargeIDs, chargeEps); err != nil {
 			return nil, fmt.Errorf("market: data transaction: %w", err)
 		}
-		// Meter the mechanism so the commit-time charge covers exactly the
-		// LDP applications that ran, not the planned allocation.
-		sc.applied = resize(sc.applied, m.M())
-		applied = sc.applied
-		clear(applied)
-		mech = ldp.Metered(m.mechanism, func(float64, int) {
-			if cur >= 0 {
-				applied[cur]++
-			}
-		})
 	}
 	tx.Compensations = make([]float64, m.M())
 	sc.reserve(m.sellers, tx.Pieces)
 	for i, s := range m.sellers {
-		cur = i
-		sc.chunks[i] = m.sellData(sc, mech, s, tx.Pieces[i], tx.Epsilons[i])
+		sc.chunks[i] = m.sellData(sc, s, tx.Pieces[i], tx.Epsilons[i])
 		sc.parts[i] = &sc.chunks[i]
 		qi := profile.Chi[i] * profile.Tau[i]
 		tx.Compensations[i] = profile.PD * qi
 	}
-	cur = -1
 	chunks := sc.parts
 	tx.Timings.DataTransaction = time.Since(t0)
 
@@ -685,11 +676,11 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 			}
 		}
 		tx.Shapley = sv
-		norm := valuation.Normalize(sv)
 		weights := m.proto.Game().Broker.Weights
 		newWeights = make([]float64, len(weights))
+		valuation.Normalize(newWeights, sv)
 		for i, w := range weights {
-			newWeights[i] = m.update.Retain*w + (1-m.update.Retain)*norm[i]
+			newWeights[i] = m.update.Retain*w + (1-m.update.Retain)*newWeights[i]
 		}
 		if d := m.update.Decay; d > 0 {
 			uniform := 1 / float64(len(newWeights))
@@ -712,14 +703,16 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 		}
 		m.proto = newProto
 	}
-	tx.Weights = m.Weights()
+	// The committed game's weight vector is never written, so the
+	// transaction shares it, capped so an append by a reader copies.
+	w := m.proto.Game().Broker.Weights
+	tx.Weights = w[:len(w):len(w)]
 	// The privacy ledger charges at commit time with the rest of the
 	// round's state: a round that errored or was canceled after admission
-	// never consumed budget, and the charge set reflects the metered LDP
-	// applications that actually ran (applied[i] == Pieces[i] whenever a
-	// chunk was sold).
+	// never consumed budget. Nothing since admission has called charges,
+	// so its slices still hold the checked charges.
 	if m.budget != nil {
-		m.budget.Charge(sc.charges(m.sellers, tx.Epsilons, applied))
+		m.budget.Charge(chargeIDs, chargeEps)
 		tx.BudgetSpent = make([]float64, m.M())
 		for i, s := range m.sellers {
 			tx.BudgetSpent[i] = m.budget.Spent(s.ID)
@@ -746,24 +739,24 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 // Between Get and release a scratch belongs to the goroutine running the
 // round; rounds on different markets share the list.
 type roundScratch struct {
-	perm    []int     // sampling permutation (without replacement)
-	idx     []int     // sampled row indices (with replacement)
-	record  []float64 // one record, features then target, perturbed in place
-	x       []float64 // the round's features in seller order, row-major
-	y       []float64 // targets, one per record
-	chunks  []dataset.Dataset
-	parts   []*dataset.Dataset // &chunks[i], the estimators' view
-	all     dataset.Dataset    // the manufacturing set, over x and y
-	ids     []string
-	eps     []float64
-	applied []int
+	rems   []remainder // the allocation's largest-remainder pass
+	perm   []int       // sampling permutation (without replacement)
+	idx    []int       // sampled row indices (with replacement)
+	record []float64   // one record, features then target, perturbed in place
+	x      []float64   // the round's features in seller order, row-major
+	y      []float64   // targets, one per record
+	chunks []dataset.Dataset
+	parts  []*dataset.Dataset // &chunks[i], the estimators' view
+	all    dataset.Dataset    // the manufacturing set, over x and y
+	ids    []string
+	eps    []float64
 }
 
 var roundScratches parallel.FreeList[roundScratch]
 
 // release returns the scratch to roundScratches.
 func (sc *roundScratch) release() {
-	bytes := 8 * (cap(sc.record) + cap(sc.x) + cap(sc.y) + cap(sc.perm) + cap(sc.idx))
+	bytes := 8 * (cap(sc.record) + cap(sc.x) + cap(sc.y) + cap(sc.perm) + cap(sc.idx) + 2*cap(sc.rems))
 	roundScratches.Put(sc, bytes)
 }
 
@@ -797,14 +790,13 @@ func (sc *roundScratch) reserve(sellers []*Seller, pieces []int) {
 }
 
 // charges returns the budget ledger's arguments for a round: the ID and ε
-// of every seller with count[i] > 0 and a positive ε, in seller order. The
-// live round counts the LDP applications that ran, replay the recorded
-// Pieces; the two agree for every seller who sold. The slices are the
-// scratch's and valid until the next call.
-func (sc *roundScratch) charges(sellers []*Seller, epsilons []float64, count []int) ([]string, []float64) {
+// of every seller with pieces[i] > 0 and a positive ε, in seller order. The
+// live round and replay both pass the transaction's Pieces. The slices are
+// the scratch's and valid until the next call.
+func (sc *roundScratch) charges(sellers []*Seller, epsilons []float64, pieces []int) ([]string, []float64) {
 	sc.ids, sc.eps = sc.ids[:0], sc.eps[:0]
 	for i, s := range sellers {
-		if count[i] > 0 && epsilons[i] > 0 {
+		if pieces[i] > 0 && epsilons[i] > 0 {
 			sc.ids = append(sc.ids, s.ID)
 			sc.eps = append(sc.eps, epsilons[i])
 		}
@@ -830,12 +822,14 @@ func (sc *roundScratch) joined() *dataset.Dataset {
 // replacement; with replacement if the dataset is smaller than the
 // allocation), copies each full record — features and target — into the
 // round's record buffer and perturbs it there under ε-LDP, then appends
-// its features to x and its target to y. Mechanisms calibrated for
-// features-only bounds (k attributes) are honored by leaving the target
-// untouched, preserving custom-mechanism configurations. The returned chunk
-// covers the rows just appended, so consecutive calls lay the sellers out
-// contiguously in call order.
-func (m *Market) sellData(sc *roundScratch, mech ldp.Mechanism, s *Seller, pieces int, eps float64) dataset.Dataset {
+// its features to x and its target to y. Each record is perturbed by one
+// Perturb call, so the seller's data sees exactly `pieces` LDP
+// applications: the count the budget ledger is charged for. Mechanisms
+// calibrated for features-only bounds (k attributes) are honored by
+// leaving the target untouched, preserving custom-mechanism
+// configurations. The returned chunk covers the rows just appended, so
+// consecutive calls lay the sellers out contiguously in call order.
+func (m *Market) sellData(sc *roundScratch, s *Seller, pieces int, eps float64) dataset.Dataset {
 	out := dataset.Dataset{Features: s.Data.Features, Target: s.Data.Target}
 	if pieces <= 0 {
 		return out
@@ -853,16 +847,16 @@ func (m *Market) sellData(sc *roundScratch, mech ldp.Mechanism, s *Seller, piece
 		}
 	}
 	k := s.Data.NumFeatures()
-	fullRecord := mechanismAttrs(mech) != k
+	fullRecord := mechanismAttrs(m.mechanism) != k
 	record := sc.record[:k+1]
 	firstX, firstY := len(sc.x), len(sc.y)
 	for _, i := range idx {
 		copy(record, s.Data.Row(i))
 		record[k] = s.Data.Y[i]
 		if fullRecord {
-			mech.Perturb(m.rng, record, eps)
+			m.mechanism.Perturb(m.rng, record, eps)
 		} else {
-			mech.Perturb(m.rng, record[:k], eps)
+			m.mechanism.Perturb(m.rng, record[:k], eps)
 		}
 		sc.x = append(sc.x, record[:k]...)
 		sc.y = append(sc.y, record[k])

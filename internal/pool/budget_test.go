@@ -135,8 +135,13 @@ func TestBudgetGaugesFollowEverySpend(t *testing.T) {
 		t.Fatal(err)
 	}
 	publish := func(sellers ...SellerState) map[string]int64 {
+		v := &View{}
+		for _, s := range sellers {
+			v.roster = append(v.roster, &market.Seller{ID: s.ID})
+			v.spent = append(v.spent, s.Spent)
+		}
 		m.writeMu.Lock()
-		m.updateBudgetGauges(&View{Sellers: sellers})
+		m.setGauges(v)
 		m.writeMu.Unlock()
 		return p.metrics.Snapshot().Gauges
 	}

@@ -95,11 +95,20 @@ type Market struct {
 	// once per seller rather than by name on every publish. Guarded by
 	// writeMu; nil until the first publish with a ledger.
 	epsGauges map[string]*obs.Gauge
+	// pooled is set by Pool.add as it puts the market in the pool. The
+	// roster-size and ε-spent gauges are the pool's series, shared with
+	// any market held under the same ID, so a market restoreOne is still
+	// building publishes views without setting them. Guarded by writeMu.
+	pooled bool
 }
 
-// View is an immutable snapshot of everything a market's read paths serve.
-// Writers build a fresh View under writeMu and publish it atomically;
-// nothing reachable from a published View is ever mutated.
+// View is a snapshot of everything a market's read paths serve. Writers
+// publish a fresh View under writeMu, atomically, holding only immutable
+// inputs: the game every backend binds, the shared ledger and weights, the
+// roster capped at its length, and each seller's budget and spend.
+// Market.View fills Protos and Sellers from them once, on first read, so a
+// view nobody reads — most views a trading market publishes — renders
+// nothing. Nothing reachable from a view is mutated after View returns it.
 type View struct {
 	// Protos holds one solver prototype per registered backend (nil until
 	// the first seller registers), every one bound to the same validated,
@@ -126,6 +135,49 @@ type View struct {
 	Trading bool
 	// Epoch is the roster epoch the view was published at.
 	Epoch uint64
+
+	// render fills Protos and Sellers from the inputs below, once.
+	render   sync.Once
+	game     *core.Game       // the game every backend binds; nil while the roster is empty
+	backends []solve.Backend  // the pool's registered backends
+	roster   []*market.Seller // capped at its length
+	budgets  []float64        // each seller's ε budget; nil without a ledger
+	spent    []float64        // each seller's composed ε spend; nil without a ledger
+	discount bool             // similarity discounting is configured
+}
+
+// fill renders the view's Protos and Sellers from its inputs. Each seller
+// carries the similarity discount of the last committed round while that
+// round matches the roster (same epoch, same length); after churn the
+// factors are stale and the sellers reset to the no-discount 1 until the
+// next round prices them.
+func (v *View) fill() {
+	if v.game != nil {
+		v.Protos = make(map[string]solve.Prepared, len(v.backends))
+		for _, b := range v.backends {
+			v.Protos[b.Name()] = b.Bind(v.game)
+		}
+	}
+	var discounts []float64
+	if v.discount && len(v.Trades) > 0 {
+		if last := v.Trades[len(v.Trades)-1]; last.Epoch == v.Epoch && len(last.Discounts) == len(v.roster) {
+			discounts = last.Discounts
+		}
+	}
+	v.Sellers = make([]SellerState, len(v.roster))
+	for i, sel := range v.roster {
+		st := SellerState{ID: sel.ID, Lambda: sel.Lambda, Rows: sel.Data.Len(), Weight: v.Weights[i]}
+		if v.budgets != nil {
+			st.Budget, st.Spent = v.budgets[i], v.spent[i]
+		}
+		if v.discount {
+			st.Discount = 1
+			if discounts != nil {
+				st.Discount = discounts[i]
+			}
+		}
+		v.Sellers[i] = st
+	}
 }
 
 // SellerState is one roster entry of a View. The budget fields are zero
@@ -268,12 +320,20 @@ func (m *Market) Solver() string { return m.cfg.Solver.Name() }
 // data product builders calibrate against).
 func (m *Market) TestSet() *dataset.Dataset { return m.cfg.TestSet }
 
-// View returns the current immutable market view.
-func (m *Market) View() *View { return m.view.Load() }
+// View returns the current market view, its Protos and Sellers filled.
+// The first read of a view renders them, once; every later read, from any
+// goroutine, shares that rendering. Readers must not mutate the view.
+func (m *Market) View() *View { return m.view.Load().rendered() }
+
+// rendered fills v's Protos and Sellers, once, and returns v.
+func (v *View) rendered() *View {
+	v.render.Do(v.fill)
+	return v
+}
 
 // Info summarizes the market from its lock-free view.
 func (m *Market) Info() Info {
-	v := m.view.Load()
+	v := m.View()
 	return Info{
 		ID:               m.id,
 		Solver:           m.cfg.Solver.Name(),
@@ -398,7 +458,7 @@ func (m *Market) registerLocked(reg Registration) (SellerState, *wal.Log, uint64
 	}
 	m.sellers = append(m.sellers, sel)
 	m.rosterEpoch++
-	if err := m.publishView(); err != nil {
+	if err := m.publishView(nil); err != nil {
 		// Roll the registration back: a roster the game rejects (e.g. a
 		// pathological λ passing the > 0 check but failing validation)
 		// must not be half-admitted.
@@ -467,7 +527,7 @@ func (m *Market) resolveProto(v *View, requested string) (string, solve.Prepared
 // warm dst quotes the closed-form backends without allocating. The returned
 // name is the backend that actually solved.
 func (m *Market) QuoteInto(ctx context.Context, b core.Buyer, solverName string, dst *core.Profile) (string, error) {
-	name, d, err := m.solveQuote(ctx, m.view.Load(), b, solverName, dst)
+	name, d, err := m.solveQuote(ctx, m.View(), b, solverName, dst)
 	if err != nil {
 		return name, err
 	}
@@ -494,7 +554,7 @@ func (m *Market) Quote(ctx context.Context, b core.Buyer, solverName string) (*c
 // effects, so the all-or-nothing contract is cheap and keeps the error
 // deterministic); the other slots are then unspecified.
 func (m *Market) QuoteBatchInto(ctx context.Context, demands []BatchDemand, dst []core.Profile, names []string) error {
-	v := m.view.Load()
+	v := m.View()
 	t0 := time.Now()
 	var mu sync.Mutex
 	var firstErr *BatchError
@@ -615,7 +675,7 @@ func (m *Market) tradeLocked(ctx context.Context, release func(), b core.Buyer, 
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	if err := m.publishView(); err != nil {
+	if err := m.publishView(tx); err != nil {
 		return nil, nil, 0, fmt.Errorf("market %q: republishing view: %w", m.id, err)
 	}
 	if tx.Timings.WeightUpdate > 0 {
@@ -652,114 +712,102 @@ func (m *Market) tradingLocked() (*market.Market, error) {
 	return mkt, nil
 }
 
-// buildView renders the market's mutable state into a fresh immutable
-// view. Must be called with writeMu held. Every backend binds one game:
-// once trading has begun the inner market's committed game, whose weight
-// vector the view shares; before that a game over the registered roster at
-// uniform weights, precomputed here. Only that precompute can fail.
-func (m *Market) buildView() (*View, error) {
-	v := &View{Trading: m.mkt != nil, Epoch: m.rosterEpoch}
-	var g *core.Game
+// buildView captures the market's state into a fresh view's inputs (writeMu
+// held); View renders it on first read. Every backend binds one game: once
+// trading has begun the inner market's committed game, whose weight vector
+// the view shares; before that a game over the registered roster at uniform
+// weights, precomputed here. Only that precompute can fail. trade is the
+// transaction whose commit the view publishes, nil for any other mutation:
+// its BudgetSpent is the ledger's spend at commit, bit for bit, and a trade
+// changes no budget and no roster, so the view shares those with the
+// transaction and the previous view instead of reading the ledger.
+func (m *Market) buildView(trade *market.Transaction) (*View, error) {
+	n := len(m.sellers)
+	v := &View{
+		Trading:  m.mkt != nil,
+		Epoch:    m.rosterEpoch,
+		backends: m.p.backends,
+		roster:   m.sellers[:n:n],
+		discount: m.cfg.Discount != nil,
+	}
 	switch {
 	case m.mkt != nil:
-		g = m.mkt.Prototype().Game()
+		v.game = m.mkt.Prototype().Game()
 		v.Trades = m.mkt.SharedLedger()
-	case len(m.sellers) > 0:
-		lambdas := make([]float64, len(m.sellers))
+	case n > 0:
+		lambdas := make([]float64, n)
 		for i, sel := range m.sellers {
 			lambdas[i] = sel.Lambda
 		}
-		g = &core.Game{
+		v.game = &core.Game{
 			Buyer:   core.PaperBuyer(), // placeholder; quotes solve their own buyer
-			Broker:  core.Broker{Cost: m.cfg.Cost, Weights: core.UniformWeights(len(lambdas))},
+			Broker:  core.Broker{Cost: m.cfg.Cost, Weights: core.UniformWeights(n)},
 			Sellers: core.Sellers{Lambda: lambdas},
 		}
-		if err := g.Precompute(); err != nil {
+		if err := v.game.Precompute(); err != nil {
 			return nil, err
 		}
 	}
-	if g == nil {
+	if v.game == nil {
 		v.Weights = core.UniformWeights(1)
 	} else {
-		w := g.Broker.Weights
+		w := v.game.Broker.Weights
 		v.Weights = w[:len(w):len(w)] // an append by a reader copies
-		v.Protos = make(map[string]solve.Prepared, len(m.p.backends))
-		for _, b := range m.p.backends {
-			v.Protos[b.Name()] = b.Bind(g)
+	}
+	if led := m.cfg.Budget; led != nil {
+		if prev := m.view.Load(); trade != nil && prev.Epoch == v.Epoch && len(prev.budgets) == n {
+			v.budgets, v.spent = prev.budgets, trade.BudgetSpent
+		} else {
+			v.budgets, v.spent = make([]float64, n), make([]float64, n)
+			for i, sel := range m.sellers {
+				v.budgets[i], v.spent[i] = led.Budget(sel.ID), led.Spent(sel.ID)
+			}
 		}
 	}
-	v.Sellers = m.sellerStates(v.Weights, v.Trades)
 	return v, nil
 }
 
-// sellerStates renders the roster into view entries, folding in each
-// seller's budget state and the similarity discount of the last committed
-// round (writeMu held). trades is the ledger the view will carry — the
-// last transaction's Discounts apply only while it matches the current
-// roster (same epoch, same length); after churn the factors are stale and
-// the sellers reset to the no-discount 1 until the next round prices them.
-func (m *Market) sellerStates(weights []float64, trades []*market.Transaction) []SellerState {
-	var discounts []float64
-	if m.cfg.Discount != nil && len(trades) > 0 {
-		if last := trades[len(trades)-1]; last.Epoch == m.rosterEpoch && len(last.Discounts) == len(m.sellers) {
-			discounts = last.Discounts
-		}
-	}
-	out := make([]SellerState, len(m.sellers))
-	for i, sel := range m.sellers {
-		st := SellerState{ID: sel.ID, Lambda: sel.Lambda, Rows: sel.Data.Len(), Weight: weights[i]}
-		if led := m.cfg.Budget; led != nil {
-			st.Budget = led.Budget(sel.ID)
-			st.Spent = led.Spent(sel.ID)
-		}
-		if m.cfg.Discount != nil {
-			st.Discount = 1
-			if discounts != nil {
-				st.Discount = discounts[i]
-			}
-		}
-		out[i] = st
-	}
-	return out
-}
-
-// publishView renders and atomically publishes a new view. Must be called
-// with writeMu held.
-func (m *Market) publishView() error {
-	v, err := m.buildView()
+// publishView builds and atomically publishes a new view (writeMu held);
+// trade is as for buildView. It sets the roster-size and ε-spent gauges
+// from the view's inputs, without rendering it, once the market is in the
+// pool.
+func (m *Market) publishView(trade *market.Transaction) error {
+	v, err := m.buildView(trade)
 	if err != nil {
 		return err
 	}
 	m.view.Store(v)
-	m.rosterGauge.Set(int64(len(v.Sellers)))
-	m.updateBudgetGauges(v)
+	if m.pooled {
+		m.setGauges(v)
+	}
 	return nil
 }
 
-// updateBudgetGauges refreshes the per-seller ε-spent gauges (milli-ε, the
-// registry is integer-valued) after a view publish (writeMu held). A no-op
-// without a ledger.
-func (m *Market) updateBudgetGauges(v *View) {
-	if m.cfg.Budget == nil {
+// setGauges sets the market's roster-size gauge and, with a ledger, each
+// seller's ε-spent gauge (milli-ε, the registry is integer-valued) from v's
+// roster and spends (writeMu held).
+func (m *Market) setGauges(v *View) {
+	m.rosterGauge.Set(int64(len(v.roster)))
+	if v.spent == nil {
 		return
 	}
 	if m.epsGauges == nil {
-		m.epsGauges = make(map[string]*obs.Gauge, len(v.Sellers))
+		m.epsGauges = make(map[string]*obs.Gauge, len(v.roster))
 	}
-	for _, s := range v.Sellers {
-		g := m.epsGauges[s.ID]
+	for i, sel := range v.roster {
+		g := m.epsGauges[sel.ID]
 		if g == nil {
-			g = m.p.metrics.Gauge("market/" + m.id + "/seller/" + s.ID + "/eps_spent_milli")
-			m.epsGauges[s.ID] = g
+			g = m.p.metrics.Gauge("market/" + m.id + "/seller/" + sel.ID + "/eps_spent_milli")
+			m.epsGauges[sel.ID] = g
 		}
-		g.Set(int64(s.Spent * 1000))
+		g.Set(int64(v.spent[i] * 1000))
 	}
 }
 
 // Seller returns one roster entry by ID from the lock-free view, plus the
 // roster epoch it was read at. Unknown IDs return ErrSellerNotFound.
 func (m *Market) Seller(id string) (SellerState, uint64, error) {
-	v := m.view.Load()
+	v := m.View()
 	for _, s := range v.Sellers {
 		if s.ID == id {
 			return s, v.Epoch, nil
@@ -808,7 +856,7 @@ func (m *Market) topUpLocked(id string, add float64) (SellerState, *wal.Log, uin
 	if _, err := led.Grant(id, add); err != nil {
 		return SellerState{}, nil, 0, &FieldError{Field: "add", Msg: err.Error()}
 	}
-	if err := m.publishView(); err != nil {
+	if err := m.publishView(nil); err != nil {
 		m.p.logf("pool: market %q: view rebuild after top-up for %q: %v", m.id, id, err)
 	}
 	l, seq := m.persistRecordLocked(recordBudget, budgetRecord{

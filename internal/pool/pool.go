@@ -385,7 +385,8 @@ func (p *Pool) Create(spec Spec) (*Market, error) {
 }
 
 // add puts m in the pool in place of old, the market the pool holds under
-// m's ID (nil: the ID must be free).
+// m's ID (nil: the ID must be free). From then on m's view publications
+// set its gauges, which add sets now from the current view.
 func (p *Pool) add(m, old *Market) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -395,6 +396,10 @@ func (p *Pool) add(m, old *Market) error {
 	if p.markets[m.id] != old {
 		return fmt.Errorf("market %q: %w", m.id, ErrMarketExists)
 	}
+	m.writeMu.Lock() // never waits: no other code can reach m yet
+	m.pooled = true
+	m.setGauges(m.view.Load())
+	m.writeMu.Unlock()
 	p.markets[m.id] = m
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -488,6 +489,104 @@ func TestRestoreAllSkipsCorruptSnapshot(t *testing.T) {
 	}
 	if _, err := p2.Get("bad"); !errors.Is(err, ErrMarketNotFound) {
 		t.Fatalf("corrupt snapshot produced a market: %v", err)
+	}
+}
+
+// TestRefusedRestoreLeavesSeriesAlone: a market restoreOne is still
+// building writes none of the pool's series, which it shares with the
+// market the pool holds under its ID. A saved default market with three
+// sellers gets a CRC-valid trade record that does not decode appended to
+// its log, and a pool holding a fresh default market restores the
+// directory: the restore is refused, the held market serves no sellers,
+// and market/default/roster_size must read 0 — it read 3, the discarded
+// market's roster — and, with a budget, no seller's eps_spent_milli may
+// read non-zero. Without the bad record the restore sets both.
+func TestRefusedRestoreLeavesSeriesAlone(t *testing.T) {
+	for _, budgeted := range []bool{false, true} {
+		for _, refused := range []bool{true, false} {
+			t.Run(fmt.Sprintf("budgeted=%v/refused=%v", budgeted, refused), func(t *testing.T) {
+				dir := t.TempDir()
+				opts := fastWalOptions(dir)
+				if budgeted {
+					opts.EpsilonBudget = 1e18
+				}
+				saved := New(opts)
+				m, err := saved.Create(Spec{ID: "default"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				register(t, m, 3)
+				// Three pieces: a demand this small prices ε high enough
+				// for the milli-ε gauges to read it.
+				tx, err := m.Trade(context.Background(), demoBuyer(3, 0.8), nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				charged := 0
+				for _, e := range tx.BudgetSpent {
+					if int64(e*1000) != 0 {
+						charged++
+					}
+				}
+				if budgeted && charged == 0 {
+					t.Fatalf("the trade's spends %v all read 0 milli-ε", tx.BudgetSpent)
+				}
+				if err := saved.SaveAll(); err != nil {
+					t.Fatal(err)
+				}
+				saved.Close()
+				if refused {
+					snap, err := ReadSnapshotFile(filepath.Join(dir, "default"+snapshotExt))
+					if err != nil {
+						t.Fatal(err)
+					}
+					f, err := os.OpenFile(filepath.Join(dir, "default"+walExt), os.O_APPEND|os.O_WRONLY, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, err = f.Write(frameRecord(snap.WalSeq+1, recordTrade, []byte(`[1]`)))
+					if cerr := f.Close(); err == nil {
+						err = cerr
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				p := New(opts)
+				defer p.Close()
+				if _, err := p.Create(Spec{ID: "default"}); err != nil {
+					t.Fatal(err)
+				}
+				ids, err := p.RestoreAll()
+				if err != nil {
+					t.Fatalf("RestoreAll: %v", err)
+				}
+				held, err := p.Get("default")
+				if err != nil {
+					t.Fatal(err)
+				}
+				gauges := p.Metrics().Snapshot().Gauges
+				spends := 0
+				for name, g := range gauges {
+					if strings.HasPrefix(name, "market/default/seller/") && strings.HasSuffix(name, "/eps_spent_milli") && g != 0 {
+						spends++
+					}
+				}
+				wantIDs, wantSellers, wantSpends := []string{"default"}, 3, charged
+				if refused {
+					wantIDs, wantSellers, wantSpends = nil, 0, 0
+				}
+				if n := held.Info().Sellers; !slices.Equal(ids, wantIDs) || n != wantSellers {
+					t.Fatalf("restored %v and the pool's default market serves %d sellers, want %v and %d", ids, n, wantIDs, wantSellers)
+				}
+				if got := gauges["market/default/roster_size"]; got != int64(wantSellers) {
+					t.Errorf("market/default/roster_size reads %d with %d sellers served", got, wantSellers)
+				}
+				if spends != wantSpends {
+					t.Errorf("%d sellers' eps_spent_milli read non-zero, want %d (gauges %v)", spends, wantSpends, gauges)
+				}
+			})
+		}
 	}
 }
 

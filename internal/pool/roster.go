@@ -86,7 +86,7 @@ func (m *Market) removeLocked(id string) (*wal.Log, uint64, error) {
 	} else {
 		m.sellers = append(m.sellers[:idx:idx], m.sellers[idx+1:]...)
 		m.rosterEpoch++
-		if err := m.publishView(); err != nil {
+		if err := m.publishView(nil); err != nil {
 			// An already-admitted roster minus one seller re-validates by
 			// construction; a failure here means the view could not be
 			// rebuilt at all. Keep the removal and log — the next publish
@@ -102,12 +102,12 @@ func (m *Market) removeLocked(id string) (*wal.Log, uint64, error) {
 
 // publishChurnView swaps the view after a mid-life roster change, timing
 // the publication under market/<id>/reprepare. The inner market has
-// already precomputed the game for the new roster; the new view binds
-// every backend to it, so a restart serves the same quotes. Must be called
-// with writeMu held.
+// already precomputed the game for the new roster; the new view holds it
+// for every backend to bind on first read, so a restart serves the same
+// quotes. Must be called with writeMu held.
 func (m *Market) publishChurnView() {
 	t0 := time.Now()
-	if err := m.publishView(); err != nil {
+	if err := m.publishView(nil); err != nil {
 		m.p.logf("pool: market %q: view rebuild after churn: %v (serving stale view until next publish)", m.id, err)
 		return
 	}
@@ -159,7 +159,7 @@ func (m *Market) emit(ev Event) {
 
 // snapshotEvent seeds an event with the just-published view's roster state.
 func (m *Market) snapshotEvent(typ string) Event {
-	v := m.view.Load()
+	v := m.View()
 	ev := Event{Type: typ, Market: m.id, Epoch: v.Epoch, Weights: v.Weights}
 	ev.Sellers = make([]string, len(v.Sellers))
 	for i, s := range v.Sellers {
@@ -179,7 +179,7 @@ func (m *Market) emitRoster(action, seller string) {
 	ev := m.snapshotEvent("roster")
 	ev.Action = action
 	ev.Seller = seller
-	if proto, ok := m.view.Load().Protos[m.cfg.Solver.Name()]; ok {
+	if proto, ok := m.View().Protos[m.cfg.Solver.Name()]; ok {
 		var prof core.Profile
 		if err := proto.SolveFor(context.Background(), core.PaperBuyer(), &prof); err == nil {
 			ev.PM, ev.PD = prof.PM, prof.PD

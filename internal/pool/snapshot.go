@@ -203,7 +203,7 @@ func (m *Market) RestoreSnapshot(snap *MarketSnapshot) error {
 			"market snapshot at epoch %d, pool snapshot at epoch %d", snap.Market.Epoch, snap.RosterEpoch)})
 	}
 	m.sellers, m.mkt, m.rosterEpoch = sellers, mkt, snap.RosterEpoch
-	if err := m.publishView(); err != nil {
+	if err := m.publishView(nil); err != nil {
 		return fmt.Errorf("pool: snapshot state rejected: %w", err)
 	}
 	return nil

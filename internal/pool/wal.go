@@ -208,7 +208,7 @@ func (m *Market) attachLogReplay(walFloor uint64, snapBytes int64) error {
 		return err
 	}
 	if applied > 0 {
-		if err := m.publishView(); err != nil {
+		if err := m.publishView(nil); err != nil {
 			l.Close()
 			return fmt.Errorf("pool: market %q: replayed wal state rejected: %w", m.id, err)
 		}

@@ -286,8 +286,18 @@ func TestMonteCarloValidation(t *testing.T) {
 }
 
 func TestNormalize(t *testing.T) {
+	// normalize writes into a destination holding stale values, which
+	// every entry must overwrite.
+	normalize := func(sv ...float64) []float64 {
+		out := make([]float64, len(sv))
+		for i := range out {
+			out[i] = math.NaN()
+		}
+		Normalize(out, sv)
+		return out
+	}
 	// Ordering preserved, all positive, sums to 1.
-	out := Normalize([]float64{1, 3, 2})
+	out := normalize(1, 3, 2)
 	if !(out[1] > out[2] && out[2] > out[0]) {
 		t.Errorf("Normalize lost ordering: %v", out)
 	}
@@ -302,12 +312,12 @@ func TestNormalize(t *testing.T) {
 		t.Errorf("Normalize sum = %v", total)
 	}
 	// Negative inputs still produce positive weights with order preserved.
-	out = Normalize([]float64{-5, 1})
+	out = normalize(-5, 1)
 	if out[0] <= 0 || out[1] <= out[0] {
 		t.Errorf("Normalize on negatives = %v", out)
 	}
 	// Constant input degrades to uniform.
-	out = Normalize([]float64{-1, -1, -1})
+	out = normalize(-1, -1, -1)
 	for _, v := range out {
 		if math.Abs(v-1.0/3) > 1e-9 {
 			t.Errorf("constant Normalize = %v, want uniform", out)
@@ -315,11 +325,10 @@ func TestNormalize(t *testing.T) {
 	}
 	// Tiny spreads still differentiate (no floor collapse): values a hair
 	// apart must not normalize to uniform.
-	out = Normalize([]float64{1e-9, 3e-9})
+	out = normalize(1e-9, 3e-9)
 	if math.Abs(out[1]-out[0]) < 0.1 {
 		t.Errorf("tiny-spread Normalize collapsed: %v", out)
 	}
-	if Normalize(nil) != nil {
-		t.Error("Normalize(nil) should be nil")
-	}
+	// An empty input writes nothing, into no destination.
+	Normalize(nil, nil)
 }

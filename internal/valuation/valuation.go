@@ -146,18 +146,20 @@ func sortDescending(a []float64) {
 	}
 }
 
-// Normalize converts Shapley values into market weights: positive, summing
-// to 1, and preserving the values' relative ordering and spread. It shifts
-// the values so the minimum lands at a small positive offset (1% of the
-// spread) rather than flooring, because near-equilibrium fidelities are low
-// and per-seller utilities cluster near zero — a hard floor would collapse
-// every round's valuation to the uniform distribution and freeze the
-// broker's weight learning (§5.2). Degenerate inputs (all equal, or empty)
-// yield the uniform distribution.
-func Normalize(sv []float64) []float64 {
+// Normalize converts Shapley values into market weights, written into dst
+// (len(sv) entries): positive, summing to 1, and preserving the values'
+// relative ordering and spread. It shifts the values so the minimum lands
+// at a small positive offset (1% of the spread) rather than flooring,
+// because near-equilibrium fidelities are low and per-seller utilities
+// cluster near zero — a hard floor would collapse every round's valuation
+// to the uniform distribution and freeze the broker's weight learning
+// (§5.2). Degenerate inputs (all equal) yield the uniform distribution;
+// empty ones write nothing.
+func Normalize(dst, sv []float64) {
 	if len(sv) == 0 {
-		return nil
+		return
 	}
+	out := dst[:len(sv)]
 	lo, hi := sv[0], sv[0]
 	for _, v := range sv[1:] {
 		if v < lo {
@@ -167,13 +169,12 @@ func Normalize(sv []float64) []float64 {
 			hi = v
 		}
 	}
-	out := make([]float64, len(sv))
 	spread := hi - lo
 	if spread <= 0 {
 		for i := range out {
 			out[i] = 1 / float64(len(out))
 		}
-		return out
+		return
 	}
 	offset := 0.01 * spread
 	var total float64
@@ -184,5 +185,4 @@ func Normalize(sv []float64) []float64 {
 	for i := range out {
 		out[i] /= total
 	}
-	return out
 }
