@@ -47,7 +47,7 @@ test:
 # the terminal-close seal, the churn-vs-quote isolation of the
 # copy-on-write view swap, the churned-checkpoint round trip, the
 # budget-exhaustion-vs-quote isolation, the immutability of published
-# views that share the committed ledger, views read for the first time
+# views while a reader pages the trade history, views read for the first time
 # after later mutations (or by four goroutines at once) rendering what
 # they rendered at publication, the on-disk bytes of seller
 # rows in WAL records and compaction snapshots, quotes into reused
@@ -56,9 +56,11 @@ test:
 # bound to the inner market's committed game, quotes that survive mid-life
 # leaves and a reboot from the log, a SaveAll or a compaction, a market's
 # spec surviving a reboot, each committed older snapshot layout restoring
-# to its recorded state, alone and in place of a held default market, and
+# to its recorded state, alone and in place of a held default market,
 # compaction at the log-size trigger (snapshot output within 3× the log
-# over a generated history, every reboot reproducing the live state),
+# over a generated history, every reboot reproducing the live state), and
+# trade-history pages read while trades append and compactions move the
+# history, some read while their record is still in the log's buffer,
 # under the race detector (allocation bounds are checked only without it);
 # the httpapi pass pins cross-market overload isolation end to end and
 # that a request's reused scratch never leaks into the next response
@@ -77,7 +79,9 @@ test:
 # decodes arbitrary bytes as each request body for 10 s, requiring the
 # strict json.Decoder's verdict, error text and value from the reused
 # scratch's decode and no 5xx from the quote, batch, create-market and
-# top-up routes (each fuzz pass spends at
+# top-up routes, and registers arbitrary bytes as a seller on a fresh
+# in-memory server for 10 s, requiring 201 or a 4xx in the typed error
+# envelope, never a 5xx (each fuzz pass spends at
 # most 1 s minimizing a new input, not Go's default 60 s, so it keeps
 # fuzzing for its 10 s); and the serve-smoke
 # end-to-end pass
@@ -89,13 +93,14 @@ race: vet
 	$(GO) test -race ./...
 	$(GO) test -race -run 'TestKernelEquivalence|TestPerWorkerStreamsMatchPerPermutationRngs|TestRunRoundShapleyIdenticalAcrossWorkers|TestRoundOutputsMatchParent|TestChurnedMarketMatchesFreshMarket|TestLiveChargesMatchPieces|TestFreeListConcurrentOwnership|TestPerturbInPlace|TestLayoutMatchesRowSlices' -count=1 ./internal/valuation ./internal/market ./internal/parallel ./internal/ldp ./internal/dataset
 	$(GO) test -race -run 'TestGeneralMatchesAnalytic|TestGeneralDeterministicAcrossWorkers|TestMapDeterministicAcrossWorkers|TestMeanFieldWithinTheoremBounds|TestSolveGeneralTau|TestSolveForMatchesCloneSolve|TestBindMatchesPrecompute' -count=1 ./internal/solve ./internal/core
-	$(GO) test -race -run 'TestMarketsAreIsolated|TestDeleteDrainsInFlightRounds|TestBatchQuoteDeterminism|TestWALTortureRecovery|TestWALTortureBudgetRecovery|TestParentEraBudgetLogRestores|TestConcurrentTradesGroupCommit|TestAdmissionRejectsWhenQueueFull|TestAdmissionQueueWaitsForSlot|TestAdmissionQueuedTradeHonorsContext|TestCloseSealsPoolAgainstStragglers|TestAsyncCloseFlushesTail|TestChurnQuoteIsolation|TestChurnSurvivesCheckpoint|TestExhaustedTradesLeaveQuotesUndisturbed|TestPublishedViewStaysImmutable|TestLateFirstReadsRenderAsPublished|TestSellerBytesOnDiskMatchParent|TestConcurrentQuotesDuringChurn|TestTradeBytesPerRound|TestViewsBindTheCommittedGame|TestLeaveQuotesSurviveReboot|TestSpecSurvivesReboot|TestLegacySnapshotRestores|TestSnapshotSeedOverride|TestWALCompaction|TestCompactionOutputBoundedByLog' -count=1 ./internal/pool
+	$(GO) test -race -run 'TestMarketsAreIsolated|TestDeleteDrainsInFlightRounds|TestBatchQuoteDeterminism|TestWALTortureRecovery|TestWALTortureBudgetRecovery|TestParentEraBudgetLogRestores|TestConcurrentTradesGroupCommit|TestAdmissionRejectsWhenQueueFull|TestAdmissionQueueWaitsForSlot|TestAdmissionQueuedTradeHonorsContext|TestCloseSealsPoolAgainstStragglers|TestAsyncCloseFlushesTail|TestChurnQuoteIsolation|TestChurnSurvivesCheckpoint|TestExhaustedTradesLeaveQuotesUndisturbed|TestPublishedViewStaysImmutable|TestLateFirstReadsRenderAsPublished|TestSellerBytesOnDiskMatchParent|TestConcurrentQuotesDuringChurn|TestTradeBytesPerRound|TestViewsBindTheCommittedGame|TestLeaveQuotesSurviveReboot|TestSpecSurvivesReboot|TestLegacySnapshotRestores|TestSnapshotSeedOverride|TestWALCompaction|TestCompactionOutputBoundedByLog|TestPagesReadDuringTradesAndCompactions' -count=1 ./internal/pool
 	$(GO) test -race -run 'TestOverloadIsolationAcrossMarkets|TestDrainAnswers503|TestQuoteScratchDoesNotLeak' -count=1 ./internal/httpapi
 	$(GO) test -race -run 'TestConcurrentGroupCommit|TestTornTailTruncatedAtEveryOffset|TestAppendFramesMatchMarshal|TestEnvelopeMatchesUnmarshal|TestCorruptLengthAllocatesOnlyTheFile' -count=1 ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 10s -fuzzminimizetime 1s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzRestoreSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/pool
 	$(GO) test -run '^$$' -fuzz FuzzReplayRecord -fuzztime 10s -fuzzminimizetime 1s ./internal/pool
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBody -fuzztime 10s -fuzzminimizetime 1s ./internal/httpapi
+	$(GO) test -run '^$$' -fuzz FuzzRegisterSeller -fuzztime 10s -fuzzminimizetime 1s ./internal/httpapi
 	$(MAKE) serve-smoke
 
 # Statement coverage for every package, failing if internal/solve — the

@@ -959,15 +959,23 @@ func tradeResult(res *TradeResult, tx *market.Transaction) {
 	quoteFromProfile(&res.Quote, tx.Profile, tx.Solver)
 }
 
+// handleListTrades serves one page of the trade history, decoding only
+// that page's transactions (Market.Trades) without the market's write
+// lock.
 func (s *Server) handleListTrades(w http.ResponseWriter, r *http.Request, m *pool.Market) {
-	v := m.View()
-	lo, hi, err := paginate(w, r, len(v.Trades))
+	lo, hi, err := paginate(w, r, len(m.View().Trades))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	out := make([]TradeResult, hi-lo)
-	for i, tx := range v.Trades[lo:hi] {
+	txs, err := m.Trades(lo, hi)
+	if err != nil {
+		w.Header().Del("X-Total-Count")
+		writeError(w, err)
+		return
+	}
+	out := make([]TradeResult, len(txs))
+	for i, tx := range txs {
 		tradeResult(&out[i], tx)
 	}
 	writeJSON(w, http.StatusOK, out)

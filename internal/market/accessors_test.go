@@ -64,26 +64,31 @@ func TestLedgerReturnsDefensiveCopies(t *testing.T) {
 	}
 }
 
-// TestSharedLedgerSharesCommittedEntries: SharedLedger hands out the
-// committed transactions themselves, in a slice capped at its length so an
-// append to it can never write into the market's backing array.
-func TestSharedLedgerSharesCommittedEntries(t *testing.T) {
-	mkt, buyer := testMarket(t, 4, &WeightUpdate{Retain: 0.2, Permutations: 5}, 12)
-	var committed []*Transaction
-	for i := 0; i < 3; i++ {
-		tx, err := mkt.RunRound(buyer)
-		if err != nil {
-			t.Fatalf("RunRound: %v", err)
+// TestLastSharesCommittedTransaction: Last hands out each round's committed
+// transaction itself and the round count numbers the rounds, with or
+// without a ledger; under NoLedger the market keeps neither a ledger nor a
+// cost log.
+func TestLastSharesCommittedTransaction(t *testing.T) {
+	for _, noLedger := range []bool{false, true} {
+		mkt, buyer := testMarket(t, 4, &WeightUpdate{Retain: 0.2, Permutations: 5}, 12)
+		mkt.noLedger = noLedger
+		if mkt.Last() != nil {
+			t.Fatalf("noLedger=%v: a fresh market has a last transaction", noLedger)
 		}
-		committed = append(committed, tx)
-	}
-	shared := mkt.SharedLedger()
-	if len(shared) != 3 || cap(shared) != 3 {
-		t.Fatalf("SharedLedger len %d cap %d, want 3 and 3", len(shared), cap(shared))
-	}
-	for i, tx := range shared {
-		if tx != committed[i] {
-			t.Errorf("entry %d is not the committed transaction", i)
+		for i := 0; i < 3; i++ {
+			tx, err := mkt.RunRound(buyer)
+			if err != nil {
+				t.Fatalf("RunRound: %v", err)
+			}
+			if mkt.Last() != tx || tx.Round != i+1 {
+				t.Fatalf("noLedger=%v round %d: Last is not the committed transaction, or it is round %d", noLedger, i+1, tx.Round)
+			}
+		}
+		if got, want := len(mkt.Ledger()), 3; noLedger && got != 0 || !noLedger && got != want {
+			t.Errorf("noLedger=%v: ledger of %d entries", noLedger, got)
+		}
+		if got := len(mkt.CostObservations()); noLedger && got != 0 || !noLedger && got != 3 {
+			t.Errorf("noLedger=%v: cost log of %d entries", noLedger, got)
 		}
 	}
 }

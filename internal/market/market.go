@@ -104,6 +104,13 @@ type Config struct {
 	// redundancy) have their positive Shapley values scaled down before
 	// normalization. nil disables discounting with no behavioral change.
 	Discount *DiscountConfig
+	// NoLedger keeps no ledger or cost log: the market keeps its round
+	// count, which numbers rounds and checks replay, and its last
+	// transaction, and the caller keeps the history (internal/pool keeps a
+	// persisted market's on disk). Ledger and CostObservations are then
+	// empty, Snapshot carries neither, and a restore that reads the ledger
+	// itself resumes the count with SetHistory.
+	NoLedger bool
 }
 
 // DiscountConfig shapes the similarity discount d(r) applied to a seller
@@ -161,10 +168,17 @@ type Market struct {
 	// copy of λ and ω (see Prototype); commits and churn replace it.
 	proto    solve.Prepared
 	rng      *rand.Rand
-	ledger   []*Transaction
-	costLog  []translog.Observation
 	budget   *budget.Ledger
 	discount *DiscountConfig
+
+	// rounds counts the committed rounds and last is the latest committed
+	// transaction (nil before the first). ledger and costLog hold every
+	// round unless noLedger is set.
+	rounds   int
+	last     *Transaction
+	noLedger bool
+	ledger   []*Transaction
+	costLog  []translog.Observation
 
 	// epoch counts roster changes (seller joins and leaves) over the
 	// market's life. Transactions and snapshots are stamped with it, and
@@ -191,12 +205,14 @@ type Timings struct {
 // Transaction is one ledger entry: the equilibrium profile, realized
 // payments, the manufactured product's metrics, and the updated weights.
 //
-// A committed transaction is immutable: once a round appends it to the
-// ledger the market never writes to it again, and SharedLedger and
-// Snapshot hand the same pointers to readers (such as the pool's published
-// views) without copying. Code holding a committed transaction must not
-// mutate it or any slice, map or profile it references; Clone gives a
-// private copy.
+// A committed transaction is immutable: once a round commits it the market
+// never writes to it again, and Last and Snapshot hand the same pointers
+// to readers (such as the pool's published views) without copying. Code
+// holding a committed transaction must not mutate it or any slice, map or
+// profile it references; Clone gives a private copy. Its
+// JSON encoding is its record: the pool's WAL trade records and snapshot
+// ledgers carry exactly these bytes, and a persisted pool market keeps
+// only its last transaction in memory and reads the rest back from them.
 type Transaction struct {
 	// Round is the 1-based transaction index.
 	Round int
@@ -307,6 +323,7 @@ func New(sellers []*Seller, cfg Config) (*Market, error) {
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		budget:    cfg.Budget,
 		discount:  discount,
+		noLedger:  cfg.NoLedger,
 	}
 	proto, err := m.prototype(lambdas, core.UniformWeights(len(sellers)))
 	if err != nil {
@@ -403,15 +420,25 @@ func (m *Market) Ledger() []*Transaction {
 	return out
 }
 
-// SharedLedger returns the committed ledger without copying it: the
-// entries are the market's own immutable transactions (see Transaction).
-// Later rounds only write past the returned slice's end, and its capacity
-// equals its length, so an append to it copies instead of writing into the
-// market's backing array. Callers must not modify the slice's elements or
-// the transactions; Ledger is the deep-copying accessor for callers that
-// might.
-func (m *Market) SharedLedger() []*Transaction {
-	return m.ledger[:len(m.ledger):len(m.ledger)]
+// Last returns the last committed transaction, shared rather than copied
+// (see Transaction), or nil before the first round.
+func (m *Market) Last() *Transaction { return m.last }
+
+// SetHistory sets the round count and last transaction of a market whose
+// caller keeps the ledger (Config.NoLedger) and has read them from its own
+// record of the history, as a restore does. Restore sets both from a
+// snapshot's ledger otherwise.
+func (m *Market) SetHistory(rounds int, last *Transaction) { m.rounds, m.last = rounds, last }
+
+// commit records a committed round: its count, the last transaction and,
+// unless the caller keeps the history, the ledger and cost-log entries.
+func (m *Market) commit(tx *Transaction, obs translog.Observation) {
+	m.rounds++
+	m.last = tx
+	if !m.noLedger {
+		m.ledger = append(m.ledger, tx)
+		m.costLog = append(m.costLog, obs)
+	}
 }
 
 // Clone returns a deep copy of the transaction: nested slices and the
@@ -547,7 +574,7 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 	g := *proto.Game() // the game header carrying this round's buyer
 	g.Buyer = buyer
 	tx := &Transaction{
-		Round:   len(m.ledger) + 1,
+		Round:   m.rounds + 1,
 		Profile: profile,
 		Solver:  proto.Backend().Name(),
 		Epoch:   m.epoch,
@@ -718,12 +745,11 @@ func (m *Market) RunRoundBackend(ctx context.Context, buyer core.Buyer, builder 
 			tx.BudgetSpent[i] = m.budget.Spent(s.ID)
 		}
 	}
-	m.costLog = append(m.costLog, translog.Observation{N: buyer.N, V: buyer.V, Cost: tx.ManufacturingCost})
 
 	// Product Transaction (Line 19).
 	tx.Payment = profile.PM * profile.QM
 	tx.Timings.Total = time.Since(start)
-	m.ledger = append(m.ledger, tx)
+	m.commit(tx, translog.Observation{N: buyer.N, V: buyer.V, Cost: tx.ManufacturingCost})
 	return tx, nil
 }
 
@@ -891,18 +917,22 @@ func mechanismAttrs(mech ldp.Mechanism) int {
 
 // Warmup runs the dummy-buyer iterations of §6.1: it executes `iters`
 // transactions for the given buyer to let the Shapley-driven weights
-// stabilize, then truncates those rounds from the ledger (they are
-// calibration, not trades). It requires weight updates to be enabled.
+// stabilize, then truncates those rounds from the ledger and the round
+// count (they are calibration, not trades). It requires weight updates to
+// be enabled.
 func (m *Market) Warmup(buyer core.Buyer, iters int) error {
 	if m.update == nil {
 		return errors.New("market: warm-up requires weight updates to be enabled")
 	}
-	base := len(m.ledger)
+	base, last := m.rounds, m.last
 	for i := 0; i < iters; i++ {
 		if _, err := m.RunRound(buyer); err != nil {
 			return fmt.Errorf("market: warm-up round %d: %w", i+1, err)
 		}
 	}
-	m.ledger = m.ledger[:base]
+	if !m.noLedger {
+		m.ledger = m.ledger[:base]
+	}
+	m.rounds, m.last = base, last
 	return nil
 }

@@ -71,7 +71,9 @@ func (m *Market) Save(w io.Writer) error {
 }
 
 // Restore applies a snapshot to a market built over the same seller roster
-// (IDs must match in order). It replaces the weights, ledger and cost log.
+// (IDs must match in order). It replaces the weights, ledger and cost log,
+// and resumes the round count after the snapshot's last round (under
+// Config.NoLedger the ledger is not kept; see SetHistory).
 func (m *Market) Restore(s *Snapshot) error {
 	if s == nil {
 		return errors.New("market: nil snapshot")
@@ -97,8 +99,14 @@ func (m *Market) Restore(s *Snapshot) error {
 	if err := m.SetWeights(s.Weights); err != nil {
 		return fmt.Errorf("market: restoring weights: %w", err)
 	}
-	m.ledger = append([]*Transaction(nil), s.Ledger...)
-	m.costLog = append([]translog.Observation(nil), s.CostLog...)
+	m.rounds, m.last = len(s.Ledger), nil
+	if m.rounds > 0 {
+		m.last = s.Ledger[m.rounds-1]
+	}
+	if !m.noLedger {
+		m.ledger = append([]*Transaction(nil), s.Ledger...)
+		m.costLog = append([]translog.Observation(nil), s.CostLog...)
+	}
 	m.epoch = s.Epoch
 	return nil
 }

@@ -13,7 +13,8 @@ import (
 // round is not re-run: the recorded outcome is trusted. The broker's
 // weights are replaced with the transaction's post-update vector (staging
 // the solver prototype first, so a rejected vector leaves the market
-// untouched), and the ledger and cost log gain the recorded entries. obs is
+// untouched), and the round count, the ledger and the cost log gain the
+// recorded entries (the count alone under Config.NoLedger). obs is
 // the round's manufacturing observation, which the transaction alone does
 // not carry.
 //
@@ -28,8 +29,8 @@ func (m *Market) ApplyCommitted(tx *Transaction, obs translog.Observation) error
 	if tx == nil {
 		return errors.New("market: replaying nil transaction")
 	}
-	if want := len(m.ledger) + 1; tx.Round != want {
-		return fmt.Errorf("market: replaying round %d onto a ledger of %d entries", tx.Round, len(m.ledger))
+	if want := m.rounds + 1; tx.Round != want {
+		return fmt.Errorf("market: replaying round %d onto a ledger of %d entries", tx.Round, m.rounds)
 	}
 	// Epoch-stamped transactions must land on the roster they were written
 	// under; 0 marks pre-churn records, which predate the stamp (a real
@@ -62,7 +63,6 @@ func (m *Market) ApplyCommitted(tx *Transaction, obs translog.Observation) error
 			}
 		}
 	}
-	m.ledger = append(m.ledger, tx)
-	m.costLog = append(m.costLog, obs)
+	m.commit(tx, obs)
 	return nil
 }

@@ -100,7 +100,7 @@ func TestBudgetedTradeChargesLedger(t *testing.T) {
 	if len(v.Trades) != 1 {
 		t.Fatalf("committed %d trades, want 1", len(v.Trades))
 	}
-	if got := v.Trades[0].BudgetSpent; len(got) != 2 {
+	if got := v.Last.BudgetSpent; len(got) != 2 {
 		t.Fatalf("transaction BudgetSpent = %v, want one entry per seller", got)
 	}
 	for _, s := range v.Sellers {
@@ -710,7 +710,7 @@ func TestParentEraBudgetLogRestores(t *testing.T) {
 	}
 	for i, end := range tradeEnds {
 		p, m := restore(end)
-		if got, want := canonicalView(t, m.View()), canonicalJSON(t, stored[i]); got != want {
+		if got, want := canonicalView(t, m, m.View()), canonicalJSON(t, stored[i]); got != want {
 			t.Errorf("cut after trade %d's record: restored state diverges from the live state after that trade\n got: %.300s\nwant: %.300s",
 				i+1, got, want)
 		}
@@ -719,7 +719,7 @@ func TestParentEraBudgetLogRestores(t *testing.T) {
 
 	p, m := restore(int64(len(seg)))
 	defer p.Close()
-	if got, want := canonicalView(t, m.View()), canonicalJSON(t, stored[len(stored)-1]); got != want {
+	if got, want := canonicalView(t, m, m.View()), canonicalJSON(t, stored[len(stored)-1]); got != want {
 		t.Fatalf("whole log: restored state diverges from the final live state\n got: %.300s\nwant: %.300s", got, want)
 	}
 	before := p.walMet.Records.Value()
@@ -822,7 +822,7 @@ func TestReplaySkipsMalformedTradeRecords(t *testing.T) {
 						return err
 					}
 				}
-				seq, err := l.Append(rec.Kind, json.RawMessage(data))
+				seq, _, err := l.Append(rec.Kind, json.RawMessage(data))
 				if err == nil && seq != rec.Seq {
 					err = fmt.Errorf("copied record %d as %d", rec.Seq, seq)
 				}

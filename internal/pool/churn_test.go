@@ -249,12 +249,12 @@ func TestChurnReplayRejectsSplicedHistory(t *testing.T) {
 				t.Fatal(err)
 			}
 			jr.Epoch += 7
-			if _, err := l.Append(r.Kind, jr); err != nil {
+			if _, _, err := l.Append(r.Kind, jr); err != nil {
 				t.Fatal(err)
 			}
 			continue
 		}
-		if _, err := l.Append(r.Kind, r.Data); err != nil {
+		if _, _, err := l.Append(r.Kind, r.Data); err != nil {
 			t.Fatal(err)
 		}
 	}

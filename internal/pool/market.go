@@ -75,6 +75,14 @@ type Market struct {
 	// pool's floor). Guarded by writeMu.
 	snapBytes int64
 
+	// The trade history (see history.go), guarded by writeMu: refs locates
+	// every committed round (published views share it, capped), ledger is
+	// the snapshot generation the first rounds lie in (nil while none
+	// does), and histGen counts the generations.
+	refs    []TradeRef
+	ledger  *ledgerFile
+	histGen uint64
+
 	// epsBudget and composition are the market's privacy-budget settings,
 	// immutable after creation. The ledger itself is cfg.Budget: the inner
 	// market charges it at trade commit and again when it replays the
@@ -104,8 +112,9 @@ type Market struct {
 
 // View is a snapshot of everything a market's read paths serve. Writers
 // publish a fresh View under writeMu, atomically, holding only immutable
-// inputs: the game every backend binds, the shared ledger and weights, the
-// roster capped at its length, and each seller's budget and spend.
+// inputs: the game every backend binds, the weights, where each committed
+// transaction lies, the last one, the roster capped at its length, and
+// each seller's budget and spend.
 // Market.View fills Protos and Sellers from them once, on first read, so a
 // view nobody reads — most views a trading market publishes — renders
 // nothing. Nothing reachable from a view is mutated after View returns it.
@@ -124,17 +133,22 @@ type View struct {
 	// game (uniform length-1 placeholder while the roster is empty,
 	// matching the single-market server). Readers must not mutate it.
 	Weights []float64
-	// Trades is the committed ledger. Its entries are the inner market's
-	// committed transactions, shared rather than copied: they are
-	// immutable, and later trades only write past the end of this slice.
-	// Readers must not mutate them.
-	Trades []*market.Transaction
+	// Trades locates each committed transaction, one entry per round in
+	// order, so len(Trades) is the trade count. A persisted market keeps
+	// them on disk; Market.Trades reads a page of them.
+	Trades []TradeRef
+	// Last is the last committed transaction, shared rather than copied
+	// (readers must not mutate it); nil before the first trade.
+	Last *market.Transaction
 	// Trading reports whether the first round has executed (the point past
 	// which roster changes go through the churn path instead of plain
 	// registration).
 	Trading bool
 	// Epoch is the roster epoch the view was published at.
 	Epoch uint64
+
+	// hist is where Trades lie, for Market.Trades.
+	hist history
 
 	// render fills Protos and Sellers from the inputs below, once.
 	render   sync.Once
@@ -146,11 +160,7 @@ type View struct {
 	discount bool             // similarity discounting is configured
 }
 
-// fill renders the view's Protos and Sellers from its inputs. Each seller
-// carries the similarity discount of the last committed round while that
-// round matches the roster (same epoch, same length); after churn the
-// factors are stale and the sellers reset to the no-discount 1 until the
-// next round prices them.
+// fill renders the view's Protos and Sellers from its inputs.
 func (v *View) fill() {
 	if v.game != nil {
 		v.Protos = make(map[string]solve.Prepared, len(v.backends))
@@ -158,26 +168,39 @@ func (v *View) fill() {
 			v.Protos[b.Name()] = b.Bind(v.game)
 		}
 	}
-	var discounts []float64
-	if v.discount && len(v.Trades) > 0 {
-		if last := v.Trades[len(v.Trades)-1]; last.Epoch == v.Epoch && len(last.Discounts) == len(v.roster) {
-			discounts = last.Discounts
-		}
-	}
+	discounts := v.discounts()
 	v.Sellers = make([]SellerState, len(v.roster))
-	for i, sel := range v.roster {
-		st := SellerState{ID: sel.ID, Lambda: sel.Lambda, Rows: sel.Data.Len(), Weight: v.Weights[i]}
-		if v.budgets != nil {
-			st.Budget, st.Spent = v.budgets[i], v.spent[i]
-		}
-		if v.discount {
-			st.Discount = 1
-			if discounts != nil {
-				st.Discount = discounts[i]
-			}
-		}
-		v.Sellers[i] = st
+	for i := range v.roster {
+		v.Sellers[i] = v.sellerState(i, discounts)
 	}
+}
+
+// discounts returns the similarity discounts of the last committed round
+// while that round matches the roster (same epoch, same length), nil
+// otherwise: after churn the factors are stale and the sellers reset to
+// the no-discount 1 until the next round prices them.
+func (v *View) discounts() []float64 {
+	if last := v.Last; v.discount && last != nil && last.Epoch == v.Epoch && len(last.Discounts) == len(v.roster) {
+		return last.Discounts
+	}
+	return nil
+}
+
+// sellerState renders roster entry i from the view's inputs, with the
+// discounts v.discounts returned.
+func (v *View) sellerState(i int, discounts []float64) SellerState {
+	sel := v.roster[i]
+	st := SellerState{ID: sel.ID, Lambda: sel.Lambda, Rows: sel.Data.Len(), Weight: v.Weights[i]}
+	if v.budgets != nil {
+		st.Budget, st.Spent = v.budgets[i], v.spent[i]
+	}
+	if v.discount {
+		st.Discount = 1
+		if discounts != nil {
+			st.Discount = discounts[i]
+		}
+	}
+	return st
 }
 
 // SellerState is one roster entry of a View. The budget fields are zero
@@ -292,6 +315,8 @@ func (p *Pool) build(spec Spec) (*Market, error) {
 			Seed:     seed,
 			Budget:   ledger,
 			Discount: p.discount,
+			// The pool keeps the trade history (see history.go).
+			NoLedger: true,
 		},
 		quoteObs:    p.metrics.Endpoint("market/" + id + "/quote"),
 		tradeObs:    p.metrics.Endpoint("market/" + id + "/trade"),
@@ -446,11 +471,11 @@ func (m *Market) registerLocked(reg Registration) (SellerState, *wal.Log, uint64
 		m.sellers = append(m.sellers, sel)
 		m.rosterEpoch = m.mkt.Epoch()
 		m.publishChurnView()
-		l, seq := m.persistRecordLocked(recordJoin, joinRecord{
-			Seller: StoredSeller{ID: reg.ID, Lambda: reg.Lambda, Rows: data.AppendRows(nil), Targets: data.Y},
-			Weight: weight,
-			Epoch:  m.rosterEpoch,
-		})
+		var l *wal.Log
+		var seq uint64
+		if m.persisted() {
+			l, seq = m.persistRecordLocked(recordJoin, joinRecord{Seller: storedSeller(sel), Weight: weight, Epoch: m.rosterEpoch})
+		}
 		m.emitRoster("join", reg.ID)
 		m.p.logf("pool: market %q admitted seller %q mid-life (%d rows, λ=%g, ω=%g, epoch %d)",
 			m.id, reg.ID, data.Len(), reg.Lambda, weight, m.rosterEpoch)
@@ -466,7 +491,11 @@ func (m *Market) registerLocked(reg Registration) (SellerState, *wal.Log, uint64
 		m.rosterEpoch--
 		return SellerState{}, nil, 0, &FieldError{Field: "lambda", Msg: err.Error()}
 	}
-	l, seq := m.persistRecordLocked(recordRegister, StoredSeller{ID: reg.ID, Lambda: reg.Lambda, Rows: data.AppendRows(nil), Targets: data.Y})
+	var l *wal.Log
+	var seq uint64
+	if m.persisted() {
+		l, seq = m.persistRecordLocked(recordRegister, storedSeller(sel))
+	}
 	m.emitRoster("join", reg.ID)
 	m.p.logf("pool: market %q registered seller %q (%d rows, λ=%g)", m.id, reg.ID, data.Len(), reg.Lambda)
 	return SellerState{ID: reg.ID, Lambda: reg.Lambda, Rows: data.Len()}, l, seq, nil
@@ -675,6 +704,9 @@ func (m *Market) tradeLocked(ctx context.Context, release func(), b core.Buyer, 
 	if err != nil {
 		return nil, nil, 0, err
 	}
+	// The record goes first, so the view published next knows where the
+	// round lies.
+	l, seq := m.persistRecordLocked(recordTrade, &tradeRecord{Tx: tx, Obs: translog.Observation{N: b.N, V: b.V, Cost: tx.ManufacturingCost}})
 	if err := m.publishView(tx); err != nil {
 		return nil, nil, 0, fmt.Errorf("market %q: republishing view: %w", m.id, err)
 	}
@@ -687,8 +719,6 @@ func (m *Market) tradeLocked(ctx context.Context, release func(), b core.Buyer, 
 	m.p.observeStage3(tx.SolveEffort)
 	m.tradeObs.Observe(time.Since(start))
 	m.emitWeights(tx)
-	obs := translog.Observation{N: b.N, V: b.V, Cost: tx.ManufacturingCost}
-	l, seq := m.persistRecordLocked(recordTrade, tradeRecord{Tx: tx, Obs: obs})
 	m.p.logf("pool: market %q trade %d executed (p^M=%g, p^D=%g, EV=%.4f)",
 		m.id, tx.Round, tx.Profile.PM, tx.Profile.PD, tx.Metrics.Performance)
 	return tx, l, seq, nil
@@ -712,6 +742,14 @@ func (m *Market) tradingLocked() (*market.Market, error) {
 	return mkt, nil
 }
 
+// historyLocked returns the market's trade history as a view holds it,
+// its refs capped so a later round's append copies or writes past them
+// (writeMu held).
+func (m *Market) historyLocked() history {
+	n := len(m.refs)
+	return history{refs: m.refs[:n:n], snap: m.ledger, log: m.log, gen: m.histGen}
+}
+
 // buildView captures the market's state into a fresh view's inputs (writeMu
 // held); View renders it on first read. Every backend binds one game: once
 // trading has begun the inner market's committed game, whose weight vector
@@ -726,14 +764,16 @@ func (m *Market) buildView(trade *market.Transaction) (*View, error) {
 	v := &View{
 		Trading:  m.mkt != nil,
 		Epoch:    m.rosterEpoch,
+		hist:     m.historyLocked(),
 		backends: m.p.backends,
 		roster:   m.sellers[:n:n],
 		discount: m.cfg.Discount != nil,
 	}
+	v.Trades = v.hist.refs
 	switch {
 	case m.mkt != nil:
 		v.game = m.mkt.Prototype().Game()
-		v.Trades = m.mkt.SharedLedger()
+		v.Last = m.mkt.Last()
 	case n > 0:
 		lambdas := make([]float64, n)
 		for i, sel := range m.sellers {
@@ -805,12 +845,13 @@ func (m *Market) setGauges(v *View) {
 }
 
 // Seller returns one roster entry by ID from the lock-free view, plus the
-// roster epoch it was read at. Unknown IDs return ErrSellerNotFound.
+// roster epoch it was read at, rendering that entry alone from the view's
+// inputs by View.fill's rule. Unknown IDs return ErrSellerNotFound.
 func (m *Market) Seller(id string) (SellerState, uint64, error) {
-	v := m.View()
-	for _, s := range v.Sellers {
-		if s.ID == id {
-			return s, v.Epoch, nil
+	v := m.view.Load()
+	for i, sel := range v.roster {
+		if sel.ID == id {
+			return v.sellerState(i, v.discounts()), v.Epoch, nil
 		}
 	}
 	return SellerState{}, v.Epoch, fmt.Errorf("seller %q: %w", id, ErrSellerNotFound)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"share/internal/dataset"
+	"share/internal/market"
 )
 
 // Seller rows cross the pool's trust boundary as [][]float64 — request
@@ -29,6 +30,12 @@ func (m *Market) storedData(rows [][]float64, targets []float64) (*dataset.Datas
 		return nil, &widthError{got: got, want: want}
 	}
 	return d, nil
+}
+
+// storedSeller is sel's registration as WAL records store it, its rows
+// views over the dataset.
+func storedSeller(sel *market.Seller) StoredSeller {
+	return StoredSeller{ID: sel.ID, Lambda: sel.Lambda, Rows: sel.Data.AppendRows(nil), Targets: sel.Data.Y}
 }
 
 // widthError reports seller rows whose width differs from the market's

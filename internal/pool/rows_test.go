@@ -167,7 +167,7 @@ func TestRestoreRefusesRowsOfTheWrongWidth(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, st := range narrow {
-					if _, err := l.Append(recordRegister, st); err != nil {
+					if _, _, err := l.Append(recordRegister, st); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -2,6 +2,7 @@ package pool
 
 import (
 	"bufio"
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"errors"
@@ -58,6 +59,11 @@ type MarketSnapshot struct {
 	Sellers []StoredSeller `json:"sellers"`
 	// Market is the trading state; nil when no trade has executed yet.
 	Market *market.Snapshot `json:"market,omitempty"`
+
+	// restored, set by the restore path's reader, locates the market's
+	// ledger and cost log in the file it read, which Market then leaves
+	// out.
+	restored *restoredLedger
 }
 
 // StoredSeller serializes one registration.
@@ -76,13 +82,26 @@ const snapshotVersion = 1
 // snapshot directory.
 const snapshotExt = ".json"
 
-// Snapshot captures the market's full persistent state. It takes the
-// market's write lock, so the snapshot is consistent with respect to
-// concurrent trades.
+// Snapshot captures the market's full persistent state: what a save
+// writes, decoded, its ledger and cost log read back from the trade
+// history. It takes the market's write lock, so the snapshot is
+// consistent with respect to concurrent trades. A history it cannot read
+// back is logged and left out.
 func (m *Market) Snapshot() *MarketSnapshot {
 	m.writeMu.Lock()
 	defer m.writeMu.Unlock()
-	return m.snapshotLocked()
+	var raw bytes.Buffer
+	h := m.historyLocked()
+	_, _, err := h.encodeSnapshot(&raw, m.snapshotLocked())
+	var snap MarketSnapshot
+	if err == nil {
+		err = json.Unmarshal(raw.Bytes(), &snap)
+	}
+	if err != nil {
+		m.p.logf("pool: market %q: reading the trade history back: %v", m.id, err)
+		return m.snapshotLocked()
+	}
+	return &snap
 }
 
 // spec returns the market's resolved spec, every field explicit.
@@ -118,9 +137,10 @@ func (m *Market) specSnapshot() *MarketSnapshot {
 	return &MarketSnapshot{Version: snapshotVersion, ID: m.id, Spec: &spec}
 }
 
-// snapshotLocked is Snapshot with writeMu already held. The sellers' rows
-// are views over their datasets, their headers in one block for the whole
-// roster.
+// snapshotLocked is Snapshot with writeMu already held, without the
+// ledger and cost log, which the history supplies (see
+// history.encodeSnapshot). The sellers' rows are views over their
+// datasets, their headers in one block for the whole roster.
 func (m *Market) snapshotLocked() *MarketSnapshot {
 	snap := m.specSnapshot()
 	if m.log != nil {
@@ -154,9 +174,12 @@ func (m *Market) snapshotLocked() *MarketSnapshot {
 // RestoreSnapshot loads a snapshot's state into a fresh market (no
 // registrations, no trades): the budget accounts, the roster re-registered
 // from the stored data and, when the snapshot was trading, the inner market
-// rebuilt with its weights, ledger and cost log. It applies none of the
-// snapshot's settings — restoreOne builds the market from the stored spec
-// first — and a market it fails on must be discarded.
+// rebuilt with its weights, round count and last transaction, and the
+// trade history: where restoreOne's reader found the ledger in its file,
+// or, for a snapshot that carries its ledger, in memory, one cost-log entry
+// per round. It applies none of the snapshot's settings — restoreOne builds
+// the market from the stored spec first — and a market it fails on must be
+// discarded.
 func (m *Market) RestoreSnapshot(snap *MarketSnapshot) error {
 	if snap == nil {
 		return errors.New("pool: nil snapshot")
@@ -185,6 +208,7 @@ func (m *Market) RestoreSnapshot(snap *MarketSnapshot) error {
 		sellers[i] = &market.Seller{ID: st.ID, Lambda: st.Lambda, Data: d}
 	}
 	var mkt *market.Market
+	var refs []TradeRef
 	if snap.Market != nil {
 		var err error
 		mkt, err = market.New(sellers, m.cfg)
@@ -194,6 +218,20 @@ func (m *Market) RestoreSnapshot(snap *MarketSnapshot) error {
 		if err := mkt.Restore(snap.Market); err != nil {
 			return err
 		}
+		last := mkt.Last()
+		if led := snap.restored; led != nil {
+			refs, last = led.refs, led.last
+		} else {
+			ledger, costs := snap.Market.Ledger, snap.Market.CostLog
+			if len(costs) != len(ledger) {
+				return fmt.Errorf("pool: snapshot holds %d cost-log entries for %d rounds", len(costs), len(ledger))
+			}
+			refs = make([]TradeRef, len(ledger))
+			for i, tx := range ledger {
+				refs[i] = TradeRef{mem: &tradeRecord{Tx: tx, Obs: costs[i]}}
+			}
+		}
+		mkt.SetHistory(len(refs), last)
 	}
 	if mkt != nil && snap.Market.Epoch != snap.RosterEpoch {
 		// Pool and market snapshots are written together, so their epochs
@@ -203,6 +241,10 @@ func (m *Market) RestoreSnapshot(snap *MarketSnapshot) error {
 			"market snapshot at epoch %d, pool snapshot at epoch %d", snap.Market.Epoch, snap.RosterEpoch)})
 	}
 	m.sellers, m.mkt, m.rosterEpoch = sellers, mkt, snap.RosterEpoch
+	m.refs = refs
+	if snap.restored != nil {
+		m.ledger = snap.restored.file
+	}
 	if err := m.publishView(nil); err != nil {
 		return fmt.Errorf("pool: snapshot state rejected: %w", err)
 	}
@@ -211,10 +253,12 @@ func (m *Market) RestoreSnapshot(snap *MarketSnapshot) error {
 
 // Save persists the market's snapshot to path: the JSON is written to a
 // temp file in the same directory, synced, and renamed over the target, so
-// a crash mid-save never corrupts an existing snapshot.
+// a crash mid-save never corrupts an existing snapshot. The ledger is read
+// back from the trade history under the market's write lock.
 func (m *Market) Save(path string) error {
-	_, err := writeSnapshotFile(path, m.Snapshot())
-	return err
+	m.writeMu.Lock()
+	defer m.writeMu.Unlock()
+	return m.writeHistoryLocked(path, false)
 }
 
 // snapshotPath is the market's snapshot file path under the pool's
@@ -228,39 +272,77 @@ func (m *Market) snapshotPath() string {
 // Failures log — a committed mutation must not be reported failed because
 // the disk was.
 func (m *Market) saveLocked() {
-	if err := m.writeSnapshotLocked(m.snapshotLocked()); err != nil {
+	if err := m.writeHistoryLocked(m.snapshotPath(), true); err != nil {
 		m.p.logf("pool: market %q: saving snapshot: %v", m.id, err)
 	}
 }
 
-// writeSnapshotLocked writes snap as the market's snapshot file and
-// records its size for the compaction trigger (writeMu held).
-func (m *Market) writeSnapshotLocked(snap *MarketSnapshot) error {
-	n, err := writeSnapshotFile(m.snapshotPath(), snap)
-	if err == nil {
-		m.snapBytes = n
+// writeHistoryLocked writes the market's full snapshot to path, the ledger
+// and cost log read back from the trade history (writeMu held). With own
+// set, path is the market's snapshot file: its size feeds the compaction
+// trigger, and the file becomes the generation every round lies in — the
+// refs are rebuilt into it, the previous generation's handle is closed,
+// and a view of the new one is published.
+func (m *Market) writeHistoryLocked(path string, own bool) error {
+	snap := m.snapshotLocked()
+	h := m.historyLocked()
+	var refs []TradeRef
+	var lf *ledgerFile
+	n, f, err := writeAtomic(path, own, func(w *bufio.Writer) error {
+		var err error
+		refs, lf, err = h.encodeSnapshot(w, snap)
+		return err
+	})
+	if err != nil || !own {
+		return err
 	}
-	return err
+	m.snapBytes = n
+	if lf == nil {
+		f.Close()
+		return nil
+	}
+	lf.f = f
+	old := m.ledger
+	m.refs, m.ledger = refs, lf
+	m.histGen++
+	if err := m.publishView(nil); err != nil {
+		m.p.logf("pool: market %q: view rebuild after a snapshot: %v", m.id, err)
+	}
+	// Only now that the new generation's view is out: a read that fails on
+	// the closed file finds it and retries there.
+	if old != nil {
+		old.f.Close()
+	}
+	return nil
 }
 
-// writeSnapshotFile atomically and durably writes one snapshot: temp file,
-// fsync, rename, fsync of the directory. It returns the file's size. The
-// snapshot is encoded as compact JSON in the encoder's pooled buffer and
-// written straight through to the temp file, with no separate marshalled or
-// indented copy. The directory fsync makes the rename durable before the
-// caller acts on it, such as truncating the log the snapshot covers.
+// writeSnapshotFile atomically and durably writes snap as it stands, its
+// ledger (if any) included, and returns the file's size.
 func writeSnapshotFile(path string, snap *MarketSnapshot) (int64, error) {
+	n, _, err := writeAtomic(path, false, func(w *bufio.Writer) error {
+		return json.NewEncoder(w).Encode(snap)
+	})
+	return n, err
+}
+
+// writeAtomic atomically and durably writes one snapshot file: write fills
+// a temp file in path's directory through a buffer, and the temp file is
+// fsynced, renamed over path, and the directory fsynced. It returns the
+// file's size and, with keep, the file, open for reading. The directory
+// fsync makes the rename durable before the caller acts on it, such as
+// truncating the log the snapshot covers.
+func writeAtomic(path string, keep bool, write func(*bufio.Writer) error) (int64, *os.File, error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".share-snapshot-*")
 	if err != nil {
-		return 0, fmt.Errorf("pool: creating snapshot temp file: %w", err)
+		return 0, nil, fmt.Errorf("pool: creating snapshot temp file: %w", err)
 	}
 	tmpName := tmp.Name()
 	// Any failure from here on removes the temp file; the target is only
 	// ever replaced by a complete, synced rename.
 	var n int64
 	bw := bufio.NewWriter(tmp)
-	if err = json.NewEncoder(bw).Encode(snap); err == nil {
+	if err = write(bw); err == nil {
 		err = bw.Flush()
 	}
 	if err == nil {
@@ -269,21 +351,33 @@ func writeSnapshotFile(path string, snap *MarketSnapshot) (int64, error) {
 	if err == nil {
 		err = tmp.Sync()
 	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
+	if !keep {
+		if cerr := tmp.Close(); err == nil {
+			err = cerr
+		}
+		tmp = nil
+	}
+	renamed := false
+	if err != nil {
+		err = fmt.Errorf("pool: writing snapshot: %w", err)
+	} else if err = os.Rename(tmpName, path); err != nil {
+		err = fmt.Errorf("pool: publishing snapshot: %w", err)
+	} else {
+		renamed = true
+		if err = syncDir(dir); err != nil {
+			err = fmt.Errorf("pool: syncing snapshot directory: %w", err)
+		}
 	}
 	if err != nil {
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("pool: writing snapshot: %w", err)
+		if tmp != nil {
+			tmp.Close()
+		}
+		if !renamed {
+			os.Remove(tmpName)
+		}
+		return 0, nil, err
 	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("pool: publishing snapshot: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return 0, fmt.Errorf("pool: syncing snapshot directory: %w", err)
-	}
-	return n, nil
+	return n, tmp, nil
 }
 
 // syncDir fsyncs a directory, making the names created or renamed in it
@@ -477,14 +571,26 @@ func (p *Pool) RestoreAll() ([]string, error) {
 // replaced; without one, unset settings take the pool defaults. A held
 // market that has changed its roster or opened its log stays, and the
 // restore is refused.
-func (p *Pool) restoreOne(id, snapPath string) error {
+func (p *Pool) restoreOne(id, snapPath string) (err error) {
 	var snap *MarketSnapshot
 	var snapBytes int64
 	var spec Spec
 	if snapPath != "" {
-		var err error
 		if snap, err = ReadSnapshotFile(snapPath); err != nil {
 			return err
+		}
+		if snap.Market != nil {
+			if err = snap.locateLedger(snapPath); err != nil {
+				return err
+			}
+			// The ledger's file stays open for the history; a refused
+			// restore closes it.
+			led := snap.restored
+			defer func() {
+				if err != nil {
+					led.file.f.Close()
+				}
+			}()
 		}
 		fi, err := os.Stat(snapPath)
 		if err != nil {

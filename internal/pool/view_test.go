@@ -110,7 +110,8 @@ func TestTradeBytesPerRound(t *testing.T) {
 // join and leave, a budget top-up, a WAL compaction and SaveAll — while a
 // reader serves the live ledger the way GET /v2/markets/{id}/trades does.
 // (internal/httpapi imports this package, so the route is served here by a
-// stand-in that reads View().Trades like the real handler.) Run under -race
+// stand-in that pages through Market.Trades like the real handler.) Run
+// under -race
 // in make race.
 func TestPublishedViewStaysImmutable(t *testing.T) {
 	dir := t.TempDir()
@@ -143,7 +144,11 @@ func TestPublishedViewStaysImmutable(t *testing.T) {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
-		if err := json.NewEncoder(w).Encode(mk.View().Trades); err != nil {
+		trades, err := mk.Trades(0, len(mk.View().Trades))
+		if err == nil {
+			err = json.NewEncoder(w).Encode(trades)
+		}
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
@@ -229,18 +234,18 @@ func TestPublishedViewStaysImmutable(t *testing.T) {
 		want string
 	}
 	v0 := m.View()
-	views := []held{{v0, canonicalView(t, v0)}}
+	views := []held{{v0, canonicalView(t, m, v0)}}
 	for _, st := range steps {
 		if err := st.do(); err != nil {
 			t.Fatalf("%s: %v", st.name, err)
 		}
 		for i, h := range views {
-			if got := canonicalView(t, h.v); got != h.want {
+			if got := canonicalView(t, m, h.v); got != h.want {
 				t.Fatalf("view %d (%d trades) changed after %s\n got: %.300s\nwant: %.300s", i, len(h.v.Trades), st.name, got, h.want)
 			}
 		}
 		v := m.View()
-		views = append(views, held{v, canonicalView(t, v)})
+		views = append(views, held{v, canonicalView(t, m, v)})
 	}
 }
 

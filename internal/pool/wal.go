@@ -166,7 +166,10 @@ func (m *Market) ensureLogLocked() bool {
 	// history, so replay rebuilds every spend from a zeroed ledger. Its
 	// directory fsync also covers the segment just created.
 	if _, err = os.Stat(m.snapshotPath()); errors.Is(err, os.ErrNotExist) {
-		err = m.writeSnapshotLocked(m.specSnapshot())
+		var n int64
+		if n, err = writeSnapshotFile(m.snapshotPath(), m.specSnapshot()); err == nil {
+			m.snapBytes = n
+		}
 	} else {
 		err = syncDir(m.p.snapshotDir)
 	}
@@ -207,14 +210,15 @@ func (m *Market) attachLogReplay(walFloor uint64, snapBytes int64) error {
 	if err != nil {
 		return err
 	}
+	m.log, m.snapBytes = l, snapBytes
 	if applied > 0 {
 		if err := m.publishView(nil); err != nil {
 			l.Close()
+			m.log = nil
 			return fmt.Errorf("pool: market %q: replayed wal state rejected: %w", m.id, err)
 		}
 		m.p.logf("pool: market %q: replayed %d wal record(s) past snapshot seq %d", m.id, applied, walFloor)
 	}
-	m.log, m.snapBytes = l, snapBytes
 	return nil
 }
 
@@ -259,6 +263,7 @@ func (m *Market) applyRecordLocked(rec *wal.Record) error {
 		if err := mkt.ApplyCommitted(tr.Tx, tr.Obs); err != nil {
 			return fmt.Errorf("pool: trade record %d: %w", rec.Seq, err)
 		}
+		m.refs = append(m.refs, TradeRef{off: rec.Frame.Off, n: int32(rec.Frame.Len), inLog: true})
 		return nil
 	case recordJoin:
 		var jr joinRecord
@@ -334,27 +339,48 @@ func (m *Market) applyRecordLocked(rec *wal.Record) error {
 	}
 }
 
+// persisted reports whether the market's pool persists mutations.
+func (m *Market) persisted() bool { return m.p.snapshotDir != "" }
+
 // persistRecordLocked makes one committed mutation — a registration,
 // trade, join, leave or top-up — durable (writeMu held): it appends the
 // record and returns its sequence number for the caller to Commit outside
 // the lock. A mutation the log cannot take is saved at once as a full
-// snapshot and 0 is returned; it is never failed because the disk was.
+// snapshot and 0 is returned; it is never failed because the disk was. A
+// trade record's round joins the trade history where it lies: the frame
+// just appended, or memory until a snapshot holds it — at once in a pool
+// without a snapshot directory, which keeps every round there.
 func (m *Market) persistRecordLocked(kind string, payload any) (*wal.Log, uint64) {
-	if m.p.snapshotDir == "" {
+	round, _ := payload.(*tradeRecord)
+	if !m.persisted() {
+		m.holdRound(round)
 		return nil, 0
 	}
 	if !m.ensureLogLocked() {
+		m.holdRound(round)
 		m.saveLocked()
 		return nil, 0
 	}
-	seq, err := m.log.Append(kind, payload)
+	seq, fr, err := m.log.Append(kind, payload)
 	if err != nil {
 		m.p.logf("pool: market %q: wal append failed: %v; writing full snapshot instead", m.id, err)
+		m.holdRound(round)
 		m.saveLocked()
 		return nil, 0
+	}
+	if round != nil {
+		m.refs = append(m.refs, TradeRef{off: fr.Off, n: int32(fr.Len), inLog: true, verbatim: true})
 	}
 	m.maybeCompactLocked()
 	return m.log, seq
+}
+
+// holdRound adds round, if any, to the trade history as held in memory
+// (writeMu held).
+func (m *Market) holdRound(round *tradeRecord) {
+	if round != nil {
+		m.refs = append(m.refs, TradeRef{mem: round})
+	}
 }
 
 // commitWal waits out one record's durability barrier per the log's mode.
@@ -390,9 +416,10 @@ func (m *Market) maybeCompactLocked() {
 // checkpointLocked persists the market's snapshot and then truncates its
 // WAL (writeMu held), so no record committed between the two steps can be
 // lost to the truncation: compaction, and SaveAll's shutdown path. The
-// snapshot's rename is durable before the truncation starts.
+// snapshot reads the trade history back before it becomes where every
+// round lies, and its rename is durable before the truncation starts.
 func (m *Market) checkpointLocked() error {
-	if err := m.writeSnapshotLocked(m.snapshotLocked()); err != nil {
+	if err := m.writeHistoryLocked(m.snapshotPath(), true); err != nil {
 		return err
 	}
 	if m.log != nil {
@@ -410,10 +437,15 @@ func (m *Market) checkpoint() error {
 	return m.checkpointLocked()
 }
 
-// closeLog flushes and closes the market's WAL segment, if open.
+// closeLog flushes and closes the market's WAL segment, if open, and the
+// snapshot generation its trade history lies in. A closed segment still
+// reads its frames back; the closed snapshot does not.
 func (m *Market) closeLog() {
 	m.writeMu.Lock()
 	defer m.writeMu.Unlock()
+	if m.ledger != nil {
+		m.ledger.f.Close()
+	}
 	if m.log == nil {
 		return
 	}

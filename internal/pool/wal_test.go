@@ -51,7 +51,7 @@ func canonicalState(t *testing.T, m *Market) string {
 		t.Fatalf("marshaling market info: %v", err)
 	}
 	v := m.View()
-	return canonicalJSON(t, info) + canonicalView(t, v) + canonicalQuotes(v)
+	return canonicalJSON(t, info) + canonicalView(t, m, v) + canonicalQuotes(v)
 }
 
 // canonicalQuotes renders the bits of the analytic and mean-field SolveFor
@@ -80,16 +80,21 @@ func canonicalQuotes(v *View) string {
 	return sb.String()
 }
 
-// canonicalView is canonicalState's rendering of one published view.
-func canonicalView(t *testing.T, v *View) string {
+// canonicalView is canonicalState's rendering of one view m published,
+// its transactions read back through m.Trades.
+func canonicalView(t *testing.T, m *Market, v *View) string {
 	t.Helper()
+	trades, err := m.Trades(0, len(v.Trades))
+	if err != nil {
+		t.Fatalf("reading %d trades: %v", len(v.Trades), err)
+	}
 	raw, err := json.Marshal(struct {
 		Epoch   uint64                `json:"epoch"`
 		Sellers []SellerState         `json:"sellers"`
 		Weights []float64             `json:"weights"`
 		Trades  []*market.Transaction `json:"trades"`
 		Trading bool                  `json:"trading"`
-	}{v.Epoch, v.Sellers, v.Weights, v.Trades, v.Trading})
+	}{v.Epoch, v.Sellers, v.Weights, trades, v.Trading})
 	if err != nil {
 		t.Fatalf("marshaling market state: %v", err)
 	}
@@ -898,7 +903,7 @@ func TestReplayRejectsBadJoinData(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = l.Append(recordJoin, joinRecord{
+			_, _, err = l.Append(recordJoin, joinRecord{
 				Seller: StoredSeller{ID: "crafted", Lambda: 0.5, Rows: tc.rows, Targets: tc.targets},
 				Weight: 0.5,
 				Epoch:  3,

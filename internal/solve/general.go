@@ -17,17 +17,11 @@ import (
 //
 // The zero value — the registered "general" backend — uses the paper's
 // quadratic loss, making it a numerical cross-check of the analytic path
-// (they agree to well under 1e-6, which the test suite enforces). Custom
-// losses plug in through LossFor.
+// (they agree to well under 1e-6, which the test suite enforces).
 //
 // Every solve starts cold from the Eq. 20 closed form; within one solve,
 // each Stage-3 probe warm-starts from the nearest price already probed.
 type General struct {
-	// LossFor builds the seller loss for a prepared game; nil selects the
-	// quadratic loss (Eq. 11). It is called at each solve against the game
-	// being solved — the Prepared's game carrying the solve's buyer — so
-	// the closure sees current λ/ω values.
-	LossFor func(g *core.Game) core.LossFunc
 	// Workers bounds the Jacobi fan-out of the inner Stage-3 solves and the
 	// speculative Stage-2 probe pairs; ≤ 0 means GOMAXPROCS (the
 	// internal/parallel convention).
@@ -57,7 +51,7 @@ func (p *generalPrepared) Game() *core.Game      { return p.g }
 func (p *generalPrepared) SetBuyer(b core.Buyer) { p.g.Buyer = b }
 func (p *generalPrepared) Clone() Prepared       { return &generalPrepared{b: p.b, g: p.g.Clone()} }
 
-// Solve runs the numerical backward induction under the backend's loss for
+// Solve runs the numerical backward induction under the quadratic loss for
 // the Prepared's own buyer.
 func (p *generalPrepared) Solve(ctx context.Context) (*core.Profile, error) {
 	return solveFresh(ctx, p)
@@ -71,13 +65,9 @@ func (p *generalPrepared) SolveFor(ctx context.Context, b core.Buyer, dst *core.
 	}
 	g := *p.g
 	g.Buyer = b
-	loss := g.QuadraticLoss()
-	if p.b.LossFor != nil {
-		loss = p.b.LossFor(&g)
-	}
 	effort := new(core.GeneralStats)
 	err := g.SolveGeneralInto(ctx, core.GeneralOptions{
-		Loss:     loss,
+		Loss:     g.QuadraticLoss(),
 		PriceTol: p.b.PriceTol,
 		Nash: nash.Options{
 			Sweep:   nash.Jacobi,

@@ -164,7 +164,7 @@ func TestAppendFramesMatchMarshal(t *testing.T) {
 	for i := 0; i < n; i++ {
 		kind := poolKinds[i%len(poolKinds)]
 		v := genPayload(rng)
-		seq, err := l.Append(kind, v)
+		seq, _, err := l.Append(kind, v)
 		if err != nil {
 			t.Fatalf("record %d: Append: %v", i, err)
 		}
@@ -292,12 +292,12 @@ func TestAppendRefusesEscapedKind(t *testing.T) {
 	appendCommit(t, l, "trade", payload{N: 1})
 	size := l.Size()
 	for _, kind := range []string{`a"b`, `a\b`, "<", ">", "a&b", "line\n", "\x00", "\x7f", "é", "\u2028"} {
-		if _, err := l.Append(kind, payload{N: 2}); err == nil {
+		if _, _, err := l.Append(kind, payload{N: 2}); err == nil {
 			t.Errorf("Append(%q) succeeded", kind)
 		}
 	}
 	for _, v := range []any{math.NaN(), math.Inf(1), make(chan int)} {
-		if _, err := l.Append("trade", v); err == nil {
+		if _, _, err := l.Append("trade", v); err == nil {
 			t.Errorf("Append(%T) succeeded", v)
 		}
 	}
@@ -357,7 +357,7 @@ func TestAppendCopiesNoRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "seg.wal")
 	l := openT(t, path, Options{Mode: ModeAsync})
 	for i := 0; i < 4; i++ { // warm the encoder's state and the frame prefix
-		if _, err := l.Append("trade", rec); err != nil {
+		if _, _, err := l.Append("trade", rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -367,7 +367,7 @@ func TestAppendCopiesNoRecord(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
-		if _, err := l.Append("trade", rec); err != nil {
+		if _, _, err := l.Append("trade", rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -431,7 +431,7 @@ func fuzzPrefix(tb testing.TB) ([]byte, []Record) {
 		tb.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
-		if _, err := l.Append("p", payload{N: i, S: "x"}); err != nil {
+		if _, _, err := l.Append("p", payload{N: i, S: "x"}); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -506,7 +506,7 @@ func FuzzOpen(f *testing.F) {
 			t.Fatalf("after Open: %d records in a %d B clean prefix of a %d B file (log size %d), want %d records filling it",
 				records, clean, fi.Size(), l.Size(), len(got))
 		}
-		seq, err := l.Append("p", payload{N: 99})
+		seq, _, err := l.Append("p", payload{N: 99})
 		if err != nil {
 			t.Fatalf("Append after Open: %v", err)
 		}

@@ -34,6 +34,10 @@
 // per commit; ModeAsync acknowledges immediately and lets the syncer flush
 // in the background.
 //
+// Reading back. Append and replay report each record's Frame, its place
+// in the segment, and ReadFrame reads one record from there, checking its
+// CRC, so a caller can keep where a record lies instead of the record.
+//
 // Compaction. Once the caller has persisted a snapshot capturing all
 // records up to LastSeq, Reset truncates the file; Options.MinSeq on the
 // next Open restores the sequence floor so post-compaction records can
@@ -90,6 +94,16 @@ type Record struct {
 	Seq  uint64          `json:"seq"`
 	Kind string          `json:"kind"`
 	Data json.RawMessage `json:"data,omitempty"`
+	// Frame is where the record was read from: set by replay, Scan and
+	// ReadFrame, never encoded.
+	Frame Frame `json:"-"`
+}
+
+// Frame locates one record in its segment: the offset of its frame's
+// header and the frame's length, header included.
+type Frame struct {
+	Off int64
+	Len int
 }
 
 // Metrics are the optional observability hooks a Log reports into. Any
@@ -133,6 +147,11 @@ const maxRecordBytes = 64 << 20
 
 // ErrClosed reports an operation on a closed log.
 var ErrClosed = errors.New("wal: log closed")
+
+// ErrNoFrame reports a ReadFrame whose frame is not in the segment: past
+// its end, or bytes whose length or checksum do not match, as after the
+// segment was reset.
+var ErrNoFrame = errors.New("wal: no record at that frame")
 
 // ErrCorrupt marks a segment whose checksummed frames are not a valid log:
 // a payload outside the record layout, or a sequence number that does not
@@ -291,7 +310,8 @@ func scan(f *os.File, fn func(*Record, int64) error) (lastSeq uint64, clean int6
 		}
 		end := clean + headerSize + ln
 		if fn != nil {
-			if err := fn(&Record{Seq: seq, Kind: kindStr, Data: bytes.Clone(data)}, end); err != nil {
+			fr := Frame{Off: clean, Len: int(headerSize + ln)}
+			if err := fn(&Record{Seq: seq, Kind: kindStr, Data: bytes.Clone(data), Frame: fr}, end); err != nil {
 				return lastSeq, clean, err
 			}
 		}
@@ -357,32 +377,33 @@ func Scan(path string, fn func(rec *Record, end int64) error) (lastSeq uint64, c
 }
 
 // Append encodes v as the data of a framed record of the given kind and
-// buffers it, returning the assigned sequence number. The record is NOT
-// durable until a Commit covering the sequence number returns (or, in
-// ModeAsync, until the background flush lands). The kind must be printable
-// ASCII other than '"', '\', '<', '>' and '&' — bytes JSON writes
-// verbatim — and the payload at most maxRecordBytes long; a record that
-// fails either, or whose value does not encode, is refused and nothing is
-// written.
-func (l *Log) Append(kind string, v any) (uint64, error) {
+// buffers it, returning the assigned sequence number and the record's
+// frame. The record is NOT durable until a Commit covering the sequence
+// number returns (or, in ModeAsync, until the background flush lands).
+// The kind must be printable ASCII other than '"', '\', '<', '>' and '&'
+// — bytes JSON writes verbatim — and the payload at most maxRecordBytes
+// long; a record that fails either, or whose value does not encode, is
+// refused and nothing is written.
+func (l *Log) Append(kind string, v any) (uint64, Frame, error) {
 	if !plainKind(kind) {
-		return 0, fmt.Errorf("wal: record kind %q needs JSON escaping", kind)
+		return 0, Frame{}, fmt.Errorf("wal: record kind %q needs JSON escaping", kind)
 	}
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		return 0, ErrClosed
+		return 0, Frame{}, ErrClosed
 	}
 	l.fr.begin(l.seq+1, kind)
 	if err := l.enc.Encode(v); err != nil {
 		l.mu.Unlock()
-		return 0, fmt.Errorf("wal: encoding %s record: %w", kind, err)
+		return 0, Frame{}, fmt.Errorf("wal: encoding %s record: %w", kind, err)
 	}
 	n, err := l.fr.n, l.fr.err
 	if err != nil {
 		l.mu.Unlock()
-		return 0, fmt.Errorf("wal: appending %s record to %s: %w", kind, l.path, err)
+		return 0, Frame{}, fmt.Errorf("wal: appending %s record to %s: %w", kind, l.path, err)
 	}
+	fr := Frame{Off: l.size, Len: n}
 	l.seq++
 	l.size += int64(n)
 	l.records++
@@ -394,7 +415,67 @@ func (l *Log) Append(kind string, v any) (uint64, error) {
 	if l.met.Bytes != nil {
 		l.met.Bytes.Add(uint64(n))
 	}
-	return seq, nil
+	return seq, fr, nil
+}
+
+// ReadFrame reads back the record at fr, a frame Append or replay
+// reported: it checks the frame's length and CRC and returns the record,
+// its Data a copy. A frame still in the log's buffer is flushed first, and
+// a closed log reads its segment file. A frame the segment no longer holds
+// — the log was reset since — is ErrNoFrame, or some later record that
+// happens to fill those bytes: the caller checks the record is the one it
+// wants.
+func (l *Log) ReadFrame(fr Frame) (*Record, error) {
+	if fr.Off < 0 || fr.Len <= headerSize || fr.Len > headerSize+maxRecordBytes {
+		return nil, fmt.Errorf("%w: %d bytes at offset %d", ErrNoFrame, fr.Len, fr.Off)
+	}
+	buf := make([]byte, fr.Len)
+	l.mu.Lock()
+	var err error
+	if l.closed {
+		l.mu.Unlock()
+		err = readFileAt(l.path, buf, fr.Off)
+	} else {
+		end := fr.Off + int64(fr.Len)
+		switch {
+		case end > l.size:
+			err = io.ErrUnexpectedEOF
+		case end > l.size-int64(l.w.Buffered()):
+			err = l.w.Flush()
+		}
+		if err == nil {
+			_, err = l.f.ReadAt(buf, fr.Off)
+		}
+		l.mu.Unlock()
+	}
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return nil, fmt.Errorf("%w: %d bytes at offset %d of %s", ErrNoFrame, fr.Len, fr.Off, l.path)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("wal: reading %s: %w", l.path, err)
+	}
+	payload := buf[headerSize:]
+	if binary.LittleEndian.Uint32(buf[0:4]) != uint32(len(payload)) || crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(buf[4:8]) {
+		return nil, fmt.Errorf("%w: %d bytes at offset %d of %s", ErrNoFrame, fr.Len, fr.Off, l.path)
+	}
+	seq, kind, data, ok := envelope(payload)
+	if !ok {
+		return nil, fmt.Errorf("%w: record at offset %d is not {\"seq\":N,\"kind\":\"K\",\"data\":VALUE}", ErrCorrupt, fr.Off)
+	}
+	return &Record{Seq: seq, Kind: string(kind), Data: data, Frame: fr}, nil
+}
+
+// readFileAt fills buf from the file at path, at offset off.
+func readFileAt(path string, buf []byte, off int64) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	_, err = f.ReadAt(buf, off)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // plainKind reports whether JSON writes kind verbatim between its quotes,

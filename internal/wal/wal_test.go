@@ -29,7 +29,7 @@ func openT(t *testing.T, path string, opts Options) *Log {
 
 func appendCommit(t *testing.T, l *Log, kind string, v any) uint64 {
 	t.Helper()
-	seq, err := l.Append(kind, v)
+	seq, _, err := l.Append(kind, v)
 	if err != nil {
 		t.Fatalf("Append: %v", err)
 	}
@@ -133,7 +133,7 @@ func TestTornTailTruncatedAtEveryOffset(t *testing.T) {
 		}
 		// The torn bytes must be gone: appending after recovery yields a
 		// log whose records are the clean prefix plus the new record.
-		if _, err := l2.Append("p", payload{N: 99}); err != nil {
+		if _, _, err := l2.Append("p", payload{N: 99}); err != nil {
 			t.Fatalf("cut %d: append after recovery: %v", cut, err)
 		}
 		if err := l2.Close(); err != nil {
@@ -225,7 +225,7 @@ func TestConcurrentGroupCommit(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				seq, err := l.Append("p", payload{N: w*per + i})
+				seq, _, err := l.Append("p", payload{N: w*per + i})
 				if err == nil {
 					err = l.Commit(seq)
 				}
@@ -275,7 +275,7 @@ func TestClosedLogRejectsAppends(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if _, err := l.Append("p", payload{}); !errors.Is(err, ErrClosed) {
+	if _, _, err := l.Append("p", payload{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Append after Close = %v, want ErrClosed", err)
 	}
 	if err := l.Reset(); !errors.Is(err, ErrClosed) {
@@ -301,7 +301,7 @@ func TestUnsyncedAsyncRecordsFlushOnClose(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "seg.wal")
 	l := openT(t, path, Options{Mode: ModeAsync})
 	for i := 0; i < 10; i++ {
-		seq, err := l.Append("p", payload{N: i})
+		seq, _, err := l.Append("p", payload{N: i})
 		if err != nil {
 			t.Fatal(err)
 		}
